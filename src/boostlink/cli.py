@@ -7,8 +7,8 @@ keys are errors.  Output is CSV (default) or JSON lines; floats are printed
 with 12 significant digits and rows are emitted in deterministic sweep order,
 so identical scenarios produce byte-identical output.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical-consistency error,
-4 purification-failure outcome under --strict.
+Exit codes: 0 success, 2 configuration error, 3 numerical-consistency error
+or a degenerate protocol step, 4 purification-failure outcome under --strict.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass, fields
 
 from .diffraction import BeamProfile, diffracted_reduced_type1, make_grid
-from .errors import ConfigError, DomainError, NumericalConsistencyError
+from .errors import ConfigError, DegenerateProtocolError, DomainError, NumericalConsistencyError
 from .lorentz import SphericalDirection
 from .photon import boost_photon, linear_polarization, make_photon
 from .purification import (
@@ -101,6 +101,10 @@ class Scenario:
             raise ConfigError(f"protocol: must be one of {PROTOCOLS}, got {self.protocol!r}")
         if self.grid_theta < 2 or self.grid_phi < 2:
             raise ConfigError("grid: n_theta and n_phi must be >= 2")
+        for name in ("sigma",) + _SWEEPABLE:
+            setting = getattr(self, name)
+            if setting is not None and not all(map(math.isfinite, _values(setting))):
+                raise ConfigError(f"{name}: must be finite, got {setting}")
         if self.sigma <= 0.0:
             raise ConfigError(f"sigma: must be positive, got {self.sigma}")
         if not 0.0 < self.target_purity <= 1.0:
@@ -573,6 +577,9 @@ def main(argv=None) -> int:
         return 2
     except NumericalConsistencyError as err:
         print(f"boostlink: numerical consistency error: {err}", file=sys.stderr)
+        return 3
+    except DegenerateProtocolError as err:
+        print(f"boostlink: degenerate protocol step: {err}", file=sys.stderr)
         return 3
     if purification_failed and getattr(args, "strict", False):
         print("boostlink: purification did not reach the target purity", file=sys.stderr)

@@ -12,16 +12,25 @@ with W the normalized |f|^2 quadrature weights.  Because the pair amplitude
 factorizes per arm, the double sum reduces exactly to per-arm second-moment
 matrices, which keeps the cost linear in the node count.
 
-Geometry: each beam is a Gaussian around +z rotated rigidly (nodes and
-polarization patch together) to the polar direction ``alpha`` (azimuth 0);
-"opposite directions" places arm B's axis at the exact mirror of arm A's,
-which is what makes one arm's spread tighten and the other broaden under a
-z-boost.  Carrying the polarization basis with the beam keeps it continuous
-across the beam for every pointing; evaluating the fixed global basis instead
-would be singular for a beam centered on the backward pole, where that basis
-twists with azimuth.  The returned matrices are therefore expressed in
-per-arm frames tied to the beam axes; the frames are boost-independent, so
-entanglement measures and cross-frame distances are unaffected.
+Geometry, all on unit vectors: each beam is a Gaussian around +z rotated
+rigidly (nodes and polarization patch together) about y to the polar
+direction ``alpha`` (azimuth 0); "opposite directions" places arm B's axis at
+the exact mirror of arm A's, which is what makes one arm's spread tighten and
+the other broaden under a z-boost.  In the lab the boost aberrates each node
+as n' = (n_x, n_y, gamma (n_z - beta)) / (gamma (1 - beta n_z)) (Weinberg,
+QFT I, sec. 2.5; Lindner, Peres & Terno, J. Phys. A 36, L449, 2003); rotated
+back to the beam frame, n carries the linear basis
+
+    h = x - n_x (n + z) / (1 + n_z),    v = y - n_y (n + z) / (1 + n_z),
+
+singular only at the beam-frame backward pole n = -z.  Carrying the basis
+with the beam keeps it continuous across the beam for every pointing; the
+fixed global basis would instead be singular for a beam centered on the
+backward pole, where it twists with azimuth.  The returned matrices are
+therefore expressed in per-arm frames tied to the beam axes; the frames are
+boost-independent, so entanglement measures and cross-frame distances are
+unaffected.  Each arm's four moment blocks come from one product (X w) X^T,
+X = [h | v] a 6 x N array.
 
 Quadrature: Gauss-Legendre in theta on [0, min(6*sigma, pi)] times a uniform
 periodic grid in phi.  The Gaussian is truncated at the domain edge; the
@@ -36,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .lorentz import SphericalDirection
+from .lorentz import SphericalDirection, check_velocity
 from .quantum import DensityMatrix, negativity
 
 TRUNCATION_SIGMAS = 6.0
@@ -142,62 +151,45 @@ def _rotate_arrays(theta, phi, alpha):
     return np.arccos(cos_out), phi_out % (2.0 * math.pi)
 
 
-def _aberrate_arrays(theta, beta):
-    if not abs(beta) < 1.0:
-        raise DomainError(f"boost velocity must satisfy |beta| < 1, got {beta}")
-    stretch = math.sqrt((1.0 + beta) / (1.0 - beta))
-    half = 0.5 * theta
-    return 2.0 * np.arctan2(stretch * np.sin(half), np.cos(half))
+def _node_directions(grid):
+    """Components (x, y, z) of the grid nodes' unit vectors."""
+    sin_theta = np.sin(grid.theta)
+    return sin_theta * np.cos(grid.phi), sin_theta * np.sin(grid.phi), np.cos(grid.theta)
 
 
-def _linear_pol_arrays(theta, phi):
-    """Vectorized h and v spatial vectors (rows) at the given angles; closed
-    forms of R_z(phi) R_y(theta) R_z(-phi) applied to x-hat and y-hat."""
-    ct, st = np.cos(theta), np.sin(theta)
-    cp, sp = np.cos(phi), np.sin(phi)
-    h = np.stack([cp * cp * ct + sp * sp, sp * cp * (ct - 1.0), -st * cp], axis=-1)
-    v = np.stack([sp * cp * (ct - 1.0), sp * sp * ct + cp * cp, -st * sp], axis=-1)
-    return h, v
+def _aberrated_patch(nodes, axis_angle, beta):
+    """Beam-frame unit vectors (x, y, z) of the nodes after the z-boost: rotate
+    about y through ``axis_angle`` to the lab, aberrate there, rotate back."""
+    x, y, z = nodes
+    c, s = math.cos(axis_angle), math.sin(axis_angle)
+    lab_x = c * x + s * z
+    lab_z = c * z - s * x
+    gamma = 1.0 / math.sqrt((1.0 - beta) * (1.0 + beta))
+    scale = 1.0 / (gamma * (1.0 - beta * lab_z))
+    lab_x *= scale
+    lab_z = gamma * (lab_z - beta) * scale
+    return c * lab_x - s * lab_z, y * scale, s * lab_x + c * lab_z
 
 
-def _axis_rotation_y(angle):
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+def _linear_basis(nx, ny, nz):
+    """Rows (h; v) of a 6 x N array at directions n: the closed forms of
+    R_z(phi) R_y(theta) R_z(-phi) applied to x-hat and y-hat.  Below the
+    equator 1 + n_z is evaluated as (n_x^2 + n_y^2) / (1 - n_z), which keeps
+    h and v orthonormal and transverse to rounding right up to the pole."""
+    one_plus_nz = 1.0 + nz
+    np.divide(nx * nx + ny * ny, 1.0 - nz, out=one_plus_nz, where=nz < 0.0)
+    kx = nx / one_plus_nz
+    ky = ny / one_plus_nz
+    return np.array([1.0 - nx * kx, -ny * kx, -nx, -nx * ky, 1.0 - ny * ky, -ny])
 
 
-def _arm_patch_angles(grid, beam, beta, mirror):
-    """Beam-frame node angles for one arm after the z-boost.
-
-    The z-centered Gaussian nodes are carried to the beam axis by a rigid
-    rotation about y (angle alpha, or alpha + pi for the mirrored arm), the
-    aberration map acts on the lab polar angle, and the result is pulled back
-    into the beam frame where the polarization basis lives.
-    """
-    rot = _axis_rotation_y(beam.alpha + (math.pi if mirror else 0.0))
-    ct, st = np.cos(grid.theta), np.sin(grid.theta)
-    patch = np.stack([st * np.cos(grid.phi), st * np.sin(grid.phi), ct], axis=-1)
-    lab = patch @ rot.T
-    theta_lab = np.arccos(np.clip(lab[:, 2], -1.0, 1.0))
-    phi_lab = np.arctan2(lab[:, 1], lab[:, 0])
-    theta_lab = _aberrate_arrays(theta_lab, beta)
-    ct, st = np.cos(theta_lab), np.sin(theta_lab)
-    lab = np.stack([st * np.cos(phi_lab), st * np.sin(phi_lab), ct], axis=-1)
-    patch = lab @ rot
-    theta = np.arccos(np.clip(patch[:, 2], -1.0, 1.0))
-    phi = np.arctan2(patch[:, 1], patch[:, 0])
-    return theta, phi
-
-
-def _second_moments(theta, phi, weights):
-    """Per-arm weighted moment matrices sum_i W_i |x_i><y_i| for x, y in {h, v},
-    embedded in the 4-component polarization space."""
-    h, v = _linear_pol_arrays(theta, phi)
-    moments = {}
-    for xname, x in (("h", h), ("v", v)):
-        for yname, y in (("h", h), ("v", v)):
-            m = np.zeros((4, 4), dtype=complex)
-            m[1:, 1:] = np.einsum("i,ia,ib->ab", weights, x, y.conj())
-            moments[xname + yname] = m
+def _arm_moments(nodes, weights, axis_angle, beta):
+    """Per-arm weighted moments sum_i W_i |x_i><y_i| for x, y in {h, v}, from
+    one product, embedded in the 4-component polarization space: entry
+    [x, :, y, :] is the 4x4 block A_xy."""
+    basis = _linear_basis(*_aberrated_patch(nodes, axis_angle, beta))
+    moments = np.zeros((2, 4, 2, 4))
+    moments[:, 1:, :, 1:] = ((basis * weights) @ basis.T).reshape(2, 3, 2, 3)
     return moments
 
 
@@ -215,17 +207,17 @@ def diffracted_reduced_type1(
     mixture of Bell-pair projectors equals
     (A_hh x B_hh - A_hv x B_hv - A_vh x B_vh + A_vv x B_vv) / 2.
     """
+    check_velocity(beta)
     w_a = normalized_weights(grid, beam_a)
     w_b = normalized_weights(grid, beam_b)
-    theta_a, phi_a = _arm_patch_angles(grid, beam_a, beta, mirror=False)
-    theta_b, phi_b = _arm_patch_angles(grid, beam_b, beta, mirror=opposite)
-    a = _second_moments(theta_a, phi_a, w_a)
-    b = _second_moments(theta_b, phi_b, w_b)
+    nodes = _node_directions(grid)
+    a = _arm_moments(nodes, w_a, beam_a.alpha, beta)
+    b = _arm_moments(nodes, w_b, beam_b.alpha + (math.pi if opposite else 0.0), beta)
     rho = 0.5 * (
-        np.kron(a["hh"], b["hh"])
-        - np.kron(a["hv"], b["hv"])
-        - np.kron(a["vh"], b["vh"])
-        + np.kron(a["vv"], b["vv"])
+        np.kron(a[0, :, 0], b[0, :, 0])
+        - np.kron(a[0, :, 1], b[0, :, 1])
+        - np.kron(a[1, :, 0], b[1, :, 0])
+        + np.kron(a[1, :, 1], b[1, :, 1])
     )
     rho = 0.5 * (rho + rho.conj().T)
     return DensityMatrix(rho, (4, 4))

@@ -141,6 +141,12 @@ class LorentzTransform:
 IDENTITY = None  # set after class definition
 
 
+def check_velocity(beta: float) -> None:
+    """Reject a boost velocity outside |beta| < 1 (NaN included)."""
+    if not abs(beta) < 1.0:
+        raise DomainError(f"boost velocity must satisfy |beta| < 1, got {beta}")
+
+
 def apply(transform: LorentzTransform, v: FourVector) -> FourVector:
     """Matrix-vector action of a Lorentz transform."""
     return FourVector.from_array(transform.m @ v.as_array())
@@ -148,8 +154,7 @@ def apply(transform: LorentzTransform, v: FourVector) -> FourVector:
 
 def boost_z(beta: float) -> LorentzTransform:
     """Pure boost along z with dimensionless velocity ``beta``."""
-    if not abs(beta) < 1.0:
-        raise DomainError(f"boost velocity must satisfy |beta| < 1, got {beta}")
+    check_velocity(beta)
     gamma = 1.0 / math.sqrt(1.0 - beta * beta)
     m = np.eye(4)
     m[0, 0] = m[3, 3] = gamma
@@ -188,8 +193,7 @@ def transform_angles(direction: SphericalDirection, beta: float) -> SphericalDir
     unchanged.  Implemented via the half-angle form for numerical stability
     at both poles.
     """
-    if not abs(beta) < 1.0:
-        raise DomainError(f"boost velocity must satisfy |beta| < 1, got {beta}")
+    check_velocity(beta)
     stretch = math.sqrt((1.0 + beta) / (1.0 - beta))
     half = 0.5 * direction.theta
     theta_out = 2.0 * math.atan2(stretch * math.sin(half), math.cos(half))
@@ -201,8 +205,7 @@ def approx_transform_theta(theta: float, beta: float) -> float:
     theta' = pi * (theta/pi) ** (1 - 2*beta/(pi*ln 2))."""
     if not 0.0 <= theta <= math.pi:
         raise DomainError(f"polar angle must lie in [0, pi], got {theta}")
-    if not abs(beta) < 1.0:
-        raise DomainError(f"boost velocity must satisfy |beta| < 1, got {beta}")
+    check_velocity(beta)
     exponent = 1.0 - 2.0 * beta / (math.pi * math.log(2.0))
     return math.pi * (theta / math.pi) ** exponent
 

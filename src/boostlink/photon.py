@@ -147,8 +147,6 @@ def boost_photon(state: PhotonState, beta: float) -> PhotonState:
     """Boost a photon along z: Doppler-shift the momentum, aberrate the
     direction, re-evaluate the polarization label there, and accumulate the
     Wigner phase for helicity labels."""
-    if not abs(beta) < 1.0:
-        raise DomainError(f"boost velocity must satisfy |beta| < 1, got {beta}")
     transform = boost_z(beta)
     pol = state.polarization
     new_direction = transform_angles(pol.direction, beta)

@@ -94,8 +94,8 @@ class LinkParams:
 
     def __post_init__(self):
         for name in ("length", "wavelength", "aperture_source", "aperture_receiver"):
-            if getattr(self, name) <= 0.0:
-                raise DomainError(f"link parameter {name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise DomainError(f"link parameter {name} must be positive and finite")
 
 
 def attenuation(params: LinkParams) -> float:

@@ -42,6 +42,9 @@ class DensityMatrix:
                 f"subsystem dimensions {dims} do not match matrix size {mat.shape[0]}"
             )
         herm = float(np.abs(mat - mat.conj().T).max())
+        # the residual is non-finite exactly when some entry is
+        if not math.isfinite(herm):
+            raise DomainError("density matrix has non-finite entries")
         if herm > HERMITIAN_TOL:
             raise DomainError(f"matrix is not Hermitian (deviation {herm:.3e})")
         tr = complex(np.trace(mat))
@@ -96,7 +99,7 @@ def negativity(rho: DensityMatrix, subsystem: int = 0) -> float:
     if not 0 <= subsystem < len(rho.dims):
         raise DomainError(f"subsystem index {subsystem} out of range for dims {rho.dims}")
     eigs = np.linalg.eigvalsh(_partial_transpose(rho, subsystem))
-    return float(-eigs[eigs < 0.0].sum())
+    return float(np.abs(eigs[eigs < 0.0]).sum())
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:

@@ -111,15 +111,9 @@ def make_type3(
     return TypeIIIState(FourVector.photon(dir_a), FourVector.photon(dir_b), lam, global_phase)
 
 
-def _check_beta(beta: float):
-    if not abs(beta) < 1.0:
-        raise DomainError(f"boost velocity must satisfy |beta| < 1, got {beta}")
-
-
 def boost_type1(state: TypeIState, beta: float) -> TypeIState:
     """Boost both photons: aberrated directions, same Bell combination of the
     re-evaluated h/v bases, no Wigner phases for a pure boost."""
-    _check_beta(beta)
     transform = boost_z(beta)
     p_a = apply(transform, state.p_a)
     p_b = apply(transform, state.p_b)
@@ -129,7 +123,6 @@ def boost_type1(state: TypeIState, beta: float) -> TypeIState:
 def boost_type2(state: TypeIIState, beta: float) -> TypeIIState:
     """Boost both momenta and shift each branch phase by the Wigner phase of
     its own momentum."""
-    _check_beta(beta)
     transform = boost_z(beta)
     return replace(
         state,
@@ -142,7 +135,6 @@ def boost_type2(state: TypeIIState, beta: float) -> TypeIIState:
 
 def boost_type3(state: TypeIIIState, beta: float) -> TypeIIIState:
     """Boost both momenta; the Wigner phases combine into one overall phase."""
-    _check_beta(beta)
     transform = boost_z(beta)
     total = wigner_phase(transform, state.p_a) + wigner_phase(transform, state.p_b)
     return replace(

@@ -207,6 +207,28 @@ class TestMainEntry:
         assert main(["negativity", "--sigma", "-1"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["negativity", "--sigma", "nan"],
+            ["negativity", "--sigma", "inf"],
+            ["negativity", "--alpha", "nan"],
+            ["negativity", "--beta", "nan:0.5:3"],
+            ["budget", "--link-length", "inf"],
+            ["budget", "--link-wavelength", "nan"],
+        ],
+    )
+    def test_non_finite_input_exits_2(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "config error" in captured.err
+        assert captured.out == ""
+
+    def test_zero_negativity_prints_without_sign(self, capsys):
+        assert main(["negativity", "--grid-theta", "8", "--grid-phi", "8", "--sigma", "3"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert all(not row.split(",")[2].startswith("-") for row in rows)
+
     def test_strict_purify_failure_exits_4(self, capsys):
         argv = ["purify", "--sigma", "2.0", "--grid-theta", "32", "--grid-phi", "32",
                 "--target-purity", "0.999", "--strict"]
@@ -235,3 +257,16 @@ class TestMainEntry:
         monkeypatch.setattr(cli, "run_li_check", broken)
         assert cli.main(["li-check"]) == 3
         assert "numerical consistency" in capsys.readouterr().err
+
+    def test_degenerate_protocol_error_exits_3(self, capsys, monkeypatch):
+        from boostlink import purification
+        from boostlink.errors import DegenerateProtocolError
+
+        def degenerate(rho):
+            raise DegenerateProtocolError("coincidence probability 0.000e+00 is vanishingly small")
+
+        monkeypatch.setattr(purification, "purify_round", degenerate)
+        assert main(["purify", "--grid-theta", "8", "--grid-phi", "8"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("boostlink: ")
+        assert "vanishingly small" in err

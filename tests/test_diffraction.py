@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boostlink.diffraction import (
     BeamProfile,
     QuadratureGrid,
+    _aberrated_patch,
+    _linear_basis,
+    _node_directions,
     diffracted_reduced_type1,
     make_grid,
     negativity_sweep,
@@ -24,6 +29,75 @@ BASELINE_NEGATIVITY_SIGMA1 = 0.19917779685594897
 BASELINE_PURITY_SIGMA1 = 0.2737031369435112
 
 SWEEP_BETAS = [0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5]
+
+
+# Reference: the angle-based kernel the unit-vector kernel replaced.  Each arm
+# goes arccos/arctan2 -> half-angle aberration -> cos/sin -> rotate back ->
+# arccos/arctan2 -> cos/sin, and the four moment blocks are separate einsums.
+
+
+def _reference_axis_rotation_y(angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+
+
+def _reference_aberrate(theta, beta):
+    stretch = math.sqrt((1.0 + beta) / (1.0 - beta))
+    half = 0.5 * theta
+    return 2.0 * np.arctan2(stretch * np.sin(half), np.cos(half))
+
+
+def _reference_linear_pol(theta, phi):
+    ct, st = np.cos(theta), np.sin(theta)
+    cp, sp = np.cos(phi), np.sin(phi)
+    h = np.stack([cp * cp * ct + sp * sp, sp * cp * (ct - 1.0), -st * cp], axis=-1)
+    v = np.stack([sp * cp * (ct - 1.0), sp * sp * ct + cp * cp, -st * sp], axis=-1)
+    return h, v
+
+
+def _reference_patch_angles(grid, beam, beta, mirror):
+    rot = _reference_axis_rotation_y(beam.alpha + (math.pi if mirror else 0.0))
+    ct, st = np.cos(grid.theta), np.sin(grid.theta)
+    patch = np.stack([st * np.cos(grid.phi), st * np.sin(grid.phi), ct], axis=-1)
+    lab = patch @ rot.T
+    theta_lab = np.arccos(np.clip(lab[:, 2], -1.0, 1.0))
+    phi_lab = np.arctan2(lab[:, 1], lab[:, 0])
+    theta_lab = _reference_aberrate(theta_lab, beta)
+    ct, st = np.cos(theta_lab), np.sin(theta_lab)
+    lab = np.stack([st * np.cos(phi_lab), st * np.sin(phi_lab), ct], axis=-1)
+    patch = lab @ rot
+    theta = np.arccos(np.clip(patch[:, 2], -1.0, 1.0))
+    phi = np.arctan2(patch[:, 1], patch[:, 0])
+    return theta, phi
+
+
+def _reference_moments(theta, phi, weights):
+    h, v = _reference_linear_pol(theta, phi)
+    moments = {}
+    for xname, x in (("h", h), ("v", v)):
+        for yname, y in (("h", h), ("v", v)):
+            m = np.zeros((4, 4), dtype=complex)
+            m[1:, 1:] = np.einsum("i,ia,ib->ab", weights, x, y.conj())
+            moments[xname + yname] = m
+    return moments
+
+
+def _reference_reduced_type1(beam_a, beam_b, beta, grid, opposite=True):
+    a = _reference_moments(
+        *_reference_patch_angles(grid, beam_a, beta, mirror=False),
+        normalized_weights(grid, beam_a),
+    )
+    b = _reference_moments(
+        *_reference_patch_angles(grid, beam_b, beta, mirror=opposite),
+        normalized_weights(grid, beam_b),
+    )
+    rho = 0.5 * (
+        np.kron(a["hh"], b["hh"])
+        - np.kron(a["hv"], b["hv"])
+        - np.kron(a["vh"], b["vh"])
+        + np.kron(a["vv"], b["vv"])
+    )
+    return 0.5 * (rho + rho.conj().T)
 
 
 class TestProfileWeight:
@@ -188,6 +262,53 @@ class TestDiffractedReducedType1:
         grid = make_grid(16, 16, sigma=0.1)
         with pytest.raises(DomainError):
             diffracted_reduced_type1(beam, beam, 1.0, grid)
+
+
+class TestUnitVectorKernel:
+    @pytest.mark.parametrize("opposite", [True, False])
+    @pytest.mark.parametrize("alpha", [0.0, math.pi / 2, math.pi - 0.01, math.pi])
+    def test_matches_angle_based_reference(self, alpha, opposite):
+        worst = 0.0
+        for sigma in (0.2, 1.0, 3.0):
+            grid = make_grid(32, 32, sigma=sigma)
+            beam_a = BeamProfile(sigma=sigma, alpha=alpha)
+            beam_b = BeamProfile(sigma=0.7 * sigma, alpha=alpha)
+            for beta in (-0.9, 0.0, 0.3, 0.9):
+                rho = diffracted_reduced_type1(beam_a, beam_b, beta, grid, opposite)
+                ref = _reference_reduced_type1(beam_a, beam_b, beta, grid, opposite)
+                worst = max(worst, float(np.abs(rho.mat - ref).max()))
+        assert worst <= 1e-12
+
+    def test_node_identities(self):
+        # h, v orthonormal and transverse to the unit aberrated direction n,
+        # also at nodes close to the beam-frame backward pole
+        tol = 2e-14
+        closest = 2.0
+        for sigma in (0.2, 1.0, 3.0):
+            nodes = _node_directions(make_grid(32, 32, sigma=sigma))
+            for axis_angle in (0.0, 1.1, math.pi / 2, math.pi, 4.0):
+                for beta in (-0.9, 0.0, 0.3, 0.9):
+                    n = np.array(_aberrated_patch(nodes, axis_angle, beta))
+                    basis = _linear_basis(*n)
+                    h, v = basis[:3], basis[3:]
+                    closest = min(closest, float(1.0 + n[2].min()))
+                    for a, b, expected in ((n, n, 1), (h, h, 1), (v, v, 1), (h, v, 0),
+                                           (h, n, 0), (v, n, 0)):
+                        residual = np.abs(np.einsum("an,an->n", a, b) - expected)
+                        assert residual.max() <= tol
+        assert closest < 1e-6  # 1 + n_z; about 1e-3 rad from the pole
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        alpha=st.floats(0.0, math.pi),
+        beta=st.floats(-0.95, 0.95),
+        sigma=st.floats(0.05, 3.0),
+    )
+    def test_psd_unit_trace(self, alpha, beta, sigma):
+        beam = BeamProfile(sigma=sigma, alpha=alpha)
+        rho = diffracted_reduced_type1(beam, beam, beta, make_grid(24, 24, sigma=sigma)).mat
+        assert abs(np.trace(rho) - 1.0) <= 1e-12
+        assert np.linalg.eigvalsh(rho).min() >= -1e-12
 
 
 class TestNegativitySweep:

@@ -60,6 +60,12 @@ class TestAttenuation:
         with pytest.raises(DomainError):
             LinkParams(13000e3, -800e-9, 1.0, 1.0)
 
+    def test_rejects_non_finite_parameters(self):
+        with pytest.raises(DomainError, match="finite"):
+            LinkParams(math.inf, 800e-9, 1.0, 1.0)
+        with pytest.raises(DomainError, match="finite"):
+            LinkParams(13000e3, math.nan, 1.0, 1.0)
+
 
 class TestPhotonBudget:
     def test_hand_arithmetic_one_round(self):

@@ -73,6 +73,21 @@ class TestDensityMatrix:
         with pytest.raises(DomainError):
             DensityMatrix(np.diag([1.5, -0.5]), (2,))
 
+    # inf - inf in the Hermiticity residual warns before the check raises
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_rejects_non_finite_entries(self):
+        # every other check compares against NaN and comes out False
+        with pytest.raises(DomainError, match="non-finite"):
+            DensityMatrix(np.full((4, 4), np.nan), (2, 2))
+        diagonal_inf = np.eye(2) / 2.0
+        diagonal_inf[0, 0] = np.inf
+        with pytest.raises(DomainError, match="non-finite"):
+            DensityMatrix(diagonal_inf, (2,))
+        off_diagonal_inf = np.eye(2) / 2.0 + 0j
+        off_diagonal_inf[0, 1] = off_diagonal_inf[1, 0] = complex(0.0, np.inf)
+        with pytest.raises(DomainError, match="non-finite"):
+            DensityMatrix(off_diagonal_inf, (2,))
+
     def test_rejects_dim_mismatch(self):
         with pytest.raises(DomainError):
             DensityMatrix(np.eye(4) / 4.0, (2, 3))
@@ -159,6 +174,11 @@ class TestNegativity:
         b = random_density(rng, (3,))
         rho = DensityMatrix(np.kron(a.mat, b.mat), (2, 3))
         assert negativity(rho, 0) == pytest.approx(0.0, abs=1e-12)
+
+    def test_no_negative_eigenvalue_gives_positive_zero(self):
+        value = negativity(DensityMatrix(np.eye(4) / 4.0, (2, 2)), 0)
+        assert value == 0.0
+        assert math.copysign(1.0, value) == 1.0
 
     def test_half_bell_half_mixed(self):
         bell = np.outer(BELL_PHI_PLUS, BELL_PHI_PLUS)
