@@ -7,10 +7,7 @@ from .diffraction import (
     QuadratureGrid,
     diffracted_reduced_type1,
     make_grid,
-    negativity_sweep,
     normalized_weights,
-    profile_weight,
-    rotate_beam,
 )
 from .errors import (
     ConfigError,

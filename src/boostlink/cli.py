@@ -42,7 +42,6 @@ from .states import (
     reduced_polarization,
 )
 
-PROTOCOLS = ("type1", "type2", "type3")
 FORMATS = ("csv", "jsonl")
 DEFAULT_ATTENUATION = 100.0
 LI_TOLERANCE = 1e-9
@@ -83,7 +82,6 @@ class SweepSpec:
 class Scenario:
     """Everything a subcommand needs; unset fields take command defaults."""
 
-    protocol: str = "type1"
     beta: float | SweepSpec | None = None
     theta: float | SweepSpec | None = None
     phi: float | SweepSpec | None = None
@@ -93,12 +91,8 @@ class Scenario:
     grid_phi: int = 64
     link: LinkParams | None = None
     target_purity: float = 0.99
-    compensate_phases: bool = False
-    seed: int = 0  # reserved; every computation here is deterministic
 
     def validate(self):
-        if self.protocol not in PROTOCOLS:
-            raise ConfigError(f"protocol: must be one of {PROTOCOLS}, got {self.protocol!r}")
         if self.grid_theta < 2 or self.grid_phi < 2:
             raise ConfigError("grid: n_theta and n_phi must be >= 2")
         for name in ("sigma",) + _SWEEPABLE:
@@ -139,8 +133,8 @@ def run_single_photon_sweep(scenario: Scenario) -> list[dict]:
             rest = linear_polarization(direction, "h").eps
             moving = boost_photon(make_photon(direction, "h"), beta).polarization.eps
             numeric = trace_distance(
-                DensityMatrix.from_pure(rest, (4,)),
-                DensityMatrix.from_pure(moving, (4,)),
+                DensityMatrix.from_pure(rest, (3,)),
+                DensityMatrix.from_pure(moving, (3,)),
             )
             approx = abs(beta * math.sin(theta) * math.cos(phi))
             rows.append(
@@ -311,27 +305,35 @@ _COMMAND_DEFAULTS = {
 }
 
 _SWEEPABLE = ("beta", "theta", "phi", "alpha")
-_SCALAR_FIELDS = {
-    "sigma": float,
-    "target_purity": float,
-    "seed": int,
-    "compensate_phases": bool,
-    "protocol": str,
-}
+_SCALAR_FIELDS = ("sigma", "target_purity")
+
+
+def _config_number(name, value, kind=float):
+    """A config value as ``kind`` (float, or int for node and sweep counts,
+    which must be integral); anything unconvertible is a ConfigError."""
+    try:
+        number = float(value)
+        if kind is int:
+            if not number.is_integer():
+                raise ValueError
+            return int(number)
+        return number
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name}: expected {kind.__name__}, got {value!r}") from None
 
 
 def _parse_sweepable(name, value):
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+        return _config_number(name, value)
     if isinstance(value, dict):
         unknown = set(value) - {"start", "stop", "count", "scale"}
         if unknown:
             raise ConfigError(f"{name}: unknown sweep keys {sorted(unknown)}")
         try:
             return SweepSpec(
-                float(value["start"]),
-                float(value["stop"]),
-                int(value["count"]),
+                _config_number(f"{name}.start", value["start"]),
+                _config_number(f"{name}.stop", value["stop"]),
+                _config_number(f"{name}.count", value["count"], int),
                 str(value.get("scale", "linear")),
             )
         except KeyError as missing:
@@ -350,7 +352,7 @@ def _parse_link(value) -> LinkParams:
     if missing:
         raise ConfigError(f"link: missing keys {sorted(missing)}")
     try:
-        return LinkParams(**{k: float(v) for k, v in value.items()})
+        return LinkParams(**{k: _config_number(f"link.{k}", v) for k, v in value.items()})
     except DomainError as err:
         raise ConfigError(f"link: {err}") from None
 
@@ -361,7 +363,10 @@ def _parse_grid(value) -> tuple[int, int]:
     unknown = set(value) - {"n_theta", "n_phi"}
     if unknown:
         raise ConfigError(f"grid: unknown keys {sorted(unknown)}")
-    return int(value.get("n_theta", 64)), int(value.get("n_phi", 64))
+    return (
+        _config_number("grid.n_theta", value.get("n_theta", 64), int),
+        _config_number("grid.n_phi", value.get("n_phi", 64), int),
+    )
 
 
 def load_config(path: str, scenario: Scenario) -> Scenario:
@@ -387,13 +392,7 @@ def load_config(path: str, scenario: Scenario) -> Scenario:
         elif key == "grid":
             scenario.grid_theta, scenario.grid_phi = _parse_grid(value)
         elif key in _SCALAR_FIELDS:
-            kind = _SCALAR_FIELDS[key]
-            if kind is bool and not isinstance(value, bool):
-                raise ConfigError(f"{key}: expected a boolean, got {value!r}")
-            try:
-                setattr(scenario, key, kind(value))
-            except (TypeError, ValueError):
-                raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}") from None
+            setattr(scenario, key, _config_number(key, value))
     return scenario
 
 
@@ -470,16 +469,12 @@ def _add_common_flags(parser):
     parser.add_argument("--out", help="output path (default stdout)")
     parser.add_argument("--grid-theta", type=int, help="quadrature nodes in theta")
     parser.add_argument("--grid-phi", type=int, help="quadrature nodes in phi")
-    parser.add_argument("--seed", type=int, help="reserved; computations are deterministic")
-    parser.add_argument("--protocol", choices=PROTOCOLS)
     parser.add_argument("--beta", help="velocity, or sweep start:stop:count[:log]")
     parser.add_argument("--theta", help="polar angle, or sweep start:stop:count[:log]")
     parser.add_argument("--phi", help="azimuth, or sweep start:stop:count[:log]")
     parser.add_argument("--alpha", help="beam axis angle, or sweep start:stop:count[:log]")
     parser.add_argument("--sigma", type=float, help="angular spread of the beams")
     parser.add_argument("--target-purity", type=float, dest="target_purity")
-    parser.add_argument("--compensate-phases", action="store_true", default=None,
-                        dest="compensate_phases")
     parser.add_argument("--link-length", type=float, help="inter-satellite distance in meters")
     parser.add_argument("--link-wavelength", type=float, help="photon wavelength in meters")
     parser.add_argument("--link-aperture-source", type=float, help="transmitter aperture in meters")
@@ -519,7 +514,7 @@ def _assemble_scenario(args) -> Scenario:
         flag = getattr(args, name)
         if flag is not None:
             setattr(scenario, name, _parse_sweep_flag(name, flag))
-    for name in ("protocol", "sigma", "target_purity", "compensate_phases", "seed"):
+    for name in _SCALAR_FIELDS:
         flag = getattr(args, name)
         if flag is not None:
             setattr(scenario, name, flag)

@@ -45,8 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .lorentz import SphericalDirection, check_velocity
-from .quantum import DensityMatrix, negativity
+from .lorentz import check_velocity
+from .quantum import DensityMatrix
 
 TRUNCATION_SIGMAS = 6.0
 
@@ -54,30 +54,22 @@ TRUNCATION_SIGMAS = 6.0
 @dataclass(frozen=True)
 class BeamProfile:
     """Gaussian angular spread ``sigma`` around the polar direction ``alpha``
-    (azimuth 0), on the momentum shell ``p0``."""
+    (azimuth 0)."""
 
     sigma: float
-    p0: float = 1.0
     alpha: float = 0.0
 
     def __post_init__(self):
-        if self.sigma <= 0.0:
-            raise DomainError(f"angular spread must be positive, got {self.sigma}")
-        if self.p0 <= 0.0:
-            raise DomainError(f"momentum magnitude must be positive, got {self.p0}")
-
-
-def profile_weight(theta: float, profile: BeamProfile) -> float:
-    """Unnormalized Gaussian amplitude exp(-theta^2 / (2 sigma^2))."""
-    if not 0.0 <= theta <= math.pi:
-        raise DomainError(f"polar angle must lie in [0, pi], got {theta}")
-    return math.exp(-(theta * theta) / (2.0 * profile.sigma * profile.sigma))
+        if not 0.0 < self.sigma < math.inf:
+            raise DomainError(f"angular spread must be positive and finite, got {self.sigma}")
+        if not math.isfinite(self.alpha):
+            raise DomainError(f"beam axis angle must be finite, got {self.alpha}")
 
 
 @dataclass(frozen=True, eq=False)
 class QuadratureGrid:
     """Product quadrature nodes (theta, phi) with weights carrying the
-    invariant shell measure (p0/2) sin(theta) dtheta dphi."""
+    invariant shell measure (1/2) sin(theta) dtheta dphi of unit momentum."""
 
     theta: np.ndarray
     phi: np.ndarray
@@ -100,7 +92,6 @@ def make_grid(
     n_theta: int = 64,
     n_phi: int = 64,
     sigma: float | None = None,
-    p0: float = 1.0,
 ) -> QuadratureGrid:
     """Gauss-Legendre x periodic-trapezoid grid; the polar domain is truncated
     to 6 sigma for narrow beams."""
@@ -115,7 +106,7 @@ def make_grid(
 
     theta = np.repeat(theta_1d, n_phi)
     phi = np.tile(phi_1d, n_theta)
-    weight = np.repeat((0.5 * p0) * np.sin(theta_1d) * wtheta_1d, n_phi) * wphi
+    weight = np.repeat(0.5 * np.sin(theta_1d) * wtheta_1d, n_phi) * wphi
     return QuadratureGrid(theta, phi, weight, n_theta, n_phi)
 
 
@@ -127,28 +118,6 @@ def normalized_weights(grid: QuadratureGrid, profile: BeamProfile) -> np.ndarray
     if not math.isfinite(total) or total <= 0.0:
         raise DomainError("quadrature grid cannot normalize this beam profile")
     return raw / total
-
-
-def rotate_beam(direction: SphericalDirection, alpha: float) -> SphericalDirection:
-    """Coordinate rotation about the y axis used to point beams off the z axis:
-
-        theta'' = arccos(cos(alpha) cos(theta) + sin(alpha) sin(theta) cos(phi))
-        phi''   = atan2(sin(theta) sin(phi),
-                        cos(alpha) sin(theta) cos(phi) - sin(alpha) cos(theta))
-
-    A profile evaluated at the mapped angles peaks at (alpha, 0); the map
-    itself sends +z to (alpha, pi).
-    """
-    theta, phi = _rotate_arrays(np.asarray(direction.theta), np.asarray(direction.phi), alpha)
-    return SphericalDirection(float(theta), float(phi))
-
-
-def _rotate_arrays(theta, phi, alpha):
-    ct, st = np.cos(theta), np.sin(theta)
-    ca, sa = math.cos(alpha), math.sin(alpha)
-    cos_out = np.clip(ca * ct + sa * st * np.cos(phi), -1.0, 1.0)
-    phi_out = np.arctan2(st * np.sin(phi), ca * st * np.cos(phi) - sa * ct)
-    return np.arccos(cos_out), phi_out % (2.0 * math.pi)
 
 
 def _node_directions(grid):
@@ -185,12 +154,9 @@ def _linear_basis(nx, ny, nz):
 
 def _arm_moments(nodes, weights, axis_angle, beta):
     """Per-arm weighted moments sum_i W_i |x_i><y_i| for x, y in {h, v}, from
-    one product, embedded in the 4-component polarization space: entry
-    [x, :, y, :] is the 4x4 block A_xy."""
+    one product: entry [x, :, y, :] is the 3x3 block A_xy."""
     basis = _linear_basis(*_aberrated_patch(nodes, axis_angle, beta))
-    moments = np.zeros((2, 4, 2, 4))
-    moments[:, 1:, :, 1:] = ((basis * weights) @ basis.T).reshape(2, 3, 2, 3)
-    return moments
+    return ((basis * weights) @ basis.T).reshape(2, 3, 2, 3)
 
 
 def diffracted_reduced_type1(
@@ -200,7 +166,7 @@ def diffracted_reduced_type1(
     grid: QuadratureGrid,
     opposite: bool = True,
 ) -> DensityMatrix:
-    """Momentum-traced polarization matrix (dims (4, 4)) of the diffracted
+    """Momentum-traced polarization matrix (dims (3, 3)) of the diffracted
     pair as seen after a z-boost by ``beta``.
 
     The double node sum factorizes: with per-arm moments A_xy, B_xy the
@@ -220,25 +186,4 @@ def diffracted_reduced_type1(
         + np.kron(a[1, :, 1], b[1, :, 1])
     )
     rho = 0.5 * (rho + rho.conj().T)
-    return DensityMatrix(rho, (4, 4))
-
-
-def negativity_sweep(
-    alpha: float,
-    sigma: float,
-    betas,
-    n_theta: int = 64,
-    n_phi: int = 64,
-) -> list[tuple[float, float]]:
-    """Negativity of the boosted diffracted pair (opposite directions) for
-    each velocity in ``betas``."""
-    betas = [float(b) for b in betas]
-    if any(not abs(b) < 1.0 for b in betas):
-        raise DomainError("all sweep velocities must satisfy |beta| < 1")
-    beam = BeamProfile(sigma=sigma, alpha=alpha)
-    grid = make_grid(n_theta, n_phi, sigma=sigma)
-    out = []
-    for beta in betas:
-        rho = diffracted_reduced_type1(beam, beam, beta, grid)
-        out.append((beta, negativity(rho, 0)))
-    return out
+    return DensityMatrix(rho, (3, 3))

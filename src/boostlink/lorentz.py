@@ -138,9 +138,6 @@ class LorentzTransform:
         return LorentzTransform(MINKOWSKI_METRIC @ self.m.T @ MINKOWSKI_METRIC)
 
 
-IDENTITY = None  # set after class definition
-
-
 def check_velocity(beta: float) -> None:
     """Reject a boost velocity outside |beta| < 1 (NaN included)."""
     if not abs(beta) < 1.0:
@@ -244,6 +241,3 @@ def wigner_phase(transform: LorentzTransform, p: FourVector) -> float:
             f"(residual {residual:.3e})"
         )
     return math.atan2(w[2, 1], w[1, 1])
-
-
-IDENTITY = LorentzTransform(np.eye(4))

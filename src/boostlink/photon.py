@@ -3,14 +3,15 @@
 Basis vectors attached to a propagation direction ``(theta, phi)`` are built
 from the rotation R(p) = R_z(phi) R_y(theta):
 
-    h: R(p) (0, cos(phi), -sin(phi), 0)^T
-    v: R(p) (0, sin(phi),  cos(phi), 0)^T
-    helicity lambda = +/-1: R(p) (0, 1, i*lambda, 0)^T / sqrt(2)
+    h: R(p) (cos(phi), -sin(phi), 0)^T
+    v: R(p) (sin(phi),  cos(phi), 0)^T
+    helicity lambda = +/-1: R(p) (1, i*lambda, 0)^T / sqrt(2)
 
-All three are unit norm and transverse to the momentum.  A boost acts by
-aberrating the direction and re-evaluating the same basis label there; the
-helicity label additionally accumulates the Wigner phase exp(-i*lambda*Theta)
-while linear labels stay phase-free under pure boosts.
+All three are spatial 3-vectors (the radiation-gauge time component is zero),
+unit norm and transverse to the momentum.  A boost acts by aberrating the
+direction and re-evaluating the same basis label there; the helicity label
+additionally accumulates the Wigner phase exp(-i*lambda*Theta) while linear
+labels stay phase-free under pure boosts.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ HELICITY_LABEL = "helicity"
 
 @dataclass(frozen=True, eq=False)
 class PolarizationState:
-    """Complex polarization 4-vector attached to a propagation direction."""
+    """Complex polarization 3-vector attached to a propagation direction."""
 
     eps: np.ndarray
     direction: SphericalDirection
@@ -48,14 +49,12 @@ class PolarizationState:
 
     def __post_init__(self):
         eps = np.array(self.eps, dtype=complex)
-        if eps.shape != (4,):
-            raise DomainError(f"polarization vector must have 4 components, got {eps.shape}")
-        if abs(eps[0]) > POLARIZATION_TOL:
-            raise DomainError("polarization vector must have a vanishing time component")
+        if eps.shape != (3,):
+            raise DomainError(f"polarization vector must have 3 components, got {eps.shape}")
         norm = float(np.linalg.norm(eps))
         if abs(norm - 1.0) > POLARIZATION_TOL:
             raise DomainError(f"polarization vector must be unit norm, got {norm}")
-        overlap = abs(np.dot(eps[1:], self.direction.unit_vector()))
+        overlap = abs(np.dot(eps, self.direction.unit_vector()))
         if overlap > POLARIZATION_TOL:
             raise DomainError(
                 f"polarization must be transverse to the momentum (overlap {overlap:.3e})"
@@ -81,19 +80,13 @@ def _rotation_matrix(direction: SphericalDirection) -> np.ndarray:
     return rz @ ry
 
 
-def _attach(spatial: np.ndarray, direction, label, helicity=None) -> PolarizationState:
-    eps = np.zeros(4, dtype=complex)
-    eps[1:] = spatial
-    return PolarizationState(eps, direction, label, helicity)
-
-
 def linear_polarization(direction: SphericalDirection, kind: str) -> PolarizationState:
     """Horizontal ('h') or vertical ('v') polarization at ``direction``."""
     if kind not in LINEAR_LABELS:
         raise DomainError(f"linear polarization kind must be 'h' or 'v', got {kind!r}")
     cp, sp = math.cos(direction.phi), math.sin(direction.phi)
     base = np.array([cp, -sp, 0.0]) if kind == "h" else np.array([sp, cp, 0.0])
-    return _attach(_rotation_matrix(direction) @ base, direction, kind)
+    return PolarizationState(_rotation_matrix(direction) @ base, direction, kind)
 
 
 def helicity_polarization(direction: SphericalDirection, lam: int) -> PolarizationState:
@@ -101,7 +94,7 @@ def helicity_polarization(direction: SphericalDirection, lam: int) -> Polarizati
     if lam not in (1, -1):
         raise DomainError(f"helicity must be +1 or -1, got {lam}")
     base = np.array([1.0, 1j * lam, 0.0]) / math.sqrt(2.0)
-    return _attach(_rotation_matrix(direction) @ base, direction, HELICITY_LABEL, lam)
+    return PolarizationState(_rotation_matrix(direction) @ base, direction, HELICITY_LABEL, lam)
 
 
 def _rebuild(direction: SphericalDirection, label: str, helicity) -> PolarizationState:

@@ -147,16 +147,13 @@ def bell_target() -> np.ndarray:
 
 
 def polarization_pair_to_qutrits(rho: DensityMatrix) -> DensityMatrix:
-    """Project the 4x4-per-arm polarization matrix onto the three spatial
-    components per arm, flipping the sign of arm B's vertical axis so the
-    ideal pair becomes the (|00> + |11>)/sqrt(2) fixed-point form."""
-    if rho.dims != (4, 4):
-        raise DomainError(f"expected polarization dims (4, 4), got {rho.dims}")
-    drop_time = np.zeros((3, 4))
-    drop_time[:, 1:] = np.eye(3)
-    flip_v = np.diag([1.0, -1.0, 1.0])
-    isometry = np.kron(drop_time, flip_v @ drop_time)
-    nine = isometry @ rho.mat @ isometry.conj().T
+    """Express the polarization pair in the local qutrit bases: flip the sign
+    of arm B's vertical axis so the ideal pair becomes the
+    (|00> + |11>)/sqrt(2) fixed-point form."""
+    if rho.dims != (QUTRIT_DIM, QUTRIT_DIM):
+        raise DomainError(f"expected polarization dims (3, 3), got {rho.dims}")
+    flip_v = np.tile([1.0, -1.0, 1.0], QUTRIT_DIM)
+    nine = rho.mat * np.outer(flip_v, flip_v)
     return DensityMatrix(0.5 * (nine + nine.conj().T), (QUTRIT_DIM, QUTRIT_DIM))
 
 

@@ -44,7 +44,7 @@ class TypeIState:
 
     p_a: FourVector
     p_b: FourVector
-    amplitude: np.ndarray  # rank-1 joint polarization amplitude, C^16
+    amplitude: np.ndarray  # rank-1 joint polarization amplitude, C^9
 
     @property
     def dir_a(self) -> SphericalDirection:
@@ -146,9 +146,9 @@ def boost_type3(state: TypeIIIState, beta: float) -> TypeIIIState:
 
 
 def reduced_polarization(state: TypeIState) -> DensityMatrix:
-    """Momentum-traced polarization matrix: a rank-1 projector on the 4x4
+    """Momentum-traced polarization matrix: a rank-1 projector on the 3x3
     joint polarization space (momenta are sharp)."""
-    return DensityMatrix.from_pure(state.amplitude, (4, 4))
+    return DensityMatrix.from_pure(state.amplitude, (3, 3))
 
 
 def number_basis_reduced(

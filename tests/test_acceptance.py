@@ -9,12 +9,8 @@ import time
 
 import numpy as np
 
-from boostlink.diffraction import (
-    BeamProfile,
-    diffracted_reduced_type1,
-    make_grid,
-    negativity_sweep,
-)
+from boostlink.cli import Scenario, SweepSpec, run_negativity_sweep
+from boostlink.diffraction import BeamProfile, diffracted_reduced_type1, make_grid
 from boostlink.lorentz import (
     FourVector,
     SphericalDirection,
@@ -92,9 +88,9 @@ def test_criterion_1_single_photon_error_law():
             if abs(geometry) < 0.05:
                 continue
             direction = SphericalDirection(theta, phi)
-            rest = DensityMatrix.from_pure(linear_polarization(direction, "h").eps, (4,))
+            rest = DensityMatrix.from_pure(linear_polarization(direction, "h").eps, (3,))
             moving = DensityMatrix.from_pure(
-                boost_photon(make_photon(direction, "h"), beta).polarization.eps, (4,)
+                boost_photon(make_photon(direction, "h"), beta).polarization.eps, (3,)
             )
             numeric = trace_distance(rest, moving)
             expected = beta * abs(geometry)
@@ -201,11 +197,16 @@ def test_criterion_5_purity_expansion():
                   f"{convergence:.1e} (< 1e-6), {elapsed:.1f}s")
 
 
+def _sigma1_negativities(alpha):
+    """Negativity at beta = 0, 0.05, ..., 0.5 on the default 64x64 grid."""
+    scenario = Scenario(beta=SweepSpec(0.0, 0.5, 11), alpha=alpha, sigma=1.0)
+    return [row["negativity"] for row in run_negativity_sweep(scenario)]
+
+
 def test_criterion_6_negativity_directionality():
     started = time.perf_counter()
-    betas = [0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5]
-    aligned = [n for _, n in negativity_sweep(0.0, 1.0, betas)]
-    perpendicular = [n for _, n in negativity_sweep(math.pi / 2, 1.0, betas)]
+    aligned = _sigma1_negativities(0.0)
+    perpendicular = _sigma1_negativities(math.pi / 2)
     elapsed = time.perf_counter() - started
     monotone = all(b <= a + 1e-12 for a, b in zip(aligned, aligned[1:]))
     increased = max(perpendicular[1:]) > perpendicular[0] + 1e-4

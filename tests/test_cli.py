@@ -43,7 +43,6 @@ class TestSweepSpec:
 class TestConfigLoading:
     def test_round_trip(self, tmp_path):
         config = {
-            "protocol": "type3",
             "beta": {"start": 1e-6, "stop": 1e-4, "count": 3, "scale": "log"},
             "sigma": 0.5,
             "grid": {"n_theta": 32, "n_phi": 16},
@@ -53,18 +52,15 @@ class TestConfigLoading:
                 "aperture_source": 1.0,
                 "aperture_receiver": 1.0,
             },
-            "compensate_phases": True,
         }
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(config))
         scenario = load_config(str(path), Scenario())
-        assert scenario.protocol == "type3"
         assert isinstance(scenario.beta, SweepSpec)
         assert scenario.beta.scale == "log"
         assert scenario.sigma == 0.5
         assert (scenario.grid_theta, scenario.grid_phi) == (32, 16)
         assert scenario.link.length == pytest.approx(13000e3)
-        assert scenario.compensate_phases is True
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -93,7 +89,7 @@ class TestRowReDerivability:
         rest = linear_polarization(direction, "h").eps
         moving = boost_photon(make_photon(direction, "h"), 1e-5).polarization.eps
         expected = trace_distance(
-            DensityMatrix.from_pure(rest, (4,)), DensityMatrix.from_pure(moving, (4,))
+            DensityMatrix.from_pure(rest, (3,)), DensityMatrix.from_pure(moving, (3,))
         )
         assert row["eps_numeric"] == expected
         assert row["eps_approx"] == abs(1e-5 * math.sin(0.7) * math.cos(0.3))
@@ -198,6 +194,49 @@ class TestMainEntry:
         path.write_text(json.dumps({"nonsense": 1}))
         assert main(["pair", "--config", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags", [["--seed", "1"], ["--protocol", "type1"], ["--compensate-phases"]]
+    )
+    def test_removed_flag_exits_2(self, flags, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["li-check"] + flags)
+        assert exited.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config", [{"seed": 0}, {"protocol": "type1"}, {"compensate_phases": True}]
+    )
+    def test_removed_config_key_exits_2(self, config, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(config))
+        assert main(["li-check", "--config", str(path)]) == 2
+        assert "unknown config keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"grid": {"n_theta": math.nan}},
+            {"grid": {"n_phi": math.inf}},
+            {"grid": {"n_theta": "abc"}},
+            {"grid": {"n_theta": 2.7}},
+            {"beta": {"start": 0, "stop": 0.5, "count": math.nan}},
+            {"beta": {"start": 0, "stop": 0.5, "count": math.inf}},
+            {"beta": {"start": 0, "stop": 0.5, "count": 2.5}},
+            {"beta": {"start": "x", "stop": 0.5, "count": 3}},
+            {"beta": 10**400},
+            {"sigma": [1.0]},
+            {"link": {"length": "x", "wavelength": 8e-7,
+                      "aperture_source": 1.0, "aperture_receiver": 1.0}},
+        ],
+    )
+    def test_unconvertible_config_value_exits_2(self, config, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(config))
+        assert main(["negativity", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "config error" in captured.err
+        assert captured.out == ""
 
     def test_sweep_where_scalar_needed_exits_2(self, capsys):
         assert main(["li-check", "--theta", "0.1:1.0:5"]) == 2

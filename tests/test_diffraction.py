@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boostlink.cli import Scenario, SweepSpec, run_negativity_sweep
 from boostlink.diffraction import (
     BeamProfile,
     QuadratureGrid,
@@ -13,10 +14,7 @@ from boostlink.diffraction import (
     _node_directions,
     diffracted_reduced_type1,
     make_grid,
-    negativity_sweep,
     normalized_weights,
-    profile_weight,
-    rotate_beam,
 )
 from boostlink.errors import DomainError
 from boostlink.lorentz import SphericalDirection
@@ -27,8 +25,6 @@ from boostlink.states import boost_type1, make_type1, reduced_polarization
 # default 64x64 grid; they pin the boost-free diffracted pair at sigma = 1.
 BASELINE_NEGATIVITY_SIGMA1 = 0.19917779685594897
 BASELINE_PURITY_SIGMA1 = 0.2737031369435112
-
-SWEEP_BETAS = [0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5]
 
 
 # Reference: the angle-based kernel the unit-vector kernel replaced.  Each arm
@@ -76,9 +72,7 @@ def _reference_moments(theta, phi, weights):
     moments = {}
     for xname, x in (("h", h), ("v", v)):
         for yname, y in (("h", h), ("v", v)):
-            m = np.zeros((4, 4), dtype=complex)
-            m[1:, 1:] = np.einsum("i,ia,ib->ab", weights, x, y.conj())
-            moments[xname + yname] = m
+            moments[xname + yname] = np.einsum("i,ia,ib->ab", weights, x, y.conj())
     return moments
 
 
@@ -100,24 +94,23 @@ def _reference_reduced_type1(beam_a, beam_b, beta, grid, opposite=True):
     return 0.5 * (rho + rho.conj().T)
 
 
-class TestProfileWeight:
-    def test_peak(self):
-        assert profile_weight(0.0, BeamProfile(sigma=0.3)) == pytest.approx(1.0)
-
-    def test_one_sigma_point(self):
-        assert profile_weight(0.3, BeamProfile(sigma=0.3)) == pytest.approx(
-            math.exp(-0.5), rel=1e-12
-        )
-
+class TestBeamProfile:
     def test_rejects_bad_profile(self):
         with pytest.raises(DomainError):
             BeamProfile(sigma=0.0)
         with pytest.raises(DomainError):
-            BeamProfile(sigma=0.1, p0=-1.0)
+            BeamProfile(sigma=-0.1)
 
-    def test_rejects_bad_angle(self):
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_rejects_non_finite_sigma(self, sigma):
+        # inf would otherwise give a flat beam over [0, pi]
         with pytest.raises(DomainError):
-            profile_weight(-0.1, BeamProfile(sigma=0.3))
+            BeamProfile(sigma=sigma)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_alpha(self, alpha):
+        with pytest.raises(DomainError):
+            BeamProfile(sigma=0.3, alpha=alpha)
 
 
 class TestQuadratureGrid:
@@ -129,10 +122,10 @@ class TestQuadratureGrid:
             assert np.all(w > 0.0)
 
     def test_measure_matches_analytic_shell_area(self):
-        # With a flat profile the weights integrate (p0/2) sin(theta) over the
-        # truncated cap: (p0/2) * 2*pi * (1 - cos(theta_max)).
-        grid = make_grid(64, 64, sigma=None, p0=2.0)
-        assert grid.weight.sum() == pytest.approx(2.0 * math.pi * 2.0, rel=1e-10)
+        # With a flat profile the weights integrate (1/2) sin(theta) over the
+        # truncated cap: (1/2) * 2*pi * (1 - cos(theta_max)).
+        grid = make_grid(64, 64, sigma=None)
+        assert grid.weight.sum() == pytest.approx(2.0 * math.pi, rel=1e-10)
 
     def test_rejects_nonpositive_weights(self):
         grid = make_grid(8, 8, sigma=0.2)
@@ -142,40 +135,6 @@ class TestQuadratureGrid:
     def test_rejects_tiny_grid(self):
         with pytest.raises(DomainError):
             make_grid(1, 8)
-
-
-class TestRotateBeam:
-    def test_zero_rotation_identity(self):
-        d = SphericalDirection(0.7, 1.3)
-        out = rotate_beam(d, 0.0)
-        assert out.theta == pytest.approx(d.theta, abs=1e-12)
-        assert out.phi == pytest.approx(d.phi, abs=1e-12)
-
-    def test_pole_moves_by_alpha(self):
-        for alpha in (0.2, 1.0, 2.5):
-            out = rotate_beam(SphericalDirection(0.0, 0.0), alpha)
-            assert abs(out.theta) == pytest.approx(abs(alpha), abs=1e-12)
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            d = SphericalDirection(rng.uniform(0.05, math.pi - 0.05), rng.uniform(0, 2 * math.pi))
-            alpha = rng.uniform(-2.0, 2.0)
-            back = rotate_beam(rotate_beam(d, alpha), -alpha)
-            assert back.theta == pytest.approx(d.theta, abs=1e-10)
-            assert np.allclose(back.unit_vector(), d.unit_vector(), atol=1e-10)
-
-    def test_matches_rigid_rotation_about_y(self):
-        # The mapped angles are those of R_y(-alpha) applied to the direction.
-        rng = np.random.default_rng(5)
-        for _ in range(30):
-            d = SphericalDirection(rng.uniform(0.05, math.pi - 0.05), rng.uniform(0, 2 * math.pi))
-            alpha = rng.uniform(-2.0, 2.0)
-            c, s = math.cos(-alpha), math.sin(-alpha)
-            ry = np.array([[c, 0, s], [0, 1, 0], [-s, 0, c]])
-            assert np.allclose(
-                rotate_beam(d, alpha).unit_vector(), ry @ d.unit_vector(), atol=1e-12
-            )
 
 
 class TestDiffractedReducedType1:
@@ -311,26 +270,32 @@ class TestUnitVectorKernel:
         assert np.linalg.eigvalsh(rho).min() >= -1e-12
 
 
+def _sigma1_negativities(alpha, beta=SweepSpec(0.0, 0.5, 11)):
+    """Negativity per beta (0, 0.05, ..., 0.5 by default) on the default 64x64 grid."""
+    scenario = Scenario(beta=beta, alpha=alpha, sigma=1.0)
+    return [row["negativity"] for row in run_negativity_sweep(scenario)]
+
+
 class TestNegativitySweep:
     def test_baseline_regression_constant(self):
-        rows = negativity_sweep(0.0, 1.0, [0.0])
-        assert rows[0][1] == pytest.approx(BASELINE_NEGATIVITY_SIGMA1, abs=1e-9)
+        [value] = _sigma1_negativities(0.0, beta=0.0)
+        assert value == pytest.approx(BASELINE_NEGATIVITY_SIGMA1, abs=1e-9)
 
     def test_baseline_independent_of_alpha(self):
         # At beta = 0 the beam pointing is a global rotation.
         for alpha in (0.3, math.pi / 2):
-            rows = negativity_sweep(alpha, 1.0, [0.0])
-            assert rows[0][1] == pytest.approx(BASELINE_NEGATIVITY_SIGMA1, abs=1e-9)
+            [value] = _sigma1_negativities(alpha, beta=0.0)
+            assert value == pytest.approx(BASELINE_NEGATIVITY_SIGMA1, abs=1e-9)
 
     def test_aligned_boost_always_degrades(self):
-        values = [n for _, n in negativity_sweep(0.0, 1.0, SWEEP_BETAS)]
+        values = _sigma1_negativities(0.0)
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
         assert values[-1] < values[0] - 0.05
 
     def test_perpendicular_boost_can_increase_entanglement(self):
-        values = [n for _, n in negativity_sweep(math.pi / 2, 1.0, SWEEP_BETAS)]
+        values = _sigma1_negativities(math.pi / 2)
         assert max(values[1:]) > values[0] + 1e-4
 
     def test_rejects_superluminal_sweep(self):
         with pytest.raises(DomainError):
-            negativity_sweep(0.0, 1.0, [0.0, 1.5])
+            _sigma1_negativities(0.0, beta=SweepSpec(0.0, 1.5, 2))

@@ -1,0 +1,59 @@
+"""CLI output against goldens recorded before the 3-vector polarization
+refactor: headers, row counts and text cells must match exactly, numbers to
+abs 1e-12 + rel 1e-9.
+
+To re-record one golden after an intended output change:
+``PYTHONPATH=src python -m boostlink.cli <argv> > tests/goldens/<name>.csv``,
+and list every moved cell in CHANGES.md.
+"""
+
+import csv
+import io
+import math
+from pathlib import Path
+
+import pytest
+
+from boostlink.cli import main
+
+GOLDENS = Path(__file__).parent / "goldens"
+
+SCENARIOS = {
+    "single_photon": ["single-photon", "--theta", "0.1:3:12", "--phi", "0:6:12"],
+    "pair": ["pair"],
+    "li_check": ["li-check"],
+    "negativity": ["negativity"],
+    "negativity_alpha_pi2_sigma2": ["negativity", "--alpha", "1.5707963267948966",
+                                    "--sigma", "2", "--grid-theta", "32", "--grid-phi", "32"],
+    "purify_sigma1.5": ["purify", "--sigma", "1.5", "--grid-theta", "32", "--grid-phi", "32"],
+    "purify_sigma3": ["purify", "--sigma", "3"],
+    "budget": ["budget"],
+}
+
+
+def _number(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def test_every_golden_has_a_scenario():
+    assert sorted(p.stem for p in GOLDENS.glob("*.csv")) == sorted(SCENARIOS)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_output_matches_golden(name, capsys):
+    assert main(SCENARIOS[name]) == 0
+    got = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    want = list(csv.reader(io.StringIO((GOLDENS / f"{name}.csv").read_text())))
+    assert got[0] == want[0]
+    assert len(got) == len(want)
+    for i, (got_row, want_row) in enumerate(zip(got[1:], want[1:]), start=1):
+        assert len(got_row) == len(want_row), f"row {i}"
+        for column, g, w in zip(want[0], got_row, want_row):
+            g_num, w_num = _number(g), _number(w)
+            if w_num is None or g_num is None or not math.isfinite(w_num):
+                assert g == w, f"row {i} {column}"
+            else:
+                assert abs(g_num - w_num) <= 1e-12 + 1e-9 * abs(w_num), f"row {i} {column}"

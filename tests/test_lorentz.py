@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boostlink.errors import DomainError
 from boostlink.lorentz import (
@@ -33,6 +35,19 @@ def random_transform(rng, beta_max=0.8):
     t = rotation_z(rng.uniform(0, 2 * math.pi)) @ rotation_y(rng.uniform(0, math.pi))
     t = t @ boost_z(rng.uniform(-beta_max, beta_max))
     return t @ rotation_z(rng.uniform(0, 2 * math.pi))
+
+
+# fixed-seed property tests: derandomized, no example database
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+POLAR = st.floats(0.0, math.pi)
+AZIMUTH = st.floats(0.0, 2 * math.pi, exclude_max=True)
+VELOCITY = st.floats(-0.9, 0.9)
+
+# R_z R_y B_z R_z, as in random_transform
+TRANSFORMS = st.builds(
+    lambda a, b, beta, c: rotation_z(a) @ rotation_y(b) @ boost_z(beta) @ rotation_z(c),
+    AZIMUTH, POLAR, st.floats(-0.8, 0.8), AZIMUTH,
+)
 
 
 class TestBoostZ:
@@ -167,6 +182,15 @@ class TestTransformAngles:
                 boosted.direction().unit_vector(), out.unit_vector(), atol=1e-12
             )
 
+    @PROPERTY
+    @given(theta=POLAR, phi=AZIMUTH, b1=VELOCITY, b2=VELOCITY)
+    def test_composes_by_velocity_addition(self, theta, phi, b1, b2):
+        d = SphericalDirection(theta, phi)
+        twice = transform_angles(transform_angles(d, b1), b2)
+        once = transform_angles(d, (b1 + b2) / (1.0 + b1 * b2))
+        assert twice.theta == pytest.approx(once.theta, abs=1e-12)
+        assert twice.phi == once.phi
+
     def test_round_trip_with_inverse_velocity(self):
         rng = np.random.default_rng(29)
         for _ in range(100):
@@ -266,16 +290,14 @@ class TestWignerPhase:
             p = FourVector.photon(d, energy=rng.uniform(0.5, 2.0))
             assert abs(wigner_phase(transform, p)) <= 1e-10
 
-    def test_group_composition(self):
-        rng = np.random.default_rng(41)
-        for _ in range(100):
-            p = FourVector.photon(random_direction(rng), energy=rng.uniform(0.5, 2.0))
-            t1 = random_transform(rng)
-            t2 = random_transform(rng)
-            total = wigner_phase(t2 @ t1, p)
-            split = wigner_phase(t2, apply(t1, p)) + wigner_phase(t1, p)
-            diff = (total - split + math.pi) % (2 * math.pi) - math.pi
-            assert abs(diff) <= 1e-9
+    @PROPERTY
+    @given(theta=POLAR, phi=AZIMUTH, energy=st.floats(0.5, 2.0), t1=TRANSFORMS, t2=TRANSFORMS)
+    def test_group_composition(self, theta, phi, energy, t1, t2):
+        p = FourVector.photon(SphericalDirection(theta, phi), energy=energy)
+        total = wigner_phase(t2 @ t1, p)
+        split = wigner_phase(t2, apply(t1, p)) + wigner_phase(t1, p)
+        diff = (total - split + math.pi) % (2 * math.pi) - math.pi
+        assert abs(diff) <= 1e-12
 
     def test_stabilizer_residual_on_random_inputs(self):
         rng = np.random.default_rng(43)

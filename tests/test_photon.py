@@ -43,15 +43,15 @@ def angle_grid():
 class TestLinearPolarization:
     def test_forward_axis_h(self):
         state = linear_polarization(SphericalDirection(0.0, 0.0), "h")
-        assert np.allclose(state.eps, [0, 1, 0, 0], atol=1e-15)
+        assert np.allclose(state.eps, [1, 0, 0], atol=1e-15)
 
     def test_forward_axis_v(self):
         state = linear_polarization(SphericalDirection(0.0, 0.0), "v")
-        assert np.allclose(state.eps, [0, 0, 1, 0], atol=1e-15)
+        assert np.allclose(state.eps, [0, 1, 0], atol=1e-15)
 
     def test_equatorial_h_points_down(self):
         state = linear_polarization(SphericalDirection(math.pi / 2, 0.0), "h")
-        assert np.allclose(state.eps, [0, 0, 0, -1], atol=1e-12)
+        assert np.allclose(state.eps, [0, 0, -1], atol=1e-12)
 
     def test_matches_rotation_oracle(self):
         for theta, phi in angle_grid():
@@ -59,10 +59,10 @@ class TestLinearPolarization:
             h = linear_polarization(SphericalDirection(theta, phi), "h")
             v = linear_polarization(SphericalDirection(theta, phi), "v")
             assert np.allclose(
-                h.eps[1:], r @ [math.cos(phi), -math.sin(phi), 0.0], atol=1e-12
+                h.eps, r @ [math.cos(phi), -math.sin(phi), 0.0], atol=1e-12
             )
             assert np.allclose(
-                v.eps[1:], r @ [math.sin(phi), math.cos(phi), 0.0], atol=1e-12
+                v.eps, r @ [math.sin(phi), math.cos(phi), 0.0], atol=1e-12
             )
 
     def test_h_v_orthogonal(self):
@@ -80,7 +80,7 @@ class TestLinearPolarization:
 class TestHelicityPolarization:
     def test_forward_axis(self):
         state = helicity_polarization(SphericalDirection(0.0, 0.0), 1)
-        expected = np.array([0, 1, 1j, 0]) / math.sqrt(2)
+        expected = np.array([1, 1j, 0]) / math.sqrt(2)
         assert np.allclose(state.eps, expected, atol=1e-15)
 
     def test_linear_combination_identity(self):
@@ -115,7 +115,7 @@ class TestInvariants:
                 state = boost_photon(make_photon(SphericalDirection(theta, phi), "h"), beta)
                 pol = state.polarization
                 assert abs(np.linalg.norm(pol.eps) - 1.0) <= 1e-12
-                assert abs(np.dot(pol.eps[1:].real, pol.direction.unit_vector())) <= 1e-12
+                assert abs(np.dot(pol.eps.real, pol.direction.unit_vector())) <= 1e-12
 
     def test_photon_state_rejects_mismatched_direction(self):
         momentum = make_photon(SphericalDirection(1.0, 0.0), "h").momentum
@@ -187,8 +187,8 @@ class TestSinglePhotonErrorLaw:
                 d = SphericalDirection(theta, phi)
                 eps = linear_polarization(d, "h").eps
                 eps_b = boost_photon(make_photon(d, "h"), beta).polarization.eps
-                rho_s = DensityMatrix.from_pure(eps, (4,))
-                rho_a = DensityMatrix.from_pure(eps_b, (4,))
+                rho_s = DensityMatrix.from_pure(eps, (3,))
+                rho_a = DensityMatrix.from_pure(eps_b, (3,))
                 numeric = trace_distance(rho_s, rho_a)
                 # The overlap route computes sqrt(1 - |c|^2) with |c|^2 within
                 # ~1e-12 of 1, so only relative agreement is meaningful here.

@@ -164,7 +164,7 @@ class TestQutritProjection:
 
     def test_rejects_wrong_dims(self):
         with pytest.raises(DomainError):
-            polarization_pair_to_qutrits(DensityMatrix(np.eye(9) / 9.0, (3, 3)))
+            polarization_pair_to_qutrits(DensityMatrix(np.eye(4) / 4.0, (2, 2)))
 
 
 class TestPhotonsRequired:

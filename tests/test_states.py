@@ -34,7 +34,7 @@ class TestMakeType1:
         for _ in range(10):
             state = make_type1(random_direction(rng), random_direction(rng))
             rho = reduced_polarization(state)
-            assert rho.dims == (4, 4)
+            assert rho.dims == (3, 3)
             assert negativity(rho, 0) == pytest.approx(0.5, abs=1e-12)
             assert purity(rho) == pytest.approx(1.0, rel=1e-12)
 
