@@ -19,10 +19,12 @@ import math
 import sys
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from .diffraction import BeamProfile, diffracted_reduced_type1, make_grid
 from .errors import ConfigError, DegenerateProtocolError, DomainError, NumericalConsistencyError
-from .lorentz import SphericalDirection
-from .photon import boost_photon, linear_polarization, make_photon
+from .lorentz import SphericalDirection, aberrate_polar, boost_z, polar_angles, unit_vectors
+from .photon import check_photons, check_polarizations, linear_basis
 from .purification import (
     LinkParams,
     attenuation,
@@ -30,7 +32,14 @@ from .purification import (
     photons_required,
     polarization_pair_to_qutrits,
 )
-from .quantum import DensityMatrix, negativity, trace_distance
+from .quantum import (  # DensityMatrix stays importable from here for perfbench's tracer test
+    DensityMatrix,
+    check_density_matrices,
+    negativity,
+    pure_projectors,
+    trace_distance,
+    trace_distances,
+)
 from .states import (
     boost_type1,
     boost_type2,
@@ -39,12 +48,16 @@ from .states import (
     make_type2,
     make_type3,
     number_basis_reduced,
+    pair_amplitudes,
     reduced_polarization,
 )
 
 FORMATS = ("csv", "jsonl")
 DEFAULT_ATTENUATION = 100.0
 LI_TOLERANCE = 1e-9
+# Per-axis ceiling on quadrature nodes: Gauss-Legendre node generation costs
+# O(n^2) memory and O(n^3) time, and a grid holds n_theta * n_phi nodes.
+MAX_GRID_NODES = 1024
 
 PAPER_LINK = LinkParams(
     length=13000e3, wavelength=800e-9, aperture_source=1.0, aperture_receiver=1.0
@@ -93,8 +106,11 @@ class Scenario:
     target_purity: float = 0.99
 
     def validate(self):
-        if self.grid_theta < 2 or self.grid_phi < 2:
-            raise ConfigError("grid: n_theta and n_phi must be >= 2")
+        if not (2 <= self.grid_theta <= MAX_GRID_NODES and 2 <= self.grid_phi <= MAX_GRID_NODES):
+            raise ConfigError(
+                f"grid: n_theta and n_phi must lie in [2, {MAX_GRID_NODES}], "
+                f"got {self.grid_theta} and {self.grid_phi}"
+            )
         for name in ("sigma",) + _SWEEPABLE:
             setting = getattr(self, name)
             if setting is not None and not all(map(math.isfinite, _values(setting))):
@@ -124,54 +140,76 @@ def _scalar(setting, name: str) -> float:
 
 def run_single_photon_sweep(scenario: Scenario) -> list[dict]:
     """Trace distance of a horizontally polarized photon against its boosted
-    self, over a (theta, phi) grid, versus beta*sin(theta)*|cos(phi)|."""
+    self, over a (theta, phi) grid, versus beta*sin(theta)*|cos(phi)|.
+
+    One array pass over the grid with the checks of ``make_photon`` and
+    ``boost_photon``; each row equals the per-point object computation."""
     beta = _scalar(scenario.beta, "beta")
+    points = [(t, p) for t in _values(scenario.theta) for p in _values(scenario.phi)]
+    n = len(points)
+    theta, phi = polar_angles(*np.array(points).T)
+    moved, _ = polar_angles(aberrate_polar(theta, beta), phi)
+    # rest directions first, then their aberrated images
+    both_theta, both_phi = np.concatenate([theta, moved]), np.concatenate([phi, phi])
+    normals = unit_vectors(both_theta, both_phi)
+    eps = linear_basis(both_theta, both_phi)[0]
+    check_polarizations(eps, normals)
+    momenta = np.hstack([np.ones((n, 1)), normals[:n]])
+    check_photons(np.concatenate([momenta, momenta @ boost_z(beta).m.T]), normals)
+    numeric = _pure_trace_distances(eps[:n], eps[n:])
     rows = []
-    for theta in _values(scenario.theta):
-        for phi in _values(scenario.phi):
-            direction = SphericalDirection(theta, phi)
-            rest = linear_polarization(direction, "h").eps
-            moving = boost_photon(make_photon(direction, "h"), beta).polarization.eps
-            numeric = trace_distance(
-                DensityMatrix.from_pure(rest, (3,)),
-                DensityMatrix.from_pure(moving, (3,)),
-            )
-            approx = abs(beta * math.sin(theta) * math.cos(phi))
-            rows.append(
-                {
-                    "theta": theta,
-                    "phi": phi,
-                    "eps_numeric": numeric,
-                    "eps_approx": approx,
-                    "residual": numeric - approx,
-                }
-            )
+    for (t, p), eps_numeric in zip(points, numeric.tolist()):
+        approx = abs(beta * math.sin(t) * math.cos(p))
+        rows.append(
+            {
+                "theta": t,
+                "phi": p,
+                "eps_numeric": eps_numeric,
+                "eps_approx": approx,
+                "residual": eps_numeric - approx,
+            }
+        )
     return rows
 
 
 def run_pair_sweep(scenario: Scenario) -> list[dict]:
     """Trace distance of the polarization pair across frames for back-to-back
-    photons, versus beta*sin(theta)."""
+    photons, versus beta*sin(theta).
+
+    One array pass over the thetas with the checks of ``make_type1`` and
+    ``boost_type1``; each row equals the per-point object computation."""
     beta = _scalar(scenario.beta, "beta")
     phi = _scalar(scenario.phi, "phi")
+    thetas = _values(scenario.theta)
+    theta_a, phi_a = polar_angles(thetas, np.full(len(thetas), phi))
+    theta_b, phi_b = polar_angles(math.pi - theta_a, phi_a + math.pi)
+    moved_a, _ = polar_angles(aberrate_polar(theta_a, beta), phi_a)
+    moved_b, _ = polar_angles(aberrate_polar(theta_b, beta), phi_b)
+    numeric = _pure_trace_distances(
+        pair_amplitudes(theta_a, phi_a, theta_b, phi_b),
+        pair_amplitudes(moved_a, phi_a, moved_b, phi_b),
+    )
     rows = []
-    for theta in _values(scenario.theta):
-        dir_a = SphericalDirection(theta, phi)
-        state = make_type1(dir_a, dir_a.antipode())
-        numeric = trace_distance(
-            reduced_polarization(state),
-            reduced_polarization(boost_type1(state, beta)),
-        )
+    for theta, eps_numeric in zip(thetas, numeric.tolist()):
         approx = abs(beta * math.sin(theta))
         rows.append(
             {
                 "theta": theta,
-                "eps_numeric": numeric,
+                "eps_numeric": eps_numeric,
                 "eps_approx": approx,
-                "residual": numeric - approx,
+                "residual": eps_numeric - approx,
             }
         )
     return rows
+
+
+def _pure_trace_distances(psi_a, psi_b) -> np.ndarray:
+    """Trace distance between the pure states of each row pair, through the
+    validated density matrices, as ``DensityMatrix.from_pure`` and
+    ``trace_distance`` compute it per point."""
+    rho = pure_projectors(np.concatenate([psi_a, psi_b]).astype(complex))
+    check_density_matrices(rho)
+    return trace_distances(rho[: len(psi_a)], rho[len(psi_a) :])
 
 
 def run_negativity_sweep(scenario: Scenario) -> list[dict]:
@@ -180,10 +218,10 @@ def run_negativity_sweep(scenario: Scenario) -> list[dict]:
     betas = _values(scenario.beta) if scenario.beta is not None else [0.0]
     if all(b != 0.0 for b in betas):
         betas = [0.0] + betas
+    grid = make_grid(scenario.grid_theta, scenario.grid_phi, sigma=scenario.sigma)
     rows = []
     for alpha in _values(scenario.alpha):
         beam = BeamProfile(sigma=scenario.sigma, alpha=alpha)
-        grid = make_grid(scenario.grid_theta, scenario.grid_phi, sigma=scenario.sigma)
         for beta in betas:
             rho = diffracted_reduced_type1(beam, beam, beta, grid)
             rows.append({"alpha": alpha, "beta": beta, "negativity": negativity(rho, 0)})

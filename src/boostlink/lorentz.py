@@ -60,8 +60,7 @@ class FourVector:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 
     def is_null(self, rel_tol: float = NULL_TOL) -> bool:
-        scale = max(self.t * self.t, 1e-300)
-        return abs(self.minkowski_sq()) <= rel_tol * scale
+        return bool(null_mask(self.as_array(), rel_tol))
 
     def direction(self) -> "SphericalDirection":
         r = self.spatial_norm()
@@ -80,6 +79,33 @@ class FourVector:
         return cls(energy, energy * ux, energy * uy, energy * uz)
 
 
+def null_mask(momenta, rel_tol: float = NULL_TOL) -> np.ndarray:
+    """Whether each (..., 4) momentum (t, x, y, z) is null to ``rel_tol``
+    relative to t^2."""
+    p = np.asarray(momenta, dtype=float)
+    t = p[..., 0]
+    sq = t * t - (p[..., 1:] ** 2).sum(axis=-1)
+    return np.abs(sq) <= rel_tol * np.maximum(t * t, 1e-300)
+
+
+def polar_angles(theta, phi) -> tuple[np.ndarray, np.ndarray]:
+    """Validated direction angles, elementwise: theta within 1e-12 of [0, pi]
+    is clamped onto it and anything further out (or NaN) is rejected; phi is
+    reduced to [0, 2*pi)."""
+    theta = np.asarray(theta, dtype=float)
+    if not (theta.min() >= -1e-12 and theta.max() <= math.pi + 1e-12):
+        outside = ~((theta >= -1e-12) & (theta <= math.pi + 1e-12))
+        raise DomainError(f"polar angle must lie in [0, pi], got {theta[outside].flat[0]}")
+    return np.minimum(np.maximum(theta, 0.0), math.pi), np.mod(phi, _TWO_PI)
+
+
+def unit_vectors(theta, phi) -> np.ndarray:
+    """Unit vectors along directions (theta, phi): shape (3,) for scalar
+    angles, (N, 3) for 1-D ones."""
+    st = np.sin(theta)
+    return np.array([st * np.cos(phi), st * np.sin(phi), np.cos(theta)]).T
+
+
 @dataclass(frozen=True)
 class SphericalDirection:
     """Propagation direction: polar angle theta in [0, pi], azimuth phi in [0, 2*pi)."""
@@ -88,21 +114,12 @@ class SphericalDirection:
     phi: float
 
     def __post_init__(self):
-        theta = float(self.theta)
-        if -1e-12 <= theta < 0.0:
-            theta = 0.0
-        if math.pi < theta <= math.pi + 1e-12:
-            theta = math.pi
-        if not 0.0 <= theta <= math.pi:
-            raise DomainError(f"polar angle must lie in [0, pi], got {self.theta}")
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "phi", float(self.phi) % _TWO_PI)
+        theta, phi = polar_angles(self.theta, self.phi)
+        object.__setattr__(self, "theta", float(theta))
+        object.__setattr__(self, "phi", float(phi))
 
     def unit_vector(self) -> np.ndarray:
-        st = math.sin(self.theta)
-        return np.array(
-            [st * math.cos(self.phi), st * math.sin(self.phi), math.cos(self.theta)]
-        )
+        return unit_vectors(self.theta, self.phi)
 
     def antipode(self) -> "SphericalDirection":
         return SphericalDirection(math.pi - self.theta, self.phi + math.pi)
@@ -187,14 +204,19 @@ def transform_angles(direction: SphericalDirection, beta: float) -> SphericalDir
 
     with the quadrant fixed by sign(cos(theta')) = sign(cos(theta) - beta),
     which makes the map continuous and bijective on [0, pi].  The azimuth is
-    unchanged.  Implemented via the half-angle form for numerical stability
-    at both poles.
+    unchanged.  Implemented via the half-angle form (``aberrate_polar``) for
+    numerical stability at both poles.
     """
+    return SphericalDirection(float(aberrate_polar(direction.theta, beta)), direction.phi)
+
+
+def aberrate_polar(theta, beta: float) -> np.ndarray:
+    """Aberrated polar angles under ``boost_z(beta)``, elementwise, from the
+    half-angle form tan(theta'/2) = sqrt((1 + beta)/(1 - beta)) tan(theta/2)."""
     check_velocity(beta)
     stretch = math.sqrt((1.0 + beta) / (1.0 - beta))
-    half = 0.5 * direction.theta
-    theta_out = 2.0 * math.atan2(stretch * math.sin(half), math.cos(half))
-    return SphericalDirection(theta_out, direction.phi)
+    half = 0.5 * np.asarray(theta, dtype=float)
+    return 2.0 * np.arctan2(stretch * np.sin(half), np.cos(half))
 
 
 def approx_transform_theta(theta: float, beta: float) -> float:

@@ -4,6 +4,12 @@ partial trace, fidelity.
 Matrices in this package stay small (at most a few hundred rows; angular
 grids enter through weighted sums, never through dimension growth), so every
 eigenproblem is solved densely with the Hermitian solver.
+
+Validation, pure-state projectors and the trace distance are array functions
+over stacks of matrices (``check_density_matrices``, ``pure_projectors``,
+``trace_distances``): ``DensityMatrix`` and ``trace_distance`` call them on
+one item, and the error-law sweeps call each once on all of their points, so
+a sweep costs a fixed number of batched eigensolves whatever its size.
 """
 
 from __future__ import annotations
@@ -41,18 +47,7 @@ class DensityMatrix:
             raise DomainError(
                 f"subsystem dimensions {dims} do not match matrix size {mat.shape[0]}"
             )
-        herm = float(np.abs(mat - mat.conj().T).max())
-        # the residual is non-finite exactly when some entry is
-        if not math.isfinite(herm):
-            raise DomainError("density matrix has non-finite entries")
-        if herm > HERMITIAN_TOL:
-            raise DomainError(f"matrix is not Hermitian (deviation {herm:.3e})")
-        tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise DomainError(f"trace must equal 1, got {tr}")
-        smallest = float(np.linalg.eigvalsh(mat).min())
-        if smallest < EIGENVALUE_TOL:
-            raise DomainError(f"matrix has a negative eigenvalue ({smallest:.3e})")
+        check_density_matrices(mat[None])
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "dims", dims)
@@ -63,11 +58,49 @@ class DensityMatrix:
 
     @classmethod
     def from_pure(cls, psi, dims) -> "DensityMatrix":
-        psi = np.asarray(psi, dtype=complex)
-        norm = float(np.linalg.norm(psi))
-        if abs(norm - 1.0) > 1e-10:
-            raise DomainError(f"pure-state vector must be normalized, got norm {norm}")
-        return cls(np.outer(psi, psi.conj()), tuple(dims))
+        psi = np.asarray(psi, dtype=complex).ravel()
+        return cls(pure_projectors(psi[None])[0], tuple(dims))
+
+
+def check_density_matrices(mats) -> None:
+    """Reject any matrix in the stack ``mats`` (N, n, n) that has non-finite
+    entries, is not Hermitian, lacks unit trace or has an eigenvalue below
+    ``EIGENVALUE_TOL``; each check runs over the whole stack, and the first
+    offender of the first failing check is reported."""
+    herm = np.abs(mats - mats.conj().swapaxes(-1, -2))
+    worst = herm.max()
+    # the residual is non-finite exactly when some entry is
+    if not math.isfinite(worst):
+        raise DomainError("density matrix has non-finite entries")
+    if worst > HERMITIAN_TOL:
+        herm = herm.max(axis=(-2, -1))
+        bad = herm[herm > HERMITIAN_TOL][0]
+        raise DomainError(f"matrix is not Hermitian (deviation {bad:.3e})")
+    tr = mats.diagonal(0, -2, -1).sum(axis=-1)
+    off = np.abs(tr - 1.0)
+    if off.max() > TRACE_TOL:
+        raise DomainError(f"trace must equal 1, got {complex(tr[off > TRACE_TOL][0])}")
+    eigs = np.linalg.eigvalsh(mats)
+    if eigs.min() < EIGENVALUE_TOL:
+        smallest = eigs.min(axis=-1)
+        bad = smallest[smallest < EIGENVALUE_TOL][0]
+        raise DomainError(f"matrix has a negative eigenvalue ({bad:.3e})")
+
+
+def pure_projectors(psi) -> np.ndarray:
+    """Projectors |psi><psi|, (N, d, d), for a stack of normalized state
+    vectors ``psi`` (N, d)."""
+    norm = np.sqrt((psi.real**2 + psi.imag**2).sum(axis=-1))
+    off = np.abs(norm - 1.0) > 1e-10
+    if off.any():
+        raise DomainError(f"pure-state vector must be normalized, got norm {norm[off][0]}")
+    return psi[:, :, None] * psi.conj()[:, None, :]
+
+
+def trace_distances(a, b) -> np.ndarray:
+    """Half the trace norm of each a - b, for stacks of matrices, from one
+    batched eigensolve."""
+    return 0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum(axis=-1)
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
@@ -75,8 +108,7 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     orthogonal pure states."""
     if a.dims != b.dims:
         raise DomainError(f"dimension mismatch: {a.dims} vs {b.dims}")
-    eigs = np.linalg.eigvalsh(a.mat - b.mat)
-    return 0.5 * float(np.abs(eigs).sum())
+    return float(trace_distances(a.mat[None], b.mat[None])[0])
 
 
 def purity(rho: DensityMatrix) -> float:

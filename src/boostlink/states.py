@@ -2,7 +2,9 @@
 
 * Type I: polarization-entangled pair (|h h> - |v v>)/sqrt(2) with sharp
   momenta.  A z-boost aberrates both directions and re-evaluates the linear
-  bases there; no Wigner phases appear for a pure boost.
+  bases there; no Wigner phases appear for a pure boost.  The amplitude is an
+  array function (``pair_amplitudes``) over stacks of direction pairs; the
+  state objects call it on one pair, the ``pair`` sweep on every point.
 * Type II: single photon split over two arms, (|1 0> - |0 1>)/sqrt(2) in the
   occupation basis, each branch carrying its own phase that a boost shifts by
   -lambda * Theta(boost, momentum of that branch).
@@ -23,36 +25,49 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError
-from .lorentz import FourVector, SphericalDirection, apply, boost_z, wigner_phase
-from .photon import linear_polarization
+from .lorentz import (
+    FourVector,
+    SphericalDirection,
+    apply,
+    boost_z,
+    transform_angles,
+    unit_vectors,
+    wigner_phase,
+)
+from .photon import check_polarizations, linear_basis
 from .quantum import DensityMatrix
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
+def pair_amplitudes(theta_a, phi_a, theta_b, phi_b) -> np.ndarray:
+    """Type-I amplitudes (|h h> - |v v>)/sqrt(2), one row of C^9 per
+    direction pair, from the validated h/v bases of both arms."""
+    h_a, v_a = linear_basis(theta_a, phi_a)
+    h_b, v_b = linear_basis(theta_b, phi_b)
+    check_polarizations(
+        np.concatenate([h_a, v_a, h_b, v_b]),
+        np.concatenate([unit_vectors(theta_a, phi_a)] * 2 + [unit_vectors(theta_b, phi_b)] * 2),
+    )
+    joint = h_a[:, :, None] * h_b[:, None, :] - v_a[:, :, None] * v_b[:, None, :]
+    return _INV_SQRT2 * joint.reshape(len(joint), 9)
+
+
 def _pair_amplitude(dir_a: SphericalDirection, dir_b: SphericalDirection) -> np.ndarray:
-    h_a = linear_polarization(dir_a, "h").eps
-    v_a = linear_polarization(dir_a, "v").eps
-    h_b = linear_polarization(dir_b, "h").eps
-    v_b = linear_polarization(dir_b, "v").eps
-    return _INV_SQRT2 * (np.kron(h_a, h_b) - np.kron(v_a, v_b))
+    return pair_amplitudes([dir_a.theta], [dir_a.phi], [dir_b.theta], [dir_b.phi])[0]
 
 
 @dataclass(frozen=True, eq=False)
 class TypeIState:
-    """Polarization Bell pair with sharp momenta."""
+    """Polarization Bell pair with sharp momenta.  The directions are kept as
+    given rather than re-derived from the momenta, so a boost aberrates and
+    re-evaluates the bases at exactly the angles the sweeps use."""
 
     p_a: FourVector
     p_b: FourVector
+    dir_a: SphericalDirection
+    dir_b: SphericalDirection
     amplitude: np.ndarray  # rank-1 joint polarization amplitude, C^9
-
-    @property
-    def dir_a(self) -> SphericalDirection:
-        return self.p_a.direction()
-
-    @property
-    def dir_b(self) -> SphericalDirection:
-        return self.p_b.direction()
 
 
 @dataclass(frozen=True)
@@ -88,6 +103,8 @@ def make_type1(dir_a: SphericalDirection, dir_b: SphericalDirection) -> TypeISta
     return TypeIState(
         FourVector.photon(dir_a),
         FourVector.photon(dir_b),
+        dir_a,
+        dir_b,
         _pair_amplitude(dir_a, dir_b),
     )
 
@@ -115,9 +132,15 @@ def boost_type1(state: TypeIState, beta: float) -> TypeIState:
     """Boost both photons: aberrated directions, same Bell combination of the
     re-evaluated h/v bases, no Wigner phases for a pure boost."""
     transform = boost_z(beta)
-    p_a = apply(transform, state.p_a)
-    p_b = apply(transform, state.p_b)
-    return TypeIState(p_a, p_b, _pair_amplitude(p_a.direction(), p_b.direction()))
+    dir_a = transform_angles(state.dir_a, beta)
+    dir_b = transform_angles(state.dir_b, beta)
+    return TypeIState(
+        apply(transform, state.p_a),
+        apply(transform, state.p_b),
+        dir_a,
+        dir_b,
+        _pair_amplitude(dir_a, dir_b),
+    )
 
 
 def boost_type2(state: TypeIIState, beta: float) -> TypeIIState:

@@ -1,9 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from boostlink import cli, states
 from boostlink.cli import (
+    MAX_GRID_NODES,
     Scenario,
     SweepSpec,
     load_config,
@@ -16,7 +19,7 @@ from boostlink.cli import (
     run_purification,
     run_single_photon_sweep,
 )
-from boostlink.errors import ConfigError
+from boostlink.errors import ConfigError, DomainError
 from boostlink.lorentz import SphericalDirection
 from boostlink.quantum import DensityMatrix, trace_distance
 from boostlink.photon import boost_photon, linear_polarization, make_photon
@@ -104,6 +107,193 @@ class TestRowReDerivability:
             reduced_polarization(boost_type1(state, 1e-4)),
         )
         assert row["eps_numeric"] == expected
+
+
+def _scale_one_h(basis):
+    """Corrupt one h vector of a stacked basis to norm 1.001."""
+    h, v = (a.copy() for a in basis)
+    h[1] *= 1.001
+    return h, v
+
+
+def _unhermitian_one(rho):
+    """Break the Hermiticity of one matrix in a stack by 1e-6."""
+    rho = rho.copy()
+    rho[1, 0, 1] += 1e-6
+    return rho
+
+
+class TestBatchedSweeps:
+    """The error-law sweeps make one array pass over all of their points; every
+    row must still equal the per-point object computation, poles included."""
+
+    def test_single_photon_rows_match_object_path(self):
+        beta = 0.3
+        scenario = Scenario(
+            beta=beta, theta=SweepSpec(0.0, math.pi, 5), phi=SweepSpec(0.0, 2 * math.pi, 5)
+        )
+        rows = run_single_photon_sweep(scenario)
+        assert len(rows) == 25
+        for row in rows:
+            direction = SphericalDirection(row["theta"], row["phi"])
+            rest = linear_polarization(direction, "h").eps
+            moving = boost_photon(make_photon(direction, "h"), beta).polarization.eps
+            assert row["eps_numeric"] == trace_distance(
+                DensityMatrix.from_pure(rest, (3,)), DensityMatrix.from_pure(moving, (3,))
+            )
+
+    def test_pair_rows_match_object_path(self):
+        beta, phi = 0.3, 2.5
+        rows = run_pair_sweep(Scenario(beta=beta, theta=SweepSpec(0.0, math.pi, 7), phi=phi))
+        assert len(rows) == 7
+        for row in rows:
+            dir_a = SphericalDirection(row["theta"], phi)
+            state = make_type1(dir_a, dir_a.antipode())
+            assert row["eps_numeric"] == trace_distance(
+                reduced_polarization(state), reduced_polarization(boost_type1(state, beta))
+            )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["single-photon", "--theta", f"0:{math.pi!r}:3", "--phi", f"0:{2 * math.pi!r}:3"],
+            ["pair", "--theta", f"0:{math.pi!r}:3", "--phi", repr(2 * math.pi)],
+        ],
+    )
+    def test_pole_rows_print_zero_error(self, argv, capsys):
+        assert main(argv + ["--beta", "1e-3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = lines[0].split(",")
+        poles = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        poles = [row for row in poles if row["theta"] in ("0", "3.14159265359")]
+        assert len(poles) == (6 if argv[0] == "single-photon" else 2)
+        for row in poles:
+            assert row["eps_numeric"] == "0"
+            assert row["residual"] == ("0" if row["theta"] == "0" else "-1.22464679915e-19")
+
+    @pytest.mark.parametrize(
+        "run, module, name, damage, message",
+        [
+            (run_single_photon_sweep, cli, "linear_basis", _scale_one_h, "unit norm"),
+            (run_single_photon_sweep, cli, "pure_projectors", _unhermitian_one, "not Hermitian"),
+            (run_single_photon_sweep, cli, "aberrate_polar", lambda t: t + 1e-6, "disagree"),
+            (run_pair_sweep, states, "linear_basis", _scale_one_h, "unit norm"),
+            (run_pair_sweep, cli, "pure_projectors", _unhermitian_one, "not Hermitian"),
+        ],
+    )
+    def test_every_point_is_checked(self, run, module, name, damage, message, monkeypatch):
+        # one corrupted entry in a stack fails the whole sweep
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: damage(original(*args)))
+        phi = SweepSpec(0.5, 6.0, 3) if run is run_single_photon_sweep else 0.5
+        with pytest.raises(DomainError, match=message):
+            run(Scenario(beta=1e-4, theta=SweepSpec(0.1, 3.0, 3), phi=phi))
+
+    def test_out_of_range_theta_rejected_as_per_point(self):
+        with pytest.raises(DomainError) as per_point:
+            SphericalDirection(4.0, 0.0)
+        for run in (run_single_photon_sweep, run_pair_sweep):
+            with pytest.raises(DomainError) as batched:
+                run(Scenario(beta=1e-5, theta=SweepSpec(0.0, 4.0, 3), phi=0.0))
+            assert str(batched.value) == str(per_point.value)
+
+    def test_superluminal_beta_rejected(self):
+        for run in (run_single_photon_sweep, run_pair_sweep):
+            with pytest.raises(DomainError, match="beta"):
+                run(Scenario(beta=1.0, theta=SweepSpec(0.1, 3.0, 3), phi=0.0))
+
+
+class TestSweepCostIndependentOfSize:
+    """Guard against the per-point path coming back: the number of
+    eigensolver calls and DensityMatrix constructions must not grow with the
+    number of points swept."""
+
+    @staticmethod
+    def _counts(monkeypatch, run, scenario):
+        counts = {"eigvalsh": 0, "density_matrices": 0}
+        eigvalsh = np.linalg.eigvalsh
+        post_init = DensityMatrix.__post_init__
+
+        def counting_eigvalsh(*args, **kwargs):
+            counts["eigvalsh"] += 1
+            return eigvalsh(*args, **kwargs)
+
+        def counting_post_init(self):
+            counts["density_matrices"] += 1
+            post_init(self)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+            patch.setattr(DensityMatrix, "__post_init__", counting_post_init)
+            run(scenario)
+        return counts
+
+    def test_single_photon(self, monkeypatch):
+        def scenario(n):
+            return Scenario(beta=1e-4, theta=SweepSpec(0.1, 3.0, n), phi=SweepSpec(0.0, 6.0, n))
+
+        small = self._counts(monkeypatch, run_single_photon_sweep, scenario(12))
+        large = self._counts(monkeypatch, run_single_photon_sweep, scenario(24))
+        assert small == large
+
+    def test_pair(self, monkeypatch):
+        def scenario(n):
+            return Scenario(beta=1e-4, theta=SweepSpec(0.1, 3.0, n), phi=0.4)
+
+        small = self._counts(monkeypatch, run_pair_sweep, scenario(60))
+        large = self._counts(monkeypatch, run_pair_sweep, scenario(120))
+        assert small == large
+
+
+class TestGrid:
+    def test_negativity_sweep_builds_grid_once(self, monkeypatch):
+        calls = []
+        make_grid = cli.make_grid
+
+        def counting_make_grid(*args, **kwargs):
+            calls.append(args)
+            return make_grid(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "make_grid", counting_make_grid)
+        scenario = Scenario(
+            beta=0.2, alpha=SweepSpec(0.0, 1.0, 3), sigma=1.0, grid_theta=16, grid_phi=16
+        )
+        rows = run_negativity_sweep(scenario)
+        assert len(calls) == 1
+        assert [r["alpha"] for r in rows] == [0.0, 0.0, 0.5, 0.5, 1.0, 1.0]
+
+    def test_ceiling_accepted(self):
+        Scenario(grid_theta=MAX_GRID_NODES, grid_phi=MAX_GRID_NODES).validate()
+
+    @staticmethod
+    def _forbid_make_grid(monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("make_grid called for an oversized grid")
+
+        monkeypatch.setattr(cli, "make_grid", unreachable)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--grid-theta", "100000"],
+            ["--grid-phi", str(10**12)],
+            ["--grid-theta", str(MAX_GRID_NODES + 1)],
+        ],
+    )
+    def test_oversized_flag_exits_2_before_building(self, flags, monkeypatch, capsys):
+        self._forbid_make_grid(monkeypatch)
+        assert main(["negativity", *flags]) == 2
+        assert "grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "grid", [{"n_theta": 100000}, {"n_phi": 10**12}, {"n_phi": MAX_GRID_NODES + 1}]
+    )
+    def test_oversized_config_exits_2_before_building(self, grid, tmp_path, monkeypatch, capsys):
+        self._forbid_make_grid(monkeypatch)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"grid": grid}))
+        assert main(["purify", "--config", str(path)]) == 2
+        assert "grid" in capsys.readouterr().err
 
 
 class TestSweepTables:
@@ -287,7 +477,7 @@ class TestMainEntry:
         assert json.loads(line)["attenuation"] == pytest.approx(108.16)
 
     def test_numerical_consistency_error_exits_3(self, capsys, monkeypatch):
-        from boostlink import cli
+        from boostlink import cli, states
         from boostlink.errors import NumericalConsistencyError
 
         def broken(scenario):

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 from boostlink.errors import DomainError
-from boostlink.lorentz import SphericalDirection, transform_angles
+from boostlink.lorentz import FourVector, SphericalDirection, transform_angles, unit_vectors
 from boostlink.photon import (
     PhotonState,
+    PolarizationState,
     boost_photon,
+    check_photons,
+    check_polarizations,
     helicity_polarization,
+    linear_basis,
     linear_polarization,
     make_photon,
 )
@@ -195,3 +199,73 @@ class TestSinglePhotonErrorLaw:
                 overlap_formula = math.sqrt(max(0.0, 1.0 - abs(np.vdot(eps, eps_b)) ** 2))
                 assert numeric == pytest.approx(overlap_formula, rel=1e-3)
                 assert numeric == pytest.approx(expected, rel=0.01)
+
+
+class TestStackedChecks:
+    """A stack with one corrupted entry fails with the message the per-item
+    object check gives for that entry."""
+
+    THETA = np.linspace(0.2, 2.9, 6)
+    PHI = np.linspace(0.1, 6.0, 6)
+
+    def stack(self):
+        h, _ = linear_basis(self.THETA, self.PHI)
+        return h.astype(complex), unit_vectors(self.THETA, self.PHI)
+
+    def per_item_message(self, make):
+        with pytest.raises(DomainError) as err:
+            make()
+        return str(err.value)
+
+    def test_non_unit_vector(self):
+        eps, normals = self.stack()
+        eps[3] *= 1.001
+        expected = self.per_item_message(
+            lambda: PolarizationState(eps[3], SphericalDirection(self.THETA[3], self.PHI[3]), "h")
+        )
+        with pytest.raises(DomainError) as err:
+            check_polarizations(eps, normals)
+        assert str(err.value) == expected
+        assert "unit norm" in expected
+
+    def test_non_transverse_vector(self):
+        eps, normals = self.stack()
+        tilted = eps[3] + 1e-6 * normals[3]
+        eps[3] = tilted / np.linalg.norm(tilted)
+        expected = self.per_item_message(
+            lambda: PolarizationState(eps[3], SphericalDirection(self.THETA[3], self.PHI[3]), "h")
+        )
+        with pytest.raises(DomainError) as err:
+            check_polarizations(eps, normals)
+        assert str(err.value) == expected
+        assert "transverse" in expected
+
+    def test_momentum_off_direction(self):
+        _, normals = self.stack()
+        momenta = np.hstack([np.ones((6, 1)), normals])
+        wrong = SphericalDirection(self.THETA[2] + 1e-6, self.PHI[2])
+        momenta[2] = FourVector.photon(wrong).as_array()
+        expected = self.per_item_message(
+            lambda: PhotonState(
+                FourVector.photon(wrong),
+                linear_polarization(SphericalDirection(self.THETA[2], self.PHI[2]), "h"),
+            )
+        )
+        with pytest.raises(DomainError) as err:
+            check_photons(momenta, normals)
+        assert str(err.value) == expected
+        assert "disagree" in expected
+
+    def test_basis_stack_matches_per_direction(self):
+        h, v = linear_basis(self.THETA, self.PHI)
+        for i, (theta, phi) in enumerate(zip(self.THETA, self.PHI)):
+            direction = SphericalDirection(theta, phi)
+            assert np.array_equal(linear_polarization(direction, "h").eps, h[i])
+            assert np.array_equal(linear_polarization(direction, "v").eps, v[i])
+
+    def test_backward_pole_basis(self):
+        # regular at theta = pi: h and v are x and y reflected through the
+        # x-y plane axis at azimuth phi + pi/2
+        h, v = linear_basis(math.pi, 0.4)
+        assert np.allclose(h, [-math.cos(0.8), -math.sin(0.8), 0.0], atol=1e-15)
+        assert np.allclose(v, [-math.sin(0.8), math.cos(0.8), 0.0], atol=1e-15)

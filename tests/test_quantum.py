@@ -6,6 +6,7 @@ import pytest
 from boostlink.errors import DomainError
 from boostlink.quantum import (
     DensityMatrix,
+    check_density_matrices,
     fidelity_to_pure,
     negativity,
     partial_trace,
@@ -289,3 +290,39 @@ class TestFidelityToPure:
         rho = DensityMatrix(np.eye(2) / 2.0, (2,))
         with pytest.raises(DomainError):
             fidelity_to_pure(rho, np.array([1.0, 0.0, 0.0]))
+
+
+class TestStackedValidation:
+    """A stack with one corrupted matrix fails with the message that
+    constructing a DensityMatrix from that matrix gives."""
+
+    @staticmethod
+    def stack():
+        rng = np.random.default_rng(11)
+        return np.array([random_density(rng, (2, 2)).mat for _ in range(5)])
+
+    @staticmethod
+    def per_item_message(mat):
+        with pytest.raises(DomainError) as err:
+            DensityMatrix(mat, (2, 2))
+        return str(err.value)
+
+    def test_valid_stack_passes(self):
+        check_density_matrices(self.stack())
+
+    def test_non_hermitian_entry(self):
+        mats = self.stack()
+        mats[2, 0, 1] += 1e-6
+        expected = self.per_item_message(mats[2])
+        with pytest.raises(DomainError) as err:
+            check_density_matrices(mats)
+        assert str(err.value) == expected
+        assert "not Hermitian" in expected
+
+    def test_bad_trace_entry(self):
+        mats = self.stack()
+        mats[4] *= 1.5
+        expected = self.per_item_message(mats[4])
+        with pytest.raises(DomainError) as err:
+            check_density_matrices(mats)
+        assert str(err.value) == expected
