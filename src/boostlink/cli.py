@@ -2,8 +2,12 @@
 
 Subcommands: single-photon, pair, negativity, purify, budget, li-check.
 A scenario is assembled from per-command defaults, then an optional JSON
-config file, then CLI flags, in that order of precedence.  Unknown config
-keys are errors.  Output is CSV (default) or JSON lines; floats are printed
+config file, then CLI flags, in that order of precedence.  Each subcommand
+accepts only the flags it reads (``_COMMANDS``); any other flag is an
+argparse error (exit 2).  Unknown config keys are errors; known keys a subcommand does
+not read are accepted, so one file can serve several subcommands.  The
+parser is built on the first ``main`` call and reused for the rest of the
+process.  Output is CSV (default) or JSON lines; floats are printed
 with 12 significant digits and rows are emitted in deterministic sweep order,
 so identical scenarios produce byte-identical output.
 
@@ -14,6 +18,7 @@ or a degenerate protocol step, 4 purification-failure outcome under --strict.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -344,6 +349,7 @@ _COMMAND_DEFAULTS = {
 
 _SWEEPABLE = ("beta", "theta", "phi", "alpha")
 _SCALAR_FIELDS = ("sigma", "target_purity")
+_LINK_FIELDS = ("length", "wavelength", "aperture_source", "aperture_receiver")
 
 
 def _config_number(name, value, kind=float):
@@ -382,7 +388,7 @@ def _parse_sweepable(name, value):
 def _parse_link(value) -> LinkParams:
     if not isinstance(value, dict):
         raise ConfigError(f"link: expected an object, got {value!r}")
-    expected = {"length", "wavelength", "aperture_source", "aperture_receiver"}
+    expected = set(_LINK_FIELDS)
     unknown = set(value) - expected
     if unknown:
         raise ConfigError(f"link: unknown keys {sorted(unknown)}")
@@ -501,22 +507,42 @@ def render_rows(rows: list[dict], fmt: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _add_common_flags(parser):
-    parser.add_argument("--config", help="JSON scenario file")
-    parser.add_argument("--format", choices=FORMATS, default="csv")
-    parser.add_argument("--out", help="output path (default stdout)")
-    parser.add_argument("--grid-theta", type=int, help="quadrature nodes in theta")
-    parser.add_argument("--grid-phi", type=int, help="quadrature nodes in phi")
-    parser.add_argument("--beta", help="velocity, or sweep start:stop:count[:log]")
-    parser.add_argument("--theta", help="polar angle, or sweep start:stop:count[:log]")
-    parser.add_argument("--phi", help="azimuth, or sweep start:stop:count[:log]")
-    parser.add_argument("--alpha", help="beam axis angle, or sweep start:stop:count[:log]")
-    parser.add_argument("--sigma", type=float, help="angular spread of the beams")
-    parser.add_argument("--target-purity", type=float, dest="target_purity")
-    parser.add_argument("--link-length", type=float, help="inter-satellite distance in meters")
-    parser.add_argument("--link-wavelength", type=float, help="photon wavelength in meters")
-    parser.add_argument("--link-aperture-source", type=float, help="transmitter aperture in meters")
-    parser.add_argument("--link-aperture-receiver", type=float, help="receiver aperture in meters")
+# flag -> add_argument keywords; each subcommand registers only the flags it reads
+_FLAGS = {
+    "--config": {"help": "JSON scenario file"},
+    "--format": {"choices": FORMATS, "default": "csv"},
+    "--out": {"help": "output path (default stdout)"},
+    "--beta": {"help": "velocity, or sweep start:stop:count[:log]"},
+    "--theta": {"help": "polar angle, or sweep start:stop:count[:log]"},
+    "--phi": {"help": "azimuth, or sweep start:stop:count[:log]"},
+    "--alpha": {"help": "beam axis angle, or sweep start:stop:count[:log]"},
+    "--sigma": {"type": float, "help": "angular spread of the beams"},
+    "--grid-theta": {"type": int, "help": "quadrature nodes in theta"},
+    "--grid-phi": {"type": int, "help": "quadrature nodes in phi"},
+    "--target-purity": {"type": float, "help": "purity the rounds must reach, in (0, 1]"},
+    "--link-length": {"type": float, "help": "inter-satellite distance in meters"},
+    "--link-wavelength": {"type": float, "help": "photon wavelength in meters"},
+    "--link-aperture-source": {"type": float, "help": "transmitter aperture in meters"},
+    "--link-aperture-receiver": {"type": float, "help": "receiver aperture in meters"},
+    "--strict": {"action": "store_true", "help": "exit 4 when purification reports failure"},
+}
+_COMMON = ("--config", "--format", "--out")
+_GEOMETRY = ("--beta", "--theta", "--phi")
+_BEAM = ("--beta", "--alpha", "--sigma", "--grid-theta", "--grid-phi")
+_LINK = ("--link-length", "--link-wavelength", "--link-aperture-source", "--link-aperture-receiver")
+
+# subcommand -> (help, the flags it reads)
+_COMMANDS = {
+    "single-photon": ("single-photon polarization error over a (theta, phi) grid", _GEOMETRY),
+    "pair": ("polarization-pair error law for back-to-back photons", _GEOMETRY),
+    "negativity": ("diffracted-pair negativity under boosts", _BEAM),
+    "purify": (
+        "purification rounds and photon budget",
+        _BEAM + ("--target-purity",) + _LINK + ("--strict",),
+    ),
+    "budget": ("link attenuation from geometry", _LINK),
+    "li-check": ("frame-invariance verdicts for all three protocols", _GEOMETRY),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -525,21 +551,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Lorentz-boost effects on photonic entanglement distribution",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "single-photon": "single-photon polarization error over a (theta, phi) grid",
-        "pair": "polarization-pair error law for back-to-back photons",
-        "negativity": "diffracted-pair negativity under boosts",
-        "purify": "purification rounds and photon budget",
-        "budget": "link attenuation from geometry",
-        "li-check": "frame-invariance verdicts for all three protocols",
-    }
-    for name, help_text in descriptions.items():
+    for name, (help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        _add_common_flags(p)
-        if name == "purify":
-            p.add_argument("--strict", action="store_true",
-                           help="exit 4 when purification reports failure")
+        for flag in _COMMON + flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
+
+
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and kept for the process: parsing
+    leaves no state on it, and one build costs about as much as a small op."""
+    return build_parser()
 
 
 def _assemble_scenario(args) -> Scenario:
@@ -548,24 +571,16 @@ def _assemble_scenario(args) -> Scenario:
         setattr(scenario, key, value)
     if args.config:
         scenario = load_config(args.config, scenario)
+    # a flag the subcommand does not register is absent from args: unset
     for name in _SWEEPABLE:
-        flag = getattr(args, name)
+        flag = getattr(args, name, None)
         if flag is not None:
             setattr(scenario, name, _parse_sweep_flag(name, flag))
-    for name in _SCALAR_FIELDS:
-        flag = getattr(args, name)
+    for name in _SCALAR_FIELDS + ("grid_theta", "grid_phi"):
+        flag = getattr(args, name, None)
         if flag is not None:
             setattr(scenario, name, flag)
-    if args.grid_theta is not None:
-        scenario.grid_theta = args.grid_theta
-    if args.grid_phi is not None:
-        scenario.grid_phi = args.grid_phi
-    link_flags = {
-        "length": args.link_length,
-        "wavelength": args.link_wavelength,
-        "aperture_source": args.link_aperture_source,
-        "aperture_receiver": args.link_aperture_receiver,
-    }
+    link_flags = {k: getattr(args, f"link_{k}", None) for k in _LINK_FIELDS}
     if any(v is not None for v in link_flags.values()):
         base = scenario.link if scenario.link is not None else PAPER_LINK
         merged = {k: (v if v is not None else getattr(base, k)) for k, v in link_flags.items()}
@@ -586,8 +601,7 @@ def _emit(text: str, out_path):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         scenario = _assemble_scenario(args)
         purification_failed = False

@@ -39,6 +39,7 @@ grid-doubling convergence test bounds the sensitivity.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -88,6 +89,16 @@ class QuadratureGrid:
             raise DomainError("all quadrature weights must be positive")
 
 
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], kept per node
+    count: ``leggauss`` costs O(n^3) time and most of a small grid's build."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
 def make_grid(
     n_theta: int = 64,
     n_phi: int = 64,
@@ -98,7 +109,7 @@ def make_grid(
     if n_theta < 2 or n_phi < 2:
         raise DomainError("grid needs at least 2 nodes per axis")
     theta_max = math.pi if sigma is None else min(TRUNCATION_SIGMAS * sigma, math.pi)
-    nodes, gl_weights = np.polynomial.legendre.leggauss(n_theta)
+    nodes, gl_weights = _gauss_legendre(n_theta)
     theta_1d = 0.5 * theta_max * (nodes + 1.0)
     wtheta_1d = 0.5 * theta_max * gl_weights
     phi_1d = 2.0 * math.pi * np.arange(n_phi) / n_phi

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from boostlink import cli, states
+from boostlink import cli, diffraction, states
 from boostlink.cli import (
     MAX_GRID_NODES,
     Scenario,
@@ -499,3 +499,186 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("boostlink: ")
         assert "vanishingly small" in err
+
+
+# Which flags each subcommand reads, written out here rather than taken from
+# the parser's own table so that a change to that table shows up as a failure.
+_COMMON_FLAGS = ["--config", "--format", "--out"]
+_GEOMETRY_FLAGS = _COMMON_FLAGS + ["--beta", "--theta", "--phi"]
+_LINK_FLAGS = ["--link-length", "--link-wavelength", "--link-aperture-source",
+               "--link-aperture-receiver"]
+_NEGATIVITY_FLAGS = _COMMON_FLAGS + ["--beta", "--alpha", "--sigma", "--grid-theta", "--grid-phi"]
+ACCEPTED_FLAGS = {
+    "single-photon": _GEOMETRY_FLAGS,
+    "pair": _GEOMETRY_FLAGS,
+    "li-check": _GEOMETRY_FLAGS,
+    "negativity": _NEGATIVITY_FLAGS,
+    "purify": _NEGATIVITY_FLAGS + ["--target-purity"] + _LINK_FLAGS + ["--strict"],
+    "budget": _COMMON_FLAGS + _LINK_FLAGS,
+}
+# a value whose str() is what the parser stores; None marks a switch
+FLAG_VALUES = {
+    "--config": "scenario.json", "--format": "jsonl", "--out": "rows.csv",
+    "--beta": "0.1", "--theta": "0.5", "--phi": "0.2", "--alpha": "1.2", "--sigma": "0.7",
+    "--grid-theta": "7", "--grid-phi": "9", "--target-purity": "0.95",
+    "--link-length": "5.0", "--link-wavelength": "8e-07", "--link-aperture-source": "0.5",
+    "--link-aperture-receiver": "0.25", "--strict": None,
+}
+
+
+def _flag_argv(flag):
+    value = FLAG_VALUES[flag]
+    return [flag] if value is None else [flag, value]
+
+
+class TestFlagsPerSubcommand:
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(command, flag) for command, flags in ACCEPTED_FLAGS.items() for flag in flags],
+    )
+    def test_read_flag_is_accepted(self, command, flag):
+        args = cli.build_parser().parse_args([command, *_flag_argv(flag)])
+        stored = getattr(args, flag[2:].replace("-", "_"))
+        if FLAG_VALUES[flag] is None:
+            assert stored is True
+        else:
+            assert str(stored) == FLAG_VALUES[flag]
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            (command, flag)
+            for command, flags in ACCEPTED_FLAGS.items()
+            for flag in FLAG_VALUES
+            if flag not in flags
+        ],
+    )
+    def test_unread_flag_exits_2(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main([command, *_flag_argv(flag)])
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["li-check", "--alpha", "1.2"],
+            ["li-check", "--grid-theta", "7"],
+            ["li-check", "--sigma", "3"],
+            ["single-photon", "--sigma", "9"],
+            ["single-photon", "--link-length", "5"],
+            ["budget", "--beta", "0.1"],
+            ["negativity", "--link-length", "5"],
+            ["negativity", "--theta", "0.5"],
+            ["purify", "--phi", "0.5"],
+        ],
+    )
+    def test_named_foreign_flags_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        capsys.readouterr()
+
+    def test_known_unread_config_keys_are_accepted(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({
+            "sigma": 3.0, "alpha": 1.2, "grid": {"n_theta": 7, "n_phi": 9}, "target_purity": 0.5,
+            "link": {"length": 5.0, "wavelength": 8e-7, "aperture_source": 1.0,
+                     "aperture_receiver": 1.0},
+        }))
+        assert main(["li-check"]) == 0
+        plain = capsys.readouterr().out
+        assert main(["li-check", "--config", str(path)]) == 0
+        assert capsys.readouterr().out == plain
+
+
+def _outcome(argv, out_path, capsys):
+    """Exit code, stdout, stderr and ``--out`` file bytes of one ``main`` call."""
+    out_path.unlink(missing_ok=True)
+    try:
+        code = main(argv)
+    except SystemExit as exited:
+        code = exited.code
+    captured = capsys.readouterr()
+    written = out_path.read_bytes() if out_path.exists() else None
+    return code, captured.out, captured.err, written
+
+
+class TestParserReuse:
+    """The parser is built once per process; no call may leave state on it
+    that changes what a later call prints."""
+
+    @staticmethod
+    def _sequence(out_path):
+        grid = ["--grid-theta", "16", "--grid-phi", "16"]
+        strict = ["purify", "--sigma", "2.0", *grid, "--target-purity", "0.999"]
+        return [
+            strict + ["--strict"],
+            strict,
+            ["negativity", "--format", "jsonl", "--beta", "0:0.2:3", *grid],
+            ["li-check", "--sigma", "3"],
+            ["negativity", "--beta", "0:0.2:3", *grid],
+            ["negativity", "--sigma", "-1"],  # a config error: sigma must not carry over
+            ["li-check"],
+            ["budget", "--out", str(out_path)],
+            ["budget"],
+        ]
+
+    def test_repeated_calls_match_fresh_parsers(self, tmp_path, monkeypatch, capsys):
+        out_path = tmp_path / "rows.csv"
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_parser", cli.build_parser)  # a new parser every call
+            fresh = [_outcome(argv, out_path, capsys) for argv in self._sequence(out_path)]
+        cli._parser.cache_clear()
+        reused = [_outcome(argv, out_path, capsys) for argv in self._sequence(out_path)]
+        assert [code for code, *_ in fresh] == [4, 0, 0, 2, 0, 2, 0, 0, 0]
+        assert fresh[7][3] is not None and fresh[7][1] == ""
+        assert reused == fresh
+
+
+class TestFixedCostsPaidOnce:
+    """Guards on the setup a small op must not repeat: the parser build and
+    the Gauss-Legendre nodes."""
+
+    def test_parser_built_once_per_process(self, monkeypatch, capsys):
+        builds = []
+        build_parser = cli.build_parser
+
+        def counting_build_parser():
+            builds.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        cli._parser.cache_clear()
+        grid = ["--grid-theta", "8", "--grid-phi", "8"]
+        argvs = [
+            ["single-photon", "--theta", "0.1:3:3", "--phi", "0:6:3"],
+            ["pair", "--theta", "0.1:3:3"],
+            ["negativity", "--beta", "0.1", *grid],
+            ["purify", "--sigma", "0.5", *grid],
+            ["budget"],
+            ["li-check"],
+        ]
+        for argv in argvs * 3:
+            assert main(argv) == 0
+        capsys.readouterr()
+        assert len(builds) == 1
+
+    def test_nodes_computed_once_per_node_count(self, monkeypatch, capsys):
+        counts = []
+        leggauss = np.polynomial.legendre.leggauss
+
+        def counting_leggauss(n):
+            counts.append(n)
+            return leggauss(n)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting_leggauss)
+        diffraction._gauss_legendre.cache_clear()
+        grid = ["--grid-theta", "16", "--grid-phi", "16"]
+        assert main(["negativity", "--alpha", "0:1:3", "--beta", "0.2", *grid]) == 0
+        assert main(["purify", "--sigma", "0.5", *grid]) == 0
+        assert main(["purify", "--sigma", "1.5", "--beta", "0.3", *grid]) == 0
+        capsys.readouterr()
+        assert counts == [16]

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boostlink import diffraction
 from boostlink.cli import Scenario, SweepSpec, run_negativity_sweep
 from boostlink.diffraction import (
     BeamProfile,
     QuadratureGrid,
     _aberrated_patch,
+    _gauss_legendre,
     _linear_basis,
     _node_directions,
     diffracted_reduced_type1,
@@ -135,6 +137,36 @@ class TestQuadratureGrid:
     def test_rejects_tiny_grid(self):
         with pytest.raises(DomainError):
             make_grid(1, 8)
+
+
+class TestGaussLegendreCache:
+    """Cached nodes must be the very arrays ``leggauss`` returns, bit for bit,
+    and no caller may change them for the next one."""
+
+    @pytest.mark.parametrize("n", [2, 3, 32, 128, 1024])
+    def test_cached_nodes_are_bitwise_fresh(self, n):
+        _gauss_legendre.cache_clear()
+        fresh = np.polynomial.legendre.leggauss(n)
+        for cached in (_gauss_legendre(n), _gauss_legendre(n)):
+            for got, want in zip(cached, fresh):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    def test_cached_arrays_are_read_only(self):
+        nodes, weights = _gauss_legendre(16)
+        for array in (nodes, weights):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        assert _gauss_legendre(16)[0].tobytes() == np.polynomial.legendre.leggauss(16)[0].tobytes()
+
+    def test_grids_equal_uncached_ones(self, monkeypatch):
+        _gauss_legendre.cache_clear()
+        cached = [make_grid(24, 8, sigma=s) for s in (0.3, 2.0)]
+        monkeypatch.setattr(diffraction, "_gauss_legendre", np.polynomial.legendre.leggauss)
+        uncached = [make_grid(24, 8, sigma=s) for s in (0.3, 2.0)]
+        for got, want in zip(cached, uncached):
+            for name in ("theta", "phi", "weight"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 class TestDiffractedReducedType1:
