@@ -63,6 +63,9 @@ LI_TOLERANCE = 1e-9
 # Per-axis ceiling on quadrature nodes: Gauss-Legendre node generation costs
 # O(n^2) memory and O(n^3) time, and a grid holds n_theta * n_phi nodes.
 MAX_GRID_NODES = 1024
+# Ceiling on one sweep's point count: its values are built as a list before
+# they are checked, and every command computes once per point.
+MAX_SWEEP_POINTS = 10_000
 
 PAPER_LINK = LinkParams(
     length=13000e3, wavelength=800e-9, aperture_source=1.0, aperture_receiver=1.0
@@ -79,8 +82,8 @@ class SweepSpec:
     scale: str = "linear"
 
     def __post_init__(self):
-        if self.count < 2:
-            raise ConfigError(f"sweep count must be >= 2, got {self.count}")
+        if not 2 <= self.count <= MAX_SWEEP_POINTS:
+            raise ConfigError(f"sweep count must be in [2, {MAX_SWEEP_POINTS}], got {self.count}")
         if self.start == self.stop:
             raise ConfigError("sweep start and stop must differ")
         if self.scale not in ("linear", "log"):
@@ -455,8 +458,8 @@ def _parse_sweep_flag(name, text):
         scale = parts[3]
     try:
         return SweepSpec(float(parts[0]), float(parts[1]), int(parts[2]), scale)
-    except ValueError:
-        raise ConfigError(f"{name}: malformed sweep {text!r}") from None
+    except ValueError as err:
+        raise ConfigError(f"{name}: malformed sweep {text!r} ({err})") from None
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ weighted mixture over node pairs of the sharp-momentum pair projectors:
 
 with W the normalized |f|^2 quadrature weights.  Because the pair amplitude
 factorizes per arm, the double sum reduces exactly to per-arm second-moment
-matrices, which keeps the cost linear in the node count.
+matrices, at a cost linear in the node count (halved by the mirror fold).
 
 Geometry, all on unit vectors: each beam is a Gaussian around +z rotated
 rigidly (nodes and polarization patch together) about y to the polar
@@ -35,6 +35,13 @@ X = [h | v] a 6 x N array.
 Quadrature: Gauss-Legendre in theta on [0, min(6*sigma, pi)] times a uniform
 periodic grid in phi.  The Gaussian is truncated at the domain edge; the
 grid-doubling convergence test bounds the sensitivity.
+
+Mirror fold: the profile, the rotation about y and the z-boost commute with
+the mirror y -> -y, which maps the phi grid 2 pi k / n_phi onto itself and
+flips n_y and rows h_y, v_x, v_z of X.  So M = (M_half + S M_half S) / 2 with
+S = diag(1, -1, 1, -1, 1, -1), exactly, where M_half sums the nodes with phi
+in [0, pi] at weight 2, or 1 on the self-mirrored columns phi = 0 and (n_phi
+even) phi = pi: entries between rows of equal parity stay, the rest are 0.
 """
 
 from __future__ import annotations
@@ -50,6 +57,8 @@ from .lorentz import check_velocity
 from .quantum import DensityMatrix
 
 TRUNCATION_SIGMAS = 6.0
+# Moments between rows of X of equal parity; the mirror fold cancels the rest.
+_MIRROR_EVEN = np.add.outer(np.arange(6), np.arange(6)) % 2 == 0
 
 
 @dataclass(frozen=True)
@@ -87,6 +96,15 @@ class QuadratureGrid:
             raise DomainError("node arrays must have matching shapes")
         if np.any(self.weight <= 0.0):
             raise DomainError("all quadrature weights must be positive")
+        # make_grid's product layout, on which the kernel's mirror fold relies
+        if self.theta.size != self.n_theta * self.n_phi:
+            raise DomainError("node count must equal n_theta * n_phi")
+        rows = (self.n_theta, self.n_phi)
+        theta, phi, weight = (a.reshape(rows) for a in (self.theta, self.phi, self.weight))
+        off_row = (theta != theta[:, :1]) | (phi != phi[:1]) | (weight != weight[:, :1])
+        uniform_phi = 2.0 * math.pi * np.arange(self.n_phi) / self.n_phi
+        if np.any(off_row) or np.any(np.abs(phi[0] - uniform_phi) > 1e-12):
+            raise DomainError("grid must be rows of one theta and weight at phi = 2 pi k / n_phi")
 
 
 @functools.lru_cache(maxsize=8)
@@ -131,10 +149,22 @@ def normalized_weights(grid: QuadratureGrid, profile: BeamProfile) -> np.ndarray
     return raw / total
 
 
-def _node_directions(grid):
-    """Components (x, y, z) of the grid nodes' unit vectors."""
-    sin_theta = np.sin(grid.theta)
-    return sin_theta * np.cos(grid.phi), sin_theta * np.sin(grid.phi), np.cos(grid.theta)
+def _half_nodes(grid):
+    """Unit vectors (x, y, z) of the nodes with phi in [0, pi], n_phi // 2 + 1
+    per theta row, as outer products of per-axis sines and cosines."""
+    theta = grid.theta[:: grid.n_phi, None]
+    phi = grid.phi[: grid.n_phi // 2 + 1]
+    x, y = np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi)
+    return x.ravel(), y.ravel(), np.repeat(np.cos(theta), phi.size)
+
+
+def _half_weights(grid, profile):
+    """Normalized weights on the half-grid nodes, doubled where the mirror
+    phi -> 2 pi - phi is another node (every column but phi = 0 and pi)."""
+    weights = normalized_weights(grid, profile).reshape(grid.n_theta, -1)
+    folded = 2.0 * weights[:, : grid.n_phi // 2 + 1]
+    folded[:, [0, -1] if grid.n_phi % 2 == 0 else [0]] *= 0.5
+    return folded.ravel()
 
 
 def _aberrated_patch(nodes, axis_angle, beta):
@@ -165,9 +195,10 @@ def _linear_basis(nx, ny, nz):
 
 def _arm_moments(nodes, weights, axis_angle, beta):
     """Per-arm weighted moments sum_i W_i |x_i><y_i| for x, y in {h, v}, from
-    one product: entry [x, :, y, :] is the 3x3 block A_xy."""
+    one product over the half grid: entry [x, :, y, :] is the 3x3 block A_xy.
+    Folding in the mirrored nodes keeps the entries even under the mirror."""
     basis = _linear_basis(*_aberrated_patch(nodes, axis_angle, beta))
-    return ((basis * weights) @ basis.T).reshape(2, 3, 2, 3)
+    return (((basis * weights) @ basis.T) * _MIRROR_EVEN).reshape(2, 3, 2, 3)
 
 
 def diffracted_reduced_type1(
@@ -185,9 +216,9 @@ def diffracted_reduced_type1(
     (A_hh x B_hh - A_hv x B_hv - A_vh x B_vh + A_vv x B_vv) / 2.
     """
     check_velocity(beta)
-    w_a = normalized_weights(grid, beam_a)
-    w_b = normalized_weights(grid, beam_b)
-    nodes = _node_directions(grid)
+    w_a = _half_weights(grid, beam_a)
+    w_b = w_a if beam_b.sigma == beam_a.sigma else _half_weights(grid, beam_b)
+    nodes = _half_nodes(grid)
     a = _arm_moments(nodes, w_a, beam_a.alpha, beta)
     b = _arm_moments(nodes, w_b, beam_b.alpha + (math.pi if opposite else 0.0), beta)
     rho = 0.5 * (

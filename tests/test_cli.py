@@ -7,6 +7,7 @@ import pytest
 from boostlink import cli, diffraction, states
 from boostlink.cli import (
     MAX_GRID_NODES,
+    MAX_SWEEP_POINTS,
     Scenario,
     SweepSpec,
     load_config,
@@ -41,6 +42,32 @@ class TestSweepSpec:
             SweepSpec(1.0, 1.0, 5)
         with pytest.raises(ConfigError):
             SweepSpec(0.0, 1.0, 5, "log")
+
+    def test_count_ceiling(self):
+        assert len(SweepSpec(0.0, 1.0, MAX_SWEEP_POINTS).values()) == MAX_SWEEP_POINTS
+        with pytest.raises(ConfigError, match="count"):
+            SweepSpec(0.0, 1.0, MAX_SWEEP_POINTS + 1)
+
+    @staticmethod
+    def _forbid_values(monkeypatch):
+        def unreachable(self):
+            raise AssertionError("values built for an oversized sweep")
+
+        monkeypatch.setattr(SweepSpec, "values", unreachable)
+
+    @pytest.mark.parametrize("count", [MAX_SWEEP_POINTS + 1, 10**9])
+    def test_oversized_flag_exits_2_before_building(self, count, monkeypatch, capsys):
+        self._forbid_values(monkeypatch)
+        assert main(["negativity", "--beta", f"0:0.5:{count}"]) == 2
+        assert "sweep count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", [MAX_SWEEP_POINTS + 1, 10**9])
+    def test_oversized_config_exits_2_before_building(self, count, tmp_path, monkeypatch, capsys):
+        self._forbid_values(monkeypatch)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"theta": {"start": 0.1, "stop": 1.0, "count": count}}))
+        assert main(["pair", "--config", str(path)]) == 2
+        assert "sweep count" in capsys.readouterr().err
 
 
 class TestConfigLoading:

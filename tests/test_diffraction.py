@@ -12,8 +12,8 @@ from boostlink.diffraction import (
     QuadratureGrid,
     _aberrated_patch,
     _gauss_legendre,
+    _half_nodes,
     _linear_basis,
-    _node_directions,
     diffracted_reduced_type1,
     make_grid,
     normalized_weights,
@@ -137,6 +137,48 @@ class TestQuadratureGrid:
     def test_rejects_tiny_grid(self):
         with pytest.raises(DomainError):
             make_grid(1, 8)
+
+
+class TestGridLayout:
+    """The kernel folds each arm over phi -> 2 pi - phi, which holds only on
+    make_grid's product layout; any other hand-built grid must be refused."""
+
+    @pytest.mark.parametrize("n_theta, n_phi", [(2, 2), (5, 3), (12, 31), (7, 32)])
+    def test_make_grid_layout_accepted(self, n_theta, n_phi):
+        grid = make_grid(n_theta, n_phi, sigma=0.4)
+        QuadratureGrid(grid.theta, grid.phi, grid.weight, n_theta, n_phi)
+
+    @pytest.mark.parametrize("rows", ["all nodes", "every row alike", "one row"])
+    def test_rejects_shuffled_phi(self, rows):
+        grid = make_grid(6, 8, sigma=0.4)
+        shuffle = np.random.default_rng(1).permutation
+        phi = grid.phi.reshape(6, 8).copy()
+        if rows == "all nodes":
+            phi = shuffle(phi.ravel())
+        elif rows == "every row alike":
+            phi = phi[:, shuffle(8)]
+        else:
+            phi[3] = shuffle(phi[3])
+        with pytest.raises(DomainError, match="phi"):
+            QuadratureGrid(grid.theta, phi.ravel(), grid.weight, 6, 8)
+
+    def test_rejects_theta_varying_along_a_row(self):
+        # the transposed layout: phi-major rather than theta-major
+        grid = make_grid(8, 8, sigma=0.4)
+        theta = grid.theta.reshape(8, 8).T.ravel()
+        with pytest.raises(DomainError, match="theta"):
+            QuadratureGrid(theta, grid.phi, grid.weight, 8, 8)
+
+    def test_rejects_phi_dependent_weights(self):
+        grid = make_grid(6, 8, sigma=0.4)
+        weight = grid.weight * (1.0 + 0.1 * np.cos(grid.phi))
+        with pytest.raises(DomainError, match="weight"):
+            QuadratureGrid(grid.theta, grid.phi, weight, 6, 8)
+
+    def test_rejects_node_count_mismatch(self):
+        grid = make_grid(6, 8, sigma=0.4)
+        with pytest.raises(DomainError):
+            QuadratureGrid(grid.theta, grid.phi, grid.weight, 6, 9)
 
 
 class TestGaussLegendreCache:
@@ -270,13 +312,56 @@ class TestUnitVectorKernel:
                 worst = max(worst, float(np.abs(rho.mat - ref).max()))
         assert worst <= 1e-12
 
+    @pytest.mark.parametrize("opposite", [True, False])
+    @pytest.mark.parametrize("n_theta, n_phi", [(5, 2), (4, 3), (12, 31), (20, 32)])
+    def test_fold_matches_full_grid_reference(self, n_theta, n_phi, opposite):
+        # the reference sums every node of the full grid; the kernel sums the
+        # half grid phi in [0, pi] and folds in the mirror images
+        worst = 0.0
+        for sigma in (0.2, 1.0, 3.0):
+            grid = make_grid(n_theta, n_phi, sigma=sigma)
+            for alpha in (0.0, 1.1, math.pi - 0.01):
+                beam_a = BeamProfile(sigma=sigma, alpha=alpha)
+                beam_b = BeamProfile(sigma=0.7 * sigma, alpha=alpha)
+                for beta in (-0.9, 0.0, 0.3, 0.9):
+                    rho = diffracted_reduced_type1(beam_a, beam_b, beta, grid, opposite)
+                    ref = _reference_reduced_type1(beam_a, beam_b, beta, grid, opposite)
+                    worst = max(worst, float(np.abs(rho.mat - ref).max()))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("same_sigma", [True, False])
+    def test_work_per_call(self, monkeypatch, same_sigma):
+        # each arm aberrates n_theta * (n_phi // 2 + 1) nodes, and equal beams
+        # share one weights pass
+        patch_sizes, weight_calls = [], []
+        aberrate, weigh = diffraction._aberrated_patch, diffraction.normalized_weights
+
+        def counting_patch(nodes, axis_angle, beta):
+            patch_sizes.append(nodes[0].size)
+            return aberrate(nodes, axis_angle, beta)
+
+        def counting_weights(grid, profile):
+            weight_calls.append(profile)
+            return weigh(grid, profile)
+
+        monkeypatch.setattr(diffraction, "_aberrated_patch", counting_patch)
+        monkeypatch.setattr(diffraction, "normalized_weights", counting_weights)
+        beam_a = BeamProfile(sigma=0.6, alpha=0.3)
+        beam_b = BeamProfile(sigma=0.6 if same_sigma else 0.42, alpha=0.3)
+        for n_theta, n_phi in ((16, 32), (9, 31), (3, 2)):
+            patch_sizes.clear()
+            weight_calls.clear()
+            diffracted_reduced_type1(beam_a, beam_b, 0.4, make_grid(n_theta, n_phi, sigma=0.6))
+            assert patch_sizes == [n_theta * (n_phi // 2 + 1)] * 2
+            assert len(weight_calls) == (1 if same_sigma else 2)
+
     def test_node_identities(self):
         # h, v orthonormal and transverse to the unit aberrated direction n,
         # also at nodes close to the beam-frame backward pole
         tol = 2e-14
         closest = 2.0
         for sigma in (0.2, 1.0, 3.0):
-            nodes = _node_directions(make_grid(32, 32, sigma=sigma))
+            nodes = _half_nodes(make_grid(32, 32, sigma=sigma))
             for axis_angle in (0.0, 1.1, math.pi / 2, math.pi, 4.0):
                 for beta in (-0.9, 0.0, 0.3, 0.9):
                     n = np.array(_aberrated_patch(nodes, axis_angle, beta))
