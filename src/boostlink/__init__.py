@@ -28,14 +28,6 @@ from .lorentz import (
     transform_angles,
     wigner_phase,
 )
-from .photon import (
-    PhotonState,
-    PolarizationState,
-    boost_photon,
-    helicity_polarization,
-    linear_polarization,
-    make_photon,
-)
 from .purification import (
     LinkParams,
     PurificationTrace,
@@ -56,17 +48,13 @@ from .quantum import (
     trace_distance,
 )
 from .states import (
-    TypeIState,
     TypeIIState,
     TypeIIIState,
-    boost_type1,
     boost_type2,
     boost_type3,
-    make_type1,
     make_type2,
     make_type3,
     number_basis_reduced,
-    reduced_polarization,
 )
 
 __version__ = "0.1.0"

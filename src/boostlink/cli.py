@@ -37,7 +37,7 @@ from .purification import (
     photons_required,
     polarization_pair_to_qutrits,
 )
-from .quantum import (  # DensityMatrix stays importable from here for perfbench's tracer test
+from .quantum import (
     DensityMatrix,
     check_density_matrices,
     negativity,
@@ -46,15 +46,12 @@ from .quantum import (  # DensityMatrix stays importable from here for perfbench
     trace_distances,
 )
 from .states import (
-    boost_type1,
     boost_type2,
     boost_type3,
-    make_type1,
     make_type2,
     make_type3,
     number_basis_reduced,
     pair_amplitudes,
-    reduced_polarization,
 )
 
 FORMATS = ("csv", "jsonl")
@@ -63,8 +60,9 @@ LI_TOLERANCE = 1e-9
 # Per-axis ceiling on quadrature nodes: Gauss-Legendre node generation costs
 # O(n^2) memory and O(n^3) time, and a grid holds n_theta * n_phi nodes.
 MAX_GRID_NODES = 1024
-# Ceiling on one sweep's point count: its values are built as a list before
-# they are checked, and every command computes once per point.
+# Ceiling on one sweep's point count and on the product of a scenario's sweep
+# counts: values are built as lists before they are checked, and a command
+# computes once per point of its sweeps' product.
 MAX_SWEEP_POINTS = 10_000
 
 PAPER_LINK = LinkParams(
@@ -119,6 +117,12 @@ class Scenario:
                 f"grid: n_theta and n_phi must lie in [2, {MAX_GRID_NODES}], "
                 f"got {self.grid_theta} and {self.grid_phi}"
             )
+        settings = [getattr(self, name) for name in _SWEEPABLE]
+        points = math.prod(s.count for s in settings if isinstance(s, SweepSpec))
+        if points > MAX_SWEEP_POINTS:
+            raise ConfigError(
+                f"sweeps: the product of the sweep counts is {points}, above {MAX_SWEEP_POINTS}"
+            )
         for name in ("sigma",) + _SWEEPABLE:
             setting = getattr(self, name)
             if setting is not None and not all(map(math.isfinite, _values(setting))):
@@ -150,8 +154,8 @@ def run_single_photon_sweep(scenario: Scenario) -> list[dict]:
     """Trace distance of a horizontally polarized photon against its boosted
     self, over a (theta, phi) grid, versus beta*sin(theta)*|cos(phi)|.
 
-    One array pass over the grid with the checks of ``make_photon`` and
-    ``boost_photon``; each row equals the per-point object computation."""
+    One array pass over the grid: the h vector at every direction and at its
+    aberrated image, with the polarization and photon checks on every point."""
     beta = _scalar(scenario.beta, "beta")
     points = [(t, p) for t in _values(scenario.theta) for p in _values(scenario.phi)]
     n = len(points)
@@ -184,19 +188,11 @@ def run_pair_sweep(scenario: Scenario) -> list[dict]:
     """Trace distance of the polarization pair across frames for back-to-back
     photons, versus beta*sin(theta).
 
-    One array pass over the thetas with the checks of ``make_type1`` and
-    ``boost_type1``; each row equals the per-point object computation."""
+    One array pass over the thetas (``_type1_amplitudes``)."""
     beta = _scalar(scenario.beta, "beta")
     phi = _scalar(scenario.phi, "phi")
     thetas = _values(scenario.theta)
-    theta_a, phi_a = polar_angles(thetas, np.full(len(thetas), phi))
-    theta_b, phi_b = polar_angles(math.pi - theta_a, phi_a + math.pi)
-    moved_a, _ = polar_angles(aberrate_polar(theta_a, beta), phi_a)
-    moved_b, _ = polar_angles(aberrate_polar(theta_b, beta), phi_b)
-    numeric = _pure_trace_distances(
-        pair_amplitudes(theta_a, phi_a, theta_b, phi_b),
-        pair_amplitudes(moved_a, phi_a, moved_b, phi_b),
-    )
+    numeric = _pure_trace_distances(*_type1_amplitudes(thetas, [phi] * len(thetas), beta))
     rows = []
     for theta, eps_numeric in zip(thetas, numeric.tolist()):
         approx = abs(beta * math.sin(theta))
@@ -211,10 +207,24 @@ def run_pair_sweep(scenario: Scenario) -> list[dict]:
     return rows
 
 
+def _type1_amplitudes(theta, phi, beta) -> tuple[np.ndarray, np.ndarray]:
+    """Type-I amplitudes of back-to-back pairs, arm A along each (theta, phi)
+    and arm B opposite, at rest and with both directions aberrated by a
+    z-boost ``beta``: two (N, 9) stacks, checked on every row."""
+    theta_a, phi_a = polar_angles(theta, phi)
+    theta_b, phi_b = polar_angles(math.pi - theta_a, phi_a + math.pi)
+    moved_a, _ = polar_angles(aberrate_polar(theta_a, beta), phi_a)
+    moved_b, _ = polar_angles(aberrate_polar(theta_b, beta), phi_b)
+    return (
+        pair_amplitudes(theta_a, phi_a, theta_b, phi_b),
+        pair_amplitudes(moved_a, phi_a, moved_b, phi_b),
+    )
+
+
 def _pure_trace_distances(psi_a, psi_b) -> np.ndarray:
     """Trace distance between the pure states of each row pair, through the
     validated density matrices, as ``DensityMatrix.from_pure`` and
-    ``trace_distance`` compute it per point."""
+    ``trace_distance`` compute it for one pair."""
     rho = pure_projectors(np.concatenate([psi_a, psi_b]).astype(complex))
     check_density_matrices(rho)
     return trace_distances(rho[: len(psi_a)], rho[len(psi_a) :])
@@ -288,15 +298,11 @@ def run_li_check(scenario: Scenario) -> list[dict]:
     beta = _scalar(scenario.beta, "beta")
     theta = _scalar(scenario.theta, "theta")
     phi = _scalar(scenario.phi, "phi")
-    dir_a = SphericalDirection(theta, phi)
-    dir_b = dir_a.antipode()
-    rows = []
-
-    state1 = make_type1(dir_a, dir_b)
-    rho_s = reduced_polarization(state1)
-    rho_a = reduced_polarization(boost_type1(state1, beta))
+    rest, moved = _type1_amplitudes([theta], [phi], beta)
+    rho_s = DensityMatrix.from_pure(rest[0], (3, 3))
+    rho_a = DensityMatrix.from_pure(moved[0], (3, 3))
     eps = trace_distance(rho_s, rho_a)
-    rows.append(
+    rows = [
         {
             "protocol": "type1",
             "trace_distance_raw": eps,
@@ -305,8 +311,10 @@ def run_li_check(scenario: Scenario) -> list[dict]:
             "negativity_boosted": negativity(rho_a, 0),
             "verdict": "frame_dependent" if eps > LI_TOLERANCE else "invariant",
         }
-    )
+    ]
 
+    dir_a = SphericalDirection(theta, phi)
+    dir_b = dir_a.antipode()
     for name, make, boost in (
         ("type2", make_type2, boost_type2),
         ("type3", make_type3, boost_type3),

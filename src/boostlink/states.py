@@ -2,9 +2,10 @@
 
 * Type I: polarization-entangled pair (|h h> - |v v>)/sqrt(2) with sharp
   momenta.  A z-boost aberrates both directions and re-evaluates the linear
-  bases there; no Wigner phases appear for a pure boost.  The amplitude is an
-  array function (``pair_amplitudes``) over stacks of direction pairs; the
-  state objects call it on one pair, the ``pair`` sweep on every point.
+  bases there; no Wigner phases appear for a pure boost.  It has no state
+  object: ``pair_amplitudes`` gives the amplitude for a stack of direction
+  pairs, and the ``pair`` sweep and ``li-check`` call it on the rest and the
+  aberrated directions.
 * Type II: single photon split over two arms, (|1 0> - |0 1>)/sqrt(2) in the
   occupation basis, each branch carrying its own phase that a boost shifts by
   -lambda * Theta(boost, momentum of that branch).
@@ -30,7 +31,6 @@ from .lorentz import (
     SphericalDirection,
     apply,
     boost_z,
-    transform_angles,
     unit_vectors,
     wigner_phase,
 )
@@ -51,23 +51,6 @@ def pair_amplitudes(theta_a, phi_a, theta_b, phi_b) -> np.ndarray:
     )
     joint = h_a[:, :, None] * h_b[:, None, :] - v_a[:, :, None] * v_b[:, None, :]
     return _INV_SQRT2 * joint.reshape(len(joint), 9)
-
-
-def _pair_amplitude(dir_a: SphericalDirection, dir_b: SphericalDirection) -> np.ndarray:
-    return pair_amplitudes([dir_a.theta], [dir_a.phi], [dir_b.theta], [dir_b.phi])[0]
-
-
-@dataclass(frozen=True, eq=False)
-class TypeIState:
-    """Polarization Bell pair with sharp momenta.  The directions are kept as
-    given rather than re-derived from the momenta, so a boost aberrates and
-    re-evaluates the bases at exactly the angles the sweeps use."""
-
-    p_a: FourVector
-    p_b: FourVector
-    dir_a: SphericalDirection
-    dir_b: SphericalDirection
-    amplitude: np.ndarray  # rank-1 joint polarization amplitude, C^9
 
 
 @dataclass(frozen=True)
@@ -99,16 +82,6 @@ class TypeIIIState:
             raise DomainError(f"helicity must be +1 or -1, got {self.lam}")
 
 
-def make_type1(dir_a: SphericalDirection, dir_b: SphericalDirection) -> TypeIState:
-    return TypeIState(
-        FourVector.photon(dir_a),
-        FourVector.photon(dir_b),
-        dir_a,
-        dir_b,
-        _pair_amplitude(dir_a, dir_b),
-    )
-
-
 def make_type2(
     dir_a: SphericalDirection,
     dir_b: SphericalDirection,
@@ -126,21 +99,6 @@ def make_type3(
     global_phase: float = 0.0,
 ) -> TypeIIIState:
     return TypeIIIState(FourVector.photon(dir_a), FourVector.photon(dir_b), lam, global_phase)
-
-
-def boost_type1(state: TypeIState, beta: float) -> TypeIState:
-    """Boost both photons: aberrated directions, same Bell combination of the
-    re-evaluated h/v bases, no Wigner phases for a pure boost."""
-    transform = boost_z(beta)
-    dir_a = transform_angles(state.dir_a, beta)
-    dir_b = transform_angles(state.dir_b, beta)
-    return TypeIState(
-        apply(transform, state.p_a),
-        apply(transform, state.p_b),
-        dir_a,
-        dir_b,
-        _pair_amplitude(dir_a, dir_b),
-    )
 
 
 def boost_type2(state: TypeIIState, beta: float) -> TypeIIState:
@@ -166,12 +124,6 @@ def boost_type3(state: TypeIIIState, beta: float) -> TypeIIIState:
         p_b=apply(transform, state.p_b),
         global_phase=state.global_phase - state.lam * total,
     )
-
-
-def reduced_polarization(state: TypeIState) -> DensityMatrix:
-    """Momentum-traced polarization matrix: a rank-1 projector on the 3x3
-    joint polarization space (momenta are sharp)."""
-    return DensityMatrix.from_pure(state.amplitude, (3, 3))
 
 
 def number_basis_reduced(

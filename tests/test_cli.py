@@ -21,10 +21,36 @@ from boostlink.cli import (
     run_single_photon_sweep,
 )
 from boostlink.errors import ConfigError, DomainError
-from boostlink.lorentz import SphericalDirection
+from boostlink.lorentz import SphericalDirection, transform_angles
+from boostlink.photon import linear_basis
 from boostlink.quantum import DensityMatrix, trace_distance
-from boostlink.photon import boost_photon, linear_polarization, make_photon
-from boostlink.states import boost_type1, make_type1, reduced_polarization
+from boostlink.states import pair_amplitudes
+
+
+def photon_distance(theta, phi, beta):
+    """Trace distance between the h polarization of a photon along
+    (theta, phi) and of the same photon boosted by ``beta``, point by point."""
+    rest = SphericalDirection(theta, phi)
+    moved = transform_angles(rest, beta)
+    return trace_distance(
+        DensityMatrix.from_pure(linear_basis(rest.theta, rest.phi)[0], (3,)),
+        DensityMatrix.from_pure(linear_basis(moved.theta, moved.phi)[0], (3,)),
+    )
+
+
+def pair_distance(theta, phi, beta):
+    """Trace distance across frames of the type-I pair with arm A along
+    (theta, phi) and arm B opposite, point by point."""
+
+    def matrix(a, b):
+        amplitude = pair_amplitudes([a.theta], [a.phi], [b.theta], [b.phi])[0]
+        return DensityMatrix.from_pure(amplitude, (3, 3))
+
+    dir_a = SphericalDirection(theta, phi)
+    dir_b = dir_a.antipode()
+    return trace_distance(
+        matrix(dir_a, dir_b), matrix(transform_angles(dir_a, beta), transform_angles(dir_b, beta))
+    )
 
 
 class TestSweepSpec:
@@ -68,6 +94,23 @@ class TestSweepSpec:
         path.write_text(json.dumps({"theta": {"start": 0.1, "stop": 1.0, "count": count}}))
         assert main(["pair", "--config", str(path)]) == 2
         assert "sweep count" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["single-photon", "--theta", "0.1:3:10000", "--phi", "0:6:10000"],
+            ["negativity", "--alpha", "0:1:200", "--beta", "0:0.5:100"],
+        ],
+    )
+    def test_oversized_product_exits_2_before_building(self, argv, monkeypatch, capsys):
+        self._forbid_values(monkeypatch)
+        assert main(argv) == 2
+        assert "product of the sweep counts" in capsys.readouterr().err
+
+    def test_product_at_ceiling_accepted(self):
+        scenario = Scenario(theta=SweepSpec(0.1, 3.0, 100), phi=SweepSpec(0.0, 6.0, 100))
+        scenario.validate()
 
 
 class TestConfigLoading:
@@ -115,31 +158,19 @@ class TestRowReDerivability:
     def test_single_photon_rows_match_direct_calls(self):
         scenario = Scenario(beta=1e-5, theta=0.7, phi=0.3)
         row = run_single_photon_sweep(scenario)[0]
-        direction = SphericalDirection(0.7, 0.3)
-        rest = linear_polarization(direction, "h").eps
-        moving = boost_photon(make_photon(direction, "h"), 1e-5).polarization.eps
-        expected = trace_distance(
-            DensityMatrix.from_pure(rest, (3,)), DensityMatrix.from_pure(moving, (3,))
-        )
-        assert row["eps_numeric"] == expected
+        assert row["eps_numeric"] == photon_distance(0.7, 0.3, 1e-5)
         assert row["eps_approx"] == abs(1e-5 * math.sin(0.7) * math.cos(0.3))
 
     def test_pair_rows_match_direct_calls(self):
         scenario = Scenario(beta=1e-4, theta=1.1, phi=0.0)
         row = run_pair_sweep(scenario)[0]
-        dir_a = SphericalDirection(1.1, 0.0)
-        state = make_type1(dir_a, dir_a.antipode())
-        expected = trace_distance(
-            reduced_polarization(state),
-            reduced_polarization(boost_type1(state, 1e-4)),
-        )
-        assert row["eps_numeric"] == expected
+        assert row["eps_numeric"] == pair_distance(1.1, 0.0, 1e-4)
 
 
 def _scale_one_h(basis):
-    """Corrupt one h vector of a stacked basis to norm 1.001."""
+    """Corrupt the last h vector of a stacked basis to norm 1.001."""
     h, v = (a.copy() for a in basis)
-    h[1] *= 1.001
+    h[-1] *= 1.001
     return h, v
 
 
@@ -152,7 +183,7 @@ def _unhermitian_one(rho):
 
 class TestBatchedSweeps:
     """The error-law sweeps make one array pass over all of their points; every
-    row must still equal the per-point object computation, poles included."""
+    row must still equal the point-by-point computation, poles included."""
 
     def test_single_photon_rows_match_object_path(self):
         beta = 0.3
@@ -162,23 +193,14 @@ class TestBatchedSweeps:
         rows = run_single_photon_sweep(scenario)
         assert len(rows) == 25
         for row in rows:
-            direction = SphericalDirection(row["theta"], row["phi"])
-            rest = linear_polarization(direction, "h").eps
-            moving = boost_photon(make_photon(direction, "h"), beta).polarization.eps
-            assert row["eps_numeric"] == trace_distance(
-                DensityMatrix.from_pure(rest, (3,)), DensityMatrix.from_pure(moving, (3,))
-            )
+            assert row["eps_numeric"] == photon_distance(row["theta"], row["phi"], beta)
 
     def test_pair_rows_match_object_path(self):
         beta, phi = 0.3, 2.5
         rows = run_pair_sweep(Scenario(beta=beta, theta=SweepSpec(0.0, math.pi, 7), phi=phi))
         assert len(rows) == 7
         for row in rows:
-            dir_a = SphericalDirection(row["theta"], phi)
-            state = make_type1(dir_a, dir_a.antipode())
-            assert row["eps_numeric"] == trace_distance(
-                reduced_polarization(state), reduced_polarization(boost_type1(state, beta))
-            )
+            assert row["eps_numeric"] == pair_distance(row["theta"], phi, beta)
 
     @pytest.mark.parametrize(
         "argv",
@@ -228,6 +250,35 @@ class TestBatchedSweeps:
         for run in (run_single_photon_sweep, run_pair_sweep):
             with pytest.raises(DomainError, match="beta"):
                 run(Scenario(beta=1.0, theta=SweepSpec(0.1, 3.0, 3), phi=0.0))
+
+
+class TestTypeIAcrossCommands:
+    """li-check's type-I row and the pair sweep compute the pair through the
+    same kernel."""
+
+    @staticmethod
+    def _rows(argv, capsys):
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = lines[0].split(",")
+        return [dict(zip(header, line.split(","))) for line in lines[1:]]
+
+    @pytest.mark.parametrize(
+        "beta, theta, phi",
+        [("1e-5", "0.7853981633974483", "0"), ("0.3", "1.0", "0.4"), ("-0.9", "0", "0")],
+    )
+    def test_li_check_distance_equals_pair_row(self, beta, theta, phi, capsys):
+        geometry = ["--beta", beta, "--theta", theta, "--phi", phi]
+        type1 = self._rows(["li-check", *geometry], capsys)[0]
+        (pair,) = self._rows(["pair", *geometry], capsys)
+        assert type1["protocol"] == "type1"
+        assert type1["trace_distance_raw"] == pair["eps_numeric"]
+
+    def test_li_check_checks_the_pair_basis(self, monkeypatch, capsys):
+        original = states.linear_basis
+        monkeypatch.setattr(states, "linear_basis", lambda *args: _scale_one_h(original(*args)))
+        assert main(["li-check"]) == 2
+        assert "unit norm" in capsys.readouterr().err
 
 
 class TestSweepCostIndependentOfSize:

@@ -19,9 +19,9 @@ from boostlink.diffraction import (
     normalized_weights,
 )
 from boostlink.errors import DomainError
-from boostlink.lorentz import SphericalDirection
-from boostlink.quantum import negativity, purity
-from boostlink.states import boost_type1, make_type1, reduced_polarization
+from boostlink.lorentz import SphericalDirection, transform_angles
+from boostlink.quantum import DensityMatrix, negativity, purity
+from boostlink.states import pair_amplitudes
 
 # Regression constants computed with this package's quadrature oracle at the
 # default 64x64 grid; they pin the boost-free diffracted pair at sigma = 1.
@@ -230,11 +230,11 @@ class TestDiffractedReducedType1:
         assert purity(rho) == pytest.approx(1.0, abs=1e-9)
 
     def test_sharp_negativity_matches_states_module(self):
-        sharp = boost_type1(
-            make_type1(SphericalDirection(0.4, 0.0), SphericalDirection(0.4, 0.0).antipode()),
-            0.15,
-        )
-        assert negativity(reduced_polarization(sharp), 0) == pytest.approx(0.5, abs=1e-12)
+        dir_a = SphericalDirection(0.4, 0.0)
+        a, b = (transform_angles(d, 0.15) for d in (dir_a, dir_a.antipode()))
+        sharp = pair_amplitudes([a.theta], [a.phi], [b.theta], [b.phi])[0]
+        rho = DensityMatrix.from_pure(sharp, (3, 3))
+        assert negativity(rho, 0) == pytest.approx(0.5, abs=1e-12)
 
     def test_purity_never_exceeds_one(self):
         for sigma in (0.05, 0.5, 1.0):
