@@ -59,6 +59,7 @@ from .quantum import DensityMatrix
 TRUNCATION_SIGMAS = 6.0
 # Moments between rows of X of equal parity; the mirror fold cancels the rest.
 _MIRROR_EVEN = np.add.outer(np.arange(6), np.arange(6)) % 2 == 0
+_BELL_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 @dataclass(frozen=True)
@@ -201,6 +202,12 @@ def _arm_moments(nodes, weights, axis_angle, beta):
     return (((basis * weights) @ basis.T) * _MIRROR_EVEN).reshape(2, 3, 2, 3)
 
 
+def _bell_mixture(a, b):
+    """(A_hh x B_hh - A_hv x B_hv - A_vh x B_vh + A_vv x B_vv) / 2 from per-arm
+    moments a[x, :, y, :] = A_xy and b likewise, as one signed sum."""
+    return 0.5 * np.einsum("xy,xiyj,xkyl->ikjl", _BELL_SIGNS, a, b).reshape(9, 9)
+
+
 def diffracted_reduced_type1(
     beam_a: BeamProfile,
     beam_b: BeamProfile,
@@ -211,9 +218,7 @@ def diffracted_reduced_type1(
     """Momentum-traced polarization matrix (dims (3, 3)) of the diffracted
     pair as seen after a z-boost by ``beta``.
 
-    The double node sum factorizes: with per-arm moments A_xy, B_xy the
-    mixture of Bell-pair projectors equals
-    (A_hh x B_hh - A_hv x B_hv - A_vh x B_vh + A_vv x B_vv) / 2.
+    The double node sum factorizes into per-arm moments A_xy, B_xy.
     """
     check_velocity(beta)
     w_a = _half_weights(grid, beam_a)
@@ -221,11 +226,6 @@ def diffracted_reduced_type1(
     nodes = _half_nodes(grid)
     a = _arm_moments(nodes, w_a, beam_a.alpha, beta)
     b = _arm_moments(nodes, w_b, beam_b.alpha + (math.pi if opposite else 0.0), beta)
-    rho = 0.5 * (
-        np.kron(a[0, :, 0], b[0, :, 0])
-        - np.kron(a[0, :, 1], b[0, :, 1])
-        - np.kron(a[1, :, 0], b[1, :, 0])
-        + np.kron(a[1, :, 1], b[1, :, 1])
-    )
+    rho = _bell_mixture(a, b)
     rho = 0.5 * (rho + rho.conj().T)
     return DensityMatrix(rho, (3, 3))

@@ -67,7 +67,8 @@ class FourVector:
         if r <= 0.0:
             raise DomainError("cannot take the direction of a vanishing 3-momentum")
         theta = math.atan2(math.hypot(self.x, self.y), self.z)
-        phi = math.atan2(self.y, self.x)
+        # on the z axis the azimuth is arbitrary: take 0, not atan2(0, -0.0) = pi
+        phi = math.atan2(self.y, self.x) if self.x or self.y else 0.0
         return SphericalDirection(theta, phi)
 
     @classmethod

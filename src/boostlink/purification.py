@@ -28,6 +28,18 @@ this design:
   leakage flag itself: the outcome lands on 2 and is discarded, which removes
   the saturation floor and lets purification converge to a pure pair.
 
+The round never forms the 81x81 two-copy matrix.  With R = H rho H^dagger
+(H the transverse Hadamard on both arms), the bilateral XOR sends two-copy
+basis states |a1 b1 a2 b2> to |a1 b1 shift[a1, a2] shift[b1, b2]>.  Rows of
+the shift table are involutions, so the targets read (m, m) exactly when
+(a2, b2) = (shift[a1, m], shift[b1, m]), and with o the elementwise product
+
+    kept = sum_{m in {0, 1}} R o R[pi_m][:, pi_m],
+    pi_m(a, b) = 3 shift[a, m] + shift[b, m]:
+
+the same products, summed in the same order, as the coincidence blocks of
+the permuted R (x) R.
+
 Qutrit bases are the per-arm beam frames of the diffracted pair with the sign
 of arm B's second axis flipped, which turns the distributed
 (|hh> - |vv>)/sqrt(2) state into the (|00> + |11>)/sqrt(2) fixed-point form.
@@ -73,11 +85,11 @@ QUTRIT_DIM = 3
 MIN_SUCCESS_PROBABILITY = 1e-12
 
 # control -> permutation of the target basis {0: h, 1: v, 2: longitudinal}
-_SHIFT_TABLE = (
-    (0, 1, 2),
-    (1, 0, 2),
-    (2, 1, 0),
-)
+_SHIFT_TABLE = np.array([
+    [0, 1, 2],
+    [1, 0, 2],
+    [2, 1, 0],
+])
 
 # coincident outcomes that keep the pair: the transverse code space only
 _KEPT_OUTCOMES = (0, 1)
@@ -157,20 +169,11 @@ def polarization_pair_to_qutrits(rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(0.5 * (nine + nine.conj().T), (QUTRIT_DIM, QUTRIT_DIM))
 
 
-def _xor_permutation() -> np.ndarray:
-    """Basis permutation of the two-copy space [A1, B1, A2, B2] implementing
-    the bilateral controlled shift source -> target on both arms."""
-    d = QUTRIT_DIM
-    index = np.arange(d**4)
-    a1 = index // d**3
-    b1 = (index // d**2) % d
-    a2 = (index // d) % d
-    b2 = index % d
-    shift = np.array(_SHIFT_TABLE)
-    return ((a1 * d + b1) * d + shift[a1, a2]) * d + shift[b1, b2]
-
-
-_XOR_INDEX = _xor_permutation()
+# pi_m(a, b) = 3 shift[a, m] + shift[b, m] per kept outcome m: the copy-2 pair
+# whose targets land on (m, m) under source pair (a, b)
+_KEPT_SHIFTS = _SHIFT_TABLE[:, _KEPT_OUTCOMES].T
+_KEPT_PI = (QUTRIT_DIM * _KEPT_SHIFTS[:, :, None] + _KEPT_SHIFTS[:, None, :]).reshape(-1, 9)
+_KEPT_INDEX = [np.ix_(pi, pi) for pi in _KEPT_PI]
 
 
 def _transverse_hadamard_pair() -> np.ndarray:
@@ -193,13 +196,7 @@ def purify_round(rho: DensityMatrix) -> tuple[DensityMatrix, float]:
         raise DomainError(f"expected qutrit-pair dims (3, 3), got {rho.dims}")
     d = QUTRIT_DIM
     rotated = _ERROR_EXCHANGE @ rho.mat @ _ERROR_EXCHANGE.conj().T
-    two_copy = np.kron(rotated, rotated)
-    permuted = np.empty_like(two_copy)
-    permuted[np.ix_(_XOR_INDEX, _XOR_INDEX)] = two_copy
-    blocks = permuted.reshape((d,) * 4 + (d,) * 4)
-    kept = np.zeros((d * d, d * d), dtype=complex)
-    for m in _KEPT_OUTCOMES:
-        kept += blocks[:, :, m, m, :, :, m, m].reshape(d * d, d * d)
+    kept = sum(rotated * rotated[index] for index in _KEPT_INDEX)
     success = float(np.trace(kept).real)
     if success < MIN_SUCCESS_PROBABILITY:
         raise DegenerateProtocolError(

@@ -1,9 +1,9 @@
 """Dense density-matrix algebra: trace distance, purity, negativity,
 partial trace, fidelity.
 
-Matrices in this package stay small (at most a few hundred rows; angular
-grids enter through weighted sums, never through dimension growth), so every
-eigenproblem is solved densely with the Hermitian solver.
+Matrices in this package stay small (at most 9x9; angular grids enter
+through weighted sums, never through dimension growth), so every eigenproblem
+is solved densely with the Hermitian solver.
 
 Validation, pure-state projectors and the trace distance are array functions
 over stacks of matrices (``check_density_matrices``, ``pure_projectors``,

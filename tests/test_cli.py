@@ -281,6 +281,23 @@ class TestTypeIAcrossCommands:
         assert "unit norm" in capsys.readouterr().err
 
 
+class TestOnAxisAzimuth:
+    """A momentum on +z has x = 0 * cos(phi), which is -0.0 when cos(phi) < 0;
+    its azimuth must still read 0, or the z-boost's Wigner phase reads -pi."""
+
+    @pytest.mark.parametrize(
+        "theta, phi",
+        [("0", "2"), ("3.141592653589793", "5")],  # arm A, then arm B, on +z
+    )
+    def test_type2_raw_distance_vanishes(self, theta, phi, capsys):
+        argv = ["li-check", "--theta", theta, "--phi", phi, "--beta", "0.5"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+        type2 = next(row for row in rows if row["protocol"] == "type2")
+        assert float(type2["trace_distance_raw"]) <= 1e-12
+
+
 class TestSweepCostIndependentOfSize:
     """Guard against the per-point path coming back: the number of
     eigensolver calls and DensityMatrix constructions must not grow with the

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from boostlink import diffraction
 from boostlink.cli import Scenario, SweepSpec, run_negativity_sweep
@@ -11,6 +12,7 @@ from boostlink.diffraction import (
     BeamProfile,
     QuadratureGrid,
     _aberrated_patch,
+    _bell_mixture,
     _gauss_legendre,
     _half_nodes,
     _linear_basis,
@@ -295,6 +297,20 @@ class TestDiffractedReducedType1:
         grid = make_grid(16, 16, sigma=0.1)
         with pytest.raises(DomainError):
             diffracted_reduced_type1(beam, beam, 1.0, grid)
+
+
+class TestBellMixture:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(blocks=arrays(np.float64, (2, 2, 3, 2, 3), elements=st.floats(-1.0, 1.0)))
+    def test_signed_einsum_matches_four_krons(self, blocks):
+        a, b = blocks
+        four_krons = 0.5 * (
+            np.kron(a[0, :, 0], b[0, :, 0])
+            - np.kron(a[0, :, 1], b[0, :, 1])
+            - np.kron(a[1, :, 0], b[1, :, 0])
+            + np.kron(a[1, :, 1], b[1, :, 1])
+        )
+        assert np.abs(_bell_mixture(a, b) - four_krons).max() <= 1e-15
 
 
 class TestUnitVectorKernel:

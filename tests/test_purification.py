@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from boostlink.diffraction import BeamProfile, diffracted_reduced_type1, make_grid
-from boostlink.errors import DomainError
+from boostlink.errors import DegenerateProtocolError, DomainError
 from boostlink.purification import (
     LinkParams,
     attenuation,
@@ -14,7 +17,7 @@ from boostlink.purification import (
     polarization_pair_to_qutrits,
     purify_round,
 )
-from boostlink.quantum import DensityMatrix, fidelity_to_pure, purity
+from boostlink.quantum import DensityMatrix, fidelity_to_pure, negativity, purity
 
 PAPER_LINK = LinkParams(
     length=13000e3, wavelength=800e-9, aperture_source=1.0, aperture_receiver=1.0
@@ -32,6 +35,41 @@ SIGMA_HALF_FIDELITIES = [
     0.9927009125863065,
     0.9978033062537626,
 ]
+
+
+# fixed-seed property tests: derandomized, no example database
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+UNIT_FLOATS = st.floats(-1.0, 1.0)
+
+
+def _reference_round(rho):
+    """The two-copy construction the round replaced: R (x) R on
+    [A1, B1, A2, B2] as an 81x81 matrix, the bilateral XOR as a scatter of its
+    rows and columns, then the kept coincidence blocks (m, m), m in {0, 1}."""
+    shift = np.array([[0, 1, 2], [1, 0, 2], [2, 1, 0]])
+    index = np.arange(81)
+    a1, b1, a2, b2 = index // 27, (index // 9) % 3, (index // 3) % 3, index % 3
+    xor_index = ((a1 * 3 + b1) * 3 + shift[a1, a2]) * 3 + shift[b1, b2]
+    h = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, math.sqrt(2.0)]])
+    hh = np.kron(h, h) / 2.0
+    rotated = hh @ rho @ hh.T
+    two_copy = np.kron(rotated, rotated)
+    permuted = np.empty_like(two_copy)
+    permuted[np.ix_(xor_index, xor_index)] = two_copy
+    blocks = permuted.reshape((3,) * 8)
+    kept = sum(blocks[:, :, m, m, :, :, m, m].reshape(9, 9) for m in (0, 1))
+    success = np.trace(kept).real
+    kept = kept / success
+    return 0.5 * (kept + kept.conj().T), success
+
+
+def _density_matrix(parts):
+    """G G^dagger / Tr from the real and imaginary parts of a 9x9 G."""
+    g = parts[0] + 1j * parts[1]
+    mat = g @ g.conj().T
+    trace = np.trace(mat).real
+    assume(trace > 1e-3)
+    return DensityMatrix(mat / trace, (3, 3))
 
 
 def diffracted_qutrit_pair(sigma, beta=0.0, n=64):
@@ -151,6 +189,37 @@ class TestPurifyRound:
     def test_rejects_wrong_dims(self):
         with pytest.raises(DomainError):
             purify_round(DensityMatrix(np.eye(4) / 4.0, (2, 2)))
+
+    @PROPERTY
+    @given(parts=arrays(np.float64, (2, 9, 9), elements=UNIT_FLOATS))
+    def test_matches_two_copy_reference(self, parts):
+        rho = _density_matrix(parts)
+        want, want_success = _reference_round(rho.mat)
+        # near the success floor renormalizing amplifies round-off past 1e-14
+        assume(want_success >= 1e-6)
+        out, success = purify_round(rho)
+        assert np.abs(out.mat - want).max() <= 1e-14
+        assert abs(success - want_success) <= 1e-14
+
+    @PROPERTY
+    @given(
+        weights=arrays(np.float64, (4,), elements=st.floats(0.0, 1.0)),
+        vectors=arrays(np.float64, (2, 4, 2, 3), elements=UNIT_FLOATS),
+    )
+    def test_separable_input_stays_ppt_below_half_fidelity(self, weights, vectors):
+        # sum_k p_k |a_k b_k><a_k b_k| with random complex a_k, b_k
+        norms = np.linalg.norm(vectors, axis=(-2, -1))
+        assume(weights.sum() > 1e-3 and norms.min() > 1e-3)
+        a, b = (vectors[i, :, 0] + 1j * vectors[i, :, 1] for i in (0, 1))
+        products = np.einsum("ki,kj->kij", a / norms[0, :, None], b / norms[1, :, None])
+        products = products.reshape(4, 9)
+        mat = np.einsum("k,ki,kj->ij", weights / weights.sum(), products, products.conj())
+        try:
+            out, _ = purify_round(DensityMatrix(mat, (3, 3)))
+        except DegenerateProtocolError:
+            assume(False)
+        assert negativity(out) <= 1e-12
+        assert fidelity_to_pure(out, bell_target()) <= 0.5 + 1e-12
 
 
 class TestQutritProjection:
