@@ -47,14 +47,6 @@ from .quantum import (
     purity,
     trace_distance,
 )
-from .states import (
-    TypeIIState,
-    TypeIIIState,
-    boost_type2,
-    boost_type3,
-    make_type2,
-    make_type3,
-    number_basis_reduced,
-)
+from .states import type2_reduced, type3_reduced
 
 __version__ = "0.1.0"

@@ -213,10 +213,10 @@ def diffracted_reduced_type1(
     beam_b: BeamProfile,
     beta: float,
     grid: QuadratureGrid,
-    opposite: bool = True,
 ) -> DensityMatrix:
     """Momentum-traced polarization matrix (dims (3, 3)) of the diffracted
-    pair as seen after a z-boost by ``beta``.
+    pair as seen after a z-boost by ``beta``, arm B's axis at the mirror
+    ``beam_b.alpha + pi``.
 
     The double node sum factorizes into per-arm moments A_xy, B_xy.
     """
@@ -225,7 +225,7 @@ def diffracted_reduced_type1(
     w_b = w_a if beam_b.sigma == beam_a.sigma else _half_weights(grid, beam_b)
     nodes = _half_nodes(grid)
     a = _arm_moments(nodes, w_a, beam_a.alpha, beta)
-    b = _arm_moments(nodes, w_b, beam_b.alpha + (math.pi if opposite else 0.0), beta)
+    b = _arm_moments(nodes, w_b, beam_b.alpha + math.pi, beta)
     rho = _bell_mixture(a, b)
     rho = 0.5 * (rho + rho.conj().T)
     return DensityMatrix(rho, (3, 3))

@@ -40,14 +40,7 @@ from boostlink.quantum import (
     purity,
     trace_distance,
 )
-from boostlink.states import (
-    boost_type2,
-    boost_type3,
-    make_type2,
-    make_type3,
-    number_basis_reduced,
-    pair_amplitudes,
-)
+from boostlink.states import pair_amplitudes, type2_reduced, type3_reduced
 
 BASELINE_NEGATIVITY_SIGMA1 = 0.19917779685594897
 
@@ -125,27 +118,24 @@ def test_criterion_2_pair_error_law():
 
 def test_criterion_3_fock_state_lorentz_invariance():
     dir_a = SphericalDirection(0.8, 0.4)
-    dir_b = dir_a.antipode()
+    momenta = (FourVector.photon(dir_a), FourVector.photon(dir_a.antipode()))
     worst_three = 0.0
     worst_two = 0.0
     worst_neg = 0.0
     for beta in (1e-5, 0.3):
-        s3 = make_type3(dir_a, dir_b)
-        b3 = boost_type3(s3, beta)
-        worst_three = max(
-            worst_three,
-            trace_distance(number_basis_reduced(s3), number_basis_reduced(b3)),
-        )
-        s2 = make_type2(dir_a, dir_b)
-        b2 = boost_type2(s2, beta)
+        # helicity +1: each branch phase shifts by minus its arm's Wigner phase
+        known_a, known_b = (wigner_phase(boost_z(beta), p) for p in momenta)
+        shift_a, shift_b = -known_a, -known_b
+        b3 = type3_reduced(shift_a + shift_b)
+        worst_three = max(worst_three, trace_distance(type3_reduced(0.0), b3))
+        b2 = type2_reduced(shift_a, shift_b)
         worst_two = max(
             worst_two,
             trace_distance(
-                number_basis_reduced(s2, compensate_phases=True),
-                number_basis_reduced(b2, compensate_phases=True),
+                type2_reduced(0.0, 0.0), type2_reduced(shift_a + known_a, shift_b + known_b)
             ),
         )
-        for rho in (number_basis_reduced(b2), number_basis_reduced(b3)):
+        for rho in (b2, b3):
             worst_neg = max(worst_neg, abs(negativity(rho, 0) - 0.5))
     ok = worst_three <= 1e-12 and worst_two <= 1e-12 and worst_neg <= 1e-10
     report(3, ok, f"Fock-basis invariance: type3 distance {worst_three:.2e} (<= 1e-12), "

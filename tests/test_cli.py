@@ -21,9 +21,15 @@ from boostlink.cli import (
     run_single_photon_sweep,
 )
 from boostlink.errors import ConfigError, DomainError
-from boostlink.lorentz import SphericalDirection, transform_angles
+from boostlink.lorentz import (
+    FourVector,
+    SphericalDirection,
+    boost_z,
+    transform_angles,
+    wigner_phase,
+)
 from boostlink.photon import linear_basis
-from boostlink.quantum import DensityMatrix, trace_distance
+from boostlink.quantum import DensityMatrix, negativity, trace_distance
 from boostlink.states import pair_amplitudes
 
 
@@ -296,6 +302,128 @@ class TestOnAxisAzimuth:
         rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
         type2 = next(row for row in rows if row["protocol"] == "type2")
         assert float(type2["trace_distance_raw"]) <= 1e-12
+
+
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+def object_layer_fock_rows(theta, phi, beta):
+    """li-check's type II/III rows as the per-protocol object layer built
+    them: a photon four-vector per arm, the Wigner phases taken once per
+    protocol, helicity +1, and the occupation-basis layout (type II on
+    indices 2 and 1, type III on 0 and 3)."""
+    dir_a = SphericalDirection(theta, phi)
+    p_a, p_b = FourVector.photon(dir_a), FourVector.photon(dir_a.antipode())
+    transform = boost_z(beta)
+
+    def type2(phi_a, phi_b):
+        psi = np.zeros(4, dtype=complex)
+        psi[2] = np.exp(1j * phi_a) * _INV_SQRT2
+        psi[1] = -np.exp(1j * phi_b) * _INV_SQRT2
+        return DensityMatrix.from_pure(psi, (2, 2))
+
+    def type3(chi):
+        psi = np.zeros(4, dtype=complex)
+        psi[0] = np.exp(1j * chi) * _INV_SQRT2
+        psi[3] = -np.exp(1j * chi) * _INV_SQRT2
+        return DensityMatrix.from_pure(psi, (2, 2))
+
+    boosted2 = type2(
+        0.0 - wigner_phase(transform, p_a), 0.0 - wigner_phase(transform, p_b)
+    )
+    boosted3 = type3(0.0 - (wigner_phase(transform, p_a) + wigner_phase(transform, p_b)))
+    rows = []
+    for name, source, boosted, compensated in (
+        ("type2", type2(0.0, 0.0), boosted2, (type2(0.0, 0.0), type2(0.0, 0.0))),
+        ("type3", type3(0.0), boosted3, (type3(0.0), type3(0.0))),
+    ):
+        distance = trace_distance(*compensated)
+        rows.append(
+            {
+                "protocol": name,
+                "trace_distance_raw": trace_distance(source, boosted),
+                "trace_distance_compensated": distance,
+                "negativity_source": negativity(source, 0),
+                "negativity_boosted": negativity(boosted, 0),
+                "verdict": "invariant" if distance <= cli.LI_TOLERANCE else "frame_dependent",
+            }
+        )
+    return rows
+
+
+class TestFockRows:
+    """li-check's type II/III rows come from one Wigner phase per arm."""
+
+    @pytest.mark.parametrize(
+        "beta, theta, phi",
+        [
+            (1e-5, math.pi / 4, 0.0),  # the default geometry
+            (0.5, 0.0, 2.0),  # arm A on +z
+            (0.5, math.pi, 5.0),  # arm B on +z
+            (0.9, 1.2, 4.0),
+            (-0.4, 0.3, 1.0),
+            (-0.9, 0.0, 0.0),
+        ],
+    )
+    def test_rows_equal_object_layer_reference(self, beta, theta, phi):
+        rows = run_li_check(Scenario(beta=beta, theta=theta, phi=phi))
+        assert [row["protocol"] for row in rows] == ["type1", "type2", "type3"]
+        reference = object_layer_fock_rows(theta, phi, beta)
+        for row, expected in zip(rows[1:], reference):
+            assert list(row) == list(expected)
+            for key, value in expected.items():
+                assert row[key] == value, (row["protocol"], key)
+
+    def test_one_wigner_phase_per_arm(self, monkeypatch, capsys):
+        calls = []
+        original = cli.wigner_phase
+
+        def counting(transform, p):
+            calls.append(p)
+            return original(transform, p)
+
+        monkeypatch.setattr(cli, "wigner_phase", counting)
+        assert main(["li-check"]) == 0
+        capsys.readouterr()
+        assert len(calls) == 2
+
+
+class TestNegativeFlagValues:
+    """A sweepable flag's value may start with '-' in the space-separated
+    form, also where argparse would read it as an option name."""
+
+    @pytest.mark.parametrize(
+        "argv, joined",
+        [
+            (["li-check", "--beta", "-1e-5"], ["li-check", "--beta=-1e-5"]),
+            (["pair", "--beta", "-3e-4"], ["pair", "--beta=-3e-4"]),
+            (
+                ["single-photon", "--phi", "-1:1:3", "--theta", "1"],
+                ["single-photon", "--phi=-1:1:3", "--theta", "1"],
+            ),
+            (
+                ["li-check", "--theta", "1", "--phi", "-.5", "--beta", "-0.5"],
+                ["li-check", "--theta", "1", "--phi=-.5", "--beta=-0.5"],
+            ),
+            (
+                ["negativity", "--alpha", "-0.5:0.5:3", "--beta", "-1e-2", "--grid-theta", "8",
+                 "--grid-phi", "8"],
+                ["negativity", "--alpha=-0.5:0.5:3", "--beta=-1e-2", "--grid-theta", "8",
+                 "--grid-phi", "8"],
+            ),
+        ],
+    )
+    def test_space_separated_matches_joined_form(self, argv, joined, capsys):
+        assert main(joined) == 0
+        expected = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_missing_value_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["li-check", "--beta", "--theta", "1"])
+        assert exited.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
 
 
 class TestSweepCostIndependentOfSize:
