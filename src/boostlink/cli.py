@@ -621,15 +621,18 @@ def _emit(text: str, out_path):
 
 
 # argparse reads '-1e-5' or '-0.5:0.5:3' after a flag as an option name, not
-# as its value; ``main`` passes such a value of a sweepable flag as flag=value
-_SWEEP_FLAGS = tuple(f"--{name}" for name in _SWEEPABLE)
+# as its value; ``main`` passes such a value of a numeric flag as flag=value
+_NUMERIC_FLAGS = frozenset(
+    [f"--{name}" for name in _SWEEPABLE]
+    + [flag for flag, keywords in _FLAGS.items() if keywords.get("type") in (int, float)]
+)
 _NEGATIVE_VALUE = re.compile(r"-[0-9.]")
 
 
 def _join_negative_values(argv: list[str]) -> list[str]:
     joined = []
     for arg in argv:
-        if joined and joined[-1] in _SWEEP_FLAGS and _NEGATIVE_VALUE.match(arg):
+        if joined and joined[-1] in _NUMERIC_FLAGS and _NEGATIVE_VALUE.match(arg):
             joined[-1] += "=" + arg
         else:
             joined.append(arg)

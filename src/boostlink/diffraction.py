@@ -29,8 +29,13 @@ fixed global basis would instead be singular for a beam centered on the
 backward pole, where it twists with azimuth.  The returned matrices are
 therefore expressed in per-arm frames tied to the beam axes; the frames are
 boost-independent, so entanglement measures and cross-frame distances are
-unaffected.  Each arm's four moment blocks come from one product (X w) X^T,
-X = [h | v] a 6 x N array.
+unaffected.  Each arm's four moment blocks are the 6x6 matrix (X w) X^T,
+X = [h | v] a 6 x N array, summed over consecutive blocks of _BLOCK_NODES
+half-grid nodes, so a call's temporaries are small reused heap memory, not
+fresh pages.  The size is a constant, so output does not depend on the host.
+It lies in [2112, 2730]: the half grid of a 64 x 64 or smaller grid (64 x 33
+nodes) is one block, whose moments are the single product bit for bit, and a
+block's 6 x B float64 stack stays under glibc's default 128 KiB mmap threshold.
 
 Quadrature: Gauss-Legendre in theta on [0, min(6*sigma, pi)] times a uniform
 periodic grid in phi.  The Gaussian is truncated at the domain edge; the
@@ -60,6 +65,9 @@ TRUNCATION_SIGMAS = 6.0
 # Moments between rows of X of equal parity; the mirror fold cancels the rest.
 _MIRROR_EVEN = np.add.outer(np.arange(6), np.arange(6)) % 2 == 0
 _BELL_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+# Half-grid nodes per block of the moment sums; the bounds are in the module
+# docstring.
+_BLOCK_NODES = 2560
 
 
 @dataclass(frozen=True)
@@ -186,7 +194,12 @@ def _linear_basis(nx, ny, nz):
     """Rows (h; v) of a 6 x N array at directions n: the closed forms of
     R_z(phi) R_y(theta) R_z(-phi) applied to x-hat and y-hat.  Below the
     equator 1 + n_z is evaluated as (n_x^2 + n_y^2) / (1 - n_z), which keeps
-    h and v orthonormal and transverse to rounding right up to the pole."""
+    h and v orthonormal and transverse to rounding right up to the pole.  At
+    the pole itself, n = -z exactly, h and v have no limit: 0 / 0 leaves NaN
+    in rows h_x, h_y, v_x, v_y.  Grid nodes avoid it: sin(theta) > 0 at every
+    Gauss-Legendre node, so n_y != 0 off the columns phi = 0 and pi, and a
+    node there reaches the pole only if the boost aberrates it exactly onto
+    -z."""
     one_plus_nz = 1.0 + nz
     np.divide(nx * nx + ny * ny, 1.0 - nz, out=one_plus_nz, where=nz < 0.0)
     kx = nx / one_plus_nz
@@ -196,10 +209,16 @@ def _linear_basis(nx, ny, nz):
 
 def _arm_moments(nodes, weights, axis_angle, beta):
     """Per-arm weighted moments sum_i W_i |x_i><y_i| for x, y in {h, v}, from
-    one product over the half grid: entry [x, :, y, :] is the 3x3 block A_xy.
-    Folding in the mirrored nodes keeps the entries even under the mirror."""
-    basis = _linear_basis(*_aberrated_patch(nodes, axis_angle, beta))
-    return (((basis * weights) @ basis.T) * _MIRROR_EVEN).reshape(2, 3, 2, 3)
+    products over blocks of at most ``_BLOCK_NODES`` half-grid nodes, summed
+    in node order: entry [x, :, y, :] is the 3x3 block A_xy.  Folding in the
+    mirrored nodes keeps the entries even under the mirror."""
+    moments = None
+    for start in range(0, weights.size, _BLOCK_NODES):
+        block = slice(start, start + _BLOCK_NODES)
+        basis = _linear_basis(*_aberrated_patch([n[block] for n in nodes], axis_angle, beta))
+        product = (basis * weights[block]) @ basis.T
+        moments = product if moments is None else moments + product
+    return (moments * _MIRROR_EVEN).reshape(2, 3, 2, 3)
 
 
 def _bell_mixture(a, b):

@@ -419,6 +419,27 @@ class TestNegativeFlagValues:
         assert main(argv) == 0
         assert capsys.readouterr().out == expected
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["budget", "--link-length", "-1e3"],
+             "link parameter length must be positive and finite"),
+            (["budget", "--link-length", "-1000"],
+             "link parameter length must be positive and finite"),
+            (["purify", "--link-wavelength", "-8e-7"],
+             "link parameter wavelength must be positive and finite"),
+            (["negativity", "--sigma", "-1e-3"], "sigma: must be positive, got -0.001"),
+            (["purify", "--target-purity", "-.5"], "target_purity: must lie in (0, 1], got -0.5"),
+        ],
+    )
+    def test_negative_numeric_value_is_a_config_error(self, argv, message, capsys):
+        # every numeric flag, not only the sweepable ones, reaches the
+        # scenario checks with its negative value
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+        assert "expected one argument" not in err
+
     def test_missing_value_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exited:
             main(["li-check", "--beta", "--theta", "1"])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,12 +10,16 @@ from hypothesis.extra.numpy import arrays
 from boostlink import diffraction
 from boostlink.cli import Scenario, SweepSpec, run_negativity_sweep
 from boostlink.diffraction import (
+    _BLOCK_NODES,
+    _MIRROR_EVEN,
     BeamProfile,
     QuadratureGrid,
     _aberrated_patch,
+    _arm_moments,
     _bell_mixture,
     _gauss_legendre,
     _half_nodes,
+    _half_weights,
     _linear_basis,
     diffracted_reduced_type1,
     make_grid,
@@ -400,6 +405,17 @@ class TestUnitVectorKernel:
                         assert residual.max() <= tol
         assert closest < 1e-6  # 1 + n_z; about 1e-3 rad from the pole
 
+    def test_exact_backward_pole_is_nan(self):
+        # n = -z exactly: h and v have no limit there, and the closed form
+        # divides 0 by 0 (test_node_identities covers nodes close to it).
+        # Pinned: NaN in rows h_x, h_y, v_x, v_y, -0.0 in h_z, v_z
+        with pytest.warns(RuntimeWarning, match="invalid value encountered in divide") as caught:
+            basis = _linear_basis(np.array([0.0]), np.array([0.0]), np.array([-1.0]))
+        assert len(caught) == 2
+        assert basis.shape == (6, 1)
+        assert np.isnan(basis[[0, 1, 3, 4]]).all()
+        assert basis[[2, 5]].tobytes() == np.array([[-0.0], [-0.0]]).tobytes()
+
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
         alpha=st.floats(0.0, math.pi),
@@ -411,6 +427,108 @@ class TestUnitVectorKernel:
         rho = diffracted_reduced_type1(beam, beam, beta, make_grid(24, 24, sigma=sigma)).mat
         assert abs(np.trace(rho) - 1.0) <= 1e-12
         assert np.linalg.eigvalsh(rho).min() >= -1e-12
+
+
+def _unblocked_arm_moments(nodes, weights, axis_angle, beta):
+    """Reference: one product over every half-grid node, no blocks."""
+    basis = _linear_basis(*_aberrated_patch(nodes, axis_angle, beta))
+    return (((basis * weights) @ basis.T) * _MIRROR_EVEN).reshape(2, 3, 2, 3)
+
+
+def _exact_arm_moments(nodes, weights, axis_angle, beta):
+    """Reference: the same node terms as the kernel, each entry summed with
+    math.fsum, i.e. the correctly rounded sum."""
+    basis = _linear_basis(*_aberrated_patch(nodes, axis_angle, beta))
+    weighted = basis * weights
+    moments = np.array([[math.fsum(weighted[i] * basis[j]) for j in range(6)] for i in range(6)])
+    return (moments * _MIRROR_EVEN).reshape(2, 3, 2, 3)
+
+
+def _one_past_whole_blocks():
+    """(n_theta, n_phi) whose half grid holds k * _BLOCK_NODES + 1 nodes."""
+    for size in (k * _BLOCK_NODES + 1 for k in (1, 2, 3)):
+        for n_theta in range(2, 64):
+            if size % n_theta == 0 and size // n_theta >= 2:
+                return n_theta, 2 * (size // n_theta - 1)
+    raise AssertionError("no small grid is one node past whole blocks")
+
+
+class TestBlockedMoments:
+    """The moments are summed over blocks of _BLOCK_NODES half-grid nodes;
+    they must match one product over the whole half grid, bit for bit on a
+    single block and up to that product's rounding on several."""
+
+    BEAMS = [(0.2, 0.0), (1.0, 1.1), (3.0, math.pi - 0.01)]
+    BETAS = (-0.9, 0.0, 0.5)
+
+    def test_block_size_bounds(self):
+        # a 64^2 half grid is one block; one block's 6 x B stack is below 128 KiB
+        assert 64 * 33 <= _BLOCK_NODES <= 128 * 1024 // 48
+
+    @staticmethod
+    def _kernel_with(moments, monkeypatch, *args):
+        with monkeypatch.context() as patched:
+            patched.setattr(diffraction, "_arm_moments", moments)
+            return diffracted_reduced_type1(*args).mat
+
+    @pytest.mark.parametrize("n_theta, n_phi", [(128, 128), (127, 129), _one_past_whole_blocks()])
+    def test_multi_block_matches_unblocked(self, n_theta, n_phi, monkeypatch):
+        # Against the correctly rounded sums, entries agree to 1e-15.  The
+        # one-product reference carries its own rounding error of up to
+        # 2.3e-15 on these grids (0.56e-15 blocked), hence its wider bound.
+        assert n_theta * (n_phi // 2 + 1) > _BLOCK_NODES
+        worst = dict.fromkeys(["moment exact", "moment one-product", "rho exact",
+                               "rho one-product"], 0.0)
+
+        def record(key, value, ref):
+            worst[key] = max(worst[key], float(np.abs(value - ref).max()))
+
+        for sigma, alpha in self.BEAMS:
+            grid = make_grid(n_theta, n_phi, sigma=sigma)
+            beam_a = BeamProfile(sigma=sigma, alpha=alpha)
+            beam_b = BeamProfile(sigma=0.7 * sigma, alpha=alpha)
+            nodes, weights = _half_nodes(grid), _half_weights(grid, beam_a)
+            for beta in self.BETAS:
+                for axis_angle in (alpha, alpha + math.pi):
+                    args = (nodes, weights, axis_angle, beta)
+                    blocked = _arm_moments(*args)
+                    record("moment exact", blocked, _exact_arm_moments(*args))
+                    record("moment one-product", blocked, _unblocked_arm_moments(*args))
+                args = (beam_a, beam_b, beta, grid)
+                rho = diffracted_reduced_type1(*args).mat
+                record("rho exact", rho, self._kernel_with(_exact_arm_moments, monkeypatch, *args))
+                record("rho one-product", rho,
+                       self._kernel_with(_unblocked_arm_moments, monkeypatch, *args))
+        assert worst["moment exact"] <= 1e-15 and worst["rho exact"] <= 1e-15, worst
+        assert worst["moment one-product"] <= 4e-15 and worst["rho one-product"] <= 4e-15, worst
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_single_block_bitwise_unblocked(self, n, monkeypatch):
+        for sigma, alpha in self.BEAMS:
+            grid = make_grid(n, n, sigma=sigma)
+            beam_a = BeamProfile(sigma=sigma, alpha=alpha)
+            beam_b = BeamProfile(sigma=0.7 * sigma, alpha=alpha)
+            nodes, weights = _half_nodes(grid), _half_weights(grid, beam_a)
+            for beta in self.BETAS:
+                blocked = _arm_moments(nodes, weights, alpha, beta)
+                ref = _unblocked_arm_moments(nodes, weights, alpha, beta)
+                assert blocked.tobytes() == ref.tobytes()
+                args = (beam_a, beam_b, beta, grid)
+                ref = self._kernel_with(_unblocked_arm_moments, monkeypatch, *args)
+                assert diffracted_reduced_type1(*args).mat.tobytes() == ref.tobytes()
+
+    def test_peak_memory_independent_of_grid(self):
+        # guards against the full 6 x N basis stack coming back: unblocked,
+        # one 256^2 call peaks near 4.8 MB
+        grid = make_grid(256, 256, sigma=1.0)
+        nodes, weights = _half_nodes(grid), _half_weights(grid, BeamProfile(sigma=1.0))
+        tracemalloc.start()
+        try:
+            _arm_moments(nodes, weights, 0.3, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024
 
 
 def _sigma1_negativities(alpha, beta=SweepSpec(0.0, 0.5, 11)):
