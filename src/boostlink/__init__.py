@@ -43,7 +43,6 @@ from .quantum import (
     DensityMatrix,
     fidelity_to_pure,
     negativity,
-    partial_trace,
     purity,
     trace_distance,
 )

@@ -29,15 +29,7 @@ import numpy as np
 
 from .diffraction import BeamProfile, diffracted_reduced_type1, make_grid
 from .errors import ConfigError, DegenerateProtocolError, DomainError, NumericalConsistencyError
-from .lorentz import (
-    FourVector,
-    SphericalDirection,
-    aberrate_polar,
-    boost_z,
-    polar_angles,
-    unit_vectors,
-    wigner_phase,
-)
+from .lorentz import FourVector, aberrate, boost_z, polar_angles, unit_vectors, wigner_phase
 from .photon import check_photons, check_polarizations, linear_basis
 from .purification import (
     LinkParams,
@@ -161,14 +153,12 @@ def run_single_photon_sweep(scenario: Scenario) -> list[dict]:
     beta = _scalar(scenario.beta, "beta")
     points = [(t, p) for t in _values(scenario.theta) for p in _values(scenario.phi)]
     n = len(points)
-    theta, phi = polar_angles(*np.array(points).T)
-    moved, _ = polar_angles(aberrate_polar(theta, beta), phi)
+    rest = unit_vectors(*polar_angles(*np.array(points).T))
     # rest directions first, then their aberrated images
-    both_theta, both_phi = np.concatenate([theta, moved]), np.concatenate([phi, phi])
-    normals = unit_vectors(both_theta, both_phi)
-    eps = linear_basis(both_theta, both_phi)[0]
+    normals = np.concatenate([rest, np.transpose(aberrate(rest.T, 0.0, beta))])
+    eps = linear_basis(*normals.T)[:3].T
     check_polarizations(eps, normals)
-    momenta = np.hstack([np.ones((n, 1)), normals[:n]])
+    momenta = np.hstack([np.ones((n, 1)), rest])
     check_photons(np.concatenate([momenta, momenta @ boost_z(beta).m.T]), normals)
     numeric = _pure_trace_distances(eps[:n], eps[n:])
     rows = []
@@ -194,7 +184,8 @@ def run_pair_sweep(scenario: Scenario) -> list[dict]:
     beta = _scalar(scenario.beta, "beta")
     phi = _scalar(scenario.phi, "phi")
     thetas = _values(scenario.theta)
-    numeric = _pure_trace_distances(*_type1_amplitudes(thetas, [phi] * len(thetas), beta))
+    arms = _back_to_back(thetas, [phi] * len(thetas))
+    numeric = _pure_trace_distances(*_type1_amplitudes(*arms, beta))
     rows = []
     for theta, eps_numeric in zip(thetas, numeric.tolist()):
         approx = abs(beta * math.sin(theta))
@@ -209,18 +200,20 @@ def run_pair_sweep(scenario: Scenario) -> list[dict]:
     return rows
 
 
-def _type1_amplitudes(theta, phi, beta) -> tuple[np.ndarray, np.ndarray]:
-    """Type-I amplitudes of back-to-back pairs, arm A along each (theta, phi)
-    and arm B opposite, at rest and with both directions aberrated by a
-    z-boost ``beta``: two (N, 9) stacks, checked on every row."""
+def _back_to_back(theta, phi) -> tuple[np.ndarray, np.ndarray]:
+    """(N, 3) unit vectors of back-to-back pairs: arm A along each
+    (theta, phi), arm B at its polar antipode (pi - theta, phi + pi)."""
     theta_a, phi_a = polar_angles(theta, phi)
     theta_b, phi_b = polar_angles(math.pi - theta_a, phi_a + math.pi)
-    moved_a, _ = polar_angles(aberrate_polar(theta_a, beta), phi_a)
-    moved_b, _ = polar_angles(aberrate_polar(theta_b, beta), phi_b)
-    return (
-        pair_amplitudes(theta_a, phi_a, theta_b, phi_b),
-        pair_amplitudes(moved_a, phi_a, moved_b, phi_b),
-    )
+    return unit_vectors(theta_a, phi_a), unit_vectors(theta_b, phi_b)
+
+
+def _type1_amplitudes(n_a, n_b, beta) -> tuple[np.ndarray, np.ndarray]:
+    """Type-I amplitudes of the pairs along the (N, 3) unit vectors ``n_a``
+    and ``n_b``, at rest and with both directions aberrated by a z-boost
+    ``beta``: two (N, 9) stacks, checked on every row."""
+    moved_a, moved_b = (np.transpose(aberrate(n.T, 0.0, beta)) for n in (n_a, n_b))
+    return pair_amplitudes(n_a, n_b), pair_amplitudes(moved_a, moved_b)
 
 
 def _pure_trace_distances(psi_a, psi_b) -> np.ndarray:
@@ -307,7 +300,8 @@ def run_li_check(scenario: Scenario) -> list[dict]:
     beta = _scalar(scenario.beta, "beta")
     theta = _scalar(scenario.theta, "theta")
     phi = _scalar(scenario.phi, "phi")
-    rest, moved = _type1_amplitudes([theta], [phi], beta)
+    n_a, n_b = _back_to_back([theta], [phi])
+    rest, moved = _type1_amplitudes(n_a, n_b, beta)
     rho_s = DensityMatrix.from_pure(rest[0], (3, 3))
     rho_a = DensityMatrix.from_pure(moved[0], (3, 3))
     eps = trace_distance(rho_s, rho_a)
@@ -323,10 +317,7 @@ def run_li_check(scenario: Scenario) -> list[dict]:
     ]
 
     boost = boost_z(beta)
-    dir_a = SphericalDirection(theta, phi)
-    wigner_a, wigner_b = (
-        wigner_phase(boost, FourVector.photon(d)) for d in (dir_a, dir_a.antipode())
-    )
+    wigner_a, wigner_b = (wigner_phase(boost, FourVector(1.0, *n[0])) for n in (n_a, n_b))
     for name, reduced, wigner in (
         ("type2", type2_reduced, (wigner_a, wigner_b)),
         ("type3", type3_reduced, (wigner_a + wigner_b,)),

@@ -16,26 +16,24 @@ Geometry, all on unit vectors: each beam is a Gaussian around +z rotated
 rigidly (nodes and polarization patch together) about y to the polar
 direction ``alpha`` (azimuth 0); "opposite directions" places arm B's axis at
 the exact mirror of arm A's, which is what makes one arm's spread tighten and
-the other broaden under a z-boost.  In the lab the boost aberrates each node
-as n' = (n_x, n_y, gamma (n_z - beta)) / (gamma (1 - beta n_z)) (Weinberg,
-QFT I, sec. 2.5; Lindner, Peres & Terno, J. Phys. A 36, L449, 2003); rotated
-back to the beam frame, n carries the linear basis
+the other broaden under a z-boost.  Each node goes through the package's
+one direction kernel: ``lorentz.aberrate`` rotates it to the lab, aberrates
+it under the z-boost there and rotates it back to the beam frame, where
+``photon.linear_basis`` gives its h and v (singular only at the beam-frame
+backward pole n = -z).  Carrying the basis with the beam keeps it continuous
+across the beam for every pointing; the fixed global basis would instead be
+singular for a beam centered on the backward pole, where it twists with
+azimuth.  The returned matrices are therefore expressed in per-arm frames
+tied to the beam axes; the frames are boost-independent, so entanglement
+measures and cross-frame distances are unaffected.
 
-    h = x - n_x (n + z) / (1 + n_z),    v = y - n_y (n + z) / (1 + n_z),
-
-singular only at the beam-frame backward pole n = -z.  Carrying the basis
-with the beam keeps it continuous across the beam for every pointing; the
-fixed global basis would instead be singular for a beam centered on the
-backward pole, where it twists with azimuth.  The returned matrices are
-therefore expressed in per-arm frames tied to the beam axes; the frames are
-boost-independent, so entanglement measures and cross-frame distances are
-unaffected.  Each arm's four moment blocks are the 6x6 matrix (X w) X^T,
-X = [h | v] a 6 x N array, summed over consecutive blocks of _BLOCK_NODES
-half-grid nodes, so a call's temporaries are small reused heap memory, not
-fresh pages.  The size is a constant, so output does not depend on the host.
-It lies in [2112, 2730]: the half grid of a 64 x 64 or smaller grid (64 x 33
-nodes) is one block, whose moments are the single product bit for bit, and a
-block's 6 x B float64 stack stays under glibc's default 128 KiB mmap threshold.
+Each arm's four moment blocks are the 6x6 matrix (X w) X^T, X = [h | v] a
+6 x N array, summed over consecutive blocks of _BLOCK_NODES half-grid nodes,
+so a call's temporaries are small reused heap memory, not fresh pages.  The
+size is a constant, so output does not depend on the host.  It lies in
+[2112, 2730]: the half grid of a 64 x 64 or smaller grid (64 x 33 nodes) is
+one block, whose moments are the single product bit for bit, and a block's
+6 x B float64 stack stays under glibc's default 128 KiB mmap threshold.
 
 Quadrature: Gauss-Legendre in theta on [0, min(6*sigma, pi)] times a uniform
 periodic grid in phi.  The Gaussian is truncated at the domain edge; the
@@ -58,7 +56,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .lorentz import check_velocity
+from .lorentz import aberrate, check_velocity
+from .photon import linear_basis
 from .quantum import DensityMatrix
 
 TRUNCATION_SIGMAS = 6.0
@@ -176,37 +175,6 @@ def _half_weights(grid, profile):
     return folded.ravel()
 
 
-def _aberrated_patch(nodes, axis_angle, beta):
-    """Beam-frame unit vectors (x, y, z) of the nodes after the z-boost: rotate
-    about y through ``axis_angle`` to the lab, aberrate there, rotate back."""
-    x, y, z = nodes
-    c, s = math.cos(axis_angle), math.sin(axis_angle)
-    lab_x = c * x + s * z
-    lab_z = c * z - s * x
-    gamma = 1.0 / math.sqrt((1.0 - beta) * (1.0 + beta))
-    scale = 1.0 / (gamma * (1.0 - beta * lab_z))
-    lab_x *= scale
-    lab_z = gamma * (lab_z - beta) * scale
-    return c * lab_x - s * lab_z, y * scale, s * lab_x + c * lab_z
-
-
-def _linear_basis(nx, ny, nz):
-    """Rows (h; v) of a 6 x N array at directions n: the closed forms of
-    R_z(phi) R_y(theta) R_z(-phi) applied to x-hat and y-hat.  Below the
-    equator 1 + n_z is evaluated as (n_x^2 + n_y^2) / (1 - n_z), which keeps
-    h and v orthonormal and transverse to rounding right up to the pole.  At
-    the pole itself, n = -z exactly, h and v have no limit: 0 / 0 leaves NaN
-    in rows h_x, h_y, v_x, v_y.  Grid nodes avoid it: sin(theta) > 0 at every
-    Gauss-Legendre node, so n_y != 0 off the columns phi = 0 and pi, and a
-    node there reaches the pole only if the boost aberrates it exactly onto
-    -z."""
-    one_plus_nz = 1.0 + nz
-    np.divide(nx * nx + ny * ny, 1.0 - nz, out=one_plus_nz, where=nz < 0.0)
-    kx = nx / one_plus_nz
-    ky = ny / one_plus_nz
-    return np.array([1.0 - nx * kx, -ny * kx, -nx, -nx * ky, 1.0 - ny * ky, -ny])
-
-
 def _arm_moments(nodes, weights, axis_angle, beta):
     """Per-arm weighted moments sum_i W_i |x_i><y_i| for x, y in {h, v}, from
     products over blocks of at most ``_BLOCK_NODES`` half-grid nodes, summed
@@ -215,7 +183,7 @@ def _arm_moments(nodes, weights, axis_angle, beta):
     moments = None
     for start in range(0, weights.size, _BLOCK_NODES):
         block = slice(start, start + _BLOCK_NODES)
-        basis = _linear_basis(*_aberrated_patch([n[block] for n in nodes], axis_angle, beta))
+        basis = linear_basis(*aberrate([n[block] for n in nodes], axis_angle, beta))
         product = (basis * weights[block]) @ basis.T
         moments = product if moments is None else moments + product
     return (moments * _MIRROR_EVEN).reshape(2, 3, 2, 3)

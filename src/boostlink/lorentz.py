@@ -1,5 +1,5 @@
-"""Minkowski four-vectors, boosts and rotations, photon aberration, and the
-massless-particle little group.
+"""Minkowski four-vectors, boosts and rotations, photon aberration on unit
+vectors, and the massless-particle little group.
 
 Conventions fixed here and relied on by every other module:
 
@@ -195,8 +195,31 @@ def rotation_z(phi: float) -> LorentzTransform:
     return _embed_rotation(np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]))
 
 
+def aberrate(nodes, axis_angle: float, beta: float):
+    """Unit vectors (x, y, z) after ``boost_z(beta)``, for directions given in
+    a beam frame rotated about y by ``axis_angle`` from the lab (0: the lab
+    itself): rotate to the lab, aberrate there as
+
+        n' = (n_x, n_y, gamma (n_z - beta)) / (gamma (1 - beta n_z))
+
+    (Weinberg, QFT I, sec. 2.5; Lindner, Peres & Terno, J. Phys. A 36, L449,
+    2003), and rotate back.  ``nodes`` holds the x, y and z components: three
+    arrays of equal shape, or one 3-vector."""
+    check_velocity(beta)
+    x, y, z = nodes
+    c, s = math.cos(axis_angle), math.sin(axis_angle)
+    lab_x = c * x + s * z
+    lab_z = c * z - s * x
+    gamma = 1.0 / math.sqrt((1.0 - beta) * (1.0 + beta))
+    scale = 1.0 / (gamma * (1.0 - beta * lab_z))
+    lab_x *= scale
+    lab_z = gamma * (lab_z - beta) * scale
+    return c * lab_x - s * lab_z, y * scale, s * lab_x + c * lab_z
+
+
 def transform_angles(direction: SphericalDirection, beta: float) -> SphericalDirection:
-    """Relativistic aberration of a photon direction under ``boost_z(beta)``.
+    """Relativistic aberration of a photon direction under ``boost_z(beta)``,
+    through ``aberrate`` on its unit vector.
 
     Equivalent closed forms, both exact:
 
@@ -205,19 +228,10 @@ def transform_angles(direction: SphericalDirection, beta: float) -> SphericalDir
 
     with the quadrant fixed by sign(cos(theta')) = sign(cos(theta) - beta),
     which makes the map continuous and bijective on [0, pi].  The azimuth is
-    unchanged.  Implemented via the half-angle form (``aberrate_polar``) for
-    numerical stability at both poles.
+    unchanged, so it is passed through rather than recomputed.
     """
-    return SphericalDirection(float(aberrate_polar(direction.theta, beta)), direction.phi)
-
-
-def aberrate_polar(theta, beta: float) -> np.ndarray:
-    """Aberrated polar angles under ``boost_z(beta)``, elementwise, from the
-    half-angle form tan(theta'/2) = sqrt((1 + beta)/(1 - beta)) tan(theta/2)."""
-    check_velocity(beta)
-    stretch = math.sqrt((1.0 + beta) / (1.0 - beta))
-    half = 0.5 * np.asarray(theta, dtype=float)
-    return 2.0 * np.arctan2(stretch * np.sin(half), np.cos(half))
+    x, y, z = aberrate(direction.unit_vector(), 0.0, beta)
+    return SphericalDirection(math.atan2(math.hypot(x, y), z), direction.phi)
 
 
 def approx_transform_theta(theta: float, beta: float) -> float:

@@ -1,23 +1,23 @@
 """The linear polarization basis of a photon and the photon invariant checks.
 
-Basis vectors attached to a propagation direction ``(theta, phi)`` are the
-images of x and y under Q = R_z(phi) R_y(theta) R_z(-phi), the rotation
-taking +z to the direction about the axis perpendicular to both.  With
-k = cos(theta) - 1 = -2 sin^2(theta/2):
+The basis vectors at a unit propagation direction n are the images of x and
+y under Q = R_z(phi) R_y(theta) R_z(-phi), the rotation taking +z to n about
+the axis perpendicular to both:
 
-    h = Q x = (1 + k cos^2(phi), k sin(phi) cos(phi), -sin(theta) cos(phi))
-    v = Q y = (k sin(phi) cos(phi), 1 + k sin^2(phi), -sin(theta) sin(phi))
+    h = x - n_x (n + z) / (1 + n_z),    v = y - n_y (n + z) / (1 + n_z).
 
-which is regular at both poles (at theta = pi, Q is the half-turn about the
-axis at azimuth phi + pi/2, so h and v are x and y reflected through it).
 Both are spatial 3-vectors (the radiation-gauge time component is zero),
-unit norm and transverse to the momentum.  A z-boost acts on a linearly
-polarized photon by aberrating its direction (``lorentz.aberrate_polar``)
-and re-evaluating the same basis vector there, with no phase.
+unit norm and transverse to the momentum.  The only singular direction is
+n = -z exactly (see ``linear_basis``); at theta = pi the unit vector keeps a
+1.2e-16 offset from it, and there Q is the half-turn about the axis at
+azimuth phi + pi/2, so h and v are x and y reflected through it.  A boost
+acts on a linearly polarized photon by aberrating its direction
+(``lorentz.aberrate``) and re-evaluating the same basis there, with no phase.
 
-All three functions work on stacks of directions; the ``single-photon``
-sweep and the type-I pair amplitude (``states.pair_amplitudes``) call each
-once on all of their points.
+Every function works on stacks of directions: the ``single-photon`` sweep
+and the type-I pair amplitude (``states.pair_amplitudes``) call each once on
+all of their points, and the diffraction kernel calls ``linear_basis`` once
+per block of nodes.
 """
 
 from __future__ import annotations
@@ -60,13 +60,20 @@ def check_photons(momenta, normals) -> None:
         raise DomainError(f"momentum and polarization directions disagree by {gap[bad][0]:.3e}")
 
 
-def linear_basis(theta, phi) -> tuple[np.ndarray, np.ndarray]:
-    """The h and v vectors at directions (theta, phi), each of shape (3,)
-    for scalar angles and (N, 3) for 1-D ones; see the module docstring for
-    the closed form."""
-    st, k = np.sin(theta), -2.0 * np.sin(0.5 * np.asarray(theta)) ** 2
-    cp, sp = np.cos(phi), np.sin(phi)
-    ksc = k * sp * cp
-    h = np.array([1.0 + k * cp * cp, ksc, -st * cp]).T
-    v = np.array([ksc, 1.0 + k * sp * sp, -st * sp]).T
-    return h, v
+def linear_basis(nx, ny, nz) -> np.ndarray:
+    """Rows (h; v) of a 6 x N array at the unit directions (nx, ny, nz), each
+    an array of N components.  Below the equator 1 + n_z is evaluated as
+    (n_x^2 + n_y^2) / (1 - n_z), which keeps h and v orthonormal and
+    transverse to rounding right up to the pole.  At the pole itself, n = -z
+    exactly, h and v have no limit: 0 / 0 leaves NaN in rows h_x, h_y, v_x,
+    v_y.  ``lorentz.unit_vectors`` never returns it: at theta = pi its n_x =
+    sin(pi) cos(phi) is nonzero (sin(pi) = 1.2e-16, and no float phi has
+    cos(phi) = 0).  Grid nodes avoid it too: sin(theta) > 0 at every
+    Gauss-Legendre node, so n_y != 0 off the columns phi = 0 and pi, and a
+    node there reaches the pole only if the boost aberrates it exactly onto
+    -z."""
+    one_plus_nz = 1.0 + nz
+    np.divide(nx * nx + ny * ny, 1.0 - nz, out=one_plus_nz, where=nz < 0.0)
+    kx = nx / one_plus_nz
+    ky = ny / one_plus_nz
+    return np.array([1.0 - nx * kx, -ny * kx, -nx, -nx * ky, 1.0 - ny * ky, -ny])

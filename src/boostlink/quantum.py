@@ -1,5 +1,5 @@
 """Dense density-matrix algebra: trace distance, purity, negativity,
-partial trace, fidelity.
+fidelity.
 
 Matrices in this package stay small (at most 9x9; angular grids enter
 through weighted sums, never through dimension growth), so every eigenproblem
@@ -132,24 +132,6 @@ def negativity(rho: DensityMatrix, subsystem: int = 0) -> float:
         raise DomainError(f"subsystem index {subsystem} out of range for dims {rho.dims}")
     eigs = np.linalg.eigvalsh(_partial_transpose(rho, subsystem))
     return float(np.abs(eigs[eigs < 0.0]).sum())
-
-
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Trace out every subsystem not listed in ``keep`` (original order kept)."""
-    keep = tuple(sorted(set(int(i) for i in keep)))
-    n = len(rho.dims)
-    if not keep:
-        raise DomainError("must keep at least one subsystem")
-    if any(i < 0 or i >= n for i in keep):
-        raise DomainError(f"invalid subsystem indices {keep} for dims {rho.dims}")
-    tensor = rho.mat.reshape(rho.dims + rho.dims)
-    row_subs = list(range(n))
-    col_subs = [i + n if i in keep else i for i in range(n)]
-    out_subs = [i for i in keep] + [i + n for i in keep]
-    reduced = np.einsum(tensor, row_subs + col_subs, out_subs)
-    kept_dims = tuple(rho.dims[i] for i in keep)
-    d = math.prod(kept_dims)
-    return DensityMatrix(reduced.reshape(d, d), kept_dims)
 
 
 def fidelity_to_pure(rho: DensityMatrix, psi) -> float:

@@ -3,9 +3,9 @@
 * Type I: polarization-entangled pair (|h h> - |v v>)/sqrt(2) with sharp
   momenta.  A z-boost aberrates both directions and re-evaluates the linear
   bases there; no Wigner phases appear for a pure boost.  It has no state
-  object: ``pair_amplitudes`` gives the amplitude for a stack of direction
-  pairs, and the ``pair`` sweep and ``li-check`` call it on the rest and the
-  aberrated directions.
+  object: ``pair_amplitudes`` gives the amplitude for a stack of unit-vector
+  pairs, and the ``pair`` sweep and ``li-check`` call it on the rest
+  directions and on their images under ``lorentz.aberrate``.
 * Type II: single photon split over two arms, (|1 0> - |0 1>)/sqrt(2) in the
   occupation basis.  A boost shifts each branch's phase by
   -lambda * Theta(boost, momentum of that branch), so only the relative
@@ -27,24 +27,23 @@ import math
 
 import numpy as np
 
-from .lorentz import unit_vectors
 from .photon import check_polarizations, linear_basis
 from .quantum import DensityMatrix
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-def pair_amplitudes(theta_a, phi_a, theta_b, phi_b) -> np.ndarray:
+def pair_amplitudes(n_a, n_b) -> np.ndarray:
     """Type-I amplitudes (|h h> - |v v>)/sqrt(2), one row of C^9 per
-    direction pair, from the validated h/v bases of both arms."""
-    h_a, v_a = linear_basis(theta_a, phi_a)
-    h_b, v_b = linear_basis(theta_b, phi_b)
-    check_polarizations(
-        np.concatenate([h_a, v_a, h_b, v_b]),
-        np.concatenate([unit_vectors(theta_a, phi_a)] * 2 + [unit_vectors(theta_b, phi_b)] * 2),
-    )
-    joint = h_a[:, :, None] * h_b[:, None, :] - v_a[:, :, None] * v_b[:, None, :]
-    return _INV_SQRT2 * joint.reshape(len(joint), 9)
+    direction pair, from the validated h/v bases of both arms at the (N, 3)
+    unit vectors ``n_a`` and ``n_b``."""
+    normals = np.concatenate([n_a, n_b])
+    basis = linear_basis(*normals.T)
+    h, v = basis[:3].T, basis[3:].T
+    check_polarizations(np.concatenate([h, v]), np.concatenate([normals, normals]))
+    n = len(n_a)
+    joint = h[:n, :, None] * h[n:, None, :] - v[:n, :, None] * v[n:, None, :]
+    return _INV_SQRT2 * joint.reshape(n, 9)
 
 
 def type2_reduced(phase_a: float, phase_b: float) -> DensityMatrix:

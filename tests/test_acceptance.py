@@ -55,7 +55,7 @@ def type1_matrix(dir_a, dir_b, beta=None):
     with ``beta``, after a z-boost, which aberrates both directions."""
     if beta is not None:
         dir_a, dir_b = transform_angles(dir_a, beta), transform_angles(dir_b, beta)
-    amplitude = pair_amplitudes([dir_a.theta], [dir_a.phi], [dir_b.theta], [dir_b.phi])[0]
+    amplitude = pair_amplitudes(dir_a.unit_vector()[None], dir_b.unit_vector()[None])[0]
     return DensityMatrix.from_pure(amplitude, (3, 3))
 
 
@@ -67,7 +67,8 @@ def pair_distance(theta, beta):
 
 def h_matrix(direction):
     """Density matrix of the h polarization vector at ``direction``."""
-    return DensityMatrix.from_pure(linear_basis(direction.theta, direction.phi)[0], (3,))
+    h = linear_basis(*direction.unit_vector()[:, None])[:3, 0]
+    return DensityMatrix.from_pure(h, (3,))
 
 
 def random_direction(rng):

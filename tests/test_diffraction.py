@@ -14,19 +14,18 @@ from boostlink.diffraction import (
     _MIRROR_EVEN,
     BeamProfile,
     QuadratureGrid,
-    _aberrated_patch,
     _arm_moments,
     _bell_mixture,
     _gauss_legendre,
     _half_nodes,
     _half_weights,
-    _linear_basis,
     diffracted_reduced_type1,
     make_grid,
     normalized_weights,
 )
 from boostlink.errors import DomainError
-from boostlink.lorentz import SphericalDirection, transform_angles
+from boostlink.lorentz import SphericalDirection, aberrate
+from boostlink.photon import linear_basis
 from boostlink.quantum import DensityMatrix, negativity, purity
 from boostlink.states import pair_amplitudes
 
@@ -248,8 +247,8 @@ class TestDiffractedReducedType1:
 
     def test_sharp_negativity_matches_states_module(self):
         dir_a = SphericalDirection(0.4, 0.0)
-        a, b = (transform_angles(d, 0.15) for d in (dir_a, dir_a.antipode()))
-        sharp = pair_amplitudes([a.theta], [a.phi], [b.theta], [b.phi])[0]
+        a, b = (np.array(aberrate(d.unit_vector(), 0.0, 0.15)) for d in (dir_a, dir_a.antipode()))
+        sharp = pair_amplitudes(a[None], b[None])[0]
         rho = DensityMatrix.from_pure(sharp, (3, 3))
         assert negativity(rho, 0) == pytest.approx(0.5, abs=1e-12)
 
@@ -365,17 +364,17 @@ class TestUnitVectorKernel:
         # each arm aberrates n_theta * (n_phi // 2 + 1) nodes, and equal beams
         # share one weights pass
         patch_sizes, weight_calls = [], []
-        aberrate, weigh = diffraction._aberrated_patch, diffraction.normalized_weights
+        patch, weigh = diffraction.aberrate, diffraction.normalized_weights
 
         def counting_patch(nodes, axis_angle, beta):
             patch_sizes.append(nodes[0].size)
-            return aberrate(nodes, axis_angle, beta)
+            return patch(nodes, axis_angle, beta)
 
         def counting_weights(grid, profile):
             weight_calls.append(profile)
             return weigh(grid, profile)
 
-        monkeypatch.setattr(diffraction, "_aberrated_patch", counting_patch)
+        monkeypatch.setattr(diffraction, "aberrate", counting_patch)
         monkeypatch.setattr(diffraction, "normalized_weights", counting_weights)
         beam_a = BeamProfile(sigma=0.6, alpha=0.3)
         beam_b = BeamProfile(sigma=0.6 if same_sigma else 0.42, alpha=0.3)
@@ -395,8 +394,8 @@ class TestUnitVectorKernel:
             nodes = _half_nodes(make_grid(32, 32, sigma=sigma))
             for axis_angle in (0.0, 1.1, math.pi / 2, math.pi, 4.0):
                 for beta in (-0.9, 0.0, 0.3, 0.9):
-                    n = np.array(_aberrated_patch(nodes, axis_angle, beta))
-                    basis = _linear_basis(*n)
+                    n = np.array(aberrate(nodes, axis_angle, beta))
+                    basis = linear_basis(*n)
                     h, v = basis[:3], basis[3:]
                     closest = min(closest, float(1.0 + n[2].min()))
                     for a, b, expected in ((n, n, 1), (h, h, 1), (v, v, 1), (h, v, 0),
@@ -410,7 +409,7 @@ class TestUnitVectorKernel:
         # divides 0 by 0 (test_node_identities covers nodes close to it).
         # Pinned: NaN in rows h_x, h_y, v_x, v_y, -0.0 in h_z, v_z
         with pytest.warns(RuntimeWarning, match="invalid value encountered in divide") as caught:
-            basis = _linear_basis(np.array([0.0]), np.array([0.0]), np.array([-1.0]))
+            basis = linear_basis(np.array([0.0]), np.array([0.0]), np.array([-1.0]))
         assert len(caught) == 2
         assert basis.shape == (6, 1)
         assert np.isnan(basis[[0, 1, 3, 4]]).all()
@@ -431,14 +430,14 @@ class TestUnitVectorKernel:
 
 def _unblocked_arm_moments(nodes, weights, axis_angle, beta):
     """Reference: one product over every half-grid node, no blocks."""
-    basis = _linear_basis(*_aberrated_patch(nodes, axis_angle, beta))
+    basis = linear_basis(*aberrate(nodes, axis_angle, beta))
     return (((basis * weights) @ basis.T) * _MIRROR_EVEN).reshape(2, 3, 2, 3)
 
 
 def _exact_arm_moments(nodes, weights, axis_angle, beta):
     """Reference: the same node terms as the kernel, each entry summed with
     math.fsum, i.e. the correctly rounded sum."""
-    basis = _linear_basis(*_aberrated_patch(nodes, axis_angle, beta))
+    basis = linear_basis(*aberrate(nodes, axis_angle, beta))
     weighted = basis * weights
     moments = np.array([[math.fsum(weighted[i] * basis[j]) for j in range(6)] for i in range(6)])
     return (moments * _MIRROR_EVEN).reshape(2, 3, 2, 3)

@@ -11,6 +11,7 @@ from boostlink.lorentz import (
     FourVector,
     LorentzTransform,
     SphericalDirection,
+    aberrate,
     apply,
     approx_transform_theta,
     boost_z,
@@ -209,6 +210,18 @@ class TestTransformAngles:
     def test_superluminal_rejected(self):
         with pytest.raises(DomainError):
             transform_angles(SphericalDirection(1.0, 0.0), 1.0)
+
+
+class TestAberrate:
+    NODES = (np.array([0.6, 0.0]), np.array([0.0, 0.0]), np.array([0.8, -1.0]))
+
+    @pytest.mark.parametrize("beta", [1.0, -1.0, 1.5, math.nan])
+    def test_rejects_velocity_outside_unit_interval(self, beta):
+        # before the check: ZeroDivisionError at 1, a math domain error at
+        # 1.5, and NaN vectors at NaN
+        for axis_angle in (0.0, 1.1):
+            with pytest.raises(DomainError, match="beta"):
+                aberrate(self.NODES, axis_angle, beta)
 
 
 class TestApproxTransformTheta:

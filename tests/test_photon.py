@@ -7,6 +7,7 @@ from boostlink.errors import DomainError
 from boostlink.lorentz import (
     FourVector,
     SphericalDirection,
+    aberrate,
     apply,
     boost_z,
     transform_angles,
@@ -35,22 +36,55 @@ def rotation_oracle(theta, phi):
     return rz @ ry
 
 
+def angle_form_basis(theta, phi):
+    """The h and v vectors at directions (theta, phi) from the closed form of
+    R_z(phi) R_y(theta) R_z(-phi) in angles, with k = cos(theta) - 1 =
+    -2 sin^2(theta/2):
+
+        h = (1 + k cos^2(phi), k sin(phi) cos(phi), -sin(theta) cos(phi))
+        v = (k sin(phi) cos(phi), 1 + k sin^2(phi), -sin(theta) sin(phi))
+
+    each (N, 3) for 1-D angles.  A reference written independently of the
+    unit-vector kernel."""
+    st, k = np.sin(theta), -2.0 * np.sin(0.5 * np.asarray(theta)) ** 2
+    cp, sp = np.cos(phi), np.sin(phi)
+    ksc = k * sp * cp
+    h = np.array([1.0 + k * cp * cp, ksc, -st * cp]).T
+    v = np.array([ksc, 1.0 + k * sp * sp, -st * sp]).T
+    return h, v
+
+
+def half_angle_aberration(theta, phi, beta):
+    """Unit vectors at the aberrated directions from the half-angle form
+    tan(theta'/2) = sqrt((1 + beta)/(1 - beta)) tan(theta/2), phi unchanged."""
+    stretch = math.sqrt((1.0 + beta) / (1.0 - beta))
+    half = 0.5 * np.asarray(theta)
+    return unit_vectors(2.0 * np.arctan2(stretch * np.sin(half), np.cos(half)), phi)
+
+
 def angle_grid():
     thetas = np.linspace(0.1, math.pi - 0.1, 7)
     phis = np.linspace(0.0, 2 * math.pi, 9, endpoint=False)
     return [(t, p) for t in thetas for p in phis]
 
 
+def basis_at(n):
+    """The h and v vectors at the unit vector ``n``, from one per-point call
+    of the stacked kernel."""
+    hv = linear_basis(*np.asarray(n, dtype=float)[:, None])
+    return hv[:3, 0], hv[3:, 0]
+
+
 def basis(direction: SphericalDirection):
     """The h and v vectors at ``direction``."""
-    return linear_basis(direction.theta, direction.phi)
+    return basis_at(direction.unit_vector())
 
 
 def boosted(direction: SphericalDirection, beta: float):
     """A photon along ``direction`` boosted along z: its momentum, and the h
     and v vectors at its aberrated direction."""
     momentum = apply(boost_z(beta), FourVector.photon(direction))
-    return momentum, basis(transform_angles(direction, beta))
+    return momentum, basis_at(aberrate(direction.unit_vector(), 0.0, beta))
 
 
 class TestLinearPolarization:
@@ -166,8 +200,8 @@ class TestStackedChecks:
     PHI = np.linspace(0.1, 6.0, 6)
 
     def stack(self):
-        h, _ = linear_basis(self.THETA, self.PHI)
-        return h.astype(complex), unit_vectors(self.THETA, self.PHI)
+        normals = unit_vectors(self.THETA, self.PHI)
+        return linear_basis(*normals.T)[:3].T.astype(complex), normals
 
     @staticmethod
     def message(check, *stacks):
@@ -200,15 +234,40 @@ class TestStackedChecks:
         assert "disagree" in expected
 
     def test_basis_stack_matches_per_direction(self):
-        h, v = linear_basis(self.THETA, self.PHI)
+        hv = linear_basis(*unit_vectors(self.THETA, self.PHI).T)
         for i, (theta, phi) in enumerate(zip(self.THETA, self.PHI)):
             h_i, v_i = basis(SphericalDirection(theta, phi))
-            assert np.array_equal(h_i, h[i])
-            assert np.array_equal(v_i, v[i])
+            assert np.array_equal(h_i, hv[:3, i])
+            assert np.array_equal(v_i, hv[3:, i])
 
     def test_backward_pole_basis(self):
         # regular at theta = pi: h and v are x and y reflected through the
         # x-y plane axis at azimuth phi + pi/2
-        h, v = linear_basis(math.pi, 0.4)
+        h, v = basis(SphericalDirection(math.pi, 0.4))
         assert np.allclose(h, [-math.cos(0.8), -math.sin(0.8), 0.0], atol=1e-15)
         assert np.allclose(v, [-math.sin(0.8), math.cos(0.8), 0.0], atol=1e-15)
+
+
+class TestAgainstAngleForms:
+    """The unit-vector kernel against the closed forms in angles."""
+
+    @staticmethod
+    def directions():
+        # 5000 random directions plus both float poles
+        rng = np.random.default_rng(11)
+        theta = np.concatenate([np.arccos(rng.uniform(-1.0, 1.0, 5000)), [0.0, math.pi]])
+        phi = np.concatenate([rng.uniform(0.0, 2 * math.pi, 5000), [0.4, 0.4]])
+        return theta, phi
+
+    def test_basis_matches_angle_form(self):
+        theta, phi = self.directions()
+        hv = linear_basis(*unit_vectors(theta, phi).T)
+        h, v = angle_form_basis(theta, phi)
+        assert np.abs(hv[:3].T - h).max() <= 1e-15
+        assert np.abs(hv[3:].T - v).max() <= 1e-15
+
+    @pytest.mark.parametrize("beta", [1e-5, 0.3, -0.9])
+    def test_aberration_matches_half_angle_form(self, beta):
+        theta, phi = self.directions()
+        moved = np.transpose(aberrate(unit_vectors(theta, phi).T, 0.0, beta))
+        assert np.abs(moved - half_angle_aberration(theta, phi, beta)).max() <= 2e-15

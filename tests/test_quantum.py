@@ -9,7 +9,6 @@ from boostlink.quantum import (
     check_density_matrices,
     fidelity_to_pure,
     negativity,
-    partial_trace,
     purity,
     trace_distance,
 )
@@ -214,51 +213,6 @@ class TestNegativity:
             negativity(rho, 2)
         with pytest.raises(DomainError):
             negativity(DensityMatrix(np.eye(4) / 4.0, (4,)), 0)
-
-
-class TestPartialTrace:
-    def test_product_state(self):
-        rng = np.random.default_rng(15)
-        a = random_density(rng, (2,))
-        b = random_density(rng, (3,))
-        rho = DensityMatrix(np.kron(a.mat, b.mat), (2, 3))
-        assert np.allclose(partial_trace(rho, [0]).mat, a.mat, atol=1e-12)
-        assert np.allclose(partial_trace(rho, [1]).mat, b.mat, atol=1e-12)
-
-    def test_bell_state_reduces_to_maximally_mixed(self):
-        rho = DensityMatrix.from_pure(BELL_PHI_PLUS, (2, 2))
-        reduced = partial_trace(rho, [0])
-        assert np.allclose(reduced.mat, np.eye(2) / 2.0, atol=1e-12)
-
-    def test_schmidt_form(self):
-        coeffs = np.array([0.8, 0.6j])
-        psi = np.zeros(4, dtype=complex)
-        psi[0] = coeffs[0]
-        psi[3] = coeffs[1]
-        rho = DensityMatrix.from_pure(psi, (2, 2))
-        reduced = partial_trace(rho, [0])
-        assert np.allclose(reduced.mat, np.diag(np.abs(coeffs) ** 2), atol=1e-12)
-
-    def test_composition(self):
-        rng = np.random.default_rng(17)
-        rho = random_density(rng, (2, 2, 3))
-        two_step = partial_trace(partial_trace(rho, [0, 1]), [0])
-        one_step = partial_trace(rho, [0])
-        assert np.allclose(two_step.mat, one_step.mat, atol=1e-12)
-        assert two_step.dims == one_step.dims == (2,)
-
-    def test_trace_preserved(self):
-        rng = np.random.default_rng(19)
-        rho = random_density(rng, (2, 3, 2))
-        reduced = partial_trace(rho, [1])
-        assert np.trace(reduced.mat) == pytest.approx(1.0, abs=1e-12)
-
-    def test_invalid_indices_rejected(self):
-        rho = DensityMatrix(np.eye(4) / 4.0, (2, 2))
-        with pytest.raises(DomainError):
-            partial_trace(rho, [])
-        with pytest.raises(DomainError):
-            partial_trace(rho, [3])
 
 
 class TestFidelityToPure:

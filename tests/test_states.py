@@ -24,7 +24,7 @@ def opposite_pair(theta, phi=0.0):
 
 def type1_amplitude(dir_a, dir_b):
     """The type-I pair amplitude (C^9) for photons along ``dir_a`` and ``dir_b``."""
-    return pair_amplitudes([dir_a.theta], [dir_a.phi], [dir_b.theta], [dir_b.phi])[0]
+    return pair_amplitudes(dir_a.unit_vector()[None], dir_b.unit_vector()[None])[0]
 
 
 def type1_matrix(dir_a, dir_b, beta=None):
