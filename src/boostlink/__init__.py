@@ -15,19 +15,7 @@ from .errors import (
     DomainError,
     NumericalConsistencyError,
 )
-from .lorentz import (
-    FourVector,
-    LorentzTransform,
-    SphericalDirection,
-    apply,
-    approx_transform_theta,
-    boost_z,
-    rotation_y,
-    rotation_z,
-    standard_boost,
-    transform_angles,
-    wigner_phase,
-)
+from .lorentz import approx_transform_theta, boost_z, transform_angles, wigner_phases
 from .purification import (
     LinkParams,
     PurificationTrace,

@@ -29,7 +29,7 @@ import numpy as np
 
 from .diffraction import BeamProfile, diffracted_reduced_type1, make_grid
 from .errors import ConfigError, DegenerateProtocolError, DomainError, NumericalConsistencyError
-from .lorentz import FourVector, aberrate, boost_z, polar_angles, unit_vectors, wigner_phase
+from .lorentz import aberrate, boost_z, polar_angles, unit_vectors, wigner_phases
 from .photon import check_photons, check_polarizations, linear_basis
 from .purification import (
     LinkParams,
@@ -159,7 +159,7 @@ def run_single_photon_sweep(scenario: Scenario) -> list[dict]:
     eps = linear_basis(*normals.T)[:3].T
     check_polarizations(eps, normals)
     momenta = np.hstack([np.ones((n, 1)), rest])
-    check_photons(np.concatenate([momenta, momenta @ boost_z(beta).m.T]), normals)
+    check_photons(np.concatenate([momenta, momenta @ boost_z(beta).T]), normals)
     numeric = _pure_trace_distances(eps[:n], eps[n:])
     rows = []
     for (t, p), eps_numeric in zip(points, numeric.tolist()):
@@ -292,11 +292,12 @@ def run_li_check(scenario: Scenario) -> list[dict]:
     both frames, and a verdict.
 
     Types II and III take their boosted phases from one Wigner phase per
-    arm (helicity +1): the type II branch phases shift by -Theta_A and
-    -Theta_B, the type III global phase by -(Theta_A + Theta_B), and the
-    compensated matrix adds the computed phases back.  Under this z-boost
-    ``wigner_phase`` is identically 0, so the compensated column cannot fail
-    yet; it tests something only once li-check boosts along a tilted axis."""
+    arm (helicity +1), both from one ``wigner_phases`` call, which checks the
+    boost matrix: the type II branch phases shift by -Theta_A and -Theta_B,
+    the type III global phase by -(Theta_A + Theta_B), and the compensated
+    matrix adds the computed phases back.  Under this z-boost the Wigner
+    phase is identically 0, so the compensated column cannot fail yet; it
+    tests something only once li-check boosts along a tilted axis."""
     beta = _scalar(scenario.beta, "beta")
     theta = _scalar(scenario.theta, "theta")
     phi = _scalar(scenario.phi, "phi")
@@ -316,8 +317,7 @@ def run_li_check(scenario: Scenario) -> list[dict]:
         }
     ]
 
-    boost = boost_z(beta)
-    wigner_a, wigner_b = (wigner_phase(boost, FourVector(1.0, *n[0])) for n in (n_a, n_b))
+    wigner_a, wigner_b = wigner_phases(boost_z(beta), np.concatenate([n_a, n_b])).tolist()
     for name, reduced, wigner in (
         ("type2", type2_reduced, (wigner_a, wigner_b)),
         ("type3", type3_reduced, (wigner_a + wigner_b,)),

@@ -1,26 +1,31 @@
-"""Minkowski four-vectors, boosts and rotations, photon aberration on unit
-vectors, and the massless-particle little group.
+"""Boosts, photon aberration on unit vectors, and the Wigner phase of the
+massless-particle little group, as functions on numpy arrays.
 
 Conventions fixed here and relied on by every other module:
 
-* Metric signature (+, -, -, -), natural units with c = 1.
+* Metric signature (+, -, -, -), natural units with c = 1.  A Lorentz
+  transform is a plain 4x4 matrix acting on (t, x, y, z).
 * ``boost_z(beta)`` is the matrix with ``m[0][3] = m[3][0] = -gamma*beta``.
   A photon moving along +z therefore has its energy multiplied by
   ``gamma*(1 - beta)`` (red shift for ``beta > 0``), and polar angles open
   away from the +z axis: ``sign(cos(theta')) = sign(cos(theta) - beta)``.
 * Spherical directions use the physics convention: ``theta`` measured from
   +z in ``[0, pi]``, ``phi`` measured from +x in ``[0, 2*pi)``.
-* The canonical boost for a null momentum ``p`` is
-  ``standard_boost(p) = R_z(phi) R_y(theta) B_z(xi)`` where ``B_z(xi)``
-  rescales the reference null vector ``k = (1, 0, 0, 1)`` to the energy of
-  ``p``.  Little-group elements ``W = L(Lp)^-1 L L(p)`` then stabilize ``k``
-  and their rotation angle about z is read off the x-y block.
+* The standard frame at a photon direction n is R_z(phi) R_y(theta), with
+  phi read as 0 on the z axis.  The canonical transform L(p) for a null
+  momentum p along n is that rotation after a z-boost taking the reference
+  vector k = (1, 0, 0, 1) to the energy of p.  The little-group element
+  W = L(m p)^-1 m L(p) stabilizes k, its x-y block is a rotation, and the
+  Wigner phase is its angle.  The z-boost in L(m p) leaves x and y alone, so
+  ``wigner_phases`` reads the angle in closed form from the frame axes
+  alone: with e_x the first frame axis at n, s the spatial part of m (0, e_x),
+  and x', y' the frame axes at the direction of m p,
+  Theta = atan2(s . y', s . x').
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,51 +38,6 @@ NULL_TOL = 1e-9
 STABILIZER_TOL = 1e-8
 
 _TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class FourVector:
-    """Real four-vector (t, x, y, z) in natural units."""
-
-    t: float
-    x: float
-    y: float
-    z: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.t, self.x, self.y, self.z], dtype=float)
-
-    @classmethod
-    def from_array(cls, arr) -> "FourVector":
-        t, x, y, z = (float(v) for v in arr)
-        return cls(t, x, y, z)
-
-    def minkowski_sq(self) -> float:
-        """Invariant norm t^2 - x^2 - y^2 - z^2."""
-        return self.t * self.t - self.x * self.x - self.y * self.y - self.z * self.z
-
-    def spatial_norm(self) -> float:
-        return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
-
-    def is_null(self, rel_tol: float = NULL_TOL) -> bool:
-        return bool(null_mask(self.as_array(), rel_tol))
-
-    def direction(self) -> "SphericalDirection":
-        r = self.spatial_norm()
-        if r <= 0.0:
-            raise DomainError("cannot take the direction of a vanishing 3-momentum")
-        theta = math.atan2(math.hypot(self.x, self.y), self.z)
-        # on the z axis the azimuth is arbitrary: take 0, not atan2(0, -0.0) = pi
-        phi = math.atan2(self.y, self.x) if self.x or self.y else 0.0
-        return SphericalDirection(theta, phi)
-
-    @classmethod
-    def photon(cls, direction: "SphericalDirection", energy: float = 1.0) -> "FourVector":
-        """Null momentum of the given energy along ``direction``."""
-        if energy <= 0.0:
-            raise DomainError(f"photon energy must be positive, got {energy}")
-        ux, uy, uz = direction.unit_vector()
-        return cls(energy, energy * ux, energy * uy, energy * uz)
 
 
 def null_mask(momenta, rel_tol: float = NULL_TOL) -> np.ndarray:
@@ -107,92 +67,22 @@ def unit_vectors(theta, phi) -> np.ndarray:
     return np.array([st * np.cos(phi), st * np.sin(phi), np.cos(theta)]).T
 
 
-@dataclass(frozen=True)
-class SphericalDirection:
-    """Propagation direction: polar angle theta in [0, pi], azimuth phi in [0, 2*pi)."""
-
-    theta: float
-    phi: float
-
-    def __post_init__(self):
-        theta, phi = polar_angles(self.theta, self.phi)
-        object.__setattr__(self, "theta", float(theta))
-        object.__setattr__(self, "phi", float(phi))
-
-    def unit_vector(self) -> np.ndarray:
-        return unit_vectors(self.theta, self.phi)
-
-    def antipode(self) -> "SphericalDirection":
-        return SphericalDirection(math.pi - self.theta, self.phi + math.pi)
-
-
-@dataclass(frozen=True, eq=False)
-class LorentzTransform:
-    """Proper orthochronous Lorentz matrix; validated against the metric on
-    construction."""
-
-    m: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.m, dtype=float)
-        if m.shape != (4, 4):
-            raise DomainError(f"Lorentz matrix must be 4x4, got shape {m.shape}")
-        residual = m.T @ MINKOWSKI_METRIC @ m - MINKOWSKI_METRIC
-        worst = float(np.abs(residual).max())
-        if worst > METRIC_TOL:
-            raise DomainError(
-                f"matrix does not preserve the Minkowski metric (residual {worst:.3e})"
-            )
-        if np.linalg.det(m) < 0.0 or m[0, 0] < 1.0 - 1e-12:
-            raise DomainError("matrix is not proper orthochronous")
-        m.setflags(write=False)
-        object.__setattr__(self, "m", m)
-
-    def __matmul__(self, other: "LorentzTransform") -> "LorentzTransform":
-        return LorentzTransform(self.m @ other.m)
-
-    def inverse(self) -> "LorentzTransform":
-        # eta m^T eta inverts any metric-preserving matrix exactly.
-        return LorentzTransform(MINKOWSKI_METRIC @ self.m.T @ MINKOWSKI_METRIC)
-
-
 def check_velocity(beta: float) -> None:
     """Reject a boost velocity outside |beta| < 1 (NaN included)."""
     if not abs(beta) < 1.0:
         raise DomainError(f"boost velocity must satisfy |beta| < 1, got {beta}")
 
 
-def apply(transform: LorentzTransform, v: FourVector) -> FourVector:
-    """Matrix-vector action of a Lorentz transform."""
-    return FourVector.from_array(transform.m @ v.as_array())
-
-
-def boost_z(beta: float) -> LorentzTransform:
-    """Pure boost along z with dimensionless velocity ``beta``."""
+def boost_z(beta: float) -> np.ndarray:
+    """Pure boost along z with dimensionless velocity ``beta``: a read-only
+    4x4 matrix."""
     check_velocity(beta)
     gamma = 1.0 / math.sqrt(1.0 - beta * beta)
     m = np.eye(4)
     m[0, 0] = m[3, 3] = gamma
     m[0, 3] = m[3, 0] = -gamma * beta
-    return LorentzTransform(m)
-
-
-def _embed_rotation(r3: np.ndarray) -> LorentzTransform:
-    m = np.eye(4)
-    m[1:, 1:] = r3
-    return LorentzTransform(m)
-
-
-def rotation_y(theta: float) -> LorentzTransform:
-    """Spatial rotation about the y axis, embedded in 4x4."""
-    c, s = math.cos(theta), math.sin(theta)
-    return _embed_rotation(np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]]))
-
-
-def rotation_z(phi: float) -> LorentzTransform:
-    """Spatial rotation about the z axis, embedded in 4x4."""
-    c, s = math.cos(phi), math.sin(phi)
-    return _embed_rotation(np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]))
+    m.setflags(write=False)
+    return m
 
 
 def aberrate(nodes, axis_angle: float, beta: float):
@@ -217,9 +107,10 @@ def aberrate(nodes, axis_angle: float, beta: float):
     return c * lab_x - s * lab_z, y * scale, s * lab_x + c * lab_z
 
 
-def transform_angles(direction: SphericalDirection, beta: float) -> SphericalDirection:
-    """Relativistic aberration of a photon direction under ``boost_z(beta)``,
-    through ``aberrate`` on its unit vector.
+def transform_angles(theta: float, phi: float, beta: float) -> tuple[float, float]:
+    """Relativistic aberration (theta', phi') of a photon direction under
+    ``boost_z(beta)``: the angles pass ``polar_angles`` and the unit vector
+    ``aberrate``.
 
     Equivalent closed forms, both exact:
 
@@ -230,8 +121,9 @@ def transform_angles(direction: SphericalDirection, beta: float) -> SphericalDir
     which makes the map continuous and bijective on [0, pi].  The azimuth is
     unchanged, so it is passed through rather than recomputed.
     """
-    x, y, z = aberrate(direction.unit_vector(), 0.0, beta)
-    return SphericalDirection(math.atan2(math.hypot(x, y), z), direction.phi)
+    theta, phi = polar_angles(theta, phi)
+    x, y, z = aberrate(unit_vectors(theta, phi), 0.0, beta)
+    return math.atan2(math.hypot(x, y), z), float(phi)
 
 
 def approx_transform_theta(theta: float, beta: float) -> float:
@@ -244,37 +136,54 @@ def approx_transform_theta(theta: float, beta: float) -> float:
     return math.pi * (theta / math.pi) ** exponent
 
 
-def standard_boost(p: FourVector) -> LorentzTransform:
-    """Canonical transform L(p) = R_z(phi) R_y(theta) B_z taking the reference
-    null vector k = (1, 0, 0, 1) to ``p``."""
-    if p.t <= 0.0:
-        raise DomainError(f"photon energy must be positive, got {p.t}")
-    if not p.is_null():
-        raise DomainError(
-            f"standard boost requires a null momentum, got norm^2 {p.minkowski_sq():.3e}"
-        )
-    energy = p.t
-    # gamma*(1 - beta) = E  solves to  beta = (1 - E^2) / (1 + E^2).
-    beta_scale = (1.0 - energy * energy) / (1.0 + energy * energy)
-    d = p.direction()
-    return rotation_z(d.phi) @ rotation_y(d.theta) @ boost_z(beta_scale)
+def _frame_axes(v) -> tuple[np.ndarray, np.ndarray]:
+    """First and second axes of the standard frame R_z(phi) R_y(theta) at the
+    direction of each row of the (N, 3) stack ``v``:
+    (cos(theta) cos(phi), cos(theta) sin(phi), -sin(theta)) and
+    (-sin(phi), cos(phi), 0).  The angles come from atan2, so both axes are
+    unit vectors also where x and y are subnormal; on the z axis phi is 0,
+    also where x is -0.0 (atan2(0, -0.0) would read pi)."""
+    x, y, z = v.T
+    rho = np.hypot(x, y)
+    theta = np.arctan2(rho, z)
+    phi = np.where(rho > 0.0, np.arctan2(y, x), 0.0)
+    cos_theta, cos_phi, sin_phi = np.cos(theta), np.cos(phi), np.sin(phi)
+    e_x = np.stack([cos_theta * cos_phi, cos_theta * sin_phi, -np.sin(theta)], axis=-1)
+    e_y = np.stack([-sin_phi, cos_phi, np.zeros_like(x)], axis=-1)
+    return e_x, e_y
 
 
-def wigner_phase(transform: LorentzTransform, p: FourVector) -> float:
-    """Rotation angle of the little-group element W = L(Lp)^-1 L L(p).
+def wigner_phases(m, n) -> np.ndarray:
+    """Wigner phase, in (-pi, pi], of a photon along each row of the (N, 3)
+    unit vectors ``n`` under the 4x4 Lorentz matrix ``m``, in the closed form
+    of the module docstring.
 
-    W stabilizes k = (1, 0, 0, 1); in the ISO(2) normal form (null
-    translations times a rotation about z) its x-y block is an exact 2D
-    rotation regardless of the translation part, so the angle is read off
-    with atan2.  Returns the angle in (-pi, pi].
-    """
-    p_out = apply(transform, p)
-    w = standard_boost(p_out).inverse().m @ transform.m @ standard_boost(p).m
-    k = np.array([1.0, 0.0, 0.0, 1.0])
-    residual = float(np.abs(w @ k - k).max())
-    if residual > STABILIZER_TOL:
+    ``m`` must preserve the metric to ``METRIC_TOL`` relative to the square
+    of its largest entry (the residual m^T eta m - eta grows as gamma^2 in
+    rounding) and be proper orthochronous, and each direction must be a unit
+    vector; otherwise ``DomainError``.  The x-y block of W is a rotation, so
+    (s . x', s . y') has unit norm; a departure above ``STABILIZER_TOL``
+    raises ``NumericalConsistencyError``."""
+    m = np.asarray(m, dtype=float)
+    if m.shape != (4, 4):
+        raise DomainError(f"Lorentz matrix must be 4x4, got shape {m.shape}")
+    worst = float(np.abs(m.T @ MINKOWSKI_METRIC @ m - MINKOWSKI_METRIC).max())
+    if not worst <= METRIC_TOL * max(1.0, float(np.abs(m).max())) ** 2:
+        raise DomainError(f"matrix does not preserve the Minkowski metric (residual {worst:.3e})")
+    if np.linalg.det(m) < 0.0 or m[0, 0] < 1.0 - 1e-12:
+        raise DomainError("matrix is not proper orthochronous")
+    n = np.asarray(n, dtype=float)
+    p = np.hstack([np.ones((len(n), 1)), n])
+    if not null_mask(p).all():
+        raise DomainError("photon direction must be a unit vector")
+    s = _frame_axes(n)[0] @ m[1:, 1:].T
+    x_out, y_out = _frame_axes(p @ m[1:].T)
+    cos_w = np.einsum("ij,ij->i", s, x_out)
+    sin_w = np.einsum("ij,ij->i", s, y_out)
+    residual = float(np.abs(np.hypot(cos_w, sin_w) - 1.0).max())
+    if not residual <= STABILIZER_TOL:
         raise NumericalConsistencyError(
             f"little-group element fails to stabilize the reference momentum "
             f"(residual {residual:.3e})"
         )
-    return math.atan2(w[2, 1], w[1, 1])
+    return np.arctan2(sin_w, cos_w)

@@ -17,8 +17,8 @@
 
 Both Fock-basis protocols are functions of their phases alone:
 ``type2_reduced(phase_a, phase_b)`` and ``type3_reduced(phase)`` give the
-occupation-basis matrices on dims (2, 2); ``li-check`` computes the phases
-from ``lorentz.wigner_phase``.
+occupation-basis matrices on dims (2, 2); ``li-check`` computes both arms'
+phases in one ``lorentz.wigner_phases`` call.
 """
 
 from __future__ import annotations

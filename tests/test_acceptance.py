@@ -12,16 +12,12 @@ import numpy as np
 from boostlink.cli import Scenario, SweepSpec, run_negativity_sweep
 from boostlink.diffraction import BeamProfile, diffracted_reduced_type1, make_grid
 from boostlink.lorentz import (
-    FourVector,
-    SphericalDirection,
-    apply,
     approx_transform_theta,
     boost_z,
-    rotation_y,
-    rotation_z,
-    standard_boost,
+    polar_angles,
     transform_angles,
-    wigner_phase,
+    unit_vectors,
+    wigner_phases,
 )
 from boostlink.photon import linear_basis
 from boostlink.purification import (
@@ -41,6 +37,7 @@ from boostlink.quantum import (
     trace_distance,
 )
 from boostlink.states import pair_amplitudes, type2_reduced, type3_reduced
+from test_lorentz import K, inverse, little_group, random_transform, rotation_y, rotation_z
 
 BASELINE_NEGATIVITY_SIGMA1 = 0.19917779685594897
 
@@ -50,35 +47,39 @@ def report(number, ok, detail):
     assert ok, f"criterion {number}: {detail}"
 
 
+def unit(direction):
+    """Unit vector along the direction angles (theta, phi)."""
+    return unit_vectors(*polar_angles(*direction))
+
+
+def antipode(direction):
+    theta, phi = direction
+    return math.pi - theta, phi + math.pi
+
+
 def type1_matrix(dir_a, dir_b, beta=None):
-    """Polarization matrix of the type-I pair along ``dir_a`` and ``dir_b``;
-    with ``beta``, after a z-boost, which aberrates both directions."""
+    """Polarization matrix of the type-I pair along the angle pairs ``dir_a``
+    and ``dir_b``; with ``beta``, after a z-boost, which aberrates both
+    directions."""
     if beta is not None:
-        dir_a, dir_b = transform_angles(dir_a, beta), transform_angles(dir_b, beta)
-    amplitude = pair_amplitudes(dir_a.unit_vector()[None], dir_b.unit_vector()[None])[0]
+        dir_a, dir_b = transform_angles(*dir_a, beta), transform_angles(*dir_b, beta)
+    amplitude = pair_amplitudes(unit(dir_a)[None], unit(dir_b)[None])[0]
     return DensityMatrix.from_pure(amplitude, (3, 3))
 
 
 def pair_distance(theta, beta):
-    dir_a = SphericalDirection(theta, 0.0)
-    pair = (dir_a, dir_a.antipode())
+    pair = ((theta, 0.0), antipode((theta, 0.0)))
     return trace_distance(type1_matrix(*pair), type1_matrix(*pair, beta))
 
 
 def h_matrix(direction):
     """Density matrix of the h polarization vector at ``direction``."""
-    h = linear_basis(*direction.unit_vector()[:, None])[:3, 0]
+    h = linear_basis(*unit(direction)[:, None])[:3, 0]
     return DensityMatrix.from_pure(h, (3,))
 
 
 def random_direction(rng):
-    return SphericalDirection(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))
-
-
-def random_transform(rng):
-    t = rotation_z(rng.uniform(0, 2 * math.pi)) @ rotation_y(rng.uniform(0, math.pi))
-    t = t @ boost_z(rng.uniform(-0.8, 0.8))
-    return t @ rotation_z(rng.uniform(0, 2 * math.pi))
+    return math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi)
 
 
 def test_criterion_1_single_photon_error_law():
@@ -91,9 +92,8 @@ def test_criterion_1_single_photon_error_law():
             geometry = math.sin(theta) * math.cos(phi)
             if abs(geometry) < 0.05:
                 continue
-            direction = SphericalDirection(theta, phi)
             numeric = trace_distance(
-                h_matrix(direction), h_matrix(transform_angles(direction, beta))
+                h_matrix((theta, phi)), h_matrix(transform_angles(theta, phi, beta))
             )
             expected = beta * abs(geometry)
             worst = max(worst, abs(numeric - expected) / expected)
@@ -118,14 +118,13 @@ def test_criterion_2_pair_error_law():
 
 
 def test_criterion_3_fock_state_lorentz_invariance():
-    dir_a = SphericalDirection(0.8, 0.4)
-    momenta = (FourVector.photon(dir_a), FourVector.photon(dir_a.antipode()))
+    arms = np.stack([unit((0.8, 0.4)), unit(antipode((0.8, 0.4)))])
     worst_three = 0.0
     worst_two = 0.0
     worst_neg = 0.0
     for beta in (1e-5, 0.3):
         # helicity +1: each branch phase shifts by minus its arm's Wigner phase
-        known_a, known_b = (wigner_phase(boost_z(beta), p) for p in momenta)
+        known_a, known_b = wigner_phases(boost_z(beta), arms).tolist()
         shift_a, shift_b = -known_a, -known_b
         b3 = type3_reduced(shift_a + shift_b)
         worst_three = max(worst_three, trace_distance(type3_reduced(0.0), b3))
@@ -275,29 +274,33 @@ def test_criterion_8_purification_claims():
 
 
 def test_criterion_9_wigner_phase_consistency():
+    # the array kernel checks |(s . x', s . y')| = 1 to 1e-8 on every call;
+    # the residual reported is that of the 4x4 reference chain, W k - k
     rng = np.random.default_rng(202)
-    k = np.array([1.0, 0.0, 0.0, 1.0])
     worst_residual = 0.0
     for _ in range(1000):
-        p = FourVector.photon(random_direction(rng), energy=rng.uniform(0.5, 2.0))
+        n = unit(random_direction(rng))
+        p = rng.uniform(0.5, 2.0) * np.concatenate([[1.0], n])
         t = random_transform(rng)
-        w = standard_boost(apply(t, p)).inverse().m @ t.m @ standard_boost(p).m
-        worst_residual = max(worst_residual, float(np.abs(w @ k - k).max()))
+        wigner_phases(t, [n])  # must not raise
+        worst_residual = max(worst_residual, float(np.abs(little_group(t, p) @ K - K).max()))
 
     worst_collinear = 0.0
     for _ in range(50):
-        d = random_direction(rng)
-        frame = rotation_z(d.phi) @ rotation_y(d.theta)
-        collinear = frame @ boost_z(rng.uniform(-0.8, 0.8)) @ frame.inverse()
-        p = FourVector.photon(d, energy=rng.uniform(0.5, 2.0))
-        worst_collinear = max(worst_collinear, abs(wigner_phase(collinear, p)))
+        theta, phi = random_direction(rng)
+        frame = rotation_z(phi) @ rotation_y(theta)
+        collinear = frame @ boost_z(rng.uniform(-0.8, 0.8)) @ inverse(frame)
+        rng.uniform(0.5, 2.0)  # the photon energy, on which the phase does not depend
+        worst_collinear = max(worst_collinear, abs(wigner_phases(collinear, [unit((theta, phi))])[0]))
 
     worst_composition = 0.0
     for _ in range(300):
-        p = FourVector.photon(random_direction(rng), energy=rng.uniform(0.5, 2.0))
+        n = unit(random_direction(rng))
+        p = rng.uniform(0.5, 2.0) * np.concatenate([[1.0], n])
         t1, t2 = random_transform(rng), random_transform(rng)
-        total = wigner_phase(t2 @ t1, p)
-        split = wigner_phase(t2, apply(t1, p)) + wigner_phase(t1, p)
+        moved = (t1 @ p)[1:]
+        total = wigner_phases(t2 @ t1, [n])[0]
+        split = wigner_phases(t2, [moved / np.linalg.norm(moved)])[0] + wigner_phases(t1, [n])[0]
         gap = abs((total - split + math.pi) % (2 * math.pi) - math.pi)
         worst_composition = max(worst_composition, gap)
 
@@ -310,13 +313,13 @@ def test_criterion_9_wigner_phase_consistency():
 def test_criterion_10_approximate_aberration_map():
     worst = 0.0
     for beta in (1e-5, 1e-4, 1e-3):
-        exact = transform_angles(SphericalDirection(math.pi / 2, 0.0), beta).theta - math.pi / 2
+        exact = transform_angles(math.pi / 2, 0.0, beta)[0] - math.pi / 2
         approx = approx_transform_theta(math.pi / 2, beta) - math.pi / 2
         worst = max(worst, abs(approx - exact) / abs(exact))
     sign_ok = True
     for beta in (1e-3, -1e-3):
         for theta in np.linspace(0.05, math.pi - 0.05, 40):
-            exact_dev = transform_angles(SphericalDirection(theta, 0.0), beta).theta - theta
+            exact_dev = transform_angles(theta, 0.0, beta)[0] - theta
             approx_dev = approx_transform_theta(theta, beta) - theta
             if math.copysign(1, exact_dev) != math.copysign(1, approx_dev):
                 sign_ok = False

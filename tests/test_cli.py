@@ -21,24 +21,24 @@ from boostlink.cli import (
     run_single_photon_sweep,
 )
 from boostlink.errors import ConfigError, DomainError
-from boostlink.lorentz import (
-    FourVector,
-    SphericalDirection,
-    aberrate,
-    boost_z,
-    unit_vectors,
-    wigner_phase,
-)
+from boostlink.lorentz import aberrate, boost_z, polar_angles, unit_vectors, wigner_phases
 from boostlink.photon import linear_basis
 from boostlink.quantum import DensityMatrix, negativity, trace_distance
 from boostlink.states import pair_amplitudes
+
+
+def back_to_back(theta, phi):
+    """Unit vectors of arm A along (theta, phi) and of arm B at its polar
+    antipode (pi - theta, phi + pi)."""
+    theta, phi = polar_angles(theta, phi)
+    return unit_vectors(theta, phi), unit_vectors(*polar_angles(math.pi - theta, phi + math.pi))
 
 
 def photon_distance(theta, phi, beta):
     """Trace distance between the h polarization of a photon along
     (theta, phi) and of the same photon boosted by ``beta``, point by point
     through the sweep's kernel."""
-    rest = SphericalDirection(theta, phi).unit_vector()
+    rest = unit_vectors(*polar_angles(theta, phi))
     moved = np.array(aberrate(rest, 0.0, beta))
 
     def h_matrix(n):
@@ -55,8 +55,7 @@ def pair_distance(theta, phi, beta):
     def matrix(a, b):
         return DensityMatrix.from_pure(pair_amplitudes(a[None], b[None])[0], (3, 3))
 
-    dir_a = SphericalDirection(theta, phi)
-    n_a, n_b = dir_a.unit_vector(), dir_a.antipode().unit_vector()
+    n_a, n_b = back_to_back(theta, phi)
     moved_a, moved_b = (np.array(aberrate(n, 0.0, beta)) for n in (n_a, n_b))
     return trace_distance(matrix(n_a, n_b), matrix(moved_a, moved_b))
 
@@ -265,7 +264,7 @@ class TestBatchedSweeps:
 
     def test_out_of_range_theta_rejected_as_per_point(self):
         with pytest.raises(DomainError) as per_point:
-            SphericalDirection(4.0, 0.0)
+            polar_angles(4.0, 0.0)
         for run in (run_single_photon_sweep, run_pair_sweep):
             with pytest.raises(DomainError) as batched:
                 run(Scenario(beta=1e-5, theta=SweepSpec(0.0, 4.0, 3), phi=0.0))
@@ -326,14 +325,11 @@ class TestOnAxisAzimuth:
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-def object_layer_fock_rows(theta, phi, beta):
+def reference_fock_rows(theta, phi, beta):
     """li-check's type II/III rows as the per-protocol object layer built
-    them: a photon four-vector per arm, the Wigner phases taken once per
-    protocol, helicity +1, and the occupation-basis layout (type II on
-    indices 2 and 1, type III on 0 and 3)."""
-    dir_a = SphericalDirection(theta, phi)
-    p_a, p_b = FourVector.photon(dir_a), FourVector.photon(dir_a.antipode())
-    transform = boost_z(beta)
+    them: the Wigner phase of each arm, helicity +1, and the occupation-basis
+    layout (type II on indices 2 and 1, type III on 0 and 3)."""
+    theta_a, theta_b = wigner_phases(boost_z(beta), np.stack(back_to_back(theta, phi)))
 
     def type2(phi_a, phi_b):
         psi = np.zeros(4, dtype=complex)
@@ -347,10 +343,8 @@ def object_layer_fock_rows(theta, phi, beta):
         psi[3] = -np.exp(1j * chi) * _INV_SQRT2
         return DensityMatrix.from_pure(psi, (2, 2))
 
-    boosted2 = type2(
-        0.0 - wigner_phase(transform, p_a), 0.0 - wigner_phase(transform, p_b)
-    )
-    boosted3 = type3(0.0 - (wigner_phase(transform, p_a) + wigner_phase(transform, p_b)))
+    boosted2 = type2(0.0 - theta_a, 0.0 - theta_b)
+    boosted3 = type3(0.0 - (theta_a + theta_b))
     rows = []
     for name, source, boosted, compensated in (
         ("type2", type2(0.0, 0.0), boosted2, (type2(0.0, 0.0), type2(0.0, 0.0))),
@@ -387,7 +381,7 @@ class TestFockRows:
     def test_rows_equal_object_layer_reference(self, beta, theta, phi):
         rows = run_li_check(Scenario(beta=beta, theta=theta, phi=phi))
         assert [row["protocol"] for row in rows] == ["type1", "type2", "type3"]
-        reference = object_layer_fock_rows(theta, phi, beta)
+        reference = reference_fock_rows(theta, phi, beta)
         for row, expected in zip(rows[1:], reference):
             assert list(row) == list(expected)
             for key, value in expected.items():
@@ -395,16 +389,32 @@ class TestFockRows:
 
     def test_one_wigner_phase_per_arm(self, monkeypatch, capsys):
         calls = []
-        original = cli.wigner_phase
+        original = cli.wigner_phases
 
-        def counting(transform, p):
-            calls.append(p)
-            return original(transform, p)
+        def counting(m, n):
+            calls.append(np.shape(n))
+            return original(m, n)
 
-        monkeypatch.setattr(cli, "wigner_phase", counting)
+        monkeypatch.setattr(cli, "wigner_phases", counting)
         assert main(["li-check"]) == 0
         capsys.readouterr()
-        assert len(calls) == 2
+        assert calls == [(2, 3)]
+
+    @pytest.mark.parametrize("command", ["single-photon", "li-check"])
+    @pytest.mark.parametrize("beta", ["0.9999", "-0.9999", "0.99999", "-0.99999", "0.999999"])
+    def test_fast_boost_exits_0(self, command, beta, capsys):
+        # the metric residual of boost_z grows as gamma^2 in rounding (1.1e-12
+        # at 0.9999); an absolute 1e-12 bound rejected these boosts
+        assert main([command, "--beta", beta]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "m", [np.diag([1.0, -1.0, -1.0, -1.0]), np.diag([-1.0, -1.0, -1.0, -1.0]), 2.0 * np.eye(4)]
+    )
+    def test_non_lorentz_or_improper_matrix_exits_2(self, m, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "boost_z", lambda beta: m)
+        assert main(["li-check"]) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 class TestNegativeFlagValues:
@@ -749,6 +759,18 @@ class TestMainEntry:
         monkeypatch.setattr(cli, "run_li_check", broken)
         assert cli.main(["li-check"]) == 3
         assert "numerical consistency" in capsys.readouterr().err
+
+    def test_broken_stabilizer_identity_exits_3(self, capsys, monkeypatch):
+        # frame axes off unit norm break |(s . x', s . y')| = 1 inside the
+        # real Wigner-phase kernel
+        from boostlink import lorentz
+
+        original = lorentz._frame_axes
+        monkeypatch.setattr(
+            lorentz, "_frame_axes", lambda v: tuple(1.001 * axis for axis in original(v))
+        )
+        assert main(["li-check"]) == 3
+        assert "fails to stabilize" in capsys.readouterr().err
 
     def test_degenerate_protocol_error_exits_3(self, capsys, monkeypatch):
         from boostlink import purification

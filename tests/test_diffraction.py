@@ -24,7 +24,7 @@ from boostlink.diffraction import (
     normalized_weights,
 )
 from boostlink.errors import DomainError
-from boostlink.lorentz import SphericalDirection, aberrate
+from boostlink.lorentz import aberrate, polar_angles, unit_vectors
 from boostlink.photon import linear_basis
 from boostlink.quantum import DensityMatrix, negativity, purity
 from boostlink.states import pair_amplitudes
@@ -246,8 +246,8 @@ class TestDiffractedReducedType1:
         assert purity(rho) == pytest.approx(1.0, abs=1e-9)
 
     def test_sharp_negativity_matches_states_module(self):
-        dir_a = SphericalDirection(0.4, 0.0)
-        a, b = (np.array(aberrate(d.unit_vector(), 0.0, 0.15)) for d in (dir_a, dir_a.antipode()))
+        arms = unit_vectors(*polar_angles(np.array([0.4, math.pi - 0.4]), np.array([0.0, math.pi])))
+        a, b = (np.array(aberrate(n, 0.0, 0.15)) for n in arms)
         sharp = pair_amplitudes(a[None], b[None])[0]
         rho = DensityMatrix.from_pure(sharp, (3, 3))
         assert negativity(rho, 0) == pytest.approx(0.5, abs=1e-12)

@@ -8,34 +8,94 @@ from hypothesis import strategies as st
 from boostlink.errors import DomainError
 from boostlink.lorentz import (
     MINKOWSKI_METRIC,
-    FourVector,
-    LorentzTransform,
-    SphericalDirection,
     aberrate,
-    apply,
     approx_transform_theta,
     boost_z,
-    rotation_y,
-    rotation_z,
-    standard_boost,
+    null_mask,
+    polar_angles,
     transform_angles,
-    wigner_phase,
+    unit_vectors,
+    wigner_phases,
 )
 
+K = np.array([1.0, 0.0, 0.0, 1.0])
 
-def metric_residual(transform):
-    m = transform.m
+
+# ---------------------------------------------------------------------------
+# reference: the 4x4 little-group chain W = L(m p)^-1 m L(p), written out on
+# matrices, independently of the closed form in ``wigner_phases``
+# ---------------------------------------------------------------------------
+
+
+def rotation_y(theta):
+    """Spatial rotation about the y axis, embedded in 4x4."""
+    c, s = math.cos(theta), math.sin(theta)
+    m = np.eye(4)
+    m[1:, 1:] = [[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]]
+    return m
+
+
+def rotation_z(phi):
+    """Spatial rotation about the z axis, embedded in 4x4."""
+    c, s = math.cos(phi), math.sin(phi)
+    m = np.eye(4)
+    m[1:, 1:] = [[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]
+    return m
+
+
+def inverse(m):
+    """eta m^T eta inverts any metric-preserving matrix exactly."""
+    return MINKOWSKI_METRIC @ m.T @ MINKOWSKI_METRIC
+
+
+def standard_boost(p):
+    """Canonical transform L(p) = R_z(phi) R_y(theta) B_z taking the reference
+    null vector k = (1, 0, 0, 1) to the null momentum ``p``."""
+    t, x, y, z = p
+    theta = math.atan2(math.hypot(x, y), z)
+    # on the z axis the azimuth is arbitrary: take 0, not atan2(0, -0.0) = pi
+    phi = math.atan2(y, x) if x or y else 0.0
+    # gamma*(1 - beta) = E  solves to  beta = (1 - E^2) / (1 + E^2).
+    return rotation_z(phi) @ rotation_y(theta) @ boost_z((1.0 - t * t) / (1.0 + t * t))
+
+
+def little_group(m, p):
+    return inverse(standard_boost(m @ p)) @ m @ standard_boost(p)
+
+
+def reference_phase(m, p):
+    """Rotation angle of W, read off its x-y block."""
+    w = little_group(m, p)
+    return math.atan2(w[2, 1], w[1, 1])
+
+
+def photon(n, energy=1.0):
+    return energy * np.concatenate([[1.0], n])
+
+
+def metric_residual(m):
     return np.abs(m.T @ MINKOWSKI_METRIC @ m - MINKOWSKI_METRIC).max()
 
 
 def random_direction(rng):
-    return SphericalDirection(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))
+    return unit_vectors(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))
 
 
 def random_transform(rng, beta_max=0.8):
     t = rotation_z(rng.uniform(0, 2 * math.pi)) @ rotation_y(rng.uniform(0, math.pi))
     t = t @ boost_z(rng.uniform(-beta_max, beta_max))
     return t @ rotation_z(rng.uniform(0, 2 * math.pi))
+
+
+def tilted_boost(rng, beta_max=0.99):
+    """R B_z(beta) R^-1: a boost along a random axis."""
+    r = rotation_z(rng.uniform(0, 2 * math.pi)) @ rotation_y(rng.uniform(0, math.pi))
+    return r @ boost_z(rng.uniform(-beta_max, beta_max)) @ inverse(r)
+
+
+def wrapped(angle):
+    """``angle`` reduced to [-pi, pi)."""
+    return (angle + math.pi) % (2 * math.pi) - math.pi
 
 
 # fixed-seed property tests: derandomized, no example database
@@ -51,23 +111,73 @@ TRANSFORMS = st.builds(
 )
 
 
+class TestRotations:
+    """The reference chain's rotations."""
+
+    def test_zero_angle_identity(self):
+        assert np.allclose(rotation_y(0.0), np.eye(4), atol=1e-15)
+        assert np.allclose(rotation_z(0.0), np.eye(4), atol=1e-15)
+
+    def test_quarter_turn_about_z(self):
+        assert np.allclose(rotation_z(math.pi / 2) @ [0, 1, 0, 0], [0, 0, 1, 0], atol=1e-12)
+
+    def test_direction_construction(self):
+        # R_z(phi) R_y(theta) applied to the +z photon lands on (theta, phi).
+        rng = np.random.default_rng(11)
+        for _ in range(25):
+            theta = rng.uniform(0.05, math.pi - 0.05)
+            phi = rng.uniform(0, 2 * math.pi)
+            v = rotation_z(phi) @ rotation_y(theta) @ K
+            assert np.allclose(v, photon(unit_vectors(theta, phi)), atol=1e-12)
+            assert null_mask(v, 1e-12)
+
+    def test_metric_preserved(self):
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            assert metric_residual(rotation_y(rng.uniform(-10, 10))) <= 1e-12
+            assert metric_residual(rotation_z(rng.uniform(-10, 10))) <= 1e-12
+
+
+class TestApply:
+    """A transform acts on four-vectors (t, x, y, z) as a matrix product."""
+
+    def test_identity(self):
+        v = np.array([2.0, 0.3, -0.4, 1.1])
+        assert np.array_equal(np.eye(4) @ v, v)
+
+    def test_collinear_doppler(self):
+        beta = 0.6
+        gamma = 1.0 / math.sqrt(1.0 - beta * beta)
+        expected = gamma * (1.0 - beta)
+        assert np.allclose(boost_z(beta) @ K, [expected, 0, 0, expected], rtol=1e-12)
+
+    def test_null_norm_preserved(self):
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            p = photon(random_direction(rng), energy=rng.uniform(0.5, 2.0))
+            assert null_mask(random_transform(rng) @ p, 1e-12)
+
+
 class TestBoostZ:
     def test_zero_velocity_is_identity(self):
-        assert np.allclose(boost_z(0.0).m, np.eye(4), atol=1e-15)
+        assert np.allclose(boost_z(0.0), np.eye(4), atol=1e-15)
 
     def test_half_c_entries(self):
         gamma = 1.0 / math.sqrt(1.0 - 0.25)
-        m = boost_z(0.5).m
+        m = boost_z(0.5)
         assert m[0, 0] == pytest.approx(gamma, rel=1e-12)
         assert m[3, 3] == pytest.approx(gamma, rel=1e-12)
         assert m[0, 3] == pytest.approx(-gamma * 0.5, rel=1e-12)
         assert m[3, 0] == pytest.approx(-gamma * 0.5, rel=1e-12)
 
+    def test_read_only(self):
+        with pytest.raises(ValueError):
+            boost_z(0.5)[0, 0] = 1.0
+
     def test_velocity_addition(self):
         for b1, b2 in [(0.3, 0.4), (-0.5, 0.2), (0.9, 0.9), (1e-5, 1e-5)]:
             combined = (b1 + b2) / (1.0 + b1 * b2)
-            product = boost_z(b1) @ boost_z(b2)
-            assert np.allclose(product.m, boost_z(combined).m, atol=1e-12)
+            assert np.allclose(boost_z(b1) @ boost_z(b2), boost_z(combined), atol=1e-12)
 
     def test_superluminal_rejected(self):
         for beta in (1.0, -1.0, 1.5):
@@ -80,79 +190,29 @@ class TestBoostZ:
             assert metric_residual(boost_z(rng.uniform(-0.95, 0.95))) <= 1e-12
 
 
-class TestRotations:
-    def test_zero_angle_identity(self):
-        assert np.allclose(rotation_y(0.0).m, np.eye(4), atol=1e-15)
-        assert np.allclose(rotation_z(0.0).m, np.eye(4), atol=1e-15)
-
-    def test_quarter_turn_about_z(self):
-        v = apply(rotation_z(math.pi / 2), FourVector(0, 1, 0, 0))
-        assert np.allclose(v.as_array(), [0, 0, 1, 0], atol=1e-12)
-
-    def test_direction_construction(self):
-        # R_z(phi) R_y(theta) applied to the +z photon lands on (theta, phi).
-        rng = np.random.default_rng(11)
-        for _ in range(25):
-            theta = rng.uniform(0.05, math.pi - 0.05)
-            phi = rng.uniform(0, 2 * math.pi)
-            v = apply(rotation_z(phi) @ rotation_y(theta), FourVector(1, 0, 0, 1))
-            expected = [
-                1.0,
-                math.sin(theta) * math.cos(phi),
-                math.sin(theta) * math.sin(phi),
-                math.cos(theta),
-            ]
-            assert np.allclose(v.as_array(), expected, atol=1e-12)
-            assert abs(v.minkowski_sq()) <= 1e-12
-
-    def test_metric_preserved(self):
-        rng = np.random.default_rng(13)
-        for _ in range(50):
-            assert metric_residual(rotation_y(rng.uniform(-10, 10))) <= 1e-12
-            assert metric_residual(rotation_z(rng.uniform(-10, 10))) <= 1e-12
-
-
-class TestApply:
-    def test_identity(self):
-        v = FourVector(2.0, 0.3, -0.4, 1.1)
-        w = apply(LorentzTransform(np.eye(4)), v)
-        assert np.allclose(w.as_array(), v.as_array(), atol=1e-15)
-
-    def test_collinear_doppler(self):
-        beta = 0.6
-        gamma = 1.0 / math.sqrt(1.0 - beta * beta)
-        v = apply(boost_z(beta), FourVector(1, 0, 0, 1))
-        expected = gamma * (1.0 - beta)
-        assert np.allclose(v.as_array(), [expected, 0, 0, expected], rtol=1e-12)
-
-    def test_null_norm_preserved(self):
-        rng = np.random.default_rng(17)
-        for _ in range(40):
-            d = random_direction(rng)
-            p = FourVector.photon(d, energy=rng.uniform(0.5, 2.0))
-            q = apply(random_transform(rng), p)
-            assert abs(q.minkowski_sq()) <= 1e-12 * q.t * q.t
-
-
 class TestTransformAngles:
     def test_forward_axis_fixed(self):
         for beta in (0.0, 0.3, -0.7, 1e-5):
-            out = transform_angles(SphericalDirection(0.0, 0.4), beta)
-            assert out.theta == pytest.approx(0.0, abs=1e-15)
+            assert transform_angles(0.0, 0.4, beta)[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_zero_velocity_identity(self):
-        d = SphericalDirection(1.234, 5.0)
-        out = transform_angles(d, 0.0)
-        assert out.theta == pytest.approx(d.theta, abs=1e-15)
-        assert out.phi == pytest.approx(d.phi, abs=1e-15)
+        theta, phi = transform_angles(1.234, 5.0, 0.0)
+        assert theta == pytest.approx(1.234, abs=1e-15)
+        assert phi == pytest.approx(5.0, abs=1e-15)
+
+    def test_azimuth_reduced_and_polar_angle_validated(self):
+        assert transform_angles(1.0, 2.0 + 6 * math.pi, 0.0)[1] == pytest.approx(2.0, abs=1e-9)
+        for theta in (-0.5, 4.0):
+            with pytest.raises(DomainError, match="polar angle"):
+                transform_angles(theta, 0.0, 0.0)
 
     def test_equator_small_beta(self):
         beta = 1e-5
-        out = transform_angles(SphericalDirection(math.pi / 2, 0.0), beta)
+        theta, _ = transform_angles(math.pi / 2, 0.0, beta)
         gamma = 1.0 / math.sqrt(1.0 - beta * beta)
         expected_cos = -gamma * beta / math.sqrt(1.0 + gamma * gamma * beta * beta)
-        assert math.cos(out.theta) == pytest.approx(expected_cos, rel=1e-9)
-        assert out.theta == pytest.approx(math.pi / 2 + beta, rel=1e-4)
+        assert math.cos(theta) == pytest.approx(expected_cos, rel=1e-9)
+        assert theta == pytest.approx(math.pi / 2 + beta, rel=1e-4)
 
     def test_matches_sine_form(self):
         # sin(theta') = sin(theta)/sqrt(sin^2 + gamma^2 (cos - beta)^2),
@@ -165,51 +225,48 @@ class TestTransformAngles:
             denom = math.sqrt(
                 math.sin(theta) ** 2 + gamma**2 * (math.cos(theta) - beta) ** 2
             )
-            out = transform_angles(SphericalDirection(theta, 1.0), beta)
-            assert math.sin(out.theta) == pytest.approx(math.sin(theta) / denom, abs=1e-12)
+            out, _ = transform_angles(theta, 1.0, beta)
+            assert math.sin(out) == pytest.approx(math.sin(theta) / denom, abs=1e-12)
             if abs(math.cos(theta) - beta) > 1e-12:
-                assert math.copysign(1, math.cos(out.theta)) == math.copysign(
+                assert math.copysign(1, math.cos(out)) == math.copysign(
                     1, math.cos(theta) - beta
                 )
 
     def test_matches_boosted_momentum_direction(self):
         rng = np.random.default_rng(23)
         for _ in range(50):
-            d = random_direction(rng)
+            theta, phi = math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi)
             beta = rng.uniform(-0.9, 0.9)
-            boosted = apply(boost_z(beta), FourVector.photon(d))
-            out = transform_angles(d, beta)
-            assert np.allclose(
-                boosted.direction().unit_vector(), out.unit_vector(), atol=1e-12
-            )
+            boosted = (boost_z(beta) @ photon(unit_vectors(theta, phi)))[1:]
+            out = unit_vectors(*transform_angles(theta, phi, beta))
+            assert np.allclose(boosted / np.linalg.norm(boosted), out, atol=1e-12)
 
     @PROPERTY
     @given(theta=POLAR, phi=AZIMUTH, b1=VELOCITY, b2=VELOCITY)
     def test_composes_by_velocity_addition(self, theta, phi, b1, b2):
-        d = SphericalDirection(theta, phi)
-        twice = transform_angles(transform_angles(d, b1), b2)
-        once = transform_angles(d, (b1 + b2) / (1.0 + b1 * b2))
-        assert twice.theta == pytest.approx(once.theta, abs=1e-12)
-        assert twice.phi == once.phi
+        twice = transform_angles(*transform_angles(theta, phi, b1), b2)
+        once = transform_angles(theta, phi, (b1 + b2) / (1.0 + b1 * b2))
+        assert twice[0] == pytest.approx(once[0], abs=1e-12)
+        assert twice[1] == once[1]
 
     def test_round_trip_with_inverse_velocity(self):
         rng = np.random.default_rng(29)
         for _ in range(100):
-            d = random_direction(rng)
+            theta, phi = math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi)
             beta = rng.uniform(-0.9, 0.9)
-            back = transform_angles(transform_angles(d, beta), -beta)
-            assert back.theta == pytest.approx(d.theta, abs=1e-10)
-            assert back.phi == pytest.approx(d.phi, abs=1e-12)
+            back = transform_angles(*transform_angles(theta, phi, beta), -beta)
+            assert back[0] == pytest.approx(theta, abs=1e-10)
+            assert back[1] == pytest.approx(phi, abs=1e-12)
 
     def test_monotone_in_theta(self):
         thetas = np.linspace(0.0, math.pi, 400)
         for beta in (-0.9, -0.3, 0.2, 0.7):
-            mapped = [transform_angles(SphericalDirection(t, 0.0), beta).theta for t in thetas]
+            mapped = [transform_angles(t, 0.0, beta)[0] for t in thetas]
             assert all(b > a for a, b in zip(mapped, mapped[1:]))
 
     def test_superluminal_rejected(self):
         with pytest.raises(DomainError):
-            transform_angles(SphericalDirection(1.0, 0.0), 1.0)
+            transform_angles(1.0, 0.0, 1.0)
 
 
 class TestAberrate:
@@ -240,7 +297,7 @@ class TestApproxTransformTheta:
 
     def test_agrees_with_exact_map_at_equator(self):
         for beta in (1e-5, 1e-4, 1e-3):
-            exact = transform_angles(SphericalDirection(math.pi / 2, 0.0), beta).theta
+            exact, _ = transform_angles(math.pi / 2, 0.0, beta)
             approx = approx_transform_theta(math.pi / 2, beta)
             assert abs(approx - math.pi / 2) == pytest.approx(
                 abs(exact - math.pi / 2), rel=5e-3
@@ -254,113 +311,183 @@ class TestApproxTransformTheta:
 
 
 class TestStandardBoost:
+    """The reference chain's canonical transform L(p)."""
+
     def test_reference_vector_gives_identity(self):
-        t = standard_boost(FourVector(1, 0, 0, 1))
-        assert np.allclose(t.m, np.eye(4), atol=1e-12)
+        assert np.allclose(standard_boost(K), np.eye(4), atol=1e-12)
 
     def test_energy_two_is_pure_z_boost(self):
         # gamma*(1 - beta) = 2 has the solution beta = -3/5.
-        t = standard_boost(FourVector(2, 0, 0, 2))
-        assert np.allclose(t.m, boost_z(-0.6).m, atol=1e-12)
+        assert np.allclose(standard_boost(2.0 * K), boost_z(-0.6), atol=1e-12)
 
     def test_equatorial_unit_momentum_is_rotation(self):
-        t = standard_boost(FourVector.photon(SphericalDirection(math.pi / 2, 0.0)))
-        assert np.allclose(t.m, rotation_y(math.pi / 2).m, atol=1e-12)
+        p = photon(unit_vectors(math.pi / 2, 0.0))
+        assert np.allclose(standard_boost(p), rotation_y(math.pi / 2), atol=1e-12)
 
     def test_maps_reference_to_momentum(self):
         rng = np.random.default_rng(31)
-        k = FourVector(1, 0, 0, 1)
         for _ in range(60):
-            p = FourVector.photon(random_direction(rng), energy=rng.uniform(0.3, 3.0))
-            image = apply(standard_boost(p), k)
-            assert np.abs(image.as_array() - p.as_array()).max() <= 1e-10
+            p = photon(random_direction(rng), energy=rng.uniform(0.3, 3.0))
+            assert np.abs(standard_boost(p) @ K - p).max() <= 1e-10
 
     def test_invalid_momentum_rejected(self):
-        with pytest.raises(DomainError):
-            standard_boost(FourVector(1, 0, 0, 0.5))
-        with pytest.raises(DomainError):
-            standard_boost(FourVector(-1, 0, 0, -1))
+        # the kernel takes unit-energy momenta, so a non-null one is a
+        # direction off unit norm
+        for bad in ([0.0, 0.0, 0.5], [0.0, 0.0, 1.1], [0.6, 0.0, 0.81]):
+            with pytest.raises(DomainError, match="unit vector"):
+                wigner_phases(boost_z(0.3), [[0.6, 0.0, 0.8], bad])
 
 
 class TestWignerPhase:
     def test_collinear_boost_no_rotation(self):
-        p = FourVector(1, 0, 0, 1)
         for beta in (0.1, 0.5, -0.8):
-            assert abs(wigner_phase(boost_z(beta), p)) <= 1e-10
-
-    def test_rotation_about_momentum_axis(self):
-        p = FourVector(1, 0, 0, 1)
-        for phi0 in (0.3, -1.2, 2.9):
-            assert wigner_phase(rotation_z(phi0), p) == pytest.approx(phi0, abs=1e-12)
-
-    def test_pure_boost_collinear_with_momentum(self):
-        # Boost along an arbitrary p implemented by conjugating a z-boost.
-        rng = np.random.default_rng(37)
-        for _ in range(20):
-            d = random_direction(rng)
-            frame = rotation_z(d.phi) @ rotation_y(d.theta)
-            transform = frame @ boost_z(rng.uniform(-0.8, 0.8)) @ frame.inverse()
-            p = FourVector.photon(d, energy=rng.uniform(0.5, 2.0))
-            assert abs(wigner_phase(transform, p)) <= 1e-10
-
-    @PROPERTY
-    @given(theta=POLAR, phi=AZIMUTH, energy=st.floats(0.5, 2.0), t1=TRANSFORMS, t2=TRANSFORMS)
-    def test_group_composition(self, theta, phi, energy, t1, t2):
-        p = FourVector.photon(SphericalDirection(theta, phi), energy=energy)
-        total = wigner_phase(t2 @ t1, p)
-        split = wigner_phase(t2, apply(t1, p)) + wigner_phase(t1, p)
-        diff = (total - split + math.pi) % (2 * math.pi) - math.pi
-        assert abs(diff) <= 1e-12
+            assert abs(wigner_phases(boost_z(beta), [[0.0, 0.0, 1.0]])[0]) <= 1e-10
 
     def test_stabilizer_residual_on_random_inputs(self):
+        # the reference W stabilizes k, and the kernel's own check, that the
+        # x-y block of W has unit norm, passes
         rng = np.random.default_rng(43)
-        k = np.array([1.0, 0.0, 0.0, 1.0])
         for _ in range(200):
-            p = FourVector.photon(random_direction(rng), energy=rng.uniform(0.5, 2.0))
+            p = photon(random_direction(rng), energy=rng.uniform(0.5, 2.0))
             t = random_transform(rng)
-            w = (
-                standard_boost(apply(t, p)).inverse().m
-                @ t.m
-                @ standard_boost(p).m
-            )
-            assert np.abs(w @ k - k).max() <= 1e-8
-            wigner_phase(t, p)  # must not raise
+            assert np.abs(little_group(t, p) @ K - K).max() <= 1e-8
+            wigner_phases(t, [p[1:] / p[0]])  # must not raise
+
+    def test_matches_reference_chain_under_tilted_boosts(self):
+        # 2000 boosts along random axes and 2000 general transforms, each on a
+        # random direction and energy, against W = L(m p)^-1 m L(p)
+        rng = np.random.default_rng(53)
+        for make in (tilted_boost, random_transform):
+            for _ in range(2000):
+                m = make(rng)
+                n = random_direction(rng)
+                expected = reference_phase(m, photon(n, rng.uniform(0.5, 2.0)))
+                assert abs(wrapped(wigner_phases(m, n[None])[0] - expected)) <= 1e-12
+
+    def test_matches_reference_chain_on_axis_and_under_z_boosts(self):
+        # theta = 0 at a phi with cos(phi) < 0 has x = -0.0; theta = pi keeps
+        # its 1.2e-16 offset from -z
+        rng = np.random.default_rng(59)
+        on_axis = unit_vectors(np.array([0.0, 0.0, math.pi, math.pi]), np.array([0.0, 2.0, 0.4, 5.0]))
+        assert math.copysign(1.0, on_axis[1, 0]) == -1.0
+        directions = np.concatenate([on_axis, [random_direction(rng) for _ in range(200)]])
+        for beta in (-0.9999, -0.5, 1e-5, 0.3, 0.9, 0.99999):
+            m = boost_z(beta)
+            phases = wigner_phases(m, directions)
+            for n, phase in zip(directions, phases):
+                assert abs(wrapped(phase - reference_phase(m, photon(n)))) <= 1e-12
+                assert abs(phase) <= 1e-12  # no Wigner rotation under a z-boost
+        assert wigner_phases(boost_z(0.5), on_axis).tolist() == [0.0] * 4
+
+    def test_subnormal_offsets_from_the_axis(self):
+        # x and y of a few subnormal units: x / hypot(x, y) would not be a
+        # cosine there, the azimuth from atan2 is
+        rng = np.random.default_rng(67)
+        directions = unit_vectors(np.array([5e-324, 1e-320, math.pi - 1e-17]), np.array([0.0, 0.7, 2.0]))
+        for _ in range(100):
+            m = random_transform(rng)
+            for n, phase in zip(directions, wigner_phases(m, directions)):
+                assert abs(wrapped(phase - reference_phase(m, photon(n)))) <= 1e-12
+
+    def test_one_call_on_a_stack_equals_per_row_calls(self):
+        rng = np.random.default_rng(61)
+        m = tilted_boost(rng)
+        directions = np.array([random_direction(rng) for _ in range(50)])
+        stacked = wigner_phases(m, directions)
+        assert stacked.shape == (50,)
+        for n, phase in zip(directions, stacked):
+            assert wigner_phases(m, n[None])[0] == pytest.approx(phase, abs=1e-15)
+
+    def test_rotation_about_momentum_axis(self):
+        for phi0 in (0.3, -1.2, 2.9):
+            phase = wigner_phases(rotation_z(phi0), [[0.0, 0.0, 1.0]])[0]
+            assert phase == pytest.approx(phi0, abs=1e-12)
+
+    def test_pure_boost_collinear_with_momentum(self):
+        # a boost along n, built by conjugating a z-boost, does not rotate n's frame
+        rng = np.random.default_rng(37)
+        for _ in range(20):
+            theta, phi = math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi)
+            frame = rotation_z(phi) @ rotation_y(theta)
+            transform = frame @ boost_z(rng.uniform(-0.8, 0.8)) @ inverse(frame)
+            assert abs(wigner_phases(transform, [unit_vectors(theta, phi)])[0]) <= 1e-10
+
+    @PROPERTY
+    @given(theta=POLAR, phi=AZIMUTH, t1=TRANSFORMS, t2=TRANSFORMS)
+    def test_group_composition(self, theta, phi, t1, t2):
+        # Theta(m2 m1, n) = Theta(m2, n1') + Theta(m1, n), n1' along m1 (1, n)
+        n = unit_vectors(theta, phi)
+        moved = (t1 @ photon(n))[1:]
+        total = wigner_phases(t2 @ t1, [n])[0]
+        split = wigner_phases(t2, [moved / np.linalg.norm(moved)])[0] + wigner_phases(t1, [n])[0]
+        assert abs(wrapped(total - split)) <= 1e-12
+
+
+class TestMatrixCheck:
+    """``wigner_phases`` checks its matrix once: metric preservation relative
+    to the largest entry, and proper orthochronous."""
+
+    N = [[0.6, 0.0, 0.8]]
+
+    @pytest.mark.parametrize("beta", [0.9999, -0.9999, 0.99999, -0.99999, 0.999999])
+    def test_accepts_fast_boosts(self, beta):
+        # the absolute residual of m^T eta m - eta grows as gamma^2 in
+        # rounding: 1.1e-12 at beta = 0.9999
+        assert wigner_phases(boost_z(beta), self.N)[0] == 0.0
+
+    def test_accepts_fast_tilted_boost(self):
+        m = rotation_y(1.2) @ boost_z(0.99999) @ rotation_y(-1.2)
+        assert np.isfinite(wigner_phases(m, self.N)).all()
+
+    @pytest.mark.parametrize(
+        "m, message",
+        [
+            (np.eye(4) + 1e-9 * np.outer(np.eye(4)[0], np.eye(4)[1]), "Minkowski metric"),
+            (np.full((4, 4), math.nan), "Minkowski metric"),
+            (np.diag([-1.0, 1.0, 1.0, 1.0]), "proper orthochronous"),
+            (np.diag([1.0, -1.0, -1.0, -1.0]), "proper orthochronous"),
+            (np.diag([-1.0, -1.0, -1.0, -1.0]), "proper orthochronous"),
+            (np.eye(3), "4x4"),
+        ],
+    )
+    def test_rejects(self, m, message):
+        with pytest.raises(DomainError, match=message):
+            wigner_phases(m, self.N)
 
 
 class TestTypes:
+    """Directions are angle pairs or unit vectors, momenta (t, x, y, z)
+    arrays, and transforms 4x4 matrices."""
+
     def test_spherical_direction_normalizes_phi(self):
-        d = SphericalDirection(1.0, 2.0 + 6 * math.pi)
-        assert d.phi == pytest.approx(2.0, abs=1e-9)
+        _, phi = polar_angles(1.0, 2.0 + 6 * math.pi)
+        assert phi == pytest.approx(2.0, abs=1e-9)
 
     def test_spherical_direction_rejects_bad_theta(self):
-        with pytest.raises(DomainError):
-            SphericalDirection(-0.5, 0.0)
-        with pytest.raises(DomainError):
-            SphericalDirection(4.0, 0.0)
+        for theta in (-0.5, 4.0):
+            with pytest.raises(DomainError, match="polar angle"):
+                polar_angles(theta, 0.0)
 
     def test_antipode(self):
-        d = SphericalDirection(0.7, 1.1)
-        a = d.antipode()
-        assert np.allclose(a.unit_vector(), -d.unit_vector(), atol=1e-12)
+        n = unit_vectors(0.7, 1.1)
+        antipode = unit_vectors(*polar_angles(math.pi - 0.7, 1.1 + math.pi))
+        assert np.allclose(antipode, -n, atol=1e-12)
 
     def test_lorentz_transform_rejects_non_metric_matrix(self):
-        with pytest.raises(DomainError):
-            LorentzTransform(np.eye(4) * 2.0)
+        with pytest.raises(DomainError, match="Minkowski metric"):
+            wigner_phases(np.eye(4) * 2.0, [[0.0, 0.0, 1.0]])
 
     def test_lorentz_transform_rejects_time_reversal(self):
-        m = np.diag([-1.0, 1.0, 1.0, -1.0])
-        with pytest.raises(DomainError):
-            LorentzTransform(m)
+        with pytest.raises(DomainError, match="proper orthochronous"):
+            wigner_phases(np.diag([-1.0, 1.0, 1.0, -1.0]), [[0.0, 0.0, 1.0]])
 
     def test_inverse(self):
         rng = np.random.default_rng(47)
         for _ in range(20):
             t = random_transform(rng)
-            assert np.allclose((t @ t.inverse()).m, np.eye(4), atol=1e-12)
+            assert np.allclose(t @ inverse(t), np.eye(4), atol=1e-12)
 
     def test_photon_null_and_positive(self):
-        p = FourVector.photon(SphericalDirection(1.0, 2.0), energy=1.7)
-        assert p.is_null()
-        assert p.t == pytest.approx(1.7)
-        with pytest.raises(DomainError):
-            FourVector.photon(SphericalDirection(1.0, 2.0), energy=-1.0)
+        p = photon(unit_vectors(1.0, 2.0), energy=1.7)
+        assert null_mask(p) and p[0] == pytest.approx(1.7)
+        assert not null_mask(p + [0.0, 0.0, 0.0, 0.1])
