@@ -24,7 +24,6 @@ from .purification import (
     bell_target,
     photon_budget,
     photons_required,
-    polarization_pair_to_qutrits,
     purify_round,
 )
 from .quantum import (

@@ -31,13 +31,7 @@ from .diffraction import BeamProfile, diffracted_reduced_type1, make_grid
 from .errors import ConfigError, DegenerateProtocolError, DomainError, NumericalConsistencyError
 from .lorentz import aberrate, boost_z, polar_angles, unit_vectors, wigner_phases
 from .photon import check_photons, check_polarizations, linear_basis
-from .purification import (
-    LinkParams,
-    attenuation,
-    photon_budget,
-    photons_required,
-    polarization_pair_to_qutrits,
-)
+from .purification import LinkParams, attenuation, photons_required
 from .quantum import (
     DensityMatrix,
     check_density_matrices,
@@ -155,7 +149,7 @@ def run_single_photon_sweep(scenario: Scenario) -> list[dict]:
     n = len(points)
     rest = unit_vectors(*polar_angles(*np.array(points).T))
     # rest directions first, then their aberrated images
-    normals = np.concatenate([rest, np.transpose(aberrate(rest.T, 0.0, beta))])
+    normals = np.concatenate([rest, _aberrated(rest, beta)])
     eps = linear_basis(*normals.T)[:3].T
     check_polarizations(eps, normals)
     momenta = np.hstack([np.ones((n, 1)), rest])
@@ -208,12 +202,19 @@ def _back_to_back(theta, phi) -> tuple[np.ndarray, np.ndarray]:
     return unit_vectors(theta_a, phi_a), unit_vectors(theta_b, phi_b)
 
 
+def _aberrated(n, beta) -> np.ndarray:
+    """The (N, 3) unit vectors ``n`` aberrated by a z-boost ``beta``,
+    renormalized: ``aberrate`` divides the input's norm defect |n|^2 - 1 by
+    gamma^2 (1 - beta n_z)^2, which is 5e-5 at beta n_z = |beta| = 0.9999."""
+    moved = np.transpose(aberrate(n.T, 0.0, beta))
+    return moved / np.linalg.norm(moved, axis=-1, keepdims=True)
+
+
 def _type1_amplitudes(n_a, n_b, beta) -> tuple[np.ndarray, np.ndarray]:
     """Type-I amplitudes of the pairs along the (N, 3) unit vectors ``n_a``
     and ``n_b``, at rest and with both directions aberrated by a z-boost
     ``beta``: two (N, 9) stacks, checked on every row."""
-    moved_a, moved_b = (np.transpose(aberrate(n.T, 0.0, beta)) for n in (n_a, n_b))
-    return pair_amplitudes(n_a, n_b), pair_amplitudes(moved_a, moved_b)
+    return pair_amplitudes(n_a, n_b), pair_amplitudes(_aberrated(n_a, beta), _aberrated(n_b, beta))
 
 
 def _pure_trace_distances(psi_a, psi_b) -> np.ndarray:
@@ -241,12 +242,6 @@ def run_negativity_sweep(scenario: Scenario) -> list[dict]:
     return rows
 
 
-def _scenario_attenuation(scenario: Scenario) -> float:
-    if scenario.link is not None:
-        return attenuation(scenario.link)
-    return DEFAULT_ATTENUATION
-
-
 def run_purification(scenario: Scenario) -> tuple[list[dict], bool]:
     """Round-by-round purification of the diffracted pair: fidelity, success
     probability, and the cumulative photon budget."""
@@ -254,22 +249,18 @@ def run_purification(scenario: Scenario) -> tuple[list[dict], bool]:
     alpha = _scalar(scenario.alpha, "alpha") if scenario.alpha is not None else 0.0
     beam = BeamProfile(sigma=scenario.sigma, alpha=alpha)
     grid = make_grid(scenario.grid_theta, scenario.grid_phi, sigma=scenario.sigma)
-    rho = polarization_pair_to_qutrits(diffracted_reduced_type1(beam, beam, beta, grid))
-    factor = _scenario_attenuation(scenario)
+    rho = diffracted_reduced_type1(beam, beam, beta, grid)
+    factor = attenuation(scenario.link) if scenario.link is not None else DEFAULT_ATTENUATION
     trace = photons_required(rho, scenario.target_purity, factor)
-    rows = []
-    successes = []
-    for record in trace.rounds:
-        if record.round_index > 0:
-            successes.append(record.success_probability)
-        rows.append(
-            {
-                "round": record.round_index,
-                "fidelity": record.fidelity,
-                "success_prob": record.success_probability,
-                "cumulative_photons": photon_budget(record.round_index, factor, successes),
-            }
-        )
+    rows = [
+        {
+            "round": record.round_index,
+            "fidelity": record.fidelity,
+            "success_prob": record.success_probability,
+            "cumulative_photons": record.cumulative_photons,
+        }
+        for record in trace.rounds
+    ]
     return rows, trace.succeeded
 
 

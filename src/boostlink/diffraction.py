@@ -24,8 +24,10 @@ backward pole n = -z).  Carrying the basis with the beam keeps it continuous
 across the beam for every pointing; the fixed global basis would instead be
 singular for a beam centered on the backward pole, where it twists with
 azimuth.  The returned matrices are therefore expressed in per-arm frames
-tied to the beam axes; the frames are boost-independent, so entanglement
-measures and cross-frame distances are unaffected.
+tied to the beam axes, with arm B's second axis reversed (``_B_AXIS_FLIP``,
+exact sign flips) so that the ideal pair, the sigma -> 0 limit, is
+``purification.bell_target()``.  The frames are boost-independent, so
+entanglement measures and cross-frame distances are unaffected.
 
 Each arm's four moment blocks are the 6x6 matrix (X w) X^T, X = [h | v] a
 6 x N array, summed over consecutive blocks of _BLOCK_NODES half-grid nodes,
@@ -64,6 +66,9 @@ TRUNCATION_SIGMAS = 6.0
 # Moments between rows of X of equal parity; the mirror fold cancels the rest.
 _MIRROR_EVEN = np.add.outer(np.arange(6), np.arange(6)) % 2 == 0
 _BELL_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+# Reverses arm B's second frame axis: the sign of rows h_y and v_y of X.
+_FLIP_Y = np.tile([1.0, -1.0, 1.0], 2)
+_B_AXIS_FLIP = np.multiply.outer(_FLIP_Y, _FLIP_Y).reshape(2, 3, 2, 3)
 # Half-grid nodes per block of the moment sums; the bounds are in the module
 # docstring.
 _BLOCK_NODES = 2560
@@ -203,7 +208,8 @@ def diffracted_reduced_type1(
 ) -> DensityMatrix:
     """Momentum-traced polarization matrix (dims (3, 3)) of the diffracted
     pair as seen after a z-boost by ``beta``, arm B's axis at the mirror
-    ``beam_b.alpha + pi``.
+    ``beam_b.alpha + pi``, in the beam frames with arm B's second axis
+    reversed, where the ideal pair is ``purification.bell_target()``.
 
     The double node sum factorizes into per-arm moments A_xy, B_xy.
     """
@@ -212,7 +218,7 @@ def diffracted_reduced_type1(
     w_b = w_a if beam_b.sigma == beam_a.sigma else _half_weights(grid, beam_b)
     nodes = _half_nodes(grid)
     a = _arm_moments(nodes, w_a, beam_a.alpha, beta)
-    b = _arm_moments(nodes, w_b, beam_b.alpha + math.pi, beta)
+    b = _arm_moments(nodes, w_b, beam_b.alpha + math.pi, beta) * _B_AXIS_FLIP
     rho = _bell_mixture(a, b)
     rho = 0.5 * (rho + rho.conj().T)
     return DensityMatrix(rho, (3, 3))

@@ -40,9 +40,10 @@ the shift table are involutions, so the targets read (m, m) exactly when
 the same products, summed in the same order, as the coincidence blocks of
 the permuted R (x) R.
 
-Qutrit bases are the per-arm beam frames of the diffracted pair with the sign
-of arm B's second axis flipped, which turns the distributed
-(|hh> - |vv>)/sqrt(2) state into the (|00> + |11>)/sqrt(2) fixed-point form.
+The qutrit bases are those of ``diffracted_reduced_type1``: the per-arm beam
+frames with arm B's second axis reversed, in which the distributed pair's
+ideal form is the (|00> + |11>)/sqrt(2) fixed point, ``bell_target()``.  The
+kernel's matrix is the round's input as it is.
 
 Where broad beams must fail (rest frame, beta = 0, 64x64 grid):
 
@@ -108,6 +109,8 @@ class LinkParams:
         for name in ("length", "wavelength", "aperture_source", "aperture_receiver"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise DomainError(f"link parameter {name} must be positive and finite")
+        if not math.isfinite(value := attenuation(self)):
+            raise DomainError(f"attenuation must be finite, got {value}")
 
 
 def attenuation(params: LinkParams) -> float:
@@ -120,26 +123,31 @@ def attenuation(params: LinkParams) -> float:
 
 @dataclass(frozen=True)
 class RoundResult:
+    """The pair after ``round_index`` rounds (0: as distributed): its Bell
+    fidelity, the coincidence probability of the round that made it (1.0 at
+    round 0), and ``photon_budget`` over the rounds so far."""
+
     round_index: int
     fidelity: float
     success_probability: float
+    cumulative_photons: float
 
 
 @dataclass(frozen=True)
 class PurificationTrace:
-    """Round-by-round fidelities and success probabilities, plus the photon
-    budget 2^k * attenuation / prod(success probabilities).  A failed run
-    (fidelity dropped, or the target was never reached) reports
-    ``photons_required = inf`` with the trace attached."""
+    """Every round the run recorded, round 0 included, and the photons per
+    delivered pair: the last round's ``cumulative_photons`` when the target
+    purity was reached, otherwise ``inf`` (the fidelity dropped, or the round
+    cap was hit)."""
 
     rounds: tuple[RoundResult, ...]
     photons_required: float
-    attenuation: float
     succeeded: bool
 
 
 def photon_budget(rounds: int, attenuation_factor: float, success_probabilities) -> float:
-    """Photons consumed per delivered pair: 2^k * attenuation / prod(s_i)."""
+    """Photons consumed per delivered pair: 2^k * attenuation / prod(s_i),
+    which must be finite."""
     if rounds < 0:
         raise DomainError(f"round count must be non-negative, got {rounds}")
     product = 1.0
@@ -147,7 +155,10 @@ def photon_budget(rounds: int, attenuation_factor: float, success_probabilities)
         if not 0.0 < s <= 1.0:
             raise DomainError(f"success probabilities must lie in (0, 1], got {s}")
         product *= s
-    return (2.0**rounds) * attenuation_factor / product
+    budget = (2.0**rounds) * attenuation_factor / product
+    if not math.isfinite(budget):
+        raise DomainError(f"photon budget after {rounds} rounds is not finite, got {budget}")
+    return budget
 
 
 def bell_target() -> np.ndarray:
@@ -156,17 +167,6 @@ def bell_target() -> np.ndarray:
     psi = np.zeros(QUTRIT_DIM * QUTRIT_DIM, dtype=complex)
     psi[0] = psi[4] = 1.0 / math.sqrt(2.0)
     return psi
-
-
-def polarization_pair_to_qutrits(rho: DensityMatrix) -> DensityMatrix:
-    """Express the polarization pair in the local qutrit bases: flip the sign
-    of arm B's vertical axis so the ideal pair becomes the
-    (|00> + |11>)/sqrt(2) fixed-point form."""
-    if rho.dims != (QUTRIT_DIM, QUTRIT_DIM):
-        raise DomainError(f"expected polarization dims (3, 3), got {rho.dims}")
-    flip_v = np.tile([1.0, -1.0, 1.0], QUTRIT_DIM)
-    nine = rho.mat * np.outer(flip_v, flip_v)
-    return DensityMatrix(0.5 * (nine + nine.conj().T), (QUTRIT_DIM, QUTRIT_DIM))
 
 
 # pi_m(a, b) = 3 shift[a, m] + shift[b, m] per kept outcome m: the copy-2 pair
@@ -212,35 +212,28 @@ def photons_required(
     attenuation_factor: float,
     max_rounds: int = 40,
 ) -> PurificationTrace:
-    """Iterate purification rounds until Tr(rho^2) reaches ``target_purity``.
+    """Iterate purification rounds on ``rho0`` (round 0) until Tr(rho^2)
+    reaches ``target_purity``, recording every round with its cumulative
+    ``photon_budget``.
 
-    The budget counts 2^k photons per delivered pair after k rounds, scaled
-    by the link attenuation and divided by the product of coincidence
-    probabilities.  A round that lowers the fidelity to the Bell target marks
-    the target unreachable and the trace is returned as a failure outcome
-    rather than raising.
+    A round that lowers the fidelity to the Bell target marks the target
+    unreachable and the trace is returned as a failure outcome rather than
+    raising.
     """
     if attenuation_factor <= 0.0:
         raise DomainError(f"attenuation must be positive, got {attenuation_factor}")
     if not 0.0 < target_purity <= 1.0:
         raise DomainError(f"target purity must lie in (0, 1], got {target_purity}")
     target = bell_target()
-    fidelity = fidelity_to_pure(rho0, target)
-    rounds = [RoundResult(0, fidelity, 1.0)]
-    if purity(rho0) >= target_purity:
-        return PurificationTrace(tuple(rounds), attenuation_factor, attenuation_factor, True)
-
-    rho = rho0
-    successes = []
-    for k in range(1, max_rounds + 1):
-        rho, success = purify_round(rho)
-        successes.append(success)
-        new_fidelity = fidelity_to_pure(rho, target)
-        rounds.append(RoundResult(k, new_fidelity, success))
+    rho, success, successes, rounds = rho0, 1.0, [], []
+    for k in range(max_rounds + 1):
+        if k > 0:
+            rho, success = purify_round(rho)
+            successes.append(success)
+        budget = photon_budget(k, attenuation_factor, successes)
+        rounds.append(RoundResult(k, fidelity_to_pure(rho, target), success, budget))
         if purity(rho) >= target_purity:
-            budget = photon_budget(k, attenuation_factor, successes)
-            return PurificationTrace(tuple(rounds), budget, attenuation_factor, True)
-        if new_fidelity < fidelity:
+            return PurificationTrace(tuple(rounds), budget, True)
+        if k > 0 and rounds[-1].fidelity < rounds[-2].fidelity:
             break
-        fidelity = new_fidelity
-    return PurificationTrace(tuple(rounds), math.inf, attenuation_factor, False)
+    return PurificationTrace(tuple(rounds), math.inf, False)

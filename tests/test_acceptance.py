@@ -26,7 +26,6 @@ from boostlink.purification import (
     bell_target,
     photon_budget,
     photons_required,
-    polarization_pair_to_qutrits,
     purify_round,
 )
 from boostlink.quantum import (
@@ -226,7 +225,7 @@ def test_criterion_7_attenuation():
 def test_criterion_8_purification_claims():
     beam = BeamProfile(sigma=0.5)
     grid = make_grid(64, 64, sigma=0.5)
-    rho_half = polarization_pair_to_qutrits(diffracted_reduced_type1(beam, beam, 0.0, grid))
+    rho_half = diffracted_reduced_type1(beam, beam, 0.0, grid)
     trace = photons_required(rho_half, 0.99, 100.0)
     fidelities = [r.fidelity for r in trace.rounds]
     increases = trace.succeeded and all(b > a for a, b in zip(fidelities, fidelities[1:]))
@@ -238,12 +237,12 @@ def test_criterion_8_purification_claims():
     # as met.  sigma = 2 is not such a case: it is still entangled (printed).
     beam2 = BeamProfile(sigma=2.0)
     grid2 = make_grid(64, 64, sigma=2.0)
-    rho_sigma2 = polarization_pair_to_qutrits(diffracted_reduced_type1(beam2, beam2, 0.0, grid2))
+    rho_sigma2 = diffracted_reduced_type1(beam2, beam2, 0.0, grid2)
     negativity_sigma2 = negativity(rho_sigma2, 0)
 
     beam3 = BeamProfile(sigma=3.0)
     grid3 = make_grid(64, 64, sigma=3.0)
-    rho_broad = polarization_pair_to_qutrits(diffracted_reduced_type1(beam3, beam3, 0.0, grid3))
+    rho_broad = diffracted_reduced_type1(beam3, beam3, 0.0, grid3)
     input_negativity = negativity(rho_broad, 0)
     input_ppt = input_negativity <= 1e-12
 

@@ -20,9 +20,11 @@ from boostlink.cli import (
     run_purification,
     run_single_photon_sweep,
 )
+from boostlink.diffraction import BeamProfile, diffracted_reduced_type1, make_grid
 from boostlink.errors import ConfigError, DomainError
 from boostlink.lorentz import aberrate, boost_z, polar_angles, unit_vectors, wigner_phases
 from boostlink.photon import linear_basis
+from boostlink.purification import photon_budget, photons_required
 from boostlink.quantum import DensityMatrix, negativity, trace_distance
 from boostlink.states import pair_amplitudes
 
@@ -34,12 +36,19 @@ def back_to_back(theta, phi):
     return unit_vectors(theta, phi), unit_vectors(*polar_angles(math.pi - theta, phi + math.pi))
 
 
+def aberrated(n, beta):
+    """The unit vector ``n`` aberrated by a z-boost ``beta`` and renormalized,
+    as the sweeps do."""
+    moved = np.array(aberrate(n, 0.0, beta))
+    return moved / np.linalg.norm(moved)
+
+
 def photon_distance(theta, phi, beta):
     """Trace distance between the h polarization of a photon along
     (theta, phi) and of the same photon boosted by ``beta``, point by point
     through the sweep's kernel."""
     rest = unit_vectors(*polar_angles(theta, phi))
-    moved = np.array(aberrate(rest, 0.0, beta))
+    moved = aberrated(rest, beta)
 
     def h_matrix(n):
         return DensityMatrix.from_pure(linear_basis(*n[:, None])[:3, 0], (3,))
@@ -56,7 +65,7 @@ def pair_distance(theta, phi, beta):
         return DensityMatrix.from_pure(pair_amplitudes(a[None], b[None])[0], (3, 3))
 
     n_a, n_b = back_to_back(theta, phi)
-    moved_a, moved_b = (np.array(aberrate(n, 0.0, beta)) for n in (n_a, n_b))
+    moved_a, moved_b = (aberrated(n, beta) for n in (n_a, n_b))
     return trace_distance(matrix(n_a, n_b), matrix(moved_a, moved_b))
 
 
@@ -274,6 +283,22 @@ class TestBatchedSweeps:
         for run in (run_single_photon_sweep, run_pair_sweep):
             with pytest.raises(DomainError, match="beta"):
                 run(Scenario(beta=1.0, theta=SweepSpec(0.1, 3.0, 3), phi=0.0))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pair", "--theta", "0.001:3.14:200"],
+            ["single-photon", "--theta", "0.001:3.14:50"],
+            ["li-check", "--theta", "3.14"],
+            ["li-check", "--theta", "0.001"],
+        ],
+    )
+    @pytest.mark.parametrize("beta", ["-0.9999", "0.9999", "-0.999999", "0.999999"])
+    def test_near_pole_boosts_accepted(self, argv, beta, capsys):
+        # the aberrated directions are renormalized: aberrate alone leaves a
+        # norm defect of 1.1e-12 at beta = -0.9999 near theta = pi
+        assert main(argv + ["--beta", beta]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestTypeIAcrossCommands:
@@ -587,6 +612,32 @@ class TestSweepTables:
             assert later["cumulative_photons"] > earlier["cumulative_photons"]
             assert later["fidelity"] > earlier["fidelity"]
 
+    @pytest.mark.parametrize(
+        "beta, sigma, outcome",
+        [(0.0, 0.5, "target"), (0.0, 3.0, "fidelity drop"), (0.999999, 3.0, "cap")],
+    )
+    def test_purify_rows_are_the_round_results(self, beta, sigma, outcome):
+        rows, succeeded = run_purification(Scenario(beta=beta, alpha=0.0, sigma=sigma))
+        beam = BeamProfile(sigma=sigma)
+        rho = diffracted_reduced_type1(beam, beam, beta, make_grid(64, 64, sigma=sigma))
+        trace = photons_required(rho, 0.99, cli.DEFAULT_ATTENUATION)
+        assert succeeded == trace.succeeded == (outcome == "target")
+        assert (len(trace.rounds) == 41) == (outcome == "cap")
+        successes = []
+        for row, record in zip(rows, trace.rounds, strict=True):
+            assert row == {
+                "round": record.round_index,
+                "fidelity": record.fidelity,
+                "success_prob": record.success_probability,
+                "cumulative_photons": record.cumulative_photons,
+            }
+            if record.round_index > 0:
+                successes.append(record.success_probability)
+            budget = photon_budget(record.round_index, cli.DEFAULT_ATTENUATION, successes)
+            assert record.cumulative_photons == budget
+        last = trace.rounds[-1].cumulative_photons
+        assert trace.photons_required == (last if succeeded else math.inf)
+
     def test_budget_row(self):
         rows = run_budget(Scenario())
         assert rows[0]["attenuation"] == pytest.approx(108.16, rel=1e-12)
@@ -637,6 +688,21 @@ class TestMainEntry:
         assert main(argv) == 0
         second = capsys.readouterr().out
         assert first == second
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["budget", "--link-length", "1e200"],
+            ["budget", "--link-aperture-source", "1e-200"],
+            ["purify", "--link-length", "1.6e160", "--grid-theta", "8", "--grid-phi", "8"],
+        ],
+    )
+    def test_overflowing_budget_exits_2(self, argv, capsys):
+        # the attenuation, or the photon budget from round 1 on, is inf
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite" in captured.err
 
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "rows.csv"

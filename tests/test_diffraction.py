@@ -99,6 +99,9 @@ def _reference_reduced_type1(beam_a, beam_b, beta, grid, opposite=True):
         - np.kron(a["vh"], b["vh"])
         + np.kron(a["vv"], b["vv"])
     )
+    # arm B's second frame axis reversed, as the kernel returns it
+    flip_b = np.tile([1.0, -1.0, 1.0], 3)
+    rho = rho * np.outer(flip_b, flip_b)
     return 0.5 * (rho + rho.conj().T)
 
 

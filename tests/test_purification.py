@@ -14,7 +14,6 @@ from boostlink.purification import (
     bell_target,
     photon_budget,
     photons_required,
-    polarization_pair_to_qutrits,
     purify_round,
 )
 from boostlink.quantum import DensityMatrix, fidelity_to_pure, negativity, purity
@@ -75,7 +74,7 @@ def _density_matrix(parts):
 def diffracted_qutrit_pair(sigma, beta=0.0, n=64):
     beam = BeamProfile(sigma=sigma)
     grid = make_grid(n, n, sigma=sigma)
-    return polarization_pair_to_qutrits(diffracted_reduced_type1(beam, beam, beta, grid))
+    return diffracted_reduced_type1(beam, beam, beta, grid)
 
 
 class TestAttenuation:
@@ -104,6 +103,13 @@ class TestAttenuation:
         with pytest.raises(DomainError, match="finite"):
             LinkParams(13000e3, math.nan, 1.0, 1.0)
 
+    @pytest.mark.parametrize("link", [(1e200, 800e-9, 1.0, 1.0), (13000e3, 800e-9, 1e-200, 1.0),
+                                      (1e200, 1e200, 1e200, 1e200)])
+    def test_rejects_non_finite_attenuation(self, link):
+        # (L lambda / (d_S d_A))^2 overflows to inf, or is inf / inf = nan
+        with pytest.raises(DomainError, match="attenuation must be finite"):
+            LinkParams(*link)
+
 
 class TestPhotonBudget:
     def test_hand_arithmetic_one_round(self):
@@ -115,6 +121,11 @@ class TestPhotonBudget:
     def test_rejects_bad_success_probability(self):
         with pytest.raises(DomainError):
             photon_budget(1, 100.0, [0.0])
+
+    def test_rejects_non_finite_budget(self):
+        assert photon_budget(0, 1e308, []) == 1e308
+        with pytest.raises(DomainError, match="not finite"):
+            photon_budget(1, 1e308, [0.5])
 
 
 class TestPurifyRound:
@@ -223,17 +234,17 @@ class TestPurifyRound:
 
 
 class TestQutritProjection:
+    """The diffraction kernel returns the pair in the qutrit bases: the ideal
+    pair, its sigma -> 0 limit, is the Bell target."""
+
     def test_narrow_beam_maps_to_bell_target(self):
-        rho9 = diffracted_qutrit_pair(1e-3, n=48)
+        beam = BeamProfile(sigma=1e-3)
+        rho9 = diffracted_reduced_type1(beam, beam, 0.0, make_grid(48, 48, sigma=1e-3))
         assert fidelity_to_pure(rho9, bell_target()) == pytest.approx(1.0, abs=1e-5)
 
     def test_trace_preserved(self):
         rho9 = diffracted_qutrit_pair(0.8, n=32)
         assert np.trace(rho9.mat).real == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_wrong_dims(self):
-        with pytest.raises(DomainError):
-            polarization_pair_to_qutrits(DensityMatrix(np.eye(4) / 4.0, (2, 2)))
 
 
 class TestPhotonsRequired:
