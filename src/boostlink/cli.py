@@ -1,18 +1,20 @@
 """Scenario configuration, sweep execution, and machine-readable output.
 
 Subcommands: single-photon, pair, negativity, purify, budget, li-check.
-A scenario is assembled from per-command defaults, then an optional JSON
-config file, then CLI flags, in that order of precedence.  Each subcommand
-accepts only the flags it reads (``_COMMANDS``); any other flag is an
-argparse error (exit 2).  Unknown config keys are errors; known keys a subcommand does
-not read are accepted, so one file can serve several subcommands.  The
-parser is built on the first ``main`` call and reused for the rest of the
-process.  Output is CSV (default) or JSON lines; floats are printed
-with 12 significant digits and rows are emitted in deterministic sweep order,
-so identical scenarios produce byte-identical output.
+Each is declared once, as one ``_COMMANDS`` entry: its help text, the flags
+it reads, its defaults and its runner.  A scenario is assembled from the
+command's defaults, then an optional JSON config file, then CLI flags, in
+that order of precedence.  A flag the subcommand does not read is an
+argparse error (exit 2).  Unknown config keys are errors; known keys a
+subcommand does not read are accepted, so one file can serve several
+subcommands.  The parser is built on the first ``main`` call and reused for
+the rest of the process.  Output is CSV (default) or JSON lines; floats are
+printed with 12 significant digits and rows are emitted in deterministic
+sweep order, so identical scenarios produce byte-identical output.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical-consistency error
-or a degenerate protocol step, 4 purification-failure outcome under --strict.
+Exit codes: 0 success, 2 configuration error (an unreadable config file or
+an unwritable ``--out`` included), 3 numerical-consistency error or a
+degenerate protocol step, 4 purification-failure outcome under --strict.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -87,7 +90,8 @@ class SweepSpec:
 
 @dataclass
 class Scenario:
-    """Everything a subcommand needs; unset fields take command defaults."""
+    """Everything a subcommand needs.  ``main`` starts from the command's
+    defaults; a runner that reads an unset setting raises ConfigError."""
 
     beta: float | SweepSpec | None = None
     theta: float | SweepSpec | None = None
@@ -113,7 +117,7 @@ class Scenario:
             )
         for name in ("sigma",) + _SWEEPABLE:
             setting = getattr(self, name)
-            if setting is not None and not all(map(math.isfinite, _values(setting))):
+            if setting is not None and not all(map(math.isfinite, _values(self, name))):
                 raise ConfigError(f"{name}: must be finite, got {setting}")
         if self.sigma <= 0.0:
             raise ConfigError(f"sigma: must be positive, got {self.sigma}")
@@ -121,13 +125,18 @@ class Scenario:
             raise ConfigError(f"target_purity: must lie in (0, 1], got {self.target_purity}")
 
 
-def _values(setting) -> list[float]:
+def _values(scenario: Scenario, name: str) -> list[float]:
+    """A sweep's points, or the one scalar, of the scenario's setting ``name``."""
+    setting = getattr(scenario, name)
     if isinstance(setting, SweepSpec):
         return setting.values()
-    return [float(setting)]
+    return [_scalar(scenario, name)]
 
 
-def _scalar(setting, name: str) -> float:
+def _scalar(scenario: Scenario, name: str) -> float:
+    setting = getattr(scenario, name)
+    if setting is None:
+        raise ConfigError(f"{name}: this command needs a value, and none is set")
     if isinstance(setting, SweepSpec):
         raise ConfigError(f"{name}: this command needs a scalar, not a sweep")
     return float(setting)
@@ -144,8 +153,8 @@ def run_single_photon_sweep(scenario: Scenario) -> list[dict]:
 
     One array pass over the grid: the h vector at every direction and at its
     aberrated image, with the polarization and photon checks on every point."""
-    beta = _scalar(scenario.beta, "beta")
-    points = [(t, p) for t in _values(scenario.theta) for p in _values(scenario.phi)]
+    beta = _scalar(scenario, "beta")
+    points = [(t, p) for t in _values(scenario, "theta") for p in _values(scenario, "phi")]
     n = len(points)
     rest = unit_vectors(*polar_angles(*np.array(points).T))
     # rest directions first, then their aberrated images
@@ -158,15 +167,8 @@ def run_single_photon_sweep(scenario: Scenario) -> list[dict]:
     rows = []
     for (t, p), eps_numeric in zip(points, numeric.tolist()):
         approx = abs(beta * math.sin(t) * math.cos(p))
-        rows.append(
-            {
-                "theta": t,
-                "phi": p,
-                "eps_numeric": eps_numeric,
-                "eps_approx": approx,
-                "residual": eps_numeric - approx,
-            }
-        )
+        rows.append({"theta": t, "phi": p, "eps_numeric": eps_numeric, "eps_approx": approx,
+                     "residual": eps_numeric - approx})
     return rows
 
 
@@ -175,22 +177,16 @@ def run_pair_sweep(scenario: Scenario) -> list[dict]:
     photons, versus beta*sin(theta).
 
     One array pass over the thetas (``_type1_amplitudes``)."""
-    beta = _scalar(scenario.beta, "beta")
-    phi = _scalar(scenario.phi, "phi")
-    thetas = _values(scenario.theta)
+    beta = _scalar(scenario, "beta")
+    phi = _scalar(scenario, "phi")
+    thetas = _values(scenario, "theta")
     arms = _back_to_back(thetas, [phi] * len(thetas))
     numeric = _pure_trace_distances(*_type1_amplitudes(*arms, beta))
     rows = []
     for theta, eps_numeric in zip(thetas, numeric.tolist()):
         approx = abs(beta * math.sin(theta))
-        rows.append(
-            {
-                "theta": theta,
-                "eps_numeric": eps_numeric,
-                "eps_approx": approx,
-                "residual": eps_numeric - approx,
-            }
-        )
+        rows.append({"theta": theta, "eps_numeric": eps_numeric, "eps_approx": approx,
+                     "residual": eps_numeric - approx})
     return rows
 
 
@@ -229,12 +225,12 @@ def _pure_trace_distances(psi_a, psi_b) -> np.ndarray:
 def run_negativity_sweep(scenario: Scenario) -> list[dict]:
     """Negativity of the diffracted pair per (alpha, beta), including the
     beta = 0 baseline."""
-    betas = _values(scenario.beta) if scenario.beta is not None else [0.0]
+    betas = _values(scenario, "beta")
     if all(b != 0.0 for b in betas):
         betas = [0.0] + betas
     grid = make_grid(scenario.grid_theta, scenario.grid_phi, sigma=scenario.sigma)
     rows = []
-    for alpha in _values(scenario.alpha):
+    for alpha in _values(scenario, "alpha"):
         beam = BeamProfile(sigma=scenario.sigma, alpha=alpha)
         for beta in betas:
             rho = diffracted_reduced_type1(beam, beam, beta, grid)
@@ -245,8 +241,8 @@ def run_negativity_sweep(scenario: Scenario) -> list[dict]:
 def run_purification(scenario: Scenario) -> tuple[list[dict], bool]:
     """Round-by-round purification of the diffracted pair: fidelity, success
     probability, and the cumulative photon budget."""
-    beta = _scalar(scenario.beta, "beta") if scenario.beta is not None else 0.0
-    alpha = _scalar(scenario.alpha, "alpha") if scenario.alpha is not None else 0.0
+    beta = _scalar(scenario, "beta")
+    alpha = _scalar(scenario, "alpha")
     beam = BeamProfile(sigma=scenario.sigma, alpha=alpha)
     grid = make_grid(scenario.grid_theta, scenario.grid_phi, sigma=scenario.sigma)
     rho = diffracted_reduced_type1(beam, beam, beta, grid)
@@ -289,9 +285,9 @@ def run_li_check(scenario: Scenario) -> list[dict]:
     matrix adds the computed phases back.  Under this z-boost the Wigner
     phase is identically 0, so the compensated column cannot fail yet; it
     tests something only once li-check boosts along a tilted axis."""
-    beta = _scalar(scenario.beta, "beta")
-    theta = _scalar(scenario.theta, "theta")
-    phi = _scalar(scenario.phi, "phi")
+    beta = _scalar(scenario, "beta")
+    theta = _scalar(scenario, "theta")
+    phi = _scalar(scenario, "phi")
     n_a, n_b = _back_to_back([theta], [phi])
     rest, moved = _type1_amplitudes(n_a, n_b, beta)
     rho_s = DensityMatrix.from_pure(rest[0], (3, 3))
@@ -336,21 +332,7 @@ def run_li_check(scenario: Scenario) -> list[dict]:
 # configuration assembly
 # ---------------------------------------------------------------------------
 
-_COMMAND_DEFAULTS = {
-    "single-photon": {
-        "beta": 1e-5,
-        "theta": SweepSpec(0.1, math.pi - 0.1, 30),
-        "phi": SweepSpec(0.0, 2.0 * math.pi, 30),
-    },
-    "pair": {"beta": 1e-5, "theta": SweepSpec(0.1, math.pi - 0.1, 30), "phi": 0.0},
-    "negativity": {"beta": SweepSpec(0.0, 0.5, 11), "alpha": 0.0},
-    "purify": {"beta": 0.0, "alpha": 0.0},
-    "budget": {},
-    "li-check": {"beta": 1e-5, "theta": math.pi / 4, "phi": 0.0},
-}
-
 _SWEEPABLE = ("beta", "theta", "phi", "alpha")
-_SCALAR_FIELDS = ("sigma", "target_purity")
 _LINK_FIELDS = ("length", "wavelength", "aperture_source", "aperture_receiver")
 
 
@@ -368,76 +350,66 @@ def _config_number(name, value, kind=float):
         raise ConfigError(f"{name}: expected {kind.__name__}, got {value!r}") from None
 
 
-def _parse_sweepable(name, value):
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return _config_number(name, value)
-    if isinstance(value, dict):
-        unknown = set(value) - {"start", "stop", "count", "scale"}
-        if unknown:
-            raise ConfigError(f"{name}: unknown sweep keys {sorted(unknown)}")
-        try:
-            return SweepSpec(
-                _config_number(f"{name}.start", value["start"]),
-                _config_number(f"{name}.stop", value["stop"]),
-                _config_number(f"{name}.count", value["count"], int),
-                str(value.get("scale", "linear")),
-            )
-        except KeyError as missing:
-            raise ConfigError(f"{name}: sweep spec is missing key {missing}") from None
-    raise ConfigError(f"{name}: expected a number or a sweep object, got {value!r}")
-
-
-def _parse_link(value) -> LinkParams:
+def _config_object(name, value, keys, what="keys") -> dict:
+    """``value``, which must be a JSON object whose keys lie in ``keys``."""
     if not isinstance(value, dict):
-        raise ConfigError(f"link: expected an object, got {value!r}")
-    expected = set(_LINK_FIELDS)
-    unknown = set(value) - expected
-    if unknown:
-        raise ConfigError(f"link: unknown keys {sorted(unknown)}")
-    missing = expected - set(value)
-    if missing:
-        raise ConfigError(f"link: missing keys {sorted(missing)}")
+        raise ConfigError(f"{name}: expected an object, got {value!r}")
+    if unknown := set(value) - set(keys):
+        raise ConfigError(f"{name}: unknown {what} {sorted(unknown)}")
+    return value
+
+
+def _link(values: dict) -> LinkParams:
     try:
-        return LinkParams(**{k: _config_number(f"link.{k}", v) for k, v in value.items()})
+        return LinkParams(**values)
     except DomainError as err:
         raise ConfigError(f"link: {err}") from None
 
 
-def _parse_grid(value) -> tuple[int, int]:
+def _parse_sweepable(name, value):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return _config_number(name, value)
     if not isinstance(value, dict):
-        raise ConfigError(f"grid: expected an object, got {value!r}")
-    unknown = set(value) - {"n_theta", "n_phi"}
-    if unknown:
-        raise ConfigError(f"grid: unknown keys {sorted(unknown)}")
-    return (
-        _config_number("grid.n_theta", value.get("n_theta", 64), int),
-        _config_number("grid.n_phi", value.get("n_phi", 64), int),
-    )
+        raise ConfigError(f"{name}: expected a number or a sweep object, got {value!r}")
+    spec = _config_object(name, value, ("start", "stop", "count", "scale"), "sweep keys")
+    try:
+        return SweepSpec(
+            _config_number(f"{name}.start", spec["start"]),
+            _config_number(f"{name}.stop", spec["stop"]),
+            _config_number(f"{name}.count", spec["count"], int),
+            str(spec.get("scale", "linear")),
+        )
+    except KeyError as missing:
+        raise ConfigError(f"{name}: sweep spec is missing key {missing}") from None
 
 
 def load_config(path: str, scenario: Scenario) -> Scenario:
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
     except OSError as err:
         raise ConfigError(f"cannot read config file: {err}") from None
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # JSONDecodeError, or bytes that are not UTF-8
         raise ConfigError(f"config file is not valid JSON: {err}") from None
     if not isinstance(data, dict):
         raise ConfigError("config file must contain a JSON object")
-    scenario_fields = {f.name for f in fields(Scenario)}
-    allowed = (scenario_fields - {"grid_theta", "grid_phi"}) | {"grid"}
-    unknown = set(data) - allowed
-    if unknown:
+    allowed = {f.name for f in fields(Scenario)} - {"grid_theta", "grid_phi"} | {"grid"}
+    if unknown := set(data) - allowed:
         raise ConfigError(f"unknown config keys {sorted(unknown)}")
     for key, value in data.items():
         if key in _SWEEPABLE:
             setattr(scenario, key, _parse_sweepable(key, value))
         elif key == "link":
-            scenario.link = _parse_link(value)
+            link = _config_object("link", value, _LINK_FIELDS)
+            if missing := set(_LINK_FIELDS) - set(link):
+                raise ConfigError(f"link: missing keys {sorted(missing)}")
+            scenario.link = _link({k: _config_number(f"link.{k}", v) for k, v in link.items()})
         elif key == "grid":
-            scenario.grid_theta, scenario.grid_phi = _parse_grid(value)
-        elif key in _SCALAR_FIELDS:
+            grid = _config_object("grid", value, ("n_theta", "n_phi"))
+            for axis in ("theta", "phi"):
+                n = grid.get(f"n_{axis}", getattr(scenario, f"grid_{axis}"))
+                setattr(scenario, f"grid_{axis}", _config_number(f"grid.n_{axis}", n, int))
+        else:  # sigma, target_purity
             setattr(scenario, key, _config_number(key, value))
     return scenario
 
@@ -452,11 +424,8 @@ def _parse_sweep_flag(name, text):
             raise ConfigError(f"{name}: expected a number or start:stop:count[:log]") from None
     if len(parts) not in (3, 4):
         raise ConfigError(f"{name}: expected start:stop:count[:log], got {text!r}")
-    scale = "linear"
-    if len(parts) == 4:
-        scale = parts[3]
     try:
-        return SweepSpec(float(parts[0]), float(parts[1]), int(parts[2]), scale)
+        return SweepSpec(float(parts[0]), float(parts[1]), int(parts[2]), *parts[3:])
     except ValueError as err:
         raise ConfigError(f"{name}: malformed sweep {text!r} ({err})") from None
 
@@ -466,42 +435,33 @@ def _parse_sweep_flag(name, text):
 # ---------------------------------------------------------------------------
 
 
-def _format_value(value) -> str:
+def _cell(value, fmt: str) -> str:
+    """One output cell: booleans as true/false, floats to 12 significant
+    digits; in JSON lines a non-finite float is a string and any other
+    non-number is JSON-encoded."""
+    if isinstance(value, float):  # the common case, tested first
+        if fmt == "csv" or math.isfinite(value):
+            return format(value, ".12g")
+        return json.dumps(str(value))
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".12g")
-    return str(value)
-
-
-def _json_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        if math.isinf(value) or math.isnan(value):
-            return json.dumps(str(value))
-        return format(value, ".12g")
-    if isinstance(value, (int,)):
-        return str(value)
-    return json.dumps(value)
+    return str(value) if fmt == "csv" or isinstance(value, int) else json.dumps(value)
 
 
 def render_rows(rows: list[dict], fmt: str) -> str:
     if not rows:
         return ""
     if fmt == "csv":
-        header = ",".join(rows[0].keys())
-        lines = [header]
-        for row in rows:
-            lines.append(",".join(_format_value(v) for v in row.values()))
-        return "\n".join(lines) + "\n"
-    if fmt == "jsonl":
-        lines = []
-        for row in rows:
-            body = ", ".join(f"{json.dumps(k)}: {_json_value(v)}" for k, v in row.items())
-            lines.append("{" + body + "}")
-        return "\n".join(lines) + "\n"
-    raise ConfigError(f"format must be one of {FORMATS}, got {fmt!r}")
+        lines = [",".join(rows[0])]
+        lines += [",".join(_cell(v, fmt) for v in row.values()) for row in rows]
+    elif fmt == "jsonl":
+        lines = [
+            "{" + ", ".join(f"{json.dumps(k)}: {_cell(v, fmt)}" for k, v in row.items()) + "}"
+            for row in rows
+        ]
+    else:
+        raise ConfigError(f"format must be one of {FORMATS}, got {fmt!r}")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -532,18 +492,48 @@ _COMMON = ("--config", "--format", "--out")
 _GEOMETRY = ("--beta", "--theta", "--phi")
 _BEAM = ("--beta", "--alpha", "--sigma", "--grid-theta", "--grid-phi")
 _LINK = ("--link-length", "--link-wavelength", "--link-aperture-source", "--link-aperture-receiver")
+_POLAR_SWEEP = SweepSpec(0.1, math.pi - 0.1, 30)
 
-# subcommand -> (help, the flags it reads)
+
+class _Command(NamedTuple):
+    help: str
+    flags: tuple[str, ...]  # read besides _COMMON
+    defaults: dict  # Scenario keywords
+    run: Callable  # Scenario -> rows; purify's returns (rows, succeeded)
+
+
 _COMMANDS = {
-    "single-photon": ("single-photon polarization error over a (theta, phi) grid", _GEOMETRY),
-    "pair": ("polarization-pair error law for back-to-back photons", _GEOMETRY),
-    "negativity": ("diffracted-pair negativity under boosts", _BEAM),
-    "purify": (
+    "single-photon": _Command(
+        "single-photon polarization error over a (theta, phi) grid",
+        _GEOMETRY,
+        {"beta": 1e-5, "theta": _POLAR_SWEEP, "phi": SweepSpec(0.0, 2.0 * math.pi, 30)},
+        run_single_photon_sweep,
+    ),
+    "pair": _Command(
+        "polarization-pair error law for back-to-back photons",
+        _GEOMETRY,
+        {"beta": 1e-5, "theta": _POLAR_SWEEP, "phi": 0.0},
+        run_pair_sweep,
+    ),
+    "negativity": _Command(
+        "diffracted-pair negativity under boosts",
+        _BEAM,
+        {"beta": SweepSpec(0.0, 0.5, 11), "alpha": 0.0},
+        run_negativity_sweep,
+    ),
+    "purify": _Command(
         "purification rounds and photon budget",
         _BEAM + ("--target-purity",) + _LINK + ("--strict",),
+        {"beta": 0.0, "alpha": 0.0},
+        run_purification,
     ),
-    "budget": ("link attenuation from geometry", _LINK),
-    "li-check": ("frame-invariance verdicts for all three protocols", _GEOMETRY),
+    "budget": _Command("link attenuation from geometry", _LINK, {}, run_budget),
+    "li-check": _Command(
+        "frame-invariance verdicts for all three protocols",
+        _GEOMETRY,
+        {"beta": 1e-5, "theta": math.pi / 4, "phi": 0.0},
+        run_li_check,
+    ),
 }
 
 
@@ -553,9 +543,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Lorentz-boost effects on photonic entanglement distribution",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, flags) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        for flag in _COMMON + flags:
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag in _COMMON + command.flags:
             p.add_argument(flag, **_FLAGS[flag])
     return parser
 
@@ -568,38 +558,30 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _assemble_scenario(args) -> Scenario:
-    scenario = Scenario()
-    for key, value in _COMMAND_DEFAULTS[args.command].items():
-        setattr(scenario, key, value)
+    scenario = Scenario(**_COMMANDS[args.command].defaults)
     if args.config:
         scenario = load_config(args.config, scenario)
     # a flag the subcommand does not register is absent from args: unset
-    for name in _SWEEPABLE:
+    for name in (f.name for f in fields(Scenario)):
         flag = getattr(args, name, None)
         if flag is not None:
-            setattr(scenario, name, _parse_sweep_flag(name, flag))
-    for name in _SCALAR_FIELDS + ("grid_theta", "grid_phi"):
-        flag = getattr(args, name, None)
-        if flag is not None:
-            setattr(scenario, name, flag)
-    link_flags = {k: getattr(args, f"link_{k}", None) for k in _LINK_FIELDS}
-    if any(v is not None for v in link_flags.values()):
-        base = scenario.link if scenario.link is not None else PAPER_LINK
-        merged = {k: (v if v is not None else getattr(base, k)) for k, v in link_flags.items()}
-        try:
-            scenario.link = LinkParams(**merged)
-        except DomainError as err:
-            raise ConfigError(f"link: {err}") from None
+            setattr(scenario, name, _parse_sweep_flag(name, flag) if name in _SWEEPABLE else flag)
+    link_flags = {k: v for k in _LINK_FIELDS if (v := getattr(args, f"link_{k}", None)) is not None}
+    if link_flags:
+        scenario.link = _link({**asdict(scenario.link or PAPER_LINK), **link_flags})
     scenario.validate()
     return scenario
 
 
 def _emit(text: str, out_path):
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as err:
+        raise ConfigError(f"cannot write output file: {err}") from None
 
 
 # argparse reads '-1e-5' or '-0.5:0.5:3' after a flag as an option name, not
@@ -624,21 +606,9 @@ def _join_negative_values(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     args = _parser().parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
-        scenario = _assemble_scenario(args)
-        purification_failed = False
-        if args.command == "single-photon":
-            rows = run_single_photon_sweep(scenario)
-        elif args.command == "pair":
-            rows = run_pair_sweep(scenario)
-        elif args.command == "negativity":
-            rows = run_negativity_sweep(scenario)
-        elif args.command == "purify":
-            rows, succeeded = run_purification(scenario)
-            purification_failed = not succeeded
-        elif args.command == "budget":
-            rows = run_budget(scenario)
-        else:
-            rows = run_li_check(scenario)
+        result = _COMMANDS[args.command].run(_assemble_scenario(args))
+        # purify's runner also says whether the rounds reached the target purity
+        rows, succeeded = result if args.command == "purify" else (result, True)
         _emit(render_rows(rows, args.format), args.out)
     except (ConfigError, DomainError) as err:
         print(f"boostlink: config error: {err}", file=sys.stderr)
@@ -649,7 +619,7 @@ def main(argv=None) -> int:
     except DegenerateProtocolError as err:
         print(f"boostlink: degenerate protocol step: {err}", file=sys.stderr)
         return 3
-    if purification_failed and getattr(args, "strict", False):
+    if not succeeded and getattr(args, "strict", False):
         print("boostlink: purification did not reach the target purity", file=sys.stderr)
         return 4
     return 0

@@ -109,15 +109,15 @@ class LinkParams:
         for name in ("length", "wavelength", "aperture_source", "aperture_receiver"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise DomainError(f"link parameter {name} must be positive and finite")
-        if not math.isfinite(value := attenuation(self)):
-            raise DomainError(f"attenuation must be finite, got {value}")
+        if not 0.0 < (value := attenuation(self)) < math.inf:  # 0: underflow
+            raise DomainError(f"attenuation must be {'finite' if value else 'positive'}, got {value}")
 
 
 def attenuation(params: LinkParams) -> float:
-    """Photons sent per photon received: L^2 lambda^2 / (d_S^2 d_A^2)."""
-    ratio = (params.length * params.wavelength) / (
-        params.aperture_source * params.aperture_receiver
-    )
+    """Photons sent per photon received: L^2 lambda^2 / (d_S^2 d_A^2); inf
+    when d_S d_A underflows to 0."""
+    apertures = params.aperture_source * params.aperture_receiver
+    ratio = (params.length * params.wavelength) / apertures if apertures else math.inf
     return ratio * ratio
 
 

@@ -169,6 +169,42 @@ class TestConfigLoading:
         with pytest.raises(ConfigError):
             load_config(str(path), Scenario())
 
+    def test_unknown_sweep_key_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"beta": {"start": 0.0, "stop": 1.0, "count": 5, "step": 1}}))
+        with pytest.raises(ConfigError, match=r"beta: unknown sweep keys \['step'\]"):
+            load_config(str(path), Scenario())
+
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"beta": 0.1\xff}')
+        assert main(["li-check", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config file is not valid JSON" in captured.err
+
+
+class TestUnsetSettings:
+    """A runner that reads a setting its scenario leaves unset names it; the
+    defaults live in the command table, not in the runners."""
+
+    READS = {
+        run_single_photon_sweep: ("beta", "theta", "phi"),
+        run_pair_sweep: ("beta", "theta", "phi"),
+        run_negativity_sweep: ("beta", "alpha"),
+        run_purification: ("beta", "alpha"),
+        run_li_check: ("beta", "theta", "phi"),
+    }
+
+    @pytest.mark.parametrize(
+        "run, name", [(run, name) for run, names in READS.items() for name in names]
+    )
+    def test_unset_setting_is_named(self, run, name):
+        settings = {key: 0.1 for key in self.READS[run] if key != name}
+        scenario = Scenario(**settings, grid_theta=4, grid_phi=4)
+        with pytest.raises(ConfigError, match=f"^{name}: "):
+            run(scenario)
+
 
 class TestRowReDerivability:
     def test_single_photon_rows_match_direct_calls(self):
@@ -704,6 +740,29 @@ class TestMainEntry:
         assert captured.out == ""
         assert "finite" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["budget", "--link-length", "1e-200"],
+            ["budget", "--link-aperture-source", "1e-200", "--link-aperture-receiver", "1e-200"],
+            ["purify", "--link-length", "1e-200", "--grid-theta", "8", "--grid-phi", "8"],
+        ],
+    )
+    def test_underflowing_attenuation_exits_2(self, argv, capsys):
+        # the attenuation underflows to 0, or its denominator does
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "link: attenuation must be" in captured.err
+
+    @pytest.mark.parametrize("target", ["missing/rows.csv", "."])
+    def test_unwritable_out_exits_2(self, target, tmp_path, capsys):
+        # a missing directory, or a directory in place of the file
+        assert main(["budget", "--out", str(tmp_path / target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot write output file" in captured.err
+
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "rows.csv"
         assert main(["budget", "--out", str(target)]) == 0
@@ -822,7 +881,7 @@ class TestMainEntry:
         def broken(scenario):
             raise NumericalConsistencyError("stabilizer residual too large")
 
-        monkeypatch.setattr(cli, "run_li_check", broken)
+        monkeypatch.setitem(cli._COMMANDS, "li-check", cli._COMMANDS["li-check"]._replace(run=broken))
         assert cli.main(["li-check"]) == 3
         assert "numerical consistency" in capsys.readouterr().err
 

@@ -9,6 +9,7 @@ and list every moved cell in CHANGES.md.
 
 import csv
 import io
+import json
 import math
 from pathlib import Path
 
@@ -57,3 +58,37 @@ def test_output_matches_golden(name, capsys):
                 assert g == w, f"row {i} {column}"
             else:
                 assert abs(g_num - w_num) <= 1e-12 + 1e-9 * abs(w_num), f"row {i} {column}"
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_jsonl_matches_csv(name, capsys):
+    # each JSON line carries the CSV header's keys, and each value is the
+    # CSV cell read as a number (non-finite ones stay strings) or a string
+    assert main(SCENARIOS[name]) == 0
+    header, *cells = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert main([*SCENARIOS[name], "--format", "jsonl"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(cells)
+    for line, row in zip(lines, cells):
+        record = json.loads(line)
+        assert list(record) == header
+        for value, cell in zip(record.values(), row):
+            number = _number(cell)
+            assert value == (number if number is not None and math.isfinite(number) else cell)
+
+
+@pytest.mark.parametrize(
+    "name, config",
+    [
+        ("negativity_alpha_pi2_sigma2",
+         {"alpha": 1.5707963267948966, "sigma": 2, "grid": {"n_theta": 32, "n_phi": 32}}),
+        ("purify_sigma1.5", {"sigma": 1.5, "grid": {"n_theta": 32, "n_phi": 32}}),
+    ],
+)
+def test_config_file_matches_flags(name, config, tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(config))
+    assert main(SCENARIOS[name]) == 0
+    flagged = capsys.readouterr().out
+    assert main([SCENARIOS[name][0], "--config", str(path)]) == 0
+    assert capsys.readouterr().out == flagged

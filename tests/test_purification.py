@@ -110,6 +110,16 @@ class TestAttenuation:
         with pytest.raises(DomainError, match="attenuation must be finite"):
             LinkParams(*link)
 
+    def test_rejects_apertures_whose_product_underflows(self):
+        # d_S d_A = 0.0: the attenuation is inf, not a ZeroDivisionError
+        with pytest.raises(DomainError, match="attenuation must be finite"):
+            LinkParams(0.5, 800e-9, 1e-200, 1e-200)
+
+    @pytest.mark.parametrize("link", [(1e-200, 800e-9, 1.0, 1.0), (1.0, 1e-200, 1e200, 1.0)])
+    def test_rejects_attenuation_that_underflows_to_zero(self, link):
+        with pytest.raises(DomainError, match="attenuation must be positive"):
+            LinkParams(*link)
+
 
 class TestPhotonBudget:
     def test_hand_arithmetic_one_round(self):
