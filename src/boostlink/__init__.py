@@ -33,6 +33,6 @@ from .quantum import (
     purity,
     trace_distance,
 )
-from .states import type2_reduced, type3_reduced
+from .states import type2_amplitudes, type3_amplitudes
 
 __version__ = "0.1.0"

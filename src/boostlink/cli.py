@@ -40,10 +40,9 @@ from .quantum import (
     check_density_matrices,
     negativity,
     pure_projectors,
-    trace_distance,
     trace_distances,
 )
-from .states import pair_amplitudes, type2_reduced, type3_reduced
+from .states import pair_amplitudes, type2_amplitudes, type3_amplitudes
 
 FORMATS = ("csv", "jsonl")
 DEFAULT_ATTENUATION = 100.0
@@ -234,7 +233,7 @@ def run_negativity_sweep(scenario: Scenario) -> list[dict]:
         beam = BeamProfile(sigma=scenario.sigma, alpha=alpha)
         for beta in betas:
             rho = diffracted_reduced_type1(beam, beam, beta, grid)
-            rows.append({"alpha": alpha, "beta": beta, "negativity": negativity(rho, 0)})
+            rows.append({"alpha": alpha, "beta": beta, "negativity": negativity(rho)})
     return rows
 
 
@@ -278,51 +277,43 @@ def run_li_check(scenario: Scenario) -> list[dict]:
     trace distance across frames (raw and phase-compensated), negativity in
     both frames, and a verdict.
 
-    Types II and III take their boosted phases from one Wigner phase per
-    arm (helicity +1), both from one ``wigner_phases`` call, which checks the
-    boost matrix: the type II branch phases shift by -Theta_A and -Theta_B,
-    the type III global phase by -(Theta_A + Theta_B), and the compensated
-    matrix adds the computed phases back.  Under this z-boost the Wigner
-    phase is identically 0, so the compensated column cannot fail yet; it
-    tests something only once li-check boosts along a tilted axis."""
+    Each protocol is a table entry holding its amplitude rows at rest,
+    boosted and compensated; one ``_pure_trace_distances`` call gives its
+    raw and compensated distances.  Type I aberrates both directions and has
+    nothing to compensate.  Types II and III take their boosted phases from
+    one Wigner phase per arm (helicity +1), both from one ``wigner_phases``
+    call, which checks the boost matrix: the type II branch phases shift by
+    -Theta_A and -Theta_B, the type III global phase by -(Theta_A + Theta_B),
+    and the compensated rows add the computed phases back.  Under this
+    z-boost the Wigner phase is identically 0, so the compensated column
+    cannot fail yet; it tests something only once li-check boosts along a
+    tilted axis."""
     beta = _scalar(scenario, "beta")
     theta = _scalar(scenario, "theta")
     phi = _scalar(scenario, "phi")
     n_a, n_b = _back_to_back([theta], [phi])
     rest, moved = _type1_amplitudes(n_a, n_b, beta)
-    rho_s = DensityMatrix.from_pure(rest[0], (3, 3))
-    rho_a = DensityMatrix.from_pure(moved[0], (3, 3))
-    eps = trace_distance(rho_s, rho_a)
-    rows = [
-        {
-            "protocol": "type1",
-            "trace_distance_raw": eps,
-            "trace_distance_compensated": eps,  # nothing to compensate
-            "negativity_source": negativity(rho_s, 0),
-            "negativity_boosted": negativity(rho_a, 0),
-            "verdict": "frame_dependent" if eps > LI_TOLERANCE else "invariant",
-        }
-    ]
-
-    wigner_a, wigner_b = wigner_phases(boost_z(beta), np.concatenate([n_a, n_b])).tolist()
-    for name, reduced, wigner in (
-        ("type2", type2_reduced, (wigner_a, wigner_b)),
-        ("type3", type3_reduced, (wigner_a + wigner_b,)),
-    ):
-        shifts = [-w for w in wigner]  # helicity +1
-        rho_s = reduced(*[0.0] * len(wigner))
-        rho_a = reduced(*shifts)
-        raw = trace_distance(rho_s, rho_a)
-        # adding the computed phases back gives exactly 0.0 (x + -x)
-        compensated = trace_distance(rho_s, reduced(*[s + w for s, w in zip(shifts, wigner)]))
+    wigner = wigner_phases(boost_z(beta), np.concatenate([n_a, n_b]))
+    # branch phases at rest, boosted and compensated; x + -x is exactly 0.0
+    phases = np.stack([np.zeros(2), -wigner, -wigner + wigner])
+    protocols = (
+        ("type1", (3, 3), (rest[0], moved[0], moved[0])),
+        ("type2", (2, 2), type2_amplitudes(*phases.T)),
+        ("type3", (2, 2), type3_amplitudes(phases.sum(axis=1))),
+    )
+    rows = []
+    for name, dims, (source, boosted, compensated) in protocols:
+        raw, distance = _pure_trace_distances(
+            np.stack([source, source]), np.stack([boosted, compensated])
+        ).tolist()
         rows.append(
             {
                 "protocol": name,
                 "trace_distance_raw": raw,
-                "trace_distance_compensated": compensated,
-                "negativity_source": negativity(rho_s, 0),
-                "negativity_boosted": negativity(rho_a, 0),
-                "verdict": "invariant" if compensated <= LI_TOLERANCE else "frame_dependent",
+                "trace_distance_compensated": distance,
+                "negativity_source": negativity(DensityMatrix.from_pure(source, dims)),
+                "negativity_boosted": negativity(DensityMatrix.from_pure(boosted, dims)),
+                "verdict": "invariant" if distance <= LI_TOLERANCE else "frame_dependent",
             }
         )
     return rows
@@ -338,8 +329,11 @@ _LINK_FIELDS = ("length", "wavelength", "aperture_source", "aperture_receiver")
 
 def _config_number(name, value, kind=float):
     """A config value as ``kind`` (float, or int for node and sweep counts,
-    which must be integral); anything unconvertible is a ConfigError."""
+    which must be integral); anything but a JSON number, a boolean or a
+    numeric string included, is a ConfigError."""
     try:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError
         number = float(value)
         if kind is int:
             if not number.is_integer():

@@ -116,21 +116,15 @@ def purity(rho: DensityMatrix) -> float:
     return float(np.trace(rho.mat @ rho.mat).real)
 
 
-def _partial_transpose(rho: DensityMatrix, subsystem: int) -> np.ndarray:
-    n = len(rho.dims)
-    tensor = rho.mat.reshape(rho.dims + rho.dims)
-    tensor = np.swapaxes(tensor, subsystem, subsystem + n)
-    return tensor.reshape(rho.dim, rho.dim)
-
-
-def negativity(rho: DensityMatrix, subsystem: int = 0) -> float:
-    """Magnitude of the negative part of the partial transpose over one
-    subsystem: (||rho^T_A||_1 - 1) / 2 for unit-trace input."""
+def negativity(rho: DensityMatrix) -> float:
+    """Magnitude of the negative part of the partial transpose over the
+    first subsystem: (||rho^T_A||_1 - 1) / 2 for unit-trace input.  For a
+    bipartite state rho^T_B is the full transpose of rho^T_A, with the same
+    spectrum, so either cut gives this value."""
     if len(rho.dims) < 2:
         raise DomainError("negativity requires at least two subsystems")
-    if not 0 <= subsystem < len(rho.dims):
-        raise DomainError(f"subsystem index {subsystem} out of range for dims {rho.dims}")
-    eigs = np.linalg.eigvalsh(_partial_transpose(rho, subsystem))
+    tensor = np.swapaxes(rho.mat.reshape(rho.dims + rho.dims), 0, len(rho.dims))
+    eigs = np.linalg.eigvalsh(tensor.reshape(rho.dim, rho.dim))
     return float(np.abs(eigs[eigs < 0.0]).sum())
 
 

@@ -15,10 +15,14 @@
   -lambda * (Theta(boost, p) + Theta(boost, q)), which cancels in the density
   matrix.
 
-Both Fock-basis protocols are functions of their phases alone:
-``type2_reduced(phase_a, phase_b)`` and ``type3_reduced(phase)`` give the
-occupation-basis matrices on dims (2, 2); ``li-check`` computes both arms'
-phases in one ``lorentz.wigner_phases`` call.
+Every protocol is given as pure-state amplitude rows, which callers turn
+into density matrices (``quantum.pure_projectors``,
+``DensityMatrix.from_pure``).  The Fock-basis protocols are functions of
+their phases alone: ``type2_amplitudes(phase_a, phase_b)`` and
+``type3_amplitudes(phase)`` give one occupation-basis row of C^4 (dims
+(2, 2)) per phase, as ``pair_amplitudes`` gives one C^9 row per direction
+pair.  ``li-check`` computes both arms' phases in one
+``lorentz.wigner_phases`` call.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ import math
 import numpy as np
 
 from .photon import check_polarizations, linear_basis
-from .quantum import DensityMatrix
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -46,21 +49,23 @@ def pair_amplitudes(n_a, n_b) -> np.ndarray:
     return _INV_SQRT2 * joint.reshape(n, 9)
 
 
-def type2_reduced(phase_a: float, phase_b: float) -> DensityMatrix:
-    """Type II, (e^{i phase_a}|1 0> - e^{i phase_b}|0 1>)/sqrt(2), on the
-    single-excitation pair: index 2 is |n_A=1, n_B=0>, index 1 is
-    |n_A=0, n_B=1>."""
-    psi = np.zeros(4, dtype=complex)
-    psi[2] = np.exp(1j * phase_a) * _INV_SQRT2
-    psi[1] = -np.exp(1j * phase_b) * _INV_SQRT2
-    return DensityMatrix.from_pure(psi, (2, 2))
+def type2_amplitudes(phase_a, phase_b) -> np.ndarray:
+    """Type II, (e^{i phase_a}|1 0> - e^{i phase_b}|0 1>)/sqrt(2), one row of
+    C^4 per phase pair, on the single-excitation pair: index 2 is
+    |n_A=1, n_B=0>, index 1 is |n_A=0, n_B=1>."""
+    phase_a, phase_b = np.broadcast_arrays(phase_a, phase_b)
+    psi = np.zeros(phase_a.shape + (4,), dtype=complex)
+    psi[..., 2] = np.exp(1j * phase_a) * _INV_SQRT2
+    psi[..., 1] = -np.exp(1j * phase_b) * _INV_SQRT2
+    return psi
 
 
-def type3_reduced(phase: float) -> DensityMatrix:
-    """Type III, e^{i phase}(|0 0> - |1 1>)/sqrt(2), one dual-rail qubit per
-    arm (logical 1 = photon in the first rail)."""
-    psi = np.zeros(4, dtype=complex)
-    factor = np.exp(1j * phase)
-    psi[0] = factor * _INV_SQRT2   # photon in rail 2 on both arms
-    psi[3] = -factor * _INV_SQRT2  # photon in rail 1 on both arms
-    return DensityMatrix.from_pure(psi, (2, 2))
+def type3_amplitudes(phase) -> np.ndarray:
+    """Type III, e^{i phase}(|0 0> - |1 1>)/sqrt(2), one row of C^4 per
+    phase, one dual-rail qubit per arm (logical 1 = photon in the first
+    rail)."""
+    factor = np.exp(1j * np.asarray(phase))
+    psi = np.zeros(factor.shape + (4,), dtype=complex)
+    psi[..., 0] = factor * _INV_SQRT2   # photon in rail 2 on both arms
+    psi[..., 3] = -factor * _INV_SQRT2  # photon in rail 1 on both arms
+    return psi

@@ -35,7 +35,7 @@ from boostlink.quantum import (
     purity,
     trace_distance,
 )
-from boostlink.states import pair_amplitudes, type2_reduced, type3_reduced
+from boostlink.states import pair_amplitudes, type2_amplitudes, type3_amplitudes
 from test_lorentz import K, inverse, little_group, random_transform, rotation_y, rotation_z
 
 BASELINE_NEGATIVITY_SIGMA1 = 0.19917779685594897
@@ -118,6 +118,13 @@ def test_criterion_2_pair_error_law():
 
 def test_criterion_3_fock_state_lorentz_invariance():
     arms = np.stack([unit((0.8, 0.4)), unit(antipode((0.8, 0.4)))])
+
+    def type2(phase_a, phase_b):
+        return DensityMatrix.from_pure(type2_amplitudes(phase_a, phase_b), (2, 2))
+
+    def type3(phase):
+        return DensityMatrix.from_pure(type3_amplitudes(phase), (2, 2))
+
     worst_three = 0.0
     worst_two = 0.0
     worst_neg = 0.0
@@ -125,17 +132,15 @@ def test_criterion_3_fock_state_lorentz_invariance():
         # helicity +1: each branch phase shifts by minus its arm's Wigner phase
         known_a, known_b = wigner_phases(boost_z(beta), arms).tolist()
         shift_a, shift_b = -known_a, -known_b
-        b3 = type3_reduced(shift_a + shift_b)
-        worst_three = max(worst_three, trace_distance(type3_reduced(0.0), b3))
-        b2 = type2_reduced(shift_a, shift_b)
+        b3 = type3(shift_a + shift_b)
+        worst_three = max(worst_three, trace_distance(type3(0.0), b3))
+        b2 = type2(shift_a, shift_b)
         worst_two = max(
             worst_two,
-            trace_distance(
-                type2_reduced(0.0, 0.0), type2_reduced(shift_a + known_a, shift_b + known_b)
-            ),
+            trace_distance(type2(0.0, 0.0), type2(shift_a + known_a, shift_b + known_b)),
         )
         for rho in (b2, b3):
-            worst_neg = max(worst_neg, abs(negativity(rho, 0) - 0.5))
+            worst_neg = max(worst_neg, abs(negativity(rho) - 0.5))
     ok = worst_three <= 1e-12 and worst_two <= 1e-12 and worst_neg <= 1e-10
     report(3, ok, f"Fock-basis invariance: type3 distance {worst_three:.2e} (<= 1e-12), "
                   f"type2 compensated {worst_two:.2e} (<= 1e-12), "
@@ -148,7 +153,7 @@ def test_criterion_4_sharp_momentum_entanglement_invariance():
     for beta in (0.1, 0.3, 0.5):
         for _ in range(8):
             rho = type1_matrix(random_direction(rng), random_direction(rng), beta)
-            value = negativity(rho, 0)
+            value = negativity(rho)
             worst = max(worst, abs(value - 0.5))
     ok = worst <= 1e-10
     report(4, ok, f"sharp-momentum negativity: worst |N - 0.5| = {worst:.2e} (<= 1e-10)")
@@ -181,7 +186,7 @@ def test_criterion_5_purity_expansion():
             beam = BeamProfile(sigma=sigma)
             grid = make_grid(n, n, sigma=sigma)
             rho = diffracted_reduced_type1(beam, beam, 0.1, grid)
-            values.append((purity(rho), negativity(rho, 0)))
+            values.append((purity(rho), negativity(rho)))
         convergence = max(
             convergence,
             abs(values[0][0] - values[1][0]),
@@ -238,12 +243,12 @@ def test_criterion_8_purification_claims():
     beam2 = BeamProfile(sigma=2.0)
     grid2 = make_grid(64, 64, sigma=2.0)
     rho_sigma2 = diffracted_reduced_type1(beam2, beam2, 0.0, grid2)
-    negativity_sigma2 = negativity(rho_sigma2, 0)
+    negativity_sigma2 = negativity(rho_sigma2)
 
     beam3 = BeamProfile(sigma=3.0)
     grid3 = make_grid(64, 64, sigma=3.0)
     rho_broad = diffracted_reduced_type1(beam3, beam3, 0.0, grid3)
-    input_negativity = negativity(rho_broad, 0)
+    input_negativity = negativity(rho_broad)
     input_ppt = input_negativity <= 1e-12
 
     target = bell_target()
@@ -252,7 +257,7 @@ def test_criterion_8_purification_claims():
     round_fidelities = []
     for _ in range(12):
         state, _ = purify_round(state)
-        round_negativities.append(negativity(state, 0))
+        round_negativities.append(negativity(state))
         round_fidelities.append(fidelity_to_pure(state, target))
     bounded = max(round_negativities) <= 1e-12 and max(round_fidelities) <= 0.5 + 1e-12
 

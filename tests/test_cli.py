@@ -386,11 +386,17 @@ class TestOnAxisAzimuth:
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-def reference_fock_rows(theta, phi, beta):
-    """li-check's type II/III rows as the per-protocol object layer built
-    them: the Wigner phase of each arm, helicity +1, and the occupation-basis
-    layout (type II on indices 2 and 1, type III on 0 and 3)."""
-    theta_a, theta_b = wigner_phases(boost_z(beta), np.stack(back_to_back(theta, phi)))
+def reference_rows(theta, phi, beta):
+    """li-check's rows as the per-protocol object layer built them, one
+    validated matrix per state: the type-I pair along both arms, at rest and
+    aberrated, with nothing to compensate; for types II and III the Wigner
+    phase of each arm, helicity +1, and the occupation-basis layout (type II
+    on indices 2 and 1, type III on 0 and 3)."""
+    n_a, n_b = back_to_back(theta, phi)
+    theta_a, theta_b = wigner_phases(boost_z(beta), np.stack([n_a, n_b]))
+
+    def type1(a, b):
+        return DensityMatrix.from_pure(pair_amplitudes(a[None], b[None])[0], (3, 3))
 
     def type2(phi_a, phi_b):
         psi = np.zeros(4, dtype=complex)
@@ -406,8 +412,11 @@ def reference_fock_rows(theta, phi, beta):
 
     boosted2 = type2(0.0 - theta_a, 0.0 - theta_b)
     boosted3 = type3(0.0 - (theta_a + theta_b))
+    source1 = type1(n_a, n_b)
+    boosted1 = type1(aberrated(n_a, beta), aberrated(n_b, beta))
     rows = []
     for name, source, boosted, compensated in (
+        ("type1", source1, boosted1, (source1, boosted1)),
         ("type2", type2(0.0, 0.0), boosted2, (type2(0.0, 0.0), type2(0.0, 0.0))),
         ("type3", type3(0.0), boosted3, (type3(0.0), type3(0.0))),
     ):
@@ -417,8 +426,8 @@ def reference_fock_rows(theta, phi, beta):
                 "protocol": name,
                 "trace_distance_raw": trace_distance(source, boosted),
                 "trace_distance_compensated": distance,
-                "negativity_source": negativity(source, 0),
-                "negativity_boosted": negativity(boosted, 0),
+                "negativity_source": negativity(source),
+                "negativity_boosted": negativity(boosted),
                 "verdict": "invariant" if distance <= cli.LI_TOLERANCE else "frame_dependent",
             }
         )
@@ -426,7 +435,8 @@ def reference_fock_rows(theta, phi, beta):
 
 
 class TestFockRows:
-    """li-check's type II/III rows come from one Wigner phase per arm."""
+    """li-check's rows equal the per-state matrix reference bitwise; the type
+    II/III rows come from one Wigner phase per arm."""
 
     @pytest.mark.parametrize(
         "beta, theta, phi",
@@ -442,8 +452,8 @@ class TestFockRows:
     def test_rows_equal_object_layer_reference(self, beta, theta, phi):
         rows = run_li_check(Scenario(beta=beta, theta=theta, phi=phi))
         assert [row["protocol"] for row in rows] == ["type1", "type2", "type3"]
-        reference = reference_fock_rows(theta, phi, beta)
-        for row, expected in zip(rows[1:], reference):
+        reference = reference_rows(theta, phi, beta)
+        for row, expected in zip(rows, reference, strict=True):
             assert list(row) == list(expected)
             for key, value in expected.items():
                 assert row[key] == value, (row["protocol"], key)
@@ -816,6 +826,16 @@ class TestMainEntry:
             {"sigma": [1.0]},
             {"link": {"length": "x", "wavelength": 8e-7,
                       "aperture_source": 1.0, "aperture_receiver": 1.0}},
+            # config numbers are JSON numbers: no booleans, no numeric strings
+            {"target_purity": True},
+            {"link": {"length": True, "wavelength": 8e-7,
+                      "aperture_source": 1.0, "aperture_receiver": 1.0}},
+            {"sigma": "0.5"},
+            {"grid": {"n_theta": "8"}},
+            {"beta": True},
+            {"beta": "0.1"},
+            {"beta": {"start": False, "stop": 0.5, "count": 3}},
+            {"beta": {"start": 0, "stop": 0.5, "count": "3"}},
         ],
     )
     def test_unconvertible_config_value_exits_2(self, config, tmp_path, capsys):

@@ -238,7 +238,7 @@ class TestDiffractedReducedType1:
             grid = make_grid(48, 32, sigma=1e-4)
             rho = diffracted_reduced_type1(beam, beam, 0.15, grid)
             assert purity(rho) == pytest.approx(1.0, abs=1e-7)
-            assert negativity(rho, 0) == pytest.approx(0.5, abs=1e-7)
+            assert negativity(rho) == pytest.approx(0.5, abs=1e-7)
 
     def test_zero_spread_limit_purity(self):
         # The purity deficit is 2*sigma^2 to leading order, so it drops below
@@ -253,7 +253,7 @@ class TestDiffractedReducedType1:
         a, b = (np.array(aberrate(n, 0.0, 0.15)) for n in arms)
         sharp = pair_amplitudes(a[None], b[None])[0]
         rho = DensityMatrix.from_pure(sharp, (3, 3))
-        assert negativity(rho, 0) == pytest.approx(0.5, abs=1e-12)
+        assert negativity(rho) == pytest.approx(0.5, abs=1e-12)
 
     def test_purity_never_exceeds_one(self):
         for sigma in (0.05, 0.5, 1.0):
@@ -305,7 +305,7 @@ class TestDiffractedReducedType1:
                     beam = BeamProfile(sigma=sigma)
                     grid = make_grid(n, n, sigma=sigma)
                     rho = diffracted_reduced_type1(beam, beam, beta, grid)
-                    values.append((purity(rho), negativity(rho, 0)))
+                    values.append((purity(rho), negativity(rho)))
                 assert abs(values[0][0] - values[1][0]) < 1e-6
                 assert abs(values[0][1] - values[1][1]) < 1e-6
 

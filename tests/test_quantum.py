@@ -165,18 +165,17 @@ class TestPurity:
 class TestNegativity:
     def test_bell_state(self):
         rho = DensityMatrix.from_pure(BELL_PHI_PLUS, (2, 2))
-        assert negativity(rho, 0) == pytest.approx(0.5, abs=1e-12)
-        assert negativity(rho, 1) == pytest.approx(0.5, abs=1e-12)
+        assert negativity(rho) == pytest.approx(0.5, abs=1e-12)
 
     def test_product_state(self):
         rng = np.random.default_rng(9)
         a = random_density(rng, (2,))
         b = random_density(rng, (3,))
         rho = DensityMatrix(np.kron(a.mat, b.mat), (2, 3))
-        assert negativity(rho, 0) == pytest.approx(0.0, abs=1e-12)
+        assert negativity(rho) == pytest.approx(0.0, abs=1e-12)
 
     def test_no_negative_eigenvalue_gives_positive_zero(self):
-        value = negativity(DensityMatrix(np.eye(4) / 4.0, (2, 2)), 0)
+        value = negativity(DensityMatrix(np.eye(4) / 4.0, (2, 2)))
         assert value == 0.0
         assert math.copysign(1.0, value) == 1.0
 
@@ -186,16 +185,18 @@ class TestNegativity:
         pt = brute_force_partial_transpose(rho.mat, (2, 2), 0)
         expected = -np.linalg.eigvalsh(pt).clip(max=0.0).sum()
         assert expected == pytest.approx(0.125, abs=1e-12)
-        assert negativity(rho, 0) == pytest.approx(expected, abs=1e-12)
+        assert negativity(rho) == pytest.approx(expected, abs=1e-12)
 
     def test_matches_brute_force_on_random_states(self):
         rng = np.random.default_rng(11)
         for dims in [(2, 2), (2, 3), (3, 3)]:
+            rho = random_density(rng, dims)
+            value = negativity(rho)
+            # both cuts of a bipartite state give the one value
             for sub in range(2):
-                rho = random_density(rng, dims)
                 pt = brute_force_partial_transpose(rho.mat, dims, sub)
                 expected = -np.linalg.eigvalsh(pt).clip(max=0.0).sum()
-                assert negativity(rho, sub) == pytest.approx(expected, abs=1e-11)
+                assert value == pytest.approx(expected, abs=1e-11)
 
     def test_local_unitary_invariance(self):
         rng = np.random.default_rng(13)
@@ -203,16 +204,13 @@ class TestNegativity:
             rho = random_density(rng, (2, 3))
             u = np.kron(random_unitary(rng, 2), random_unitary(rng, 3))
             rotated = DensityMatrix(u @ rho.mat @ u.conj().T, (2, 3))
-            assert negativity(rotated, 0) == pytest.approx(
-                negativity(rho, 0), abs=1e-9
+            assert negativity(rotated) == pytest.approx(
+                negativity(rho), abs=1e-9
             )
 
     def test_bad_subsystem_rejected(self):
-        rho = DensityMatrix(np.eye(4) / 4.0, (2, 2))
         with pytest.raises(DomainError):
-            negativity(rho, 2)
-        with pytest.raises(DomainError):
-            negativity(DensityMatrix(np.eye(4) / 4.0, (4,)), 0)
+            negativity(DensityMatrix(np.eye(4) / 4.0, (4,)))
 
 
 class TestFidelityToPure:

@@ -5,7 +5,7 @@ import pytest
 
 from boostlink.errors import DomainError
 from boostlink.lorentz import aberrate, boost_z, polar_angles, unit_vectors, wigner_phases
-from boostlink.states import pair_amplitudes, type2_reduced, type3_reduced
+from boostlink.states import pair_amplitudes, type2_amplitudes, type3_amplitudes
 from boostlink.quantum import DensityMatrix, negativity, purity, trace_distance
 
 
@@ -34,6 +34,16 @@ def type1_matrix(dir_a, dir_b, beta=None):
     return DensityMatrix.from_pure(type1_amplitude(dir_a, dir_b), (3, 3))
 
 
+def type2_reduced(phase_a, phase_b):
+    """The type-II matrix on dims (2, 2) at one pair of branch phases."""
+    return DensityMatrix.from_pure(type2_amplitudes(phase_a, phase_b), (2, 2))
+
+
+def type3_reduced(phase):
+    """The type-III matrix on dims (2, 2) at one global phase."""
+    return DensityMatrix.from_pure(type3_amplitudes(phase), (2, 2))
+
+
 def random_direction(rng):
     return direction(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))
 
@@ -44,7 +54,7 @@ class TestMakeType1:
         for _ in range(10):
             rho = type1_matrix(random_direction(rng), random_direction(rng))
             assert rho.dims == (3, 3)
-            assert negativity(rho, 0) == pytest.approx(0.5, abs=1e-12)
+            assert negativity(rho) == pytest.approx(0.5, abs=1e-12)
             assert purity(rho) == pytest.approx(1.0, rel=1e-12)
 
 
@@ -61,7 +71,7 @@ class TestBoostType1:
         for beta in (1e-5, 0.1, 0.5):
             for _ in range(5):
                 rho = type1_matrix(random_direction(rng), random_direction(rng), beta)
-                assert negativity(rho, 0) == pytest.approx(0.5, abs=1e-10)
+                assert negativity(rho) == pytest.approx(0.5, abs=1e-10)
 
     def test_pair_error_law(self):
         # Opposite directions: trace distance ~ beta*sin(theta), within 1%
@@ -125,19 +135,35 @@ class TestBoostType3:
         pair = opposite_pair(1.3, 0.2)
         for beta in (0.0, 1e-5, 0.4):
             rho = type3_reduced(-sum(arm_phases(*pair, beta)))
-            assert negativity(rho, 0) == pytest.approx(0.5, abs=1e-12)
+            assert negativity(rho) == pytest.approx(0.5, abs=1e-12)
 
     def test_global_phase_never_enters_matrix(self):
         assert trace_distance(type3_reduced(1.234), type3_reduced(0.0)) <= 1e-14
 
 
 class TestNumberBasisReduced:
-    """The occupation-basis matrices of ``type2_reduced`` and ``type3_reduced``."""
+    """The occupation-basis rows of ``type2_amplitudes`` and
+    ``type3_amplitudes`` and their matrices."""
+
+    def test_stack_equals_one_phase_at_a_time(self):
+        rng = np.random.default_rng(17)
+        phases = rng.uniform(-math.pi, math.pi, (8, 2))
+        type2 = type2_amplitudes(*phases.T)
+        type3 = type3_amplitudes(phases[:, 0])
+        assert type2.shape == type3.shape == (8, 4)
+        for (phase_a, phase_b), row2, row3 in zip(phases, type2, type3):
+            assert np.array_equal(row2, type2_amplitudes(phase_a, phase_b))
+            assert np.array_equal(row3, type3_amplitudes(phase_a))
+
+    def test_rows_have_unit_norm(self):
+        phases = np.linspace(-2.0 * math.pi, 2.0 * math.pi, 25)
+        for rows in (type2_amplitudes(phases, phases[::-1]), type3_amplitudes(phases)):
+            assert np.abs(np.linalg.norm(rows, axis=-1) - 1.0).max() <= 1e-15
 
     def test_source_frame_bell_form(self):
         for rho in (type2_reduced(0.0, 0.0), type3_reduced(0.0)):
             assert rho.dims == (2, 2)
-            assert negativity(rho, 0) == pytest.approx(0.5, abs=1e-12)
+            assert negativity(rho) == pytest.approx(0.5, abs=1e-12)
             assert purity(rho) == pytest.approx(1.0, rel=1e-12)
 
     def test_phase_difference_closed_form(self):
