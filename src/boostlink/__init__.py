@@ -7,7 +7,6 @@ from .diffraction import (
     QuadratureGrid,
     diffracted_reduced_type1,
     make_grid,
-    normalized_weights,
 )
 from .errors import (
     ConfigError,

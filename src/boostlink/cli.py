@@ -48,7 +48,7 @@ FORMATS = ("csv", "jsonl")
 DEFAULT_ATTENUATION = 100.0
 LI_TOLERANCE = 1e-9
 # Per-axis ceiling on quadrature nodes: Gauss-Legendre node generation costs
-# O(n^2) memory and O(n^3) time, and a grid holds n_theta * n_phi nodes.
+# O(n^2) memory and O(n^3) time, and a kernel call evaluates about n_theta * n_phi nodes.
 MAX_GRID_NODES = 1024
 # Ceiling on one sweep's point count and on the product of a scenario's sweep
 # counts: values are built as lists before they are checked, and a command
@@ -83,7 +83,10 @@ class SweepSpec:
         n = self.count
         if self.scale == "log":
             a, b = math.log(self.start), math.log(self.stop)
-            return [math.exp(a + (b - a) * i / (n - 1)) for i in range(n)]
+            try:
+                return [math.exp(a + (b - a) * i / (n - 1)) for i in range(n)]
+            except OverflowError:  # rounding can push exp past the largest float
+                raise ConfigError(f"log sweep to {self.stop} overflows a float") from None
         return [self.start + (self.stop - self.start) * i / (n - 1) for i in range(n)]
 
 

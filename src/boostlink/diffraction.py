@@ -39,7 +39,10 @@ one block, whose moments are the single product bit for bit, and a block's
 
 Quadrature: Gauss-Legendre in theta on [0, min(6*sigma, pi)] times a uniform
 periodic grid in phi.  The Gaussian is truncated at the domain edge; the
-grid-doubling convergence test bounds the sensitivity.
+grid-doubling convergence test bounds the sensitivity.  A grid is its n_theta
+rows of one theta and one weight: a beam's weights take one exp per row, and
+no call builds an n_theta x n_phi array.  A spread whose square overflows
+gives a flat beam.
 
 Mirror fold: the profile, the rotation about y and the z-boost commute with
 the mirror y -> -y, which maps the phi grid 2 pi k / n_phi onto itself and
@@ -58,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .lorentz import aberrate, check_velocity
+from .lorentz import aberrate
 from .photon import linear_basis
 from .quantum import DensityMatrix
 
@@ -91,33 +94,40 @@ class BeamProfile:
 
 @dataclass(frozen=True, eq=False)
 class QuadratureGrid:
-    """Product quadrature nodes (theta, phi) with weights carrying the
-    invariant shell measure (1/2) sin(theta) dtheta dphi of unit momentum."""
+    """Product quadrature: rows of one theta and one weight, each at the n_phi
+    azimuths 2 pi k / n_phi; the weights carry the invariant shell measure
+    (1/2) sin(theta) dtheta dphi of unit momentum.  ``theta``, ``phi`` and
+    ``weight`` list the n_theta * n_phi nodes row by row, built on access."""
 
-    theta: np.ndarray
-    phi: np.ndarray
-    weight: np.ndarray
-    n_theta: int
+    row_theta: np.ndarray
+    row_weight: np.ndarray
     n_phi: int
 
     def __post_init__(self):
-        for name in ("theta", "phi", "weight"):
+        for name in ("row_theta", "row_weight"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if not (self.theta.shape == self.phi.shape == self.weight.shape):
-            raise DomainError("node arrays must have matching shapes")
-        if np.any(self.weight <= 0.0):
+        if self.row_theta.shape != self.row_weight.shape:
+            raise DomainError("row arrays must have matching shapes")
+        if np.any(self.row_weight <= 0.0):
             raise DomainError("all quadrature weights must be positive")
-        # make_grid's product layout, on which the kernel's mirror fold relies
-        if self.theta.size != self.n_theta * self.n_phi:
-            raise DomainError("node count must equal n_theta * n_phi")
-        rows = (self.n_theta, self.n_phi)
-        theta, phi, weight = (a.reshape(rows) for a in (self.theta, self.phi, self.weight))
-        off_row = (theta != theta[:, :1]) | (phi != phi[:1]) | (weight != weight[:, :1])
-        uniform_phi = 2.0 * math.pi * np.arange(self.n_phi) / self.n_phi
-        if np.any(off_row) or np.any(np.abs(phi[0] - uniform_phi) > 1e-12):
-            raise DomainError("grid must be rows of one theta and weight at phi = 2 pi k / n_phi")
+
+    @property
+    def n_theta(self) -> int:
+        return self.row_theta.size
+
+    @property
+    def theta(self) -> np.ndarray:
+        return np.repeat(self.row_theta, self.n_phi)
+
+    @property
+    def phi(self) -> np.ndarray:
+        return np.tile(2.0 * math.pi * np.arange(self.n_phi) / self.n_phi, self.n_theta)
+
+    @property
+    def weight(self) -> np.ndarray:
+        return np.repeat(self.row_weight, self.n_phi)
 
 
 @functools.lru_cache(maxsize=8)
@@ -141,43 +151,31 @@ def make_grid(
         raise DomainError("grid needs at least 2 nodes per axis")
     theta_max = math.pi if sigma is None else min(TRUNCATION_SIGMAS * sigma, math.pi)
     nodes, gl_weights = _gauss_legendre(n_theta)
-    theta_1d = 0.5 * theta_max * (nodes + 1.0)
-    wtheta_1d = 0.5 * theta_max * gl_weights
-    phi_1d = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    wphi = 2.0 * math.pi / n_phi
-
-    theta = np.repeat(theta_1d, n_phi)
-    phi = np.tile(phi_1d, n_theta)
-    weight = np.repeat(0.5 * np.sin(theta_1d) * wtheta_1d, n_phi) * wphi
-    return QuadratureGrid(theta, phi, weight, n_theta, n_phi)
-
-
-def normalized_weights(grid: QuadratureGrid, profile: BeamProfile) -> np.ndarray:
-    """Probability weights w * |f|^2 / M; the normalization sum defines M."""
-    density = np.exp(-(grid.theta**2) / (profile.sigma**2))
-    raw = grid.weight * density
-    total = float(raw.sum())
-    if not math.isfinite(total) or total <= 0.0:
-        raise DomainError("quadrature grid cannot normalize this beam profile")
-    return raw / total
+    row_theta = 0.5 * theta_max * (nodes + 1.0)
+    row_weight = 0.5 * np.sin(row_theta) * (0.5 * theta_max * gl_weights) * (2.0 * math.pi / n_phi)
+    return QuadratureGrid(row_theta, row_weight, n_phi)
 
 
 def _half_nodes(grid):
     """Unit vectors (x, y, z) of the nodes with phi in [0, pi], n_phi // 2 + 1
     per theta row, as outer products of per-axis sines and cosines."""
-    theta = grid.theta[:: grid.n_phi, None]
-    phi = grid.phi[: grid.n_phi // 2 + 1]
+    theta = grid.row_theta[:, None]
+    phi = 2.0 * math.pi * np.arange(grid.n_phi // 2 + 1) / grid.n_phi
     x, y = np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi)
     return x.ravel(), y.ravel(), np.repeat(np.cos(theta), phi.size)
 
 
 def _half_weights(grid, profile):
-    """Normalized weights on the half-grid nodes, doubled where the mirror
+    """Probability weights w |f|^2 / M on the half-grid nodes, M the sum over
+    the full grid, from one exp per theta row; doubled where the mirror
     phi -> 2 pi - phi is another node (every column but phi = 0 and pi)."""
-    weights = normalized_weights(grid, profile).reshape(grid.n_theta, -1)
-    folded = 2.0 * weights[:, : grid.n_phi // 2 + 1]
-    folded[:, [0, -1] if grid.n_phi % 2 == 0 else [0]] *= 0.5
-    return folded.ravel()
+    row = grid.row_weight * np.exp(-(grid.row_theta**2) / (profile.sigma * profile.sigma))
+    total = grid.n_phi * float(row.sum())
+    if not math.isfinite(total) or total <= 0.0:
+        raise DomainError("quadrature grid cannot normalize this beam profile")
+    fold = np.full(grid.n_phi // 2 + 1, 2.0)
+    fold[[0, -1] if grid.n_phi % 2 == 0 else [0]] = 1.0
+    return np.multiply.outer(row / total, fold).ravel()
 
 
 def _arm_moments(nodes, weights, axis_angle, beta):
@@ -213,12 +211,9 @@ def diffracted_reduced_type1(
 
     The double node sum factorizes into per-arm moments A_xy, B_xy.
     """
-    check_velocity(beta)
-    w_a = _half_weights(grid, beam_a)
-    w_b = w_a if beam_b.sigma == beam_a.sigma else _half_weights(grid, beam_b)
     nodes = _half_nodes(grid)
-    a = _arm_moments(nodes, w_a, beam_a.alpha, beta)
-    b = _arm_moments(nodes, w_b, beam_b.alpha + math.pi, beta) * _B_AXIS_FLIP
-    rho = _bell_mixture(a, b)
+    a = _arm_moments(nodes, _half_weights(grid, beam_a), beam_a.alpha, beta)
+    b = _arm_moments(nodes, _half_weights(grid, beam_b), beam_b.alpha + math.pi, beta)
+    rho = _bell_mixture(a, b * _B_AXIS_FLIP)
     rho = 0.5 * (rho + rho.conj().T)
     return DensityMatrix(rho, (3, 3))

@@ -51,12 +51,14 @@ def null_mask(momenta, rel_tol: float = NULL_TOL) -> np.ndarray:
 
 def polar_angles(theta, phi) -> tuple[np.ndarray, np.ndarray]:
     """Validated direction angles, elementwise: theta within 1e-12 of [0, pi]
-    is clamped onto it and anything further out (or NaN) is rejected; phi is
-    reduced to [0, 2*pi)."""
+    is clamped onto it and anything further out (or NaN) is rejected; a
+    non-finite phi is rejected and the rest reduced to [0, 2*pi)."""
     theta = np.asarray(theta, dtype=float)
     if not (theta.min() >= -1e-12 and theta.max() <= math.pi + 1e-12):
         outside = ~((theta >= -1e-12) & (theta <= math.pi + 1e-12))
         raise DomainError(f"polar angle must lie in [0, pi], got {theta[outside].flat[0]}")
+    if not np.isfinite(phi).all():
+        raise DomainError(f"azimuth must be finite, got {np.extract(~np.isfinite(phi), phi)[0]}")
     return np.minimum(np.maximum(theta, 0.0), math.pi), np.mod(phi, _TWO_PI)
 
 

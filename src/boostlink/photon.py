@@ -36,11 +36,11 @@ def check_polarizations(eps, normals) -> None:
     unit norm, or not transverse to its propagation direction ``normals``
     (N, 3), to ``POLARIZATION_TOL``; the first offender is reported."""
     norm = np.linalg.norm(eps, axis=-1)
-    bad = np.abs(norm - 1.0) > POLARIZATION_TOL
+    bad = ~(np.abs(norm - 1.0) <= POLARIZATION_TOL)
     if bad.any():
         raise DomainError(f"polarization vector must be unit norm, got {norm[bad][0]}")
     overlap = np.abs(np.einsum("ij,ij->i", eps, normals))
-    bad = overlap > POLARIZATION_TOL
+    bad = ~(overlap <= POLARIZATION_TOL)
     if bad.any():
         raise DomainError(
             f"polarization must be transverse to the momentum (overlap {overlap[bad][0]:.3e})"
@@ -55,7 +55,7 @@ def check_photons(momenta, normals) -> None:
         raise DomainError("photon momentum must be null with positive energy")
     spatial = momenta[:, 1:]
     gap = np.abs(spatial / np.linalg.norm(spatial, axis=-1)[:, None] - normals).max(axis=-1)
-    bad = gap > DIRECTION_TOL
+    bad = ~(gap <= DIRECTION_TOL)
     if bad.any():
         raise DomainError(f"momentum and polarization directions disagree by {gap[bad][0]:.3e}")
 

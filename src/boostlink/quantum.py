@@ -91,7 +91,7 @@ def pure_projectors(psi) -> np.ndarray:
     """Projectors |psi><psi|, (N, d, d), for a stack of normalized state
     vectors ``psi`` (N, d)."""
     norm = np.sqrt((psi.real**2 + psi.imag**2).sum(axis=-1))
-    off = np.abs(norm - 1.0) > 1e-10
+    off = ~(np.abs(norm - 1.0) <= 1e-10)
     if off.any():
         raise DomainError(f"pure-state vector must be normalized, got norm {norm[off][0]}")
     return psi[:, :, None] * psi.conj()[:, None, :]
@@ -134,6 +134,6 @@ def fidelity_to_pure(rho: DensityMatrix, psi) -> float:
     if psi.shape != (rho.dim,):
         raise DomainError(f"target vector has dimension {psi.shape}, expected ({rho.dim},)")
     norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > 1e-10:
+    if not abs(norm - 1.0) <= 1e-10:
         raise DomainError(f"target vector must be normalized, got norm {norm}")
     return float(np.vdot(psi, rho.mat @ psi).real)

@@ -77,6 +77,25 @@ class TestSweepSpec:
         values = SweepSpec(1e-6, 1e-4, 3, "log").values()
         assert values == pytest.approx([1e-6, 1e-5, 1e-4], rel=1e-12)
 
+    def test_log_sweep_to_largest_float(self):
+        # the last exp rounds past the largest float; nearby sweeps that stay
+        # in range keep their values
+        top = SweepSpec(1e-300, 1.7976931348623157e308, 7, "log")
+        with pytest.raises(ConfigError, match="overflows"):
+            top.values()
+        a, b = math.log(1e-300), math.log(1e308)
+        assert SweepSpec(1e-300, 1e308, 7, "log").values() == [
+            math.exp(a + (b - a) * i / 6) for i in range(7)
+        ]
+
+    def test_log_sweep_overflow_exits_2(self, capsys):
+        argv = ["negativity", "--beta", "1e-300:1.7976931348623157e308:7:log",
+                "--grid-theta", "4", "--grid-phi", "4"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "overflows" in captured.err
+
     def test_rejects_malformed(self):
         with pytest.raises(ConfigError):
             SweepSpec(0.0, 1.0, 1)
@@ -734,6 +753,21 @@ class TestMainEntry:
         assert main(argv) == 0
         second = capsys.readouterr().out
         assert first == second
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["negativity", "--sigma", "1.4e154", "--grid-theta", "4", "--grid-phi", "4"],
+            ["negativity", "--sigma", "1e300", "--grid-theta", "8", "--grid-phi", "8"],
+            ["purify", "--sigma", "1e200", "--grid-theta", "4", "--grid-phi", "4"],
+        ],
+    )
+    def test_sigma_squared_overflow_is_flat_beam(self, argv, capsys):
+        # sigma^2 overflows to inf: the beam is flat over the sphere
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert len(captured.out.splitlines()) > 1
 
     @pytest.mark.parametrize(
         "argv",

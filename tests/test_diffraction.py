@@ -21,7 +21,6 @@ from boostlink.diffraction import (
     _half_weights,
     diffracted_reduced_type1,
     make_grid,
-    normalized_weights,
 )
 from boostlink.errors import DomainError
 from boostlink.lorentz import aberrate, polar_angles, unit_vectors
@@ -33,6 +32,13 @@ from boostlink.states import pair_amplitudes
 # default 64x64 grid; they pin the boost-free diffracted pair at sigma = 1.
 BASELINE_NEGATIVITY_SIGMA1 = 0.19917779685594897
 BASELINE_PURITY_SIGMA1 = 0.2737031369435112
+
+
+def _reference_weights(grid, profile):
+    """Reference: probability weights w |f|^2 / M on every node of the full
+    grid, one exp per node; the normalization sum defines M."""
+    raw = grid.weight * np.exp(-(grid.theta**2) / (profile.sigma**2))
+    return raw / raw.sum()
 
 
 # Reference: the angle-based kernel the unit-vector kernel replaced.  Each arm
@@ -87,11 +93,11 @@ def _reference_moments(theta, phi, weights):
 def _reference_reduced_type1(beam_a, beam_b, beta, grid, opposite=True):
     a = _reference_moments(
         *_reference_patch_angles(grid, beam_a, beta, mirror=False),
-        normalized_weights(grid, beam_a),
+        _reference_weights(grid, beam_a),
     )
     b = _reference_moments(
         *_reference_patch_angles(grid, beam_b, beta, mirror=opposite),
-        normalized_weights(grid, beam_b),
+        _reference_weights(grid, beam_b),
     )
     rho = 0.5 * (
         np.kron(a["hh"], b["hh"])
@@ -134,13 +140,35 @@ class TestBeamProfile:
             BeamProfile(sigma=0.3, alpha=alpha)
 
 
+def _full_grid_layout(n_theta, n_phi, sigma):
+    """Reference: the (theta, phi, weight) node arrays of the full grid, as
+    np.repeat / np.tile of the 1-D axes, built the way make_grid built them
+    when a grid stored every node."""
+    theta_max = min(diffraction.TRUNCATION_SIGMAS * sigma, math.pi)
+    nodes, gl_weights = np.polynomial.legendre.leggauss(n_theta)
+    theta_1d = 0.5 * theta_max * (nodes + 1.0)
+    wtheta_1d = 0.5 * theta_max * gl_weights
+    phi_1d = 2.0 * math.pi * np.arange(n_phi) / n_phi
+    wphi = 2.0 * math.pi / n_phi
+    return (
+        np.repeat(theta_1d, n_phi),
+        np.tile(phi_1d, n_theta),
+        np.repeat(0.5 * np.sin(theta_1d) * wtheta_1d, n_phi) * wphi,
+    )
+
+
 class TestQuadratureGrid:
     def test_normalization_defines_probability_weights(self):
+        # the half-grid weights count each mirrored node twice, so they sum
+        # to 1 like the full-grid reference
         for sigma in (0.01, 0.1, 1.0):
-            grid = make_grid(64, 64, sigma=sigma)
-            w = normalized_weights(grid, BeamProfile(sigma=sigma))
-            assert w.sum() == pytest.approx(1.0, rel=1e-12)
-            assert np.all(w > 0.0)
+            for n_phi in (64, 63):
+                grid = make_grid(64, n_phi, sigma=sigma)
+                beam = BeamProfile(sigma=sigma)
+                w = _half_weights(grid, beam)
+                assert w.sum() == pytest.approx(1.0, rel=1e-12)
+                assert np.all(w > 0.0)
+                assert _reference_weights(grid, beam).sum() == pytest.approx(1.0, rel=1e-12)
 
     def test_measure_matches_analytic_shell_area(self):
         # With a flat profile the weights integrate (1/2) sin(theta) over the
@@ -148,56 +176,68 @@ class TestQuadratureGrid:
         grid = make_grid(64, 64, sigma=None)
         assert grid.weight.sum() == pytest.approx(2.0 * math.pi, rel=1e-10)
 
+    @pytest.mark.parametrize("n_phi", [8, 7])
+    def test_overflowing_sigma_gives_flat_beam(self, n_phi):
+        # sigma^2 = inf: every row keeps its shell weight, normalized
+        grid = make_grid(6, n_phi, sigma=1e200)
+        flat = np.repeat(grid.row_weight / (n_phi * grid.row_weight.sum()), n_phi // 2 + 1)
+        flat = flat.reshape(6, -1) * 2.0
+        flat[:, [0, -1] if n_phi % 2 == 0 else [0]] *= 0.5
+        for sigma in (1.4e154, 1e200, 1.7976931348623157e308):
+            weights = _half_weights(grid, BeamProfile(sigma=sigma))
+            assert weights.tobytes() == flat.ravel().tobytes()
+
     def test_rejects_nonpositive_weights(self):
         grid = make_grid(8, 8, sigma=0.2)
         with pytest.raises(DomainError):
-            QuadratureGrid(grid.theta, grid.phi, -grid.weight, 8, 8)
+            QuadratureGrid(grid.row_theta, -grid.row_weight, 8)
 
     def test_rejects_tiny_grid(self):
         with pytest.raises(DomainError):
             make_grid(1, 8)
 
+    def test_rows_are_read_only(self):
+        grid = make_grid(4, 4, sigma=0.4)
+        for array in (grid.row_theta, grid.row_weight):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        with pytest.raises(AttributeError):
+            grid.theta = grid.theta
+
+    def test_build_keeps_only_rows(self):
+        # the full 1024^2 node arrays would take 24 MiB; the rows take 16 KiB
+        make_grid(1024, 1024, sigma=0.4)  # fills the Gauss-Legendre cache
+        tracemalloc.start()
+        try:
+            grid = make_grid(1024, 1024, sigma=0.4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert grid.row_theta.size == 1024
+
 
 class TestGridLayout:
-    """The kernel folds each arm over phi -> 2 pi - phi, which holds only on
-    make_grid's product layout; any other hand-built grid must be refused."""
+    """The kernel folds each arm over phi -> 2 pi - phi, which holds on the
+    product layout; a grid is its theta rows, so no other layout exists."""
 
     @pytest.mark.parametrize("n_theta, n_phi", [(2, 2), (5, 3), (12, 31), (7, 32)])
     def test_make_grid_layout_accepted(self, n_theta, n_phi):
+        # the nodes listed by a grid, and by one rebuilt from its rows, are
+        # the full-grid arrays bit for bit, on odd and even n_phi
         grid = make_grid(n_theta, n_phi, sigma=0.4)
-        QuadratureGrid(grid.theta, grid.phi, grid.weight, n_theta, n_phi)
-
-    @pytest.mark.parametrize("rows", ["all nodes", "every row alike", "one row"])
-    def test_rejects_shuffled_phi(self, rows):
-        grid = make_grid(6, 8, sigma=0.4)
-        shuffle = np.random.default_rng(1).permutation
-        phi = grid.phi.reshape(6, 8).copy()
-        if rows == "all nodes":
-            phi = shuffle(phi.ravel())
-        elif rows == "every row alike":
-            phi = phi[:, shuffle(8)]
-        else:
-            phi[3] = shuffle(phi[3])
-        with pytest.raises(DomainError, match="phi"):
-            QuadratureGrid(grid.theta, phi.ravel(), grid.weight, 6, 8)
-
-    def test_rejects_theta_varying_along_a_row(self):
-        # the transposed layout: phi-major rather than theta-major
-        grid = make_grid(8, 8, sigma=0.4)
-        theta = grid.theta.reshape(8, 8).T.ravel()
-        with pytest.raises(DomainError, match="theta"):
-            QuadratureGrid(theta, grid.phi, grid.weight, 8, 8)
-
-    def test_rejects_phi_dependent_weights(self):
-        grid = make_grid(6, 8, sigma=0.4)
-        weight = grid.weight * (1.0 + 0.1 * np.cos(grid.phi))
-        with pytest.raises(DomainError, match="weight"):
-            QuadratureGrid(grid.theta, grid.phi, weight, 6, 8)
+        rebuilt = QuadratureGrid(grid.row_theta, grid.row_weight, n_phi)
+        reference = _full_grid_layout(n_theta, n_phi, 0.4)
+        for g in (grid, rebuilt):
+            assert g.n_theta == n_theta and g.n_phi == n_phi
+            for got, want in zip((g.theta, g.phi, g.weight), reference):
+                assert got.shape == (n_theta * n_phi,)
+                assert got.tobytes() == want.tobytes()
 
     def test_rejects_node_count_mismatch(self):
         grid = make_grid(6, 8, sigma=0.4)
-        with pytest.raises(DomainError):
-            QuadratureGrid(grid.theta, grid.phi, grid.weight, 6, 9)
+        with pytest.raises(DomainError, match="matching shapes"):
+            QuadratureGrid(grid.row_theta, grid.row_weight[:-1], 8)
 
 
 class TestGaussLegendreCache:
@@ -226,7 +266,7 @@ class TestGaussLegendreCache:
         monkeypatch.setattr(diffraction, "_gauss_legendre", np.polynomial.legendre.leggauss)
         uncached = [make_grid(24, 8, sigma=s) for s in (0.3, 2.0)]
         for got, want in zip(cached, uncached):
-            for name in ("theta", "phi", "weight"):
+            for name in ("row_theta", "row_weight", "theta", "phi", "weight"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
@@ -364,29 +404,30 @@ class TestUnitVectorKernel:
 
     @pytest.mark.parametrize("same_sigma", [True, False])
     def test_work_per_call(self, monkeypatch, same_sigma):
-        # each arm aberrates n_theta * (n_phi // 2 + 1) nodes, and equal beams
-        # share one weights pass
-        patch_sizes, weight_calls = [], []
-        patch, weigh = diffraction.aberrate, diffraction.normalized_weights
+        # each arm aberrates n_theta * (n_phi // 2 + 1) nodes and evaluates
+        # its profile once per theta row
+        patch_sizes, exp_sizes = [], []
+        patch, exp = diffraction.aberrate, np.exp
 
         def counting_patch(nodes, axis_angle, beta):
             patch_sizes.append(nodes[0].size)
             return patch(nodes, axis_angle, beta)
 
-        def counting_weights(grid, profile):
-            weight_calls.append(profile)
-            return weigh(grid, profile)
+        def counting_exp(x):
+            exp_sizes.append(np.size(x))
+            return exp(x)
 
         monkeypatch.setattr(diffraction, "aberrate", counting_patch)
-        monkeypatch.setattr(diffraction, "normalized_weights", counting_weights)
+        monkeypatch.setattr(np, "exp", counting_exp)
         beam_a = BeamProfile(sigma=0.6, alpha=0.3)
         beam_b = BeamProfile(sigma=0.6 if same_sigma else 0.42, alpha=0.3)
         for n_theta, n_phi in ((16, 32), (9, 31), (3, 2)):
+            grid = make_grid(n_theta, n_phi, sigma=0.6)
             patch_sizes.clear()
-            weight_calls.clear()
-            diffracted_reduced_type1(beam_a, beam_b, 0.4, make_grid(n_theta, n_phi, sigma=0.6))
+            exp_sizes.clear()
+            diffracted_reduced_type1(beam_a, beam_b, 0.4, grid)
             assert patch_sizes == [n_theta * (n_phi // 2 + 1)] * 2
-            assert len(weight_calls) == (1 if same_sigma else 2)
+            assert exp_sizes == [n_theta] * 2
 
     def test_node_identities(self):
         # h, v orthonormal and transverse to the unit aberrated direction n,

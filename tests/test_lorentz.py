@@ -206,6 +206,13 @@ class TestTransformAngles:
             with pytest.raises(DomainError, match="polar angle"):
                 transform_angles(theta, 0.0, 0.0)
 
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    def test_non_finite_azimuth_rejected(self, phi):
+        with pytest.raises(DomainError, match="azimuth"):
+            transform_angles(0.5, phi, 0.1)
+        with pytest.raises(DomainError, match="azimuth"):
+            polar_angles(np.array([0.5, 1.0]), np.array([0.2, phi]))
+
     def test_equator_small_beta(self):
         beta = 1e-5
         theta, _ = transform_angles(math.pi / 2, 0.0, beta)

@@ -7,6 +7,7 @@ from boostlink.errors import DomainError
 from boostlink.lorentz import aberrate, boost_z, polar_angles, transform_angles, unit_vectors
 from boostlink.photon import check_photons, check_polarizations, linear_basis
 from boostlink.quantum import DensityMatrix, trace_distance
+from boostlink.states import pair_amplitudes
 
 
 def rotation_oracle(theta, phi):
@@ -222,6 +223,26 @@ class TestStackedChecks:
         expected = self.message(check_polarizations, eps[3:4], normals[3:4])
         assert self.message(check_polarizations, eps, normals) == expected
         assert "transverse" in expected
+
+    def test_nan_polarization_rejected(self):
+        eps, normals = self.stack()
+        eps[3, 0] = math.nan
+        assert "unit norm" in self.message(check_polarizations, eps, normals)
+        # a NaN direction passes the norm check and must fail transversality
+        normals[2] = math.nan
+        eps = linear_basis(*unit_vectors(self.THETA, self.PHI).T)[:3].T
+        assert "transverse" in self.message(check_polarizations, eps, normals)
+
+    def test_backward_pole_pair_rejected(self):
+        # the basis at n = -z exactly is NaN; the pair amplitude must refuse it
+        with pytest.warns(RuntimeWarning), pytest.raises(DomainError, match="unit norm"):
+            pair_amplitudes(np.array([[0.0, 0.0, -1.0]]), np.array([[0.0, 0.0, 1.0]]))
+
+    def test_nan_direction_rejected_by_photon_check(self):
+        _, normals = self.stack()
+        momenta = np.hstack([np.ones((6, 1)), normals])
+        normals[4] = math.nan
+        assert "disagree" in self.message(check_photons, momenta, normals)
 
     def test_momentum_off_direction(self):
         _, normals = self.stack()

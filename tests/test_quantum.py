@@ -9,6 +9,7 @@ from boostlink.quantum import (
     check_density_matrices,
     fidelity_to_pure,
     negativity,
+    pure_projectors,
     purity,
     trace_distance,
 )
@@ -238,6 +239,11 @@ class TestFidelityToPure:
         with pytest.raises(DomainError):
             fidelity_to_pure(rho, np.array([1.0, 1.0]))
 
+    def test_rejects_nan_target(self):
+        rho = DensityMatrix(np.eye(2) / 2.0, (2,))
+        with pytest.raises(DomainError, match="normalized"):
+            fidelity_to_pure(rho, np.array([math.nan, 0.0]))
+
     def test_rejects_dim_mismatch(self):
         rho = DensityMatrix(np.eye(2) / 2.0, (2,))
         with pytest.raises(DomainError):
@@ -261,6 +267,12 @@ class TestStackedValidation:
 
     def test_valid_stack_passes(self):
         check_density_matrices(self.stack())
+
+    def test_pure_projectors_reject_nan_row(self):
+        psi = np.tile(BELL_PHI_PLUS, (3, 1)).astype(complex)
+        psi[1, 2] = complex(0.0, math.nan)
+        with pytest.raises(DomainError, match="norm nan"):
+            pure_projectors(psi)
 
     def test_non_hermitian_entry(self):
         mats = self.stack()
