@@ -573,13 +573,18 @@ class TestSweepCostIndependentOfSize:
 
     @staticmethod
     def _counts(monkeypatch, run, scenario):
-        counts = {"eigvalsh": 0, "density_matrices": 0}
+        counts = {"eigvalsh": 0, "cholesky": 0, "density_matrices": 0}
         eigvalsh = np.linalg.eigvalsh
+        cholesky = np.linalg.cholesky
         post_init = DensityMatrix.__post_init__
 
         def counting_eigvalsh(*args, **kwargs):
             counts["eigvalsh"] += 1
             return eigvalsh(*args, **kwargs)
+
+        def counting_cholesky(*args, **kwargs):
+            counts["cholesky"] += 1
+            return cholesky(*args, **kwargs)
 
         def counting_post_init(self):
             counts["density_matrices"] += 1
@@ -587,6 +592,7 @@ class TestSweepCostIndependentOfSize:
 
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+            patch.setattr(np.linalg, "cholesky", counting_cholesky)
             patch.setattr(DensityMatrix, "__post_init__", counting_post_init)
             run(scenario)
         return counts
@@ -598,6 +604,8 @@ class TestSweepCostIndependentOfSize:
         small = self._counts(monkeypatch, run_single_photon_sweep, scenario(12))
         large = self._counts(monkeypatch, run_single_photon_sweep, scenario(24))
         assert small == large
+        # one factorization certifies the whole stack; one eigensolve measures
+        assert small == {"eigvalsh": 1, "cholesky": 1, "density_matrices": 0}
 
     def test_pair(self, monkeypatch):
         def scenario(n):
@@ -606,6 +614,7 @@ class TestSweepCostIndependentOfSize:
         small = self._counts(monkeypatch, run_pair_sweep, scenario(60))
         large = self._counts(monkeypatch, run_pair_sweep, scenario(120))
         assert small == large
+        assert small == {"eigvalsh": 1, "cholesky": 1, "density_matrices": 0}
 
 
 class TestGrid:
@@ -734,6 +743,36 @@ class TestRendering:
     def test_twelve_significant_digits(self):
         text = render_rows([{"x": 1.0 / 3.0}], "csv")
         assert text.splitlines()[1] == "0.333333333333"
+
+    def test_csv_lines_are_the_cell_by_cell_join(self):
+        """Rows printed through the first row's %-pattern and rows that fall
+        back to ``_cell`` both read exactly as the join of their cells."""
+        rng = np.random.default_rng(18)
+        specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.5e-310, 1e16,
+                    1.8e308, 0.1 + 0.2, 1.0 / 3.0]
+
+        def draw(kind):
+            if kind in ("float", "float64"):
+                x = float(rng.choice(specials)) if rng.random() < 0.3 else float(
+                    rng.normal() * 10.0 ** rng.uniform(-320.0, 300.0))
+                return np.float64(x) if kind == "float64" else x
+            if kind == "int":
+                return int(rng.choice([0, -7, 10**20, int(rng.integers(-10**9, 10**9))]))
+            if kind == "str":
+                return str(rng.choice(["type1", "invariant", "", "frame_dependent"]))
+            return bool(rng.random() < 0.5)
+
+        kinds = ["float", "float64", "int", "str", "bool"]
+        weights = [0.6, 0.1, 0.1, 0.1, 0.1]
+        for _ in range(300):
+            schema = rng.choice(kinds, size=int(rng.integers(1, 7)), p=weights)
+            rows = []
+            for _ in range(int(rng.integers(1, 12))):
+                row_kinds = [rng.choice(kinds) if rng.random() < 0.15 else k for k in schema]
+                rows.append({f"c{i}": draw(k) for i, k in enumerate(row_kinds)})
+            want = [",".join(rows[0])]
+            want += [",".join(cli._cell(v, "csv") for v in row.values()) for row in rows]
+            assert render_rows(rows, "csv") == "\n".join(want) + "\n"
 
 
 class TestMainEntry:

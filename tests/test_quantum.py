@@ -290,3 +290,70 @@ class TestStackedValidation:
         with pytest.raises(DomainError) as err:
             check_density_matrices(mats)
         assert str(err.value) == expected
+
+    @staticmethod
+    def with_smallest_eigenvalue(smallest):
+        """A 4x4 unit-trace Hermitian matrix, in a random basis, whose
+        smallest eigenvalue is ``smallest``."""
+        rng = np.random.default_rng(17)
+        u = random_unitary(rng, 4)
+        mat = (u * [smallest, 0.2, 0.3, 0.5 - smallest]) @ u.conj().T
+        return 0.5 * (mat + mat.conj().T)
+
+    def test_empty_stack_passes(self):
+        check_density_matrices(np.zeros((0, 4, 4), dtype=complex))
+        check_density_matrices(pure_projectors(np.zeros((0, 3), dtype=complex)))
+
+    def test_zero_size_matrix_has_no_unit_trace(self):
+        with pytest.raises(DomainError, match="trace must equal 1"):
+            DensityMatrix(np.zeros((0, 0)), (0,))
+
+    @pytest.mark.parametrize("smallest", [-0.5e-9, -0.99e-9])
+    def test_negative_eigenvalue_within_tolerance_accepted(self, smallest):
+        mat = self.with_smallest_eigenvalue(smallest)
+        assert np.linalg.eigvalsh(mat).min() == pytest.approx(smallest, abs=1e-15)
+        check_density_matrices(mat[None])
+        mats = self.stack()
+        mats[2] = mat
+        check_density_matrices(mats)
+
+    def test_rank_one_projectors_accepted(self):
+        rng = np.random.default_rng(19)
+        for d in (2, 3, 4, 9):
+            psi = np.array([random_state_vector(rng, d) for _ in range(20)])
+            check_density_matrices(pure_projectors(psi))
+
+    @pytest.mark.parametrize("smallest", [-1.01e-9, -2e-9])
+    def test_negative_eigenvalue_beyond_tolerance_rejected(self, smallest):
+        mat = self.with_smallest_eigenvalue(smallest)
+        expected = self.per_item_message(mat)
+        assert "negative eigenvalue" in expected
+        mats = self.stack()
+        mats[2] = mat
+        for stack in (mat[None], mats):
+            with pytest.raises(DomainError) as err:
+                check_density_matrices(stack)
+            assert str(err.value) == expected
+
+    def test_first_offender_reported(self):
+        mats = self.stack()
+        mats[1] = self.with_smallest_eigenvalue(-2e-9)
+        mats[3] = np.diag([1.5, -0.5, 0.0, 0.0])
+        with pytest.raises(DomainError, match=r"negative eigenvalue \(-2\.000e-09\)"):
+            check_density_matrices(mats)
+
+    def test_eigensolve_accepts_what_the_factorization_cannot_certify(self, monkeypatch):
+        """At the tolerance itself the shifted matrix is singular and the
+        factorization may fail; the eigensolve then decides."""
+
+        def failing_cholesky(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        mats = self.stack()
+        mats[0] = self.with_smallest_eigenvalue(-0.99e-9)
+        bad = self.with_smallest_eigenvalue(-1.01e-9)
+        monkeypatch.setattr(np.linalg, "cholesky", failing_cholesky)
+        check_density_matrices(mats)
+        mats[4] = bad
+        with pytest.raises(DomainError, match="negative eigenvalue"):
+            check_density_matrices(mats)
