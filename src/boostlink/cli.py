@@ -51,7 +51,8 @@ FORMATS = ("csv", "jsonl")
 DEFAULT_ATTENUATION = 100.0
 LI_TOLERANCE = 1e-9
 # Per-axis ceiling on quadrature nodes: Gauss-Legendre node generation costs
-# O(n^2) memory and O(n^3) time, and a kernel call evaluates about n_theta * n_phi nodes.
+# O(n^2) memory and O(n^3) time, and a kernel call evaluates
+# n_theta * (n_phi // 2 + 1) nodes per distinct arm beta.
 MAX_GRID_NODES = 1024
 # Ceiling on one sweep's point count and on the product of a scenario's sweep
 # counts: values are built as lists before they are checked, and a command
@@ -237,9 +238,11 @@ def run_negativity_sweep(scenario: Scenario) -> list[dict]:
     rows = []
     for alpha in _values(scenario, "alpha"):
         beam = BeamProfile(sigma=scenario.sigma, alpha=alpha)
-        for beta in betas:
-            rho = diffracted_reduced_type1(beam, beam, beta, grid)
-            rows.append({"alpha": alpha, "beta": beta, "negativity": negativity(rho)})
+        rhos = diffracted_reduced_type1(beam, beam, betas, grid)
+        rows.extend(
+            {"alpha": alpha, "beta": beta, "negativity": negativity(rho)}
+            for beta, rho in zip(betas, rhos)
+        )
     return rows
 
 

@@ -17,22 +17,33 @@ rigidly (nodes and polarization patch together) about y to the polar
 direction ``alpha`` (azimuth 0); "opposite directions" places arm B's axis at
 the exact mirror of arm A's, which is what makes one arm's spread tighten and
 the other broaden under a z-boost.  Each node goes through the package's
-one direction kernel: ``lorentz.aberrate`` rotates it to the lab, aberrates
-it under the z-boost there and rotates it back to the beam frame, where
+one direction kernel, ``lorentz.aberrate`` in its two steps:
+``rotate_to_lab`` takes it to the lab, ``boost_to_beam_frame`` aberrates it
+under the z-boost there and rotates it back to the beam frame, where
 ``photon.linear_basis`` gives its h and v (singular only at the beam-frame
-backward pole n = -z).  Carrying the basis with the beam keeps it continuous
-across the beam for every pointing; the fixed global basis would instead be
-singular for a beam centered on the backward pole, where it twists with
-azimuth.  The returned matrices are therefore expressed in per-arm frames
-tied to the beam axes, with arm B's second axis reversed (``_B_AXIS_FLIP``,
-exact sign flips) so that the ideal pair, the sigma -> 0 limit, is
-``purification.bell_target()``.  The frames are boost-independent, so
-entanglement measures and cross-frame distances are unaffected.
+backward pole n = -z).  Arm B's axis at alpha_B + pi is arm B at alpha_B
+under -beta: R_y(pi) conjugates B_z(beta) into B_z(-beta), and the rotations
+in and back cancel it.  So every arm is a (beam, beta) pair in the beam's own
+geometry, arm A at beta and arm B at -beta.  Carrying the basis with the beam
+keeps it continuous across the beam for every pointing; the fixed global
+basis would instead be singular for a beam centered on the backward pole,
+where it twists with azimuth.  The returned matrices are therefore expressed
+in per-arm frames tied to the beam axes, with arm B's second axis reversed
+(``_B_AXIS_FLIP``, exact sign flips) so that the ideal pair, the sigma -> 0
+limit, is ``purification.bell_target()``.  The frames are boost-independent,
+so entanglement measures and cross-frame distances are unaffected.
 
-Each arm's four moment blocks are the 6x6 matrix (X w) X^T, X = [h | v] a
-6 x N array, summed over consecutive blocks of _BLOCK_NODES half-grid nodes,
-so a call's temporaries are small reused heap memory, not fresh pages.  The
-size is a constant, so output does not depend on the host.  It lies in
+One call takes one beta or a 1-D sequence of them (one matrix per beta, in
+order), checks every beta before any node work, and evaluates each distinct
+(beam, beta) pair once, 0.0 and -0.0 as one: with equal beams the beta = 0
+baseline serves both arms, and a signed sweep shares beta with -beta.  Each
+arm's four moment blocks are the 6x6 matrix (X w) X^T, X = [h | v] a 6 x N
+array, summed over consecutive blocks of _BLOCK_NODES half-grid nodes.
+Blocks are the outer loop and betas the inner one: a block is rotated to the
+lab once, then boosted once per beta, and its product added to that beta's
+sum in node order, so each matrix is bit for bit the one-beta call's.  A
+call's temporaries are small heap blocks, never freshly mapped arrays.  The
+block size is a constant, so output does not depend on the host.  It lies in
 [2112, 2730]: the half grid of a 64 x 64 or smaller grid (64 x 33 nodes) is
 one block, whose moments are the single product bit for bit, and a block's
 6 x B float64 stack stays under glibc's default 128 KiB mmap threshold.
@@ -56,12 +67,13 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .lorentz import aberrate
+from .lorentz import boost_to_beam_frame, check_velocity, rotate_to_lab
 from .photon import linear_basis
 from .quantum import DensityMatrix
 
@@ -106,12 +118,21 @@ class QuadratureGrid:
     def __post_init__(self):
         for name in ("row_theta", "row_weight"):
             arr = np.asarray(getattr(self, name), dtype=float)
+            if arr.ndim != 1 or arr.size == 0:
+                raise DomainError(f"{name} must be a non-empty 1-D array")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if self.row_theta.shape != self.row_weight.shape:
             raise DomainError("row arrays must have matching shapes")
-        if np.any(self.row_weight <= 0.0):
+        # min and max are NaN when any entry is, which fails every comparison
+        if not 0.0 <= self.row_theta.min() <= self.row_theta.max() <= math.pi:
+            raise DomainError("row thetas must lie in [0, pi]")
+        if not self.row_weight.max() < math.inf:
+            raise DomainError("quadrature weights must be finite")
+        if not self.row_weight.min() > 0.0:
             raise DomainError("all quadrature weights must be positive")
+        if not (isinstance(self.n_phi, (int, np.integer)) and self.n_phi >= 2):
+            raise DomainError(f"n_phi must be an integer >= 2, got {self.n_phi!r}")
 
     @property
     def n_theta(self) -> int:
@@ -178,18 +199,23 @@ def _half_weights(grid, profile):
     return np.multiply.outer(row / total, fold).ravel()
 
 
-def _arm_moments(nodes, weights, axis_angle, beta):
-    """Per-arm weighted moments sum_i W_i |x_i><y_i| for x, y in {h, v}, from
-    products over blocks of at most ``_BLOCK_NODES`` half-grid nodes, summed
-    in node order: entry [x, :, y, :] is the 3x3 block A_xy.  Folding in the
-    mirrored nodes keeps the entries even under the mirror."""
-    moments = None
+def _arm_moments(nodes, weights, axis_angle, betas):
+    """Per-arm weighted moments sum_i W_i |x_i><y_i| for x, y in {h, v}, one
+    per beta in ``betas``, from products over blocks of at most
+    ``_BLOCK_NODES`` half-grid nodes, summed in node order: entry
+    [x, :, y, :] is the 3x3 block A_xy.  Each block is rotated to the lab
+    once and boosted once per beta.  Folding in the mirrored nodes keeps the
+    entries even under the mirror."""
+    moments = [None] * len(betas)
     for start in range(0, weights.size, _BLOCK_NODES):
         block = slice(start, start + _BLOCK_NODES)
-        basis = linear_basis(*aberrate([n[block] for n in nodes], axis_angle, beta))
-        product = (basis * weights[block]) @ basis.T
-        moments = product if moments is None else moments + product
-    return (moments * _MIRROR_EVEN).reshape(2, 3, 2, 3)
+        lab = rotate_to_lab([n[block] for n in nodes], axis_angle)
+        block_weights = weights[block]
+        for i, beta in enumerate(betas):
+            basis = linear_basis(*boost_to_beam_frame(lab, axis_angle, beta))
+            product = (basis * block_weights) @ basis.T
+            moments[i] = product if moments[i] is None else moments[i] + product
+    return [(m * _MIRROR_EVEN).reshape(2, 3, 2, 3) for m in moments]
 
 
 def _bell_mixture(a, b):
@@ -201,19 +227,39 @@ def _bell_mixture(a, b):
 def diffracted_reduced_type1(
     beam_a: BeamProfile,
     beam_b: BeamProfile,
-    beta: float,
+    beta: float | Sequence[float],
     grid: QuadratureGrid,
-) -> DensityMatrix:
+) -> DensityMatrix | tuple[DensityMatrix, ...]:
     """Momentum-traced polarization matrix (dims (3, 3)) of the diffracted
     pair as seen after a z-boost by ``beta``, arm B's axis at the mirror
     ``beam_b.alpha + pi``, in the beam frames with arm B's second axis
     reversed, where the ideal pair is ``purification.bell_target()``.
 
-    The double node sum factorizes into per-arm moments A_xy, B_xy.
+    A scalar ``beta`` gives one ``DensityMatrix``; a 1-D sequence gives a
+    tuple of them, one per beta in order, from one pass over the nodes.
+    The double node sum factorizes into per-arm moments A_xy, B_xy; arm B
+    is evaluated as arm A's geometry under -beta, and each distinct (beam,
+    beta) pair once.
     """
+    if np.ndim(beta) > 1:
+        raise DomainError(f"beta must be a number or a 1-D sequence, got shape {np.shape(beta)}")
+    # + 0.0 turns -0.0 into 0.0: a zero boost is one evaluation whatever its sign
+    betas = [float(b) + 0.0 for b in np.ravel(beta)]
+    weights_a = _half_weights(grid, beam_a)
+    weights_b = weights_a if beam_b.sigma == beam_a.sigma else _half_weights(grid, beam_b)
+    for b in betas:
+        check_velocity(b)
+    weights = {beam_a: weights_a, beam_b: weights_b}
+    arm_betas = {beam_a: dict.fromkeys(betas)}
+    arm_betas.setdefault(beam_b, {}).update(dict.fromkeys(-b + 0.0 for b in betas))
     nodes = _half_nodes(grid)
-    a = _arm_moments(nodes, _half_weights(grid, beam_a), beam_a.alpha, beta)
-    b = _arm_moments(nodes, _half_weights(grid, beam_b), beam_b.alpha + math.pi, beta)
-    rho = _bell_mixture(a, b * _B_AXIS_FLIP)
-    rho = 0.5 * (rho + rho.conj().T)
-    return DensityMatrix(rho, (3, 3))
+    moments = {
+        (beam, b): m
+        for beam, distinct in arm_betas.items()
+        for b, m in zip(distinct, _arm_moments(nodes, weights[beam], beam.alpha, list(distinct)))
+    }
+    rhos = []
+    for b in betas:
+        rho = _bell_mixture(moments[beam_a, b], moments[beam_b, -b + 0.0] * _B_AXIS_FLIP)
+        rhos.append(DensityMatrix(0.5 * (rho + rho.conj().T), (3, 3)))
+    return tuple(rhos) if np.ndim(beta) else rhos[0]

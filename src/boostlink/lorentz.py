@@ -87,6 +87,43 @@ def boost_z(beta: float) -> np.ndarray:
     return m
 
 
+def rotate_to_lab(nodes, axis_angle: float):
+    """Directions (x, y, z) given in a beam frame rotated about y by
+    ``axis_angle`` from the lab, expressed in the lab: the boost-independent
+    first step of ``aberrate``."""
+    x, y, z = nodes
+    c, s = math.cos(axis_angle), math.sin(axis_angle)
+    return c * x + s * z, y, c * z - s * x
+
+
+def boost_to_beam_frame(lab, axis_angle: float, beta: float):
+    """Lab directions ``lab`` (as ``rotate_to_lab`` returns them) after
+    ``boost_z(beta)``, rotated back to the beam frame: the second step of
+    ``aberrate``.  It writes only into its own temporaries, so one lab
+    stack serves every beta."""
+    check_velocity(beta)
+    x, y, z = lab
+    c, s = math.cos(axis_angle), math.sin(axis_angle)
+    gamma = 1.0 / math.sqrt((1.0 - beta) * (1.0 + beta))
+    # one rounding per operation, in the order of the formula in ``aberrate``
+    # (1 - beta n_z is 1 + n_z (-beta) exactly), on as few temporaries as
+    # the formula needs
+    scale = z * -beta
+    scale += 1.0
+    scale *= gamma
+    scale = 1.0 / scale
+    boosted_x = x * scale
+    boosted_z = z - beta
+    boosted_z *= gamma
+    boosted_z *= scale
+    beam_x = c * boosted_x
+    beam_x -= s * boosted_z
+    boosted_x *= s
+    boosted_z *= c
+    boosted_x += boosted_z
+    return beam_x, y * scale, boosted_x
+
+
 def aberrate(nodes, axis_angle: float, beta: float):
     """Unit vectors (x, y, z) after ``boost_z(beta)``, for directions given in
     a beam frame rotated about y by ``axis_angle`` from the lab (0: the lab
@@ -97,16 +134,7 @@ def aberrate(nodes, axis_angle: float, beta: float):
     (Weinberg, QFT I, sec. 2.5; Lindner, Peres & Terno, J. Phys. A 36, L449,
     2003), and rotate back.  ``nodes`` holds the x, y and z components: three
     arrays of equal shape, or one 3-vector."""
-    check_velocity(beta)
-    x, y, z = nodes
-    c, s = math.cos(axis_angle), math.sin(axis_angle)
-    lab_x = c * x + s * z
-    lab_z = c * z - s * x
-    gamma = 1.0 / math.sqrt((1.0 - beta) * (1.0 + beta))
-    scale = 1.0 / (gamma * (1.0 - beta * lab_z))
-    lab_x *= scale
-    lab_z = gamma * (lab_z - beta) * scale
-    return c * lab_x - s * lab_z, y * scale, s * lab_x + c * lab_z
+    return boost_to_beam_frame(rotate_to_lab(nodes, axis_angle), axis_angle, beta)
 
 
 def transform_angles(theta: float, phi: float, beta: float) -> tuple[float, float]:

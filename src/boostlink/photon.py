@@ -17,7 +17,7 @@ acts on a linearly polarized photon by aberrating its direction
 Every function works on stacks of directions: the ``single-photon`` sweep
 and the type-I pair amplitude (``states.pair_amplitudes``) call each once on
 all of their points, and the diffraction kernel calls ``linear_basis`` once
-per block of nodes.
+per block of nodes and beta.
 """
 
 from __future__ import annotations
@@ -71,9 +71,19 @@ def linear_basis(nx, ny, nz) -> np.ndarray:
     cos(phi) = 0).  Grid nodes avoid it too: sin(theta) > 0 at every
     Gauss-Legendre node, so n_y != 0 off the columns phi = 0 and pi, and a
     node there reaches the pole only if the boost aberrates it exactly onto
-    -z."""
+    -z.  The rows are computed in place in the returned array."""
     one_plus_nz = 1.0 + nz
     np.divide(nx * nx + ny * ny, 1.0 - nz, out=one_plus_nz, where=nz < 0.0)
     kx = nx / one_plus_nz
     ky = ny / one_plus_nz
-    return np.array([1.0 - nx * kx, -ny * kx, -nx, -nx * ky, 1.0 - ny * ky, -ny])
+    basis = np.empty((6,) + np.shape(nx))
+    h_x, h_y, h_z, v_x, v_y, v_z = basis
+    np.multiply(nx, kx, out=h_x)
+    np.subtract(1.0, h_x, out=h_x)
+    np.negative(ny, out=v_z)
+    np.multiply(v_z, kx, out=h_y)
+    np.negative(nx, out=h_z)
+    np.multiply(h_z, ky, out=v_x)
+    np.multiply(ny, ky, out=v_y)
+    np.subtract(1.0, v_y, out=v_y)
+    return basis

@@ -192,6 +192,36 @@ class TestQuadratureGrid:
         with pytest.raises(DomainError):
             QuadratureGrid(grid.row_theta, -grid.row_weight, 8)
 
+    @pytest.mark.parametrize("row_theta, row_weight, message", [
+        ([0.1, 0.2], [0.5, math.nan], "quadrature weights must be finite"),
+        ([0.1, 0.2], [math.inf, 0.5], "quadrature weights must be finite"),
+        ([0.1, 0.2], [0.5, -math.inf], "all quadrature weights must be positive"),
+        ([0.1, 0.2], [0.5, 0.0], "all quadrature weights must be positive"),
+        ([[0.1, 0.2]], [[0.5, 0.5]], "row_theta must be a non-empty 1-D array"),
+        (0.1, 0.5, "row_theta must be a non-empty 1-D array"),
+        ([], [], "row_theta must be a non-empty 1-D array"),
+        ([0.1, 0.2], [], "row_weight must be a non-empty 1-D array"),
+        ([0.1, math.nan], [0.5, 0.5], r"row thetas must lie in \[0, pi\]"),
+        ([math.nan, 0.1], [0.5, 0.5], r"row thetas must lie in \[0, pi\]"),
+        ([-0.1, 0.2], [0.5, 0.5], r"row thetas must lie in \[0, pi\]"),
+        ([0.1, 3.2], [0.5, 0.5], r"row thetas must lie in \[0, pi\]"),
+        ([0.1, math.inf], [0.5, 0.5], r"row thetas must lie in \[0, pi\]"),
+    ])
+    def test_rejects_bad_rows(self, row_theta, row_weight, message):
+        # each of these used to be accepted and fail later, in the kernel
+        with pytest.raises(DomainError, match=message):
+            QuadratureGrid(row_theta, row_weight, 8)
+
+    @pytest.mark.parametrize("n_phi", [0, -3, 1, 2.5, 4.0, "8", None, True])
+    def test_rejects_bad_n_phi(self, n_phi):
+        grid = make_grid(8, 8, sigma=0.2)
+        with pytest.raises(DomainError, match="n_phi must be an integer >= 2"):
+            QuadratureGrid(grid.row_theta, grid.row_weight, n_phi)
+
+    def test_accepts_numpy_integer_n_phi_and_edge_thetas(self):
+        grid = QuadratureGrid([0.0, math.pi], [0.5, 0.5], np.int64(2))
+        assert grid.n_phi == 2 and grid.n_theta == 2
+
     def test_rejects_tiny_grid(self):
         with pytest.raises(DomainError):
             make_grid(1, 8)
@@ -404,30 +434,50 @@ class TestUnitVectorKernel:
 
     @pytest.mark.parametrize("same_sigma", [True, False])
     def test_work_per_call(self, monkeypatch, same_sigma):
-        # each arm aberrates n_theta * (n_phi // 2 + 1) nodes and evaluates
-        # its profile once per theta row
-        patch_sizes, exp_sizes = [], []
-        patch, exp = diffraction.aberrate, np.exp
+        # each beam evaluates its profile once per theta row (once for both
+        # arms when the spreads are equal) and rotates each block of its
+        # n_theta * (n_phi // 2 + 1) half-grid nodes to the lab once; each
+        # block is boosted once per distinct arm beta: arm A's betas for
+        # beam_a, the negated ones for beam_b, 0.0 and -0.0 as one
+        rotations, boosts, exp_sizes = [], [], []
+        rotate, boost, exp = diffraction.rotate_to_lab, diffraction.boost_to_beam_frame, np.exp
 
-        def counting_patch(nodes, axis_angle, beta):
-            patch_sizes.append(nodes[0].size)
-            return patch(nodes, axis_angle, beta)
+        def counting_rotate(nodes, axis_angle):
+            rotations.append((nodes[0].size, axis_angle))
+            return rotate(nodes, axis_angle)
+
+        def counting_boost(lab, axis_angle, beta):
+            boosts.append((lab[0].size, axis_angle, beta))
+            return boost(lab, axis_angle, beta)
 
         def counting_exp(x):
             exp_sizes.append(np.size(x))
             return exp(x)
 
-        monkeypatch.setattr(diffraction, "aberrate", counting_patch)
+        monkeypatch.setattr(diffraction, "rotate_to_lab", counting_rotate)
+        monkeypatch.setattr(diffraction, "boost_to_beam_frame", counting_boost)
         monkeypatch.setattr(np, "exp", counting_exp)
         beam_a = BeamProfile(sigma=0.6, alpha=0.3)
         beam_b = BeamProfile(sigma=0.6 if same_sigma else 0.42, alpha=0.3)
-        for n_theta, n_phi in ((16, 32), (9, 31), (3, 2)):
+        sweeps = [(0.4, [0.4], [-0.4]),
+                  ([0.0, 0.4, -0.0, -0.4, 0.4], [0.0, 0.4, -0.4], [0.0, -0.4, 0.4])]
+        for n_theta, n_phi in ((16, 32), (9, 31), (3, 2), _one_past_whole_blocks()):
             grid = make_grid(n_theta, n_phi, sigma=0.6)
-            patch_sizes.clear()
-            exp_sizes.clear()
-            diffracted_reduced_type1(beam_a, beam_b, 0.4, grid)
-            assert patch_sizes == [n_theta * (n_phi // 2 + 1)] * 2
-            assert exp_sizes == [n_theta] * 2
+            half = n_theta * (n_phi // 2 + 1)
+            blocks = [min(_BLOCK_NODES, half - start) for start in range(0, half, _BLOCK_NODES)]
+            for beta, betas_a, betas_b in sweeps:
+                rotations.clear()
+                boosts.clear()
+                exp_sizes.clear()
+                diffracted_reduced_type1(beam_a, beam_b, beta, grid)
+                if same_sigma:  # beam_b is beam_a: one pass over the union
+                    arms = [dict.fromkeys(betas_a + betas_b)]
+                else:
+                    arms = [betas_a, betas_b]
+                assert rotations == [(size, 0.3) for _ in arms for size in blocks]
+                assert boosts == [(size, 0.3, b) for arm in arms for size in blocks for b in arm]
+                assert not any(math.copysign(1.0, b) < 0 for _, _, b in boosts if b == 0.0)
+                assert exp_sizes == [n_theta] * (1 if same_sigma else 2)
 
     def test_node_identities(self):
         # h, v orthonormal and transverse to the unit aberrated direction n,
@@ -510,8 +560,13 @@ class TestBlockedMoments:
 
     @staticmethod
     def _kernel_with(moments, monkeypatch, *args):
+        """The kernel with each arm's moments from ``moments``, a per-beta
+        reference."""
+        def per_beta(nodes, weights, axis_angle, betas):
+            return [moments(nodes, weights, axis_angle, beta) for beta in betas]
+
         with monkeypatch.context() as patched:
-            patched.setattr(diffraction, "_arm_moments", moments)
+            patched.setattr(diffraction, "_arm_moments", per_beta)
             return diffracted_reduced_type1(*args).mat
 
     @pytest.mark.parametrize("n_theta, n_phi", [(128, 128), (127, 129), _one_past_whole_blocks()])
@@ -531,12 +586,13 @@ class TestBlockedMoments:
             beam_a = BeamProfile(sigma=sigma, alpha=alpha)
             beam_b = BeamProfile(sigma=0.7 * sigma, alpha=alpha)
             nodes, weights = _half_nodes(grid), _half_weights(grid, beam_a)
-            for beta in self.BETAS:
-                for axis_angle in (alpha, alpha + math.pi):
+            for axis_angle in (alpha, alpha + math.pi):
+                blocked = _arm_moments(nodes, weights, axis_angle, self.BETAS)
+                for beta, moments in zip(self.BETAS, blocked, strict=True):
                     args = (nodes, weights, axis_angle, beta)
-                    blocked = _arm_moments(*args)
-                    record("moment exact", blocked, _exact_arm_moments(*args))
-                    record("moment one-product", blocked, _unblocked_arm_moments(*args))
+                    record("moment exact", moments, _exact_arm_moments(*args))
+                    record("moment one-product", moments, _unblocked_arm_moments(*args))
+            for beta in self.BETAS:
                 args = (beam_a, beam_b, beta, grid)
                 rho = diffracted_reduced_type1(*args).mat
                 record("rho exact", rho, self._kernel_with(_exact_arm_moments, monkeypatch, *args))
@@ -552,26 +608,93 @@ class TestBlockedMoments:
             beam_a = BeamProfile(sigma=sigma, alpha=alpha)
             beam_b = BeamProfile(sigma=0.7 * sigma, alpha=alpha)
             nodes, weights = _half_nodes(grid), _half_weights(grid, beam_a)
-            for beta in self.BETAS:
-                blocked = _arm_moments(nodes, weights, alpha, beta)
+            blocked = _arm_moments(nodes, weights, alpha, self.BETAS)
+            for beta, moments in zip(self.BETAS, blocked, strict=True):
                 ref = _unblocked_arm_moments(nodes, weights, alpha, beta)
-                assert blocked.tobytes() == ref.tobytes()
+                assert moments.tobytes() == ref.tobytes()
                 args = (beam_a, beam_b, beta, grid)
                 ref = self._kernel_with(_unblocked_arm_moments, monkeypatch, *args)
                 assert diffracted_reduced_type1(*args).mat.tobytes() == ref.tobytes()
 
     def test_peak_memory_independent_of_grid(self):
         # guards against the full 6 x N basis stack coming back: unblocked,
-        # one 256^2 call peaks near 4.8 MB
+        # one 256^2 call peaks near 4.8 MB; several betas share each block
         grid = make_grid(256, 256, sigma=1.0)
         nodes, weights = _half_nodes(grid), _half_weights(grid, BeamProfile(sigma=1.0))
         tracemalloc.start()
         try:
-            _arm_moments(nodes, weights, 0.3, 0.5)
+            _arm_moments(nodes, weights, 0.3, [0.5, -0.5, 0.0, 0.2])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1024 * 1024
+
+
+class TestBetaSweep:
+    """One call with a sequence of betas: one pass over the nodes, every beta
+    boosted per block, arm B as arm A's geometry under -beta."""
+
+    BETAS = [0.3, -0.3, 0.0, 0.3, -0.0, 0.9, -0.9, 1e-12]
+
+    @pytest.mark.parametrize("n_theta, n_phi", [(8, 7), (48, 48), (128, 128),
+                                                _one_past_whole_blocks()])
+    @pytest.mark.parametrize("sigmas, alphas", [((0.8, 0.8), (0.9, 0.9)),
+                                                ((0.8, 0.5), (0.9, 0.9)),
+                                                ((1.5, 1.5), (0.2, 2.0))])
+    def test_sweep_equals_single_calls(self, n_theta, n_phi, sigmas, alphas):
+        # bit for bit: signed, duplicate and signed-zero betas, equal and
+        # unequal beams, single- and multi-block grids
+        grid = make_grid(n_theta, n_phi, sigma=sigmas[0])
+        beam_a, beam_b = (BeamProfile(sigma=s, alpha=a) for s, a in zip(sigmas, alphas))
+        sweep = diffracted_reduced_type1(beam_a, beam_b, self.BETAS, grid)
+        assert isinstance(sweep, tuple) and len(sweep) == len(self.BETAS)
+        for beta, rho in zip(self.BETAS, sweep):
+            single = diffracted_reduced_type1(beam_a, beam_b, beta, grid)
+            assert isinstance(single, DensityMatrix) and isinstance(rho, DensityMatrix)
+            assert rho.mat.tobytes() == single.mat.tobytes()
+            assert rho.dims == (3, 3)
+
+    def test_array_and_empty_sweeps(self):
+        beam = BeamProfile(sigma=0.5, alpha=0.4)
+        grid = make_grid(12, 12, sigma=0.5)
+        from_array = diffracted_reduced_type1(beam, beam, np.array([0.1, 0.2]), grid)
+        from_list = diffracted_reduced_type1(beam, beam, [0.1, 0.2], grid)
+        assert [r.mat.tobytes() for r in from_array] == [r.mat.tobytes() for r in from_list]
+        assert diffracted_reduced_type1(beam, beam, [], grid) == ()
+        with pytest.raises(DomainError, match="1-D sequence"):
+            diffracted_reduced_type1(beam, beam, [[0.1, 0.2]], grid)
+        scalar = diffracted_reduced_type1(beam, beam, np.float64(0.1), grid)
+        assert scalar.mat.tobytes() == from_list[0].mat.tobytes()
+
+    @pytest.mark.parametrize("n_theta, n_phi", [(24, 24), (9, 31), _one_past_whole_blocks()])
+    def test_mirror_identity(self, n_theta, n_phi):
+        # R_y(pi) conjugates B_z(beta) into B_z(-beta), and the rotations in
+        # and back cancel it: the axis at alpha + pi under beta is the axis
+        # at alpha under -beta
+        worst = 0.0
+        for sigma in (0.2, 1.0, 3.0):
+            grid = make_grid(n_theta, n_phi, sigma=sigma)
+            nodes, weights = _half_nodes(grid), _half_weights(grid, BeamProfile(sigma=sigma))
+            for alpha in (0.0, 0.9, math.pi / 2, math.pi - 0.01, 4.0):
+                betas = [-0.9, -0.3, 0.0, 0.5, 0.9]
+                explicit = _arm_moments(nodes, weights, alpha + math.pi, betas)
+                mirrored = _arm_moments(nodes, weights, alpha, [-b for b in betas])
+                for e, m in zip(explicit, mirrored, strict=True):
+                    worst = max(worst, float(np.abs(e - m).max()))
+        assert worst <= 1e-15
+
+    @pytest.mark.parametrize("betas", [[0.1, 0.2, 1.0], [1.0, 0.1], [0.1, math.nan],
+                                       [-1.5], [0.3, -1.0, 0.2]])
+    def test_superluminal_beta_rejected_before_node_work(self, betas, monkeypatch):
+        def no_node_work(*args):
+            raise AssertionError("node work before the velocity check")
+
+        for name in ("_half_nodes", "rotate_to_lab", "boost_to_beam_frame", "linear_basis"):
+            monkeypatch.setattr(diffraction, name, no_node_work)
+        beam = BeamProfile(sigma=0.5)
+        grid = make_grid(16, 16, sigma=0.5)
+        with pytest.raises(DomainError, match="boost velocity"):
+            diffracted_reduced_type1(beam, beam, betas, grid)
 
 
 def _sigma1_negativities(alpha, beta=SweepSpec(0.0, 0.5, 11)):

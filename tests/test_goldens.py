@@ -26,6 +26,8 @@ SCENARIOS = {
     "negativity": ["negativity"],
     "negativity_alpha_pi2_sigma2": ["negativity", "--alpha", "1.5707963267948966",
                                     "--sigma", "2", "--grid-theta", "32", "--grid-phi", "32"],
+    "negativity_signed_beta_96": ["negativity", "--alpha", "0.9", "--sigma", "0.8", "--beta",
+                                  "-0.4:0.4:5", "--grid-theta", "96", "--grid-phi", "96"],
     "purify_sigma1.5": ["purify", "--sigma", "1.5", "--grid-theta", "32", "--grid-phi", "32"],
     "purify_sigma3": ["purify", "--sigma", "3"],
     "budget": ["budget"],

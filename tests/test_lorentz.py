@@ -10,9 +10,11 @@ from boostlink.lorentz import (
     MINKOWSKI_METRIC,
     aberrate,
     approx_transform_theta,
+    boost_to_beam_frame,
     boost_z,
     null_mask,
     polar_angles,
+    rotate_to_lab,
     transform_angles,
     unit_vectors,
     wigner_phases,
@@ -286,6 +288,47 @@ class TestAberrate:
         for axis_angle in (0.0, 1.1):
             with pytest.raises(DomainError, match="beta"):
                 aberrate(self.NODES, axis_angle, beta)
+            lab = rotate_to_lab(self.NODES, axis_angle)
+            with pytest.raises(DomainError, match="beta"):
+                boost_to_beam_frame(lab, axis_angle, beta)
+
+    @staticmethod
+    def one_expression(nodes, axis_angle, beta):
+        """Reference: the aberration as one expression per step, without the
+        split into two functions or the in-place arithmetic."""
+        x, y, z = nodes
+        c, s = math.cos(axis_angle), math.sin(axis_angle)
+        lab_x = c * x + s * z
+        lab_z = c * z - s * x
+        gamma = 1.0 / math.sqrt((1.0 - beta) * (1.0 + beta))
+        scale = 1.0 / (gamma * (1.0 - beta * lab_z))
+        lab_x = lab_x * scale
+        lab_z = gamma * (lab_z - beta) * scale
+        return c * lab_x - s * lab_z, y * scale, s * lab_x + c * lab_z
+
+    def test_bitwise_one_expression_on_random_stacks(self):
+        rng = np.random.default_rng(5)
+        n = unit_vectors(np.arccos(rng.uniform(-1.0, 1.0, 4000)), rng.uniform(0.0, 6.3, 4000))
+        angles = [0.0, math.pi, *rng.uniform(-4.0, 4.0, 6)]
+        betas = [0.0, -0.0, 0.9999, -0.9999, *rng.uniform(-0.99, 0.99, 6)]
+        for axis_angle in angles:
+            for beta in betas:
+                want = self.one_expression(n.T, axis_angle, beta)
+                got = aberrate(n.T, axis_angle, beta)
+                assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+                for row in n[:5]:  # one 3-vector: scalars in, scalars out
+                    got = aberrate(row, axis_angle, beta)
+                    want = self.one_expression(row, axis_angle, beta)
+                    assert all(type(g) is type(w) and g == w for g, w in zip(got, want))
+
+    def test_boost_leaves_lab_stack_unchanged(self):
+        # one lab stack serves every beta of a diffraction sweep
+        n = unit_vectors(np.linspace(0.0, math.pi, 50), np.linspace(0.0, 6.0, 50)).T
+        lab = rotate_to_lab(n, 0.7)
+        saved = [c.copy() for c in lab]
+        for beta in (0.4, -0.4, 0.0):
+            boost_to_beam_frame(lab, 0.7, beta)
+        assert all(c.tobytes() == k.tobytes() for c, k in zip(lab, saved))
 
 
 class TestApproxTransformTheta:

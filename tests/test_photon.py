@@ -285,6 +285,20 @@ class TestAgainstAngleForms:
         assert np.abs(hv[:3].T - h).max() <= 1e-15
         assert np.abs(hv[3:].T - v).max() <= 1e-15
 
+    def test_basis_bitwise_array_form(self):
+        # the rows are written in place; reference: one np.array of the six
+        # row expressions, on unit vectors and on random non-unit stacks
+        rng = np.random.default_rng(12)
+        theta, phi = self.directions()
+        stacks = [unit_vectors(theta, phi).T, rng.normal(size=(3, 3000)),
+                  rng.uniform(-1.0, 1.0, (3, 3000))]
+        for nx, ny, nz in stacks:
+            one_plus_nz = 1.0 + nz
+            np.divide(nx * nx + ny * ny, 1.0 - nz, out=one_plus_nz, where=nz < 0.0)
+            kx, ky = nx / one_plus_nz, ny / one_plus_nz
+            want = np.array([1.0 - nx * kx, -ny * kx, -nx, -nx * ky, 1.0 - ny * ky, -ny])
+            assert linear_basis(nx, ny, nz).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("beta", [1e-5, 0.3, -0.9])
     def test_aberration_matches_half_angle_form(self, beta):
         theta, phi = self.directions()
