@@ -3,7 +3,6 @@ satellites: aberration and Wigner phases, the three distribution protocols,
 diffraction-degraded entanglement, purification, and link budgets."""
 
 from .diffraction import (
-    BeamProfile,
     QuadratureGrid,
     diffracted_reduced_type1,
     make_grid,

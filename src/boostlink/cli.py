@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .diffraction import BeamProfile, diffracted_reduced_type1, make_grid
+from .diffraction import diffracted_reduced_type1, make_grid
 from .errors import ConfigError, DegenerateProtocolError, DomainError, NumericalConsistencyError
 from .lorentz import aberrate, boost_z, polar_angles, unit_vectors, wigner_phases
 from .photon import check_photons, check_polarizations, linear_basis
@@ -234,11 +234,10 @@ def run_negativity_sweep(scenario: Scenario) -> list[dict]:
     betas = _values(scenario, "beta")
     if all(b != 0.0 for b in betas):
         betas = [0.0] + betas
-    grid = make_grid(scenario.grid_theta, scenario.grid_phi, sigma=scenario.sigma)
+    grid = make_grid(scenario.grid_theta, scenario.grid_phi, scenario.sigma)
     rows = []
     for alpha in _values(scenario, "alpha"):
-        beam = BeamProfile(sigma=scenario.sigma, alpha=alpha)
-        rhos = diffracted_reduced_type1(beam, beam, betas, grid)
+        rhos = diffracted_reduced_type1(alpha, betas, grid)
         rows.extend(
             {"alpha": alpha, "beta": beta, "negativity": negativity(rho)}
             for beta, rho in zip(betas, rhos)
@@ -251,9 +250,8 @@ def run_purification(scenario: Scenario) -> tuple[list[dict], bool]:
     probability, and the cumulative photon budget."""
     beta = _scalar(scenario, "beta")
     alpha = _scalar(scenario, "alpha")
-    beam = BeamProfile(sigma=scenario.sigma, alpha=alpha)
-    grid = make_grid(scenario.grid_theta, scenario.grid_phi, sigma=scenario.sigma)
-    rho = diffracted_reduced_type1(beam, beam, beta, grid)
+    grid = make_grid(scenario.grid_theta, scenario.grid_phi, scenario.sigma)
+    (rho,) = diffracted_reduced_type1(alpha, [beta], grid)
     factor = attenuation(scenario.link) if scenario.link is not None else DEFAULT_ATTENUATION
     trace = photons_required(rho, scenario.target_purity, factor)
     rows = [

@@ -12,7 +12,7 @@ with W the normalized |f|^2 quadrature weights.  Because the pair amplitude
 factorizes per arm, the double sum reduces exactly to per-arm second-moment
 matrices, at a cost linear in the node count (halved by the mirror fold).
 
-Geometry, all on unit vectors: each beam is a Gaussian around +z rotated
+Geometry, all on unit vectors: the beam is a Gaussian around +z rotated
 rigidly (nodes and polarization patch together) about y to the polar
 direction ``alpha`` (azimuth 0); "opposite directions" places arm B's axis at
 the exact mirror of arm A's, which is what makes one arm's spread tighten and
@@ -21,39 +21,40 @@ one direction kernel, ``lorentz.aberrate`` in its two steps:
 ``rotate_to_lab`` takes it to the lab, ``boost_to_beam_frame`` aberrates it
 under the z-boost there and rotates it back to the beam frame, where
 ``photon.linear_basis`` gives its h and v (singular only at the beam-frame
-backward pole n = -z).  Arm B's axis at alpha_B + pi is arm B at alpha_B
-under -beta: R_y(pi) conjugates B_z(beta) into B_z(-beta), and the rotations
-in and back cancel it.  So every arm is a (beam, beta) pair in the beam's own
-geometry, arm A at beta and arm B at -beta.  Carrying the basis with the beam
-keeps it continuous across the beam for every pointing; the fixed global
-basis would instead be singular for a beam centered on the backward pole,
-where it twists with azimuth.  The returned matrices are therefore expressed
-in per-arm frames tied to the beam axes, with arm B's second axis reversed
+backward pole n = -z).  Arm B's axis at alpha + pi is an arm at alpha under
+-beta: R_y(pi) conjugates B_z(beta) into B_z(-beta), and the rotations in
+and back cancel it.  So every arm is the one beam's geometry at an arm beta,
+arm A at beta and arm B at -beta.  Carrying the basis with the beam keeps it
+continuous across the beam for every pointing; the fixed global basis would
+instead be singular for a beam centered on the backward pole, where it
+twists with azimuth.  The returned matrices are therefore expressed in
+per-arm frames tied to the beam axes, with arm B's second axis reversed
 (``_B_AXIS_FLIP``, exact sign flips) so that the ideal pair, the sigma -> 0
 limit, is ``purification.bell_target()``.  The frames are boost-independent,
 so entanglement measures and cross-frame distances are unaffected.
 
-One call takes one beta or a 1-D sequence of them (one matrix per beta, in
-order), checks every beta before any node work, and evaluates each distinct
-(beam, beta) pair once, 0.0 and -0.0 as one: with equal beams the beta = 0
-baseline serves both arms, and a signed sweep shares beta with -beta.  Each
-arm's four moment blocks are the 6x6 matrix (X w) X^T, X = [h | v] a 6 x N
-array, summed over consecutive blocks of _BLOCK_NODES half-grid nodes.
-Blocks are the outer loop and betas the inner one: a block is rotated to the
-lab once, then boosted once per beta, and its product added to that beta's
-sum in node order, so each matrix is bit for bit the one-beta call's.  A
-call's temporaries are small heap blocks, never freshly mapped arrays.  The
-block size is a constant, so output does not depend on the host.  It lies in
-[2112, 2730]: the half grid of a 64 x 64 or smaller grid (64 x 33 nodes) is
-one block, whose moments are the single product bit for bit, and a block's
-6 x B float64 stack stays under glibc's default 128 KiB mmap threshold.
+One call takes a 1-D sequence of betas (one matrix per beta, in order),
+checks every beta before any node work, and evaluates each distinct arm beta
+once, 0.0 and -0.0 as one: the beta = 0 baseline serves both arms, and a
+signed sweep shares beta with -beta.  Each arm's four moment blocks are the
+6x6 matrix (X w) X^T, X = [h | v] a 6 x N array, summed over consecutive
+blocks of _BLOCK_NODES half-grid nodes.  Blocks are the outer loop and betas
+the inner one: a block is rotated to the lab once, then boosted once per
+beta, and its product added to that beta's sum in node order, so each matrix
+is bit for bit the one-beta call's.  A call's temporaries are small heap
+blocks, never freshly mapped arrays.  The block size is a constant, so
+output does not depend on the host.  It lies in [2112, 2730]: the half grid
+of a 64 x 64 or smaller grid (64 x 33 nodes) is one block, whose moments are
+the single product bit for bit, and a block's 6 x B float64 stack stays
+under glibc's default 128 KiB mmap threshold.
 
 Quadrature: Gauss-Legendre in theta on [0, min(6*sigma, pi)] times a uniform
 periodic grid in phi.  The Gaussian is truncated at the domain edge; the
 grid-doubling convergence test bounds the sensitivity.  A grid is its n_theta
-rows of one theta and one weight: a beam's weights take one exp per row, and
-no call builds an n_theta x n_phi array.  A spread whose square overflows
-gives a flat beam.
+rows of one theta and one weight and the spread it was built for, so a beam
+cannot be evaluated on a grid cut for another: its weights take one exp per
+row, and no call builds an n_theta x n_phi array.  A spread whose square
+overflows gives a flat beam.
 
 Mirror fold: the profile, the rotation about y and the z-boost commute with
 the mirror y -> -y, which maps the phi grid 2 pi k / n_phi onto itself and
@@ -89,33 +90,22 @@ _B_AXIS_FLIP = np.multiply.outer(_FLIP_Y, _FLIP_Y).reshape(2, 3, 2, 3)
 _BLOCK_NODES = 2560
 
 
-@dataclass(frozen=True)
-class BeamProfile:
-    """Gaussian angular spread ``sigma`` around the polar direction ``alpha``
-    (azimuth 0)."""
-
-    sigma: float
-    alpha: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 < self.sigma < math.inf:
-            raise DomainError(f"angular spread must be positive and finite, got {self.sigma}")
-        if not math.isfinite(self.alpha):
-            raise DomainError(f"beam axis angle must be finite, got {self.alpha}")
-
-
 @dataclass(frozen=True, eq=False)
 class QuadratureGrid:
     """Product quadrature: rows of one theta and one weight, each at the n_phi
     azimuths 2 pi k / n_phi; the weights carry the invariant shell measure
-    (1/2) sin(theta) dtheta dphi of unit momentum.  ``theta``, ``phi`` and
+    (1/2) sin(theta) dtheta dphi of unit momentum, and ``sigma`` is the
+    angular spread of the beam the grid is built for.  ``theta``, ``phi`` and
     ``weight`` list the n_theta * n_phi nodes row by row, built on access."""
 
     row_theta: np.ndarray
     row_weight: np.ndarray
     n_phi: int
+    sigma: float
 
     def __post_init__(self):
+        if not 0.0 < self.sigma < math.inf:
+            raise DomainError(f"angular spread must be positive and finite, got {self.sigma}")
         for name in ("row_theta", "row_weight"):
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.ndim != 1 or arr.size == 0:
@@ -161,20 +151,16 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def make_grid(
-    n_theta: int = 64,
-    n_phi: int = 64,
-    sigma: float | None = None,
-) -> QuadratureGrid:
-    """Gauss-Legendre x periodic-trapezoid grid; the polar domain is truncated
-    to 6 sigma for narrow beams."""
+def make_grid(n_theta: int, n_phi: int, sigma: float) -> QuadratureGrid:
+    """Gauss-Legendre x periodic-trapezoid grid for a beam of angular spread
+    ``sigma``; the polar domain is truncated to 6 sigma for narrow beams."""
     if n_theta < 2 or n_phi < 2:
         raise DomainError("grid needs at least 2 nodes per axis")
-    theta_max = math.pi if sigma is None else min(TRUNCATION_SIGMAS * sigma, math.pi)
+    theta_max = min(TRUNCATION_SIGMAS * sigma, math.pi)
     nodes, gl_weights = _gauss_legendre(n_theta)
     row_theta = 0.5 * theta_max * (nodes + 1.0)
     row_weight = 0.5 * np.sin(row_theta) * (0.5 * theta_max * gl_weights) * (2.0 * math.pi / n_phi)
-    return QuadratureGrid(row_theta, row_weight, n_phi)
+    return QuadratureGrid(row_theta, row_weight, n_phi, sigma)
 
 
 def _half_nodes(grid):
@@ -186,11 +172,11 @@ def _half_nodes(grid):
     return x.ravel(), y.ravel(), np.repeat(np.cos(theta), phi.size)
 
 
-def _half_weights(grid, profile):
-    """Probability weights w |f|^2 / M on the half-grid nodes, M the sum over
-    the full grid, from one exp per theta row; doubled where the mirror
-    phi -> 2 pi - phi is another node (every column but phi = 0 and pi)."""
-    row = grid.row_weight * np.exp(-(grid.row_theta**2) / (profile.sigma * profile.sigma))
+def _half_weights(grid):
+    """Probability weights w |f|^2 / M of the grid's beam on the half-grid
+    nodes, M the sum over the full grid, from one exp per theta row; doubled
+    where the mirror phi -> 2 pi - phi is another node (not phi = 0, pi)."""
+    row = grid.row_weight * np.exp(-(grid.row_theta**2) / (grid.sigma * grid.sigma))
     total = grid.n_phi * float(row.sum())
     if not math.isfinite(total) or total <= 0.0:
         raise DomainError("quadrature grid cannot normalize this beam profile")
@@ -225,41 +211,29 @@ def _bell_mixture(a, b):
 
 
 def diffracted_reduced_type1(
-    beam_a: BeamProfile,
-    beam_b: BeamProfile,
-    beta: float | Sequence[float],
-    grid: QuadratureGrid,
-) -> DensityMatrix | tuple[DensityMatrix, ...]:
-    """Momentum-traced polarization matrix (dims (3, 3)) of the diffracted
-    pair as seen after a z-boost by ``beta``, arm B's axis at the mirror
-    ``beam_b.alpha + pi``, in the beam frames with arm B's second axis
-    reversed, where the ideal pair is ``purification.bell_target()``.
+    alpha: float, betas: Sequence[float], grid: QuadratureGrid
+) -> tuple[DensityMatrix, ...]:
+    """Momentum-traced polarization matrices (dims (3, 3)) of the diffracted
+    pair of the grid's beam, arm A's axis at polar angle ``alpha`` and arm
+    B's at the mirror ``alpha + pi``, one per beta in ``betas`` as seen after
+    a z-boost by that beta, in order, from one pass over the nodes.  They
+    are in the beam frames with arm B's second axis reversed, where the
+    ideal pair is ``purification.bell_target()``.
 
-    A scalar ``beta`` gives one ``DensityMatrix``; a 1-D sequence gives a
-    tuple of them, one per beta in order, from one pass over the nodes.
     The double node sum factorizes into per-arm moments A_xy, B_xy; arm B
-    is evaluated as arm A's geometry under -beta, and each distinct (beam,
-    beta) pair once.
+    is evaluated as arm A's geometry under -beta, and each distinct arm beta
+    once.
     """
-    if np.ndim(beta) > 1:
-        raise DomainError(f"beta must be a number or a 1-D sequence, got shape {np.shape(beta)}")
+    if not math.isfinite(alpha):
+        raise DomainError(f"beam axis angle must be finite, got {alpha}")
+    if np.ndim(betas) != 1:
+        raise DomainError(f"betas must be a 1-D sequence, got shape {np.shape(betas)}")
     # + 0.0 turns -0.0 into 0.0: a zero boost is one evaluation whatever its sign
-    betas = [float(b) + 0.0 for b in np.ravel(beta)]
-    weights_a = _half_weights(grid, beam_a)
-    weights_b = weights_a if beam_b.sigma == beam_a.sigma else _half_weights(grid, beam_b)
+    betas = [float(b) + 0.0 for b in betas]
+    weights = _half_weights(grid)
     for b in betas:
         check_velocity(b)
-    weights = {beam_a: weights_a, beam_b: weights_b}
-    arm_betas = {beam_a: dict.fromkeys(betas)}
-    arm_betas.setdefault(beam_b, {}).update(dict.fromkeys(-b + 0.0 for b in betas))
-    nodes = _half_nodes(grid)
-    moments = {
-        (beam, b): m
-        for beam, distinct in arm_betas.items()
-        for b, m in zip(distinct, _arm_moments(nodes, weights[beam], beam.alpha, list(distinct)))
-    }
-    rhos = []
-    for b in betas:
-        rho = _bell_mixture(moments[beam_a, b], moments[beam_b, -b + 0.0] * _B_AXIS_FLIP)
-        rhos.append(DensityMatrix(0.5 * (rho + rho.conj().T), (3, 3)))
-    return tuple(rhos) if np.ndim(beta) else rhos[0]
+    arm_betas = list(dict.fromkeys(betas + [-b + 0.0 for b in betas]))
+    moments = dict(zip(arm_betas, _arm_moments(_half_nodes(grid), weights, alpha, arm_betas)))
+    rhos = (_bell_mixture(moments[b], moments[-b + 0.0] * _B_AXIS_FLIP) for b in betas)
+    return tuple(DensityMatrix(0.5 * (rho + rho.conj().T), (3, 3)) for rho in rhos)

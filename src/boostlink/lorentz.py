@@ -54,7 +54,7 @@ def polar_angles(theta, phi) -> tuple[np.ndarray, np.ndarray]:
     is clamped onto it and anything further out (or NaN) is rejected; a
     non-finite phi is rejected and the rest reduced to [0, 2*pi)."""
     theta = np.asarray(theta, dtype=float)
-    if not (theta.min() >= -1e-12 and theta.max() <= math.pi + 1e-12):
+    if not (theta.min(initial=0.0) >= -1e-12 and theta.max(initial=0.0) <= math.pi + 1e-12):
         outside = ~((theta >= -1e-12) & (theta <= math.pi + 1e-12))
         raise DomainError(f"polar angle must lie in [0, pi], got {theta[outside].flat[0]}")
     if not np.isfinite(phi).all():
@@ -203,6 +203,8 @@ def wigner_phases(m, n) -> np.ndarray:
     if np.linalg.det(m) < 0.0 or m[0, 0] < 1.0 - 1e-12:
         raise DomainError("matrix is not proper orthochronous")
     n = np.asarray(n, dtype=float)
+    if n.ndim != 2 or n.shape[1] != 3:
+        raise DomainError(f"photon directions must be an (N, 3) stack, got shape {n.shape}")
     p = np.hstack([np.ones((len(n), 1)), n])
     if not null_mask(p).all():
         raise DomainError("photon direction must be a unit vector")
@@ -210,7 +212,7 @@ def wigner_phases(m, n) -> np.ndarray:
     x_out, y_out = _frame_axes(p @ m[1:].T)
     cos_w = np.einsum("ij,ij->i", s, x_out)
     sin_w = np.einsum("ij,ij->i", s, y_out)
-    residual = float(np.abs(np.hypot(cos_w, sin_w) - 1.0).max())
+    residual = float(np.abs(np.hypot(cos_w, sin_w) - 1.0).max(initial=0.0))
     if not residual <= STABILIZER_TOL:
         raise NumericalConsistencyError(
             f"little-group element fails to stabilize the reference momentum "

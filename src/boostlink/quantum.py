@@ -43,15 +43,14 @@ class DensityMatrix:
 
     def __post_init__(self):
         mat = np.array(self.mat, dtype=complex)
-        dims = tuple(int(d) for d in self.dims)
-        n = math.prod(dims)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise DomainError(f"density matrix must be square, got shape {mat.shape}")
-        if mat.shape[0] != n:
-            raise DomainError(
-                f"subsystem dimensions {dims} do not match matrix size {mat.shape[0]}"
-            )
         check_density_matrices(mat[None])
+        if not all(isinstance(d, (int, np.integer)) and d > 0 for d in self.dims):
+            raise DomainError(f"subsystem dimensions must be positive integers, got {self.dims}")
+        dims = tuple(int(d) for d in self.dims)
+        if mat.shape[0] != math.prod(dims):
+            raise DomainError(f"subsystem dimensions {dims} do not match matrix size {mat.shape[0]}")
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "dims", dims)

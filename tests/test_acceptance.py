@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from boostlink.cli import Scenario, SweepSpec, run_negativity_sweep
-from boostlink.diffraction import BeamProfile, diffracted_reduced_type1, make_grid
+from boostlink.diffraction import diffracted_reduced_type1, make_grid
 from boostlink.lorentz import (
     approx_transform_theta,
     boost_z,
@@ -165,10 +165,9 @@ def test_criterion_5_purity_expansion():
     betas = (0.0, 0.1, 0.3)
     residuals = {}
     for sigma in sigmas:
-        beam = BeamProfile(sigma=sigma)
         grid = make_grid(64, 64, sigma=sigma)
-        for beta in betas:
-            p = purity(diffracted_reduced_type1(beam, beam, beta, grid))
+        for beta, rho in zip(betas, diffracted_reduced_type1(0.0, betas, grid)):
+            p = purity(rho)
             model = 1.0 - 2.0 * sigma**2 * (1.0 + abs(beta)) ** 2
             residuals[(sigma, beta)] = abs(p - model)
     fitted_c = max(r / s**4 for (s, _), r in residuals.items())
@@ -183,9 +182,8 @@ def test_criterion_5_purity_expansion():
     for sigma in (0.05, 0.2):
         values = []
         for n in (64, 128):
-            beam = BeamProfile(sigma=sigma)
             grid = make_grid(n, n, sigma=sigma)
-            rho = diffracted_reduced_type1(beam, beam, 0.1, grid)
+            (rho,) = diffracted_reduced_type1(0.0, [0.1], grid)
             values.append((purity(rho), negativity(rho)))
         convergence = max(
             convergence,
@@ -228,9 +226,7 @@ def test_criterion_7_attenuation():
 
 
 def test_criterion_8_purification_claims():
-    beam = BeamProfile(sigma=0.5)
-    grid = make_grid(64, 64, sigma=0.5)
-    rho_half = diffracted_reduced_type1(beam, beam, 0.0, grid)
+    (rho_half,) = diffracted_reduced_type1(0.0, [0.0], make_grid(64, 64, sigma=0.5))
     trace = photons_required(rho_half, 0.99, 100.0)
     fidelities = [r.fidelity for r in trace.rounds]
     increases = trace.succeeded and all(b > a for a, b in zip(fidelities, fidelities[1:]))
@@ -240,14 +236,10 @@ def test_criterion_8_purification_claims():
     # pair PPT, and a PPT pair has fidelity <= 1/2 to the embedded Bell state,
     # so no round may raise it past 1/2 and no purity target may be reported
     # as met.  sigma = 2 is not such a case: it is still entangled (printed).
-    beam2 = BeamProfile(sigma=2.0)
-    grid2 = make_grid(64, 64, sigma=2.0)
-    rho_sigma2 = diffracted_reduced_type1(beam2, beam2, 0.0, grid2)
+    (rho_sigma2,) = diffracted_reduced_type1(0.0, [0.0], make_grid(64, 64, sigma=2.0))
     negativity_sigma2 = negativity(rho_sigma2)
 
-    beam3 = BeamProfile(sigma=3.0)
-    grid3 = make_grid(64, 64, sigma=3.0)
-    rho_broad = diffracted_reduced_type1(beam3, beam3, 0.0, grid3)
+    (rho_broad,) = diffracted_reduced_type1(0.0, [0.0], make_grid(64, 64, sigma=3.0))
     input_negativity = negativity(rho_broad)
     input_ppt = input_negativity <= 1e-12
 

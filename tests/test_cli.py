@@ -20,7 +20,7 @@ from boostlink.cli import (
     run_purification,
     run_single_photon_sweep,
 )
-from boostlink.diffraction import BeamProfile, diffracted_reduced_type1, make_grid
+from boostlink.diffraction import diffracted_reduced_type1, make_grid
 from boostlink.errors import ConfigError, DomainError
 from boostlink.lorentz import aberrate, boost_z, polar_angles, unit_vectors, wigner_phases
 from boostlink.photon import linear_basis
@@ -692,8 +692,7 @@ class TestSweepTables:
     )
     def test_purify_rows_are_the_round_results(self, beta, sigma, outcome):
         rows, succeeded = run_purification(Scenario(beta=beta, alpha=0.0, sigma=sigma))
-        beam = BeamProfile(sigma=sigma)
-        rho = diffracted_reduced_type1(beam, beam, beta, make_grid(64, 64, sigma=sigma))
+        (rho,) = diffracted_reduced_type1(0.0, [beta], make_grid(64, 64, sigma=sigma))
         trace = photons_required(rho, 0.99, cli.DEFAULT_ATTENUATION)
         assert succeeded == trace.succeeded == (outcome == "target")
         assert (len(trace.rounds) == 41) == (outcome == "cap")

@@ -10,9 +10,9 @@ from hypothesis.extra.numpy import arrays
 from boostlink import diffraction
 from boostlink.cli import Scenario, SweepSpec, run_negativity_sweep
 from boostlink.diffraction import (
+    _B_AXIS_FLIP,
     _BLOCK_NODES,
     _MIRROR_EVEN,
-    BeamProfile,
     QuadratureGrid,
     _arm_moments,
     _bell_mixture,
@@ -34,11 +34,17 @@ BASELINE_NEGATIVITY_SIGMA1 = 0.19917779685594897
 BASELINE_PURITY_SIGMA1 = 0.2737031369435112
 
 
-def _reference_weights(grid, profile):
-    """Reference: probability weights w |f|^2 / M on every node of the full
-    grid, one exp per node; the normalization sum defines M."""
-    raw = grid.weight * np.exp(-(grid.theta**2) / (profile.sigma**2))
+def _reference_weights(grid):
+    """Reference: probability weights w |f|^2 / M of the grid's beam on every
+    node of the full grid, one exp per node; the normalization sum defines M."""
+    raw = grid.weight * np.exp(-(grid.theta**2) / (grid.sigma**2))
     return raw / raw.sum()
+
+
+def _one(alpha, beta, grid):
+    """The kernel's matrix at one beta."""
+    (rho,) = diffracted_reduced_type1(alpha, [beta], grid)
+    return rho
 
 
 # Reference: the angle-based kernel the unit-vector kernel replaced.  Each arm
@@ -65,8 +71,8 @@ def _reference_linear_pol(theta, phi):
     return h, v
 
 
-def _reference_patch_angles(grid, beam, beta, mirror):
-    rot = _reference_axis_rotation_y(beam.alpha + (math.pi if mirror else 0.0))
+def _reference_patch_angles(grid, alpha, beta, mirror):
+    rot = _reference_axis_rotation_y(alpha + (math.pi if mirror else 0.0))
     ct, st = np.cos(grid.theta), np.sin(grid.theta)
     patch = np.stack([st * np.cos(grid.phi), st * np.sin(grid.phi), ct], axis=-1)
     lab = patch @ rot.T
@@ -90,14 +96,14 @@ def _reference_moments(theta, phi, weights):
     return moments
 
 
-def _reference_reduced_type1(beam_a, beam_b, beta, grid, opposite=True):
+def _reference_reduced_type1(alpha, beta, grid, opposite=True):
     a = _reference_moments(
-        *_reference_patch_angles(grid, beam_a, beta, mirror=False),
-        _reference_weights(grid, beam_a),
+        *_reference_patch_angles(grid, alpha, beta, mirror=False),
+        _reference_weights(grid),
     )
     b = _reference_moments(
-        *_reference_patch_angles(grid, beam_b, beta, mirror=opposite),
-        _reference_weights(grid, beam_b),
+        *_reference_patch_angles(grid, alpha, beta, mirror=opposite),
+        _reference_weights(grid),
     )
     rho = 0.5 * (
         np.kron(a["hh"], b["hh"])
@@ -111,33 +117,46 @@ def _reference_reduced_type1(beam_a, beam_b, beta, grid, opposite=True):
     return 0.5 * (rho + rho.conj().T)
 
 
-def _kernel(beam_a, beam_b, beta, grid, opposite):
-    """The kernel, which puts arm B's axis at the mirror ``beam_b.alpha + pi``;
-    with ``opposite`` False, arm B's beam is passed at ``alpha - pi`` so that
-    its axis lies back along ``beam_b.alpha``, co-directed with the reference's
-    unmirrored arm."""
-    if not opposite:
-        beam_b = BeamProfile(sigma=beam_b.sigma, alpha=beam_b.alpha - math.pi)
-    return diffracted_reduced_type1(beam_a, beam_b, beta, grid)
+def _kernel(alpha, beta, grid, opposite):
+    """The pair with arm B's axis at the mirror ``alpha + pi``, as the kernel
+    returns it; with ``opposite`` False, co-directed with arm A: the arm
+    moments at ``alpha - pi`` under -beta, the route the kernel takes for a
+    mirrored arm, so that arm B's axis lies back along ``alpha``."""
+    if opposite:
+        return _one(alpha, beta, grid).mat
+    nodes, weights = _half_nodes(grid), _half_weights(grid)
+    [a] = _arm_moments(nodes, weights, alpha, [beta])
+    [b] = _arm_moments(nodes, weights, alpha - math.pi, [-beta])
+    rho = _bell_mixture(a, b * _B_AXIS_FLIP)
+    return 0.5 * (rho + rho.conj().T)
 
 
 class TestBeamProfile:
+    """The beam's spread enters through the grid and its axis angle through
+    the kernel; each is checked there, with one message."""
+
+    SPREAD = "angular spread must be positive and finite"
+
     def test_rejects_bad_profile(self):
-        with pytest.raises(DomainError):
-            BeamProfile(sigma=0.0)
-        with pytest.raises(DomainError):
-            BeamProfile(sigma=-0.1)
+        for sigma in (0.0, -0.1, -1.0):
+            with pytest.raises(DomainError, match=self.SPREAD):
+                make_grid(8, 8, sigma)
 
     @pytest.mark.parametrize("sigma", [math.nan, math.inf])
     def test_rejects_non_finite_sigma(self, sigma):
         # inf would otherwise give a flat beam over [0, pi]
-        with pytest.raises(DomainError):
-            BeamProfile(sigma=sigma)
+        with pytest.raises(DomainError, match=self.SPREAD):
+            make_grid(8, 8, sigma)
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+    def test_grid_checks_sigma_before_rows(self, sigma):
+        with pytest.raises(DomainError, match=self.SPREAD):
+            QuadratureGrid([math.nan], [0.0], 1, sigma)
 
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_alpha(self, alpha):
-        with pytest.raises(DomainError):
-            BeamProfile(sigma=0.3, alpha=alpha)
+        with pytest.raises(DomainError, match="beam axis angle must be finite"):
+            diffracted_reduced_type1(alpha, [0.0], make_grid(8, 8, 0.3))
 
 
 def _full_grid_layout(n_theta, n_phi, sigma):
@@ -164,33 +183,32 @@ class TestQuadratureGrid:
         for sigma in (0.01, 0.1, 1.0):
             for n_phi in (64, 63):
                 grid = make_grid(64, n_phi, sigma=sigma)
-                beam = BeamProfile(sigma=sigma)
-                w = _half_weights(grid, beam)
+                w = _half_weights(grid)
                 assert w.sum() == pytest.approx(1.0, rel=1e-12)
                 assert np.all(w > 0.0)
-                assert _reference_weights(grid, beam).sum() == pytest.approx(1.0, rel=1e-12)
+                assert _reference_weights(grid).sum() == pytest.approx(1.0, rel=1e-12)
 
     def test_measure_matches_analytic_shell_area(self):
-        # With a flat profile the weights integrate (1/2) sin(theta) over the
-        # truncated cap: (1/2) * 2*pi * (1 - cos(theta_max)).
-        grid = make_grid(64, 64, sigma=None)
+        # The weights integrate (1/2) sin(theta) over the truncated cap:
+        # (1/2) * 2*pi * (1 - cos(theta_max)), the whole sphere once 6 sigma
+        # reaches pi.
+        grid = make_grid(64, 64, sigma=1.0)
         assert grid.weight.sum() == pytest.approx(2.0 * math.pi, rel=1e-10)
 
     @pytest.mark.parametrize("n_phi", [8, 7])
     def test_overflowing_sigma_gives_flat_beam(self, n_phi):
         # sigma^2 = inf: every row keeps its shell weight, normalized
-        grid = make_grid(6, n_phi, sigma=1e200)
-        flat = np.repeat(grid.row_weight / (n_phi * grid.row_weight.sum()), n_phi // 2 + 1)
-        flat = flat.reshape(6, -1) * 2.0
-        flat[:, [0, -1] if n_phi % 2 == 0 else [0]] *= 0.5
         for sigma in (1.4e154, 1e200, 1.7976931348623157e308):
-            weights = _half_weights(grid, BeamProfile(sigma=sigma))
-            assert weights.tobytes() == flat.ravel().tobytes()
+            grid = make_grid(6, n_phi, sigma=sigma)
+            flat = np.repeat(grid.row_weight / (n_phi * grid.row_weight.sum()), n_phi // 2 + 1)
+            flat = flat.reshape(6, -1) * 2.0
+            flat[:, [0, -1] if n_phi % 2 == 0 else [0]] *= 0.5
+            assert _half_weights(grid).tobytes() == flat.ravel().tobytes()
 
     def test_rejects_nonpositive_weights(self):
         grid = make_grid(8, 8, sigma=0.2)
         with pytest.raises(DomainError):
-            QuadratureGrid(grid.row_theta, -grid.row_weight, 8)
+            QuadratureGrid(grid.row_theta, -grid.row_weight, 8, 0.2)
 
     @pytest.mark.parametrize("row_theta, row_weight, message", [
         ([0.1, 0.2], [0.5, math.nan], "quadrature weights must be finite"),
@@ -210,21 +228,21 @@ class TestQuadratureGrid:
     def test_rejects_bad_rows(self, row_theta, row_weight, message):
         # each of these used to be accepted and fail later, in the kernel
         with pytest.raises(DomainError, match=message):
-            QuadratureGrid(row_theta, row_weight, 8)
+            QuadratureGrid(row_theta, row_weight, 8, 0.2)
 
     @pytest.mark.parametrize("n_phi", [0, -3, 1, 2.5, 4.0, "8", None, True])
     def test_rejects_bad_n_phi(self, n_phi):
         grid = make_grid(8, 8, sigma=0.2)
         with pytest.raises(DomainError, match="n_phi must be an integer >= 2"):
-            QuadratureGrid(grid.row_theta, grid.row_weight, n_phi)
+            QuadratureGrid(grid.row_theta, grid.row_weight, n_phi, 0.2)
 
     def test_accepts_numpy_integer_n_phi_and_edge_thetas(self):
-        grid = QuadratureGrid([0.0, math.pi], [0.5, 0.5], np.int64(2))
+        grid = QuadratureGrid([0.0, math.pi], [0.5, 0.5], np.int64(2), 1.0)
         assert grid.n_phi == 2 and grid.n_theta == 2
 
     def test_rejects_tiny_grid(self):
         with pytest.raises(DomainError):
-            make_grid(1, 8)
+            make_grid(1, 8, 0.2)
 
     def test_rows_are_read_only(self):
         grid = make_grid(4, 4, sigma=0.4)
@@ -256,7 +274,7 @@ class TestGridLayout:
         # the nodes listed by a grid, and by one rebuilt from its rows, are
         # the full-grid arrays bit for bit, on odd and even n_phi
         grid = make_grid(n_theta, n_phi, sigma=0.4)
-        rebuilt = QuadratureGrid(grid.row_theta, grid.row_weight, n_phi)
+        rebuilt = QuadratureGrid(grid.row_theta, grid.row_weight, n_phi, 0.4)
         reference = _full_grid_layout(n_theta, n_phi, 0.4)
         for g in (grid, rebuilt):
             assert g.n_theta == n_theta and g.n_phi == n_phi
@@ -267,7 +285,7 @@ class TestGridLayout:
     def test_rejects_node_count_mismatch(self):
         grid = make_grid(6, 8, sigma=0.4)
         with pytest.raises(DomainError, match="matching shapes"):
-            QuadratureGrid(grid.row_theta, grid.row_weight[:-1], 8)
+            QuadratureGrid(grid.row_theta, grid.row_weight[:-1], 8, 0.4)
 
 
 class TestGaussLegendreCache:
@@ -296,6 +314,7 @@ class TestGaussLegendreCache:
         monkeypatch.setattr(diffraction, "_gauss_legendre", np.polynomial.legendre.leggauss)
         uncached = [make_grid(24, 8, sigma=s) for s in (0.3, 2.0)]
         for got, want in zip(cached, uncached):
+            assert got.sigma == want.sigma
             for name in ("row_theta", "row_weight", "theta", "phi", "weight"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
@@ -304,18 +323,16 @@ class TestDiffractedReducedType1:
     def test_narrow_beam_recovers_sharp_state(self):
         # sigma -> 0 limit: purity 1 and the sharp-momentum negativity.
         for alpha in (0.0, 0.4):
-            beam = BeamProfile(sigma=1e-4, alpha=alpha)
             grid = make_grid(48, 32, sigma=1e-4)
-            rho = diffracted_reduced_type1(beam, beam, 0.15, grid)
+            rho = _one(alpha, 0.15, grid)
             assert purity(rho) == pytest.approx(1.0, abs=1e-7)
             assert negativity(rho) == pytest.approx(0.5, abs=1e-7)
 
     def test_zero_spread_limit_purity(self):
         # The purity deficit is 2*sigma^2 to leading order, so it drops below
         # 1e-9 once sigma reaches 1e-5.
-        beam = BeamProfile(sigma=1e-5)
         grid = make_grid(48, 32, sigma=1e-5)
-        rho = diffracted_reduced_type1(beam, beam, 0.0, grid)
+        rho = _one(0.0, 0.0, grid)
         assert purity(rho) == pytest.approx(1.0, abs=1e-9)
 
     def test_sharp_negativity_matches_states_module(self):
@@ -327,19 +344,17 @@ class TestDiffractedReducedType1:
 
     def test_purity_never_exceeds_one(self):
         for sigma in (0.05, 0.5, 1.0):
-            beam = BeamProfile(sigma=sigma)
             grid = make_grid(32, 32, sigma=sigma)
             for beta in (0.0, 0.2):
-                assert purity(diffracted_reduced_type1(beam, beam, beta, grid)) <= 1.0 + 1e-12
+                assert purity(_one(0.0, beta, grid)) <= 1.0 + 1e-12
 
     def test_purity_expansion_at_rest(self):
         # P = 1 - 2 sigma^2 + O(sigma^4) at beta = 0; the residual must show
         # clean fourth-order scaling.
         ratios = []
         for sigma in (0.01, 0.02, 0.05):
-            beam = BeamProfile(sigma=sigma)
             grid = make_grid(64, 64, sigma=sigma)
-            p = purity(diffracted_reduced_type1(beam, beam, 0.0, grid))
+            p = purity(_one(0.0, 0.0, grid))
             residual = abs(p - (1.0 - 2.0 * sigma**2))
             ratios.append(residual / sigma**4)
         assert max(ratios) < 5.0
@@ -349,9 +364,8 @@ class TestDiffractedReducedType1:
         # beta = 1e-2, sigma = 0.05: the quadratic-in-velocity expansion point
         # from the module contract; residual stays at the sigma^4 scale.
         sigma, beta = 0.05, 1e-2
-        beam = BeamProfile(sigma=sigma)
         grid = make_grid(64, 64, sigma=sigma)
-        p = purity(diffracted_reduced_type1(beam, beam, beta, grid))
+        p = purity(_one(0.0, beta, grid))
         residual = abs(p - (1.0 - 2.0 * sigma**2 * (1.0 + abs(beta)) ** 2))
         assert residual <= 2e-4
 
@@ -359,10 +373,9 @@ class TestDiffractedReducedType1:
         # The small-sigma purity deficit divided by 2 sigma^2 equals
         # (1 + beta^2)/(1 - beta^2) for the back-to-back geometry.
         sigma = 0.01
-        beam = BeamProfile(sigma=sigma)
         grid = make_grid(64, 64, sigma=sigma)
         for beta in (0.0, 0.1, 0.3):
-            p = purity(diffracted_reduced_type1(beam, beam, beta, grid))
+            p = purity(_one(0.0, beta, grid))
             g = (1.0 - p) / (2.0 * sigma**2)
             expected = (1.0 + beta**2) / (1.0 - beta**2)
             assert g == pytest.approx(expected, abs=1e-3)
@@ -372,18 +385,16 @@ class TestDiffractedReducedType1:
             for beta in (0.0, 0.3):
                 values = []
                 for n in (64, 128):
-                    beam = BeamProfile(sigma=sigma)
                     grid = make_grid(n, n, sigma=sigma)
-                    rho = diffracted_reduced_type1(beam, beam, beta, grid)
+                    rho = _one(0.0, beta, grid)
                     values.append((purity(rho), negativity(rho)))
                 assert abs(values[0][0] - values[1][0]) < 1e-6
                 assert abs(values[0][1] - values[1][1]) < 1e-6
 
     def test_superluminal_rejected(self):
-        beam = BeamProfile(sigma=0.1)
         grid = make_grid(16, 16, sigma=0.1)
         with pytest.raises(DomainError):
-            diffracted_reduced_type1(beam, beam, 1.0, grid)
+            diffracted_reduced_type1(0.0, [1.0], grid)
 
 
 class TestBellMixture:
@@ -407,12 +418,10 @@ class TestUnitVectorKernel:
         worst = 0.0
         for sigma in (0.2, 1.0, 3.0):
             grid = make_grid(32, 32, sigma=sigma)
-            beam_a = BeamProfile(sigma=sigma, alpha=alpha)
-            beam_b = BeamProfile(sigma=0.7 * sigma, alpha=alpha)
             for beta in (-0.9, 0.0, 0.3, 0.9):
-                rho = _kernel(beam_a, beam_b, beta, grid, opposite)
-                ref = _reference_reduced_type1(beam_a, beam_b, beta, grid, opposite)
-                worst = max(worst, float(np.abs(rho.mat - ref).max()))
+                rho = _kernel(alpha, beta, grid, opposite)
+                ref = _reference_reduced_type1(alpha, beta, grid, opposite)
+                worst = max(worst, float(np.abs(rho - ref).max()))
         assert worst <= 1e-12
 
     @pytest.mark.parametrize("opposite", [True, False])
@@ -424,21 +433,18 @@ class TestUnitVectorKernel:
         for sigma in (0.2, 1.0, 3.0):
             grid = make_grid(n_theta, n_phi, sigma=sigma)
             for alpha in (0.0, 1.1, math.pi - 0.01):
-                beam_a = BeamProfile(sigma=sigma, alpha=alpha)
-                beam_b = BeamProfile(sigma=0.7 * sigma, alpha=alpha)
                 for beta in (-0.9, 0.0, 0.3, 0.9):
-                    rho = _kernel(beam_a, beam_b, beta, grid, opposite)
-                    ref = _reference_reduced_type1(beam_a, beam_b, beta, grid, opposite)
-                    worst = max(worst, float(np.abs(rho.mat - ref).max()))
+                    rho = _kernel(alpha, beta, grid, opposite)
+                    ref = _reference_reduced_type1(alpha, beta, grid, opposite)
+                    worst = max(worst, float(np.abs(rho - ref).max()))
         assert worst <= 1e-12
 
-    @pytest.mark.parametrize("same_sigma", [True, False])
-    def test_work_per_call(self, monkeypatch, same_sigma):
-        # each beam evaluates its profile once per theta row (once for both
-        # arms when the spreads are equal) and rotates each block of its
-        # n_theta * (n_phi // 2 + 1) half-grid nodes to the lab once; each
-        # block is boosted once per distinct arm beta: arm A's betas for
-        # beam_a, the negated ones for beam_b, 0.0 and -0.0 as one
+    def test_work_per_call(self, monkeypatch):
+        # the beam's profile is evaluated once per theta row for both arms,
+        # and each block of its n_theta * (n_phi // 2 + 1) half-grid nodes is
+        # rotated to the lab once; each block is boosted once per distinct
+        # arm beta: arm A's betas, then the negated ones for arm B, 0.0 and
+        # -0.0 as one
         rotations, boosts, exp_sizes = [], [], []
         rotate, boost, exp = diffraction.rotate_to_lab, diffraction.boost_to_beam_frame, np.exp
 
@@ -457,27 +463,20 @@ class TestUnitVectorKernel:
         monkeypatch.setattr(diffraction, "rotate_to_lab", counting_rotate)
         monkeypatch.setattr(diffraction, "boost_to_beam_frame", counting_boost)
         monkeypatch.setattr(np, "exp", counting_exp)
-        beam_a = BeamProfile(sigma=0.6, alpha=0.3)
-        beam_b = BeamProfile(sigma=0.6 if same_sigma else 0.42, alpha=0.3)
-        sweeps = [(0.4, [0.4], [-0.4]),
-                  ([0.0, 0.4, -0.0, -0.4, 0.4], [0.0, 0.4, -0.4], [0.0, -0.4, 0.4])]
+        sweeps = [([0.4], [0.4, -0.4]), ([0.0, 0.4, -0.0, -0.4, 0.4], [0.0, 0.4, -0.4])]
         for n_theta, n_phi in ((16, 32), (9, 31), (3, 2), _one_past_whole_blocks()):
             grid = make_grid(n_theta, n_phi, sigma=0.6)
             half = n_theta * (n_phi // 2 + 1)
             blocks = [min(_BLOCK_NODES, half - start) for start in range(0, half, _BLOCK_NODES)]
-            for beta, betas_a, betas_b in sweeps:
+            for betas, arm_betas in sweeps:
                 rotations.clear()
                 boosts.clear()
                 exp_sizes.clear()
-                diffracted_reduced_type1(beam_a, beam_b, beta, grid)
-                if same_sigma:  # beam_b is beam_a: one pass over the union
-                    arms = [dict.fromkeys(betas_a + betas_b)]
-                else:
-                    arms = [betas_a, betas_b]
-                assert rotations == [(size, 0.3) for _ in arms for size in blocks]
-                assert boosts == [(size, 0.3, b) for arm in arms for size in blocks for b in arm]
+                diffracted_reduced_type1(0.3, betas, grid)
+                assert rotations == [(size, 0.3) for size in blocks]
+                assert boosts == [(size, 0.3, b) for size in blocks for b in arm_betas]
                 assert not any(math.copysign(1.0, b) < 0 for _, _, b in boosts if b == 0.0)
-                assert exp_sizes == [n_theta] * (1 if same_sigma else 2)
+                assert exp_sizes == [n_theta]
 
     def test_node_identities(self):
         # h, v orthonormal and transverse to the unit aberrated direction n,
@@ -516,8 +515,7 @@ class TestUnitVectorKernel:
         sigma=st.floats(0.05, 3.0),
     )
     def test_psd_unit_trace(self, alpha, beta, sigma):
-        beam = BeamProfile(sigma=sigma, alpha=alpha)
-        rho = diffracted_reduced_type1(beam, beam, beta, make_grid(24, 24, sigma=sigma)).mat
+        rho = _one(alpha, beta, make_grid(24, 24, sigma=sigma)).mat
         assert abs(np.trace(rho) - 1.0) <= 1e-12
         assert np.linalg.eigvalsh(rho).min() >= -1e-12
 
@@ -567,7 +565,7 @@ class TestBlockedMoments:
 
         with monkeypatch.context() as patched:
             patched.setattr(diffraction, "_arm_moments", per_beta)
-            return diffracted_reduced_type1(*args).mat
+            return _one(*args).mat
 
     @pytest.mark.parametrize("n_theta, n_phi", [(128, 128), (127, 129), _one_past_whole_blocks()])
     def test_multi_block_matches_unblocked(self, n_theta, n_phi, monkeypatch):
@@ -583,9 +581,7 @@ class TestBlockedMoments:
 
         for sigma, alpha in self.BEAMS:
             grid = make_grid(n_theta, n_phi, sigma=sigma)
-            beam_a = BeamProfile(sigma=sigma, alpha=alpha)
-            beam_b = BeamProfile(sigma=0.7 * sigma, alpha=alpha)
-            nodes, weights = _half_nodes(grid), _half_weights(grid, beam_a)
+            nodes, weights = _half_nodes(grid), _half_weights(grid)
             for axis_angle in (alpha, alpha + math.pi):
                 blocked = _arm_moments(nodes, weights, axis_angle, self.BETAS)
                 for beta, moments in zip(self.BETAS, blocked, strict=True):
@@ -593,8 +589,8 @@ class TestBlockedMoments:
                     record("moment exact", moments, _exact_arm_moments(*args))
                     record("moment one-product", moments, _unblocked_arm_moments(*args))
             for beta in self.BETAS:
-                args = (beam_a, beam_b, beta, grid)
-                rho = diffracted_reduced_type1(*args).mat
+                args = (alpha, beta, grid)
+                rho = _one(*args).mat
                 record("rho exact", rho, self._kernel_with(_exact_arm_moments, monkeypatch, *args))
                 record("rho one-product", rho,
                        self._kernel_with(_unblocked_arm_moments, monkeypatch, *args))
@@ -605,22 +601,20 @@ class TestBlockedMoments:
     def test_single_block_bitwise_unblocked(self, n, monkeypatch):
         for sigma, alpha in self.BEAMS:
             grid = make_grid(n, n, sigma=sigma)
-            beam_a = BeamProfile(sigma=sigma, alpha=alpha)
-            beam_b = BeamProfile(sigma=0.7 * sigma, alpha=alpha)
-            nodes, weights = _half_nodes(grid), _half_weights(grid, beam_a)
+            nodes, weights = _half_nodes(grid), _half_weights(grid)
             blocked = _arm_moments(nodes, weights, alpha, self.BETAS)
             for beta, moments in zip(self.BETAS, blocked, strict=True):
                 ref = _unblocked_arm_moments(nodes, weights, alpha, beta)
                 assert moments.tobytes() == ref.tobytes()
-                args = (beam_a, beam_b, beta, grid)
+                args = (alpha, beta, grid)
                 ref = self._kernel_with(_unblocked_arm_moments, monkeypatch, *args)
-                assert diffracted_reduced_type1(*args).mat.tobytes() == ref.tobytes()
+                assert _one(*args).mat.tobytes() == ref.tobytes()
 
     def test_peak_memory_independent_of_grid(self):
         # guards against the full 6 x N basis stack coming back: unblocked,
         # one 256^2 call peaks near 4.8 MB; several betas share each block
         grid = make_grid(256, 256, sigma=1.0)
-        nodes, weights = _half_nodes(grid), _half_weights(grid, BeamProfile(sigma=1.0))
+        nodes, weights = _half_nodes(grid), _half_weights(grid)
         tracemalloc.start()
         try:
             _arm_moments(nodes, weights, 0.3, [0.5, -0.5, 0.0, 0.2])
@@ -642,29 +636,30 @@ class TestBetaSweep:
                                                 ((0.8, 0.5), (0.9, 0.9)),
                                                 ((1.5, 1.5), (0.2, 2.0))])
     def test_sweep_equals_single_calls(self, n_theta, n_phi, sigmas, alphas):
-        # bit for bit: signed, duplicate and signed-zero betas, equal and
-        # unequal beams, single- and multi-block grids
-        grid = make_grid(n_theta, n_phi, sigma=sigmas[0])
-        beam_a, beam_b = (BeamProfile(sigma=s, alpha=a) for s, a in zip(sigmas, alphas))
-        sweep = diffracted_reduced_type1(beam_a, beam_b, self.BETAS, grid)
-        assert isinstance(sweep, tuple) and len(sweep) == len(self.BETAS)
-        for beta, rho in zip(self.BETAS, sweep):
-            single = diffracted_reduced_type1(beam_a, beam_b, beta, grid)
-            assert isinstance(single, DensityMatrix) and isinstance(rho, DensityMatrix)
-            assert rho.mat.tobytes() == single.mat.tobytes()
-            assert rho.dims == (3, 3)
+        # bit for bit, for each (sigma, alpha) beam on its own grid: signed,
+        # duplicate and signed-zero betas, single- and multi-block grids
+        for sigma, alpha in dict.fromkeys(zip(sigmas, alphas)):
+            grid = make_grid(n_theta, n_phi, sigma=sigma)
+            sweep = diffracted_reduced_type1(alpha, self.BETAS, grid)
+            assert isinstance(sweep, tuple) and len(sweep) == len(self.BETAS)
+            for beta, rho in zip(self.BETAS, sweep):
+                single = _one(alpha, beta, grid)
+                assert isinstance(single, DensityMatrix) and isinstance(rho, DensityMatrix)
+                assert rho.mat.tobytes() == single.mat.tobytes()
+                assert rho.dims == (3, 3)
 
     def test_array_and_empty_sweeps(self):
-        beam = BeamProfile(sigma=0.5, alpha=0.4)
         grid = make_grid(12, 12, sigma=0.5)
-        from_array = diffracted_reduced_type1(beam, beam, np.array([0.1, 0.2]), grid)
-        from_list = diffracted_reduced_type1(beam, beam, [0.1, 0.2], grid)
+        from_array = diffracted_reduced_type1(0.4, np.array([0.1, 0.2]), grid)
+        from_list = diffracted_reduced_type1(0.4, [0.1, 0.2], grid)
         assert [r.mat.tobytes() for r in from_array] == [r.mat.tobytes() for r in from_list]
-        assert diffracted_reduced_type1(beam, beam, [], grid) == ()
-        with pytest.raises(DomainError, match="1-D sequence"):
-            diffracted_reduced_type1(beam, beam, [[0.1, 0.2]], grid)
-        scalar = diffracted_reduced_type1(beam, beam, np.float64(0.1), grid)
-        assert scalar.mat.tobytes() == from_list[0].mat.tobytes()
+        assert diffracted_reduced_type1(0.4, [], grid) == ()
+
+    @pytest.mark.parametrize("betas", [0.1, np.float64(0.1), np.array(0.1), [[0.1, 0.2]]])
+    def test_rejects_betas_not_1d(self, betas):
+        grid = make_grid(12, 12, sigma=0.5)
+        with pytest.raises(DomainError, match="betas must be a 1-D sequence"):
+            diffracted_reduced_type1(0.4, betas, grid)
 
     @pytest.mark.parametrize("n_theta, n_phi", [(24, 24), (9, 31), _one_past_whole_blocks()])
     def test_mirror_identity(self, n_theta, n_phi):
@@ -674,7 +669,7 @@ class TestBetaSweep:
         worst = 0.0
         for sigma in (0.2, 1.0, 3.0):
             grid = make_grid(n_theta, n_phi, sigma=sigma)
-            nodes, weights = _half_nodes(grid), _half_weights(grid, BeamProfile(sigma=sigma))
+            nodes, weights = _half_nodes(grid), _half_weights(grid)
             for alpha in (0.0, 0.9, math.pi / 2, math.pi - 0.01, 4.0):
                 betas = [-0.9, -0.3, 0.0, 0.5, 0.9]
                 explicit = _arm_moments(nodes, weights, alpha + math.pi, betas)
@@ -691,10 +686,9 @@ class TestBetaSweep:
 
         for name in ("_half_nodes", "rotate_to_lab", "boost_to_beam_frame", "linear_basis"):
             monkeypatch.setattr(diffraction, name, no_node_work)
-        beam = BeamProfile(sigma=0.5)
         grid = make_grid(16, 16, sigma=0.5)
         with pytest.raises(DomainError, match="boost velocity"):
-            diffracted_reduced_type1(beam, beam, betas, grid)
+            diffracted_reduced_type1(0.0, betas, grid)
 
 
 def _sigma1_negativities(alpha, beta=SweepSpec(0.0, 0.5, 11)):

@@ -523,6 +523,17 @@ class TestTypes:
         antipode = unit_vectors(*polar_angles(math.pi - 0.7, 1.1 + math.pi))
         assert np.allclose(antipode, -n, atol=1e-12)
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 4), (1, 2, 3), (0,), ()])
+    def test_wigner_phases_rejects_directions_not_n_by_3(self, shape):
+        with pytest.raises(DomainError, match=r"an \(N, 3\) stack"):
+            wigner_phases(boost_z(0.3), np.zeros(shape))
+
+    def test_empty_stacks_give_empty_arrays(self):
+        phases = wigner_phases(boost_z(0.3), np.zeros((0, 3)))
+        assert phases.shape == (0,)
+        theta, phi = polar_angles([], [])
+        assert theta.shape == phi.shape == (0,)
+
     def test_lorentz_transform_rejects_non_metric_matrix(self):
         with pytest.raises(DomainError, match="Minkowski metric"):
             wigner_phases(np.eye(4) * 2.0, [[0.0, 0.0, 1.0]])

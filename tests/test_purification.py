@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from boostlink.diffraction import BeamProfile, diffracted_reduced_type1, make_grid
+from boostlink.diffraction import diffracted_reduced_type1, make_grid
 from boostlink.errors import DegenerateProtocolError, DomainError
 from boostlink.purification import (
     LinkParams,
@@ -72,9 +72,8 @@ def _density_matrix(parts):
 
 
 def diffracted_qutrit_pair(sigma, beta=0.0, n=64):
-    beam = BeamProfile(sigma=sigma)
-    grid = make_grid(n, n, sigma=sigma)
-    return diffracted_reduced_type1(beam, beam, beta, grid)
+    (rho,) = diffracted_reduced_type1(0.0, [beta], make_grid(n, n, sigma=sigma))
+    return rho
 
 
 class TestAttenuation:
@@ -248,8 +247,7 @@ class TestQutritProjection:
     pair, its sigma -> 0 limit, is the Bell target."""
 
     def test_narrow_beam_maps_to_bell_target(self):
-        beam = BeamProfile(sigma=1e-3)
-        rho9 = diffracted_reduced_type1(beam, beam, 0.0, make_grid(48, 48, sigma=1e-3))
+        (rho9,) = diffracted_reduced_type1(0.0, [0.0], make_grid(48, 48, sigma=1e-3))
         assert fidelity_to_pure(rho9, bell_target()) == pytest.approx(1.0, abs=1e-5)
 
     def test_trace_preserved(self):

@@ -93,6 +93,16 @@ class TestDensityMatrix:
         with pytest.raises(DomainError):
             DensityMatrix(np.eye(4) / 4.0, (2, 3))
 
+    @pytest.mark.parametrize("dims", [(2.9, 2.0), (2.0, 2.0), (-2, -2), (4, 1.0), ("2", "2")])
+    def test_rejects_dims_not_positive_integers(self, dims):
+        # (2.9, 2.0) used to become (2, 2), and (-2, -2) to fail in negativity
+        with pytest.raises(DomainError, match="subsystem dimensions must be positive integers"):
+            DensityMatrix(np.eye(4) / 4.0, dims)
+
+    def test_accepts_numpy_integer_dims(self):
+        rho = DensityMatrix(np.eye(4) / 4.0, (np.int64(2), np.int32(2)))
+        assert rho.dims == (2, 2) and all(type(d) is int for d in rho.dims)
+
     def test_from_pure_requires_normalization(self):
         with pytest.raises(DomainError):
             DensityMatrix.from_pure(np.array([1.0, 1.0]), (2,))
