@@ -38,13 +38,7 @@ from .errors import ConfigError, DegenerateProtocolError, DomainError, Numerical
 from .lorentz import aberrate, boost_z, polar_angles, unit_vectors, wigner_phases
 from .photon import check_photons, check_polarizations, linear_basis
 from .purification import LinkParams, attenuation, photons_required
-from .quantum import (
-    DensityMatrix,
-    check_density_matrices,
-    negativity,
-    pure_projectors,
-    trace_distances,
-)
+from .quantum import DensityMatrix, negativity, pure_trace_distances
 from .states import pair_amplitudes, type2_amplitudes, type3_amplitudes
 
 FORMATS = ("csv", "jsonl")
@@ -169,7 +163,7 @@ def run_single_photon_sweep(scenario: Scenario) -> list[dict]:
     check_polarizations(eps, normals)
     momenta = np.hstack([np.ones((n, 1)), rest])
     check_photons(np.concatenate([momenta, momenta @ boost_z(beta).T]), normals)
-    numeric = _pure_trace_distances(eps[:n], eps[n:])
+    numeric = pure_trace_distances(eps[:n], eps[n:])
     rows = []
     for (t, p), eps_numeric in zip(points, numeric.tolist()):
         approx = abs(beta * math.sin(t) * math.cos(p))
@@ -187,7 +181,7 @@ def run_pair_sweep(scenario: Scenario) -> list[dict]:
     phi = _scalar(scenario, "phi")
     thetas = _values(scenario, "theta")
     arms = _back_to_back(thetas, [phi] * len(thetas))
-    numeric = _pure_trace_distances(*_type1_amplitudes(*arms, beta))
+    numeric = pure_trace_distances(*_type1_amplitudes(*arms, beta))
     rows = []
     for theta, eps_numeric in zip(thetas, numeric.tolist()):
         approx = abs(beta * math.sin(theta))
@@ -217,15 +211,6 @@ def _type1_amplitudes(n_a, n_b, beta) -> tuple[np.ndarray, np.ndarray]:
     and ``n_b``, at rest and with both directions aberrated by a z-boost
     ``beta``: two (N, 9) stacks, checked on every row."""
     return pair_amplitudes(n_a, n_b), pair_amplitudes(_aberrated(n_a, beta), _aberrated(n_b, beta))
-
-
-def _pure_trace_distances(psi_a, psi_b) -> np.ndarray:
-    """Trace distance between the pure states of each row pair, through the
-    validated density matrices, as ``DensityMatrix.from_pure`` and
-    ``trace_distance`` compute it for one pair."""
-    rho = pure_projectors(np.concatenate([psi_a, psi_b]).astype(complex))
-    check_density_matrices(rho)
-    return trace_distances(rho[: len(psi_a)], rho[len(psi_a) :])
 
 
 def run_negativity_sweep(scenario: Scenario) -> list[dict]:
@@ -285,16 +270,17 @@ def run_li_check(scenario: Scenario) -> list[dict]:
     both frames, and a verdict.
 
     Each protocol is a table entry holding its amplitude rows at rest,
-    boosted and compensated; one ``_pure_trace_distances`` call gives its
-    raw and compensated distances.  Type I aberrates both directions and has
-    nothing to compensate.  Types II and III take their boosted phases from
-    one Wigner phase per arm (helicity +1), both from one ``wigner_phases``
-    call, which checks the boost matrix: the type II branch phases shift by
-    -Theta_A and -Theta_B, the type III global phase by -(Theta_A + Theta_B),
-    and the compensated rows add the computed phases back.  Under this
-    z-boost the Wigner phase is identically 0, so the compensated column
-    cannot fail yet; it tests something only once li-check boosts along a
-    tilted axis."""
+    boosted and compensated; one ``pure_trace_distances`` call on the rows
+    gives its raw and compensated distances, with no matrix, and each
+    negativity is one validated matrix's.  Type I aberrates both directions
+    and has nothing to compensate.  Types II and III take their boosted
+    phases from one Wigner phase per arm (helicity +1), both from one
+    ``wigner_phases`` call, which checks the boost matrix: the type II branch
+    phases shift by -Theta_A and -Theta_B, the type III global phase by
+    -(Theta_A + Theta_B), and the compensated rows add the computed phases
+    back.  Under this z-boost the Wigner phase is identically 0, so the
+    compensated column cannot fail yet; it tests something only once
+    li-check boosts along a tilted axis."""
     beta = _scalar(scenario, "beta")
     theta = _scalar(scenario, "theta")
     phi = _scalar(scenario, "phi")
@@ -310,7 +296,7 @@ def run_li_check(scenario: Scenario) -> list[dict]:
     )
     rows = []
     for name, dims, (source, boosted, compensated) in protocols:
-        raw, distance = _pure_trace_distances(
+        raw, distance = pure_trace_distances(
             np.stack([source, source]), np.stack([boosted, compensated])
         ).tolist()
         rows.append(

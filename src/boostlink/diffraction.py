@@ -53,8 +53,10 @@ periodic grid in phi.  The Gaussian is truncated at the domain edge; the
 grid-doubling convergence test bounds the sensitivity.  A grid is its n_theta
 rows of one theta and one weight and the spread it was built for, so a beam
 cannot be evaluated on a grid cut for another: its weights take one exp per
-row, and no call builds an n_theta x n_phi array.  A spread whose square
-overflows gives a flat beam.
+row, and no call builds an n_theta x n_phi array.  The exponent is
+(theta / sigma)^2, at most 36 on the grid, so a spread whose square would
+underflow still weights its beam, and one far wider than pi gives a flat
+beam.
 
 Mirror fold: the profile, the rotation about y and the z-boost commute with
 the mirror y -> -y, which maps the phi grid 2 pi k / n_phi onto itself and
@@ -176,7 +178,7 @@ def _half_weights(grid):
     """Probability weights w |f|^2 / M of the grid's beam on the half-grid
     nodes, M the sum over the full grid, from one exp per theta row; doubled
     where the mirror phi -> 2 pi - phi is another node (not phi = 0, pi)."""
-    row = grid.row_weight * np.exp(-(grid.row_theta**2) / (grid.sigma * grid.sigma))
+    row = grid.row_weight * np.exp(-((grid.row_theta / grid.sigma) ** 2))
     total = grid.n_phi * float(row.sum())
     if not math.isfinite(total) or total <= 0.0:
         raise DomainError("quadrature grid cannot normalize this beam profile")

@@ -8,12 +8,17 @@ is solved densely with the Hermitian solver.
 Validation, pure-state projectors and the trace distance are array functions
 over stacks of matrices (``check_density_matrices``, ``pure_projectors``,
 ``trace_distances``): ``DensityMatrix`` and ``trace_distance`` call them on
-one item, and the error-law sweeps call each once on all of their points, so
-a sweep costs a fixed number of batched factorizations and eigensolves
-whatever its size.  Positivity needs no spectrum: a Cholesky factorization
-of rho - EIGENVALUE_TOL * I certifies every eigenvalue above the tolerance,
-and only a stack it cannot certify is eigensolved, to name the first
-offender or to accept what the factorization missed at the boundary.
+one item.  Positivity needs no spectrum: a Cholesky factorization of
+rho - EIGENVALUE_TOL * I certifies every eigenvalue above the tolerance, and
+only a stack it cannot certify is eigensolved, to name the first offender or
+to accept what the factorization missed at the boundary.
+
+The error-law sweeps compare pure states only, and need no matrix at all:
+``pure_trace_distances`` takes two stacks of state vectors and returns each
+pair's distance sqrt(1 - |<a|b>|^2) as the residual norm of a after
+projecting out b, checked as ``DensityMatrix.from_pure`` checks its vector
+and its projector's trace.  A sweep costs no factorization and no eigensolve
+whatever its size, and a distance near 0 keeps its relative accuracy.
 """
 
 from __future__ import annotations
@@ -98,14 +103,57 @@ def check_density_matrices(mats) -> None:
         raise DomainError(f"matrix has a negative eigenvalue ({bad:.3e})")
 
 
-def pure_projectors(psi) -> np.ndarray:
-    """Projectors |psi><psi|, (N, d, d), for a stack of normalized state
-    vectors ``psi`` (N, d)."""
-    norm = np.sqrt((psi.real**2 + psi.imag**2).sum(axis=-1))
+def _squared_norms(psi) -> np.ndarray:
+    """sum_i |psi_i|^2 of each row of the (N, d) stack ``psi``."""
+    if np.iscomplexobj(psi):
+        return (psi.real**2 + psi.imag**2).sum(axis=-1)
+    return (psi * psi).sum(axis=-1)
+
+
+def _check_normalized(norm2) -> None:
+    """Reject a row whose norm sqrt(norm2) is not within 1e-10 of 1."""
+    norm = np.sqrt(norm2)
     off = ~(np.abs(norm - 1.0) <= 1e-10)
     if off.any():
         raise DomainError(f"pure-state vector must be normalized, got norm {norm[off][0]}")
+
+
+def pure_projectors(psi) -> np.ndarray:
+    """Projectors |psi><psi|, (N, d, d), for a stack of normalized state
+    vectors ``psi`` (N, d)."""
+    _check_normalized(_squared_norms(psi))
     return psi[:, :, None] * psi.conj()[:, None, :]
+
+
+def pure_trace_distances(psi_a, psi_b) -> np.ndarray:
+    """Trace distance between the pure states of each row pair of the
+    normalized (N, d) stacks ``psi_a`` and ``psi_b``, real or complex:
+    sqrt(1 - |<a|b>|^2), taken as the residual norm |a - (<b|a>/<b|b>) b|.
+    The residual keeps its relative accuracy as the states meet, and
+    identical rows give exactly 0.  Rows are checked as
+    ``DensityMatrix.from_pure`` checks them: the norm to 1e-10, then the
+    norm squared, the projector's trace, to ``TRACE_TOL``.  Each row sums
+    in C order, so its distance is the one a one-row stack gives, bit for
+    bit."""
+    psi_a, psi_b = np.ascontiguousarray(psi_a), np.ascontiguousarray(psi_b)
+    norm2_b = _squared_norms(psi_b)
+    norm2 = np.concatenate([_squared_norms(psi_a), norm2_b])
+    off = ~(np.abs(norm2 - 1.0) <= TRACE_TOL)
+    if off.any():
+        # a norm off by more than 1e-10, or not finite, is named first
+        _check_normalized(norm2)
+        raise DomainError(f"trace must equal 1, got {complex(norm2[off][0])}")
+    # <b|a> / <b|b> in real arithmetic, summed as <b|b> is, so that identical
+    # rows scale by exactly 1: numpy's complex product can fuse a
+    # multiply-add, which leaves <a|a> a nonzero imaginary part, and its
+    # complex divide takes x * (1 / x), which need not be 1
+    if np.iscomplexobj(psi_a) or np.iscomplexobj(psi_b):
+        re = (psi_b.real * psi_a.real + psi_b.imag * psi_a.imag).sum(axis=-1)
+        im = (psi_b.real * psi_a.imag - psi_b.imag * psi_a.real).sum(axis=-1)
+        scale = re / norm2_b + 1j * (im / norm2_b)
+    else:
+        scale = (psi_b * psi_a).sum(axis=-1) / norm2_b
+    return np.sqrt(_squared_norms(psi_a - scale[:, None] * psi_b))
 
 
 def trace_distances(a, b) -> np.ndarray:

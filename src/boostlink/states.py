@@ -15,9 +15,10 @@
   -lambda * (Theta(boost, p) + Theta(boost, q)), which cancels in the density
   matrix.
 
-Every protocol is given as pure-state amplitude rows, which callers turn
-into density matrices (``quantum.pure_projectors``,
-``DensityMatrix.from_pure``).  The Fock-basis protocols are functions of
+Every protocol is given as pure-state amplitude rows: callers measure
+distances on the rows themselves (``quantum.pure_trace_distances``) and turn
+them into density matrices only for a negativity
+(``DensityMatrix.from_pure``).  The Fock-basis protocols are functions of
 their phases alone: ``type2_amplitudes(phase_a, phase_b)`` and
 ``type3_amplitudes(phase)`` give one occupation-basis row of C^4 (dims
 (2, 2)) per phase, as ``pair_amplitudes`` gives one C^9 row per direction

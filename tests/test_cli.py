@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from boostlink.errors import ConfigError, DomainError
 from boostlink.lorentz import aberrate, boost_z, polar_angles, unit_vectors, wigner_phases
 from boostlink.photon import linear_basis
 from boostlink.purification import photon_budget, photons_required
-from boostlink.quantum import DensityMatrix, negativity, trace_distance
+from boostlink.quantum import DensityMatrix, negativity, pure_trace_distances
 from boostlink.states import pair_amplitudes
 
 
@@ -43,6 +44,11 @@ def aberrated(n, beta):
     return moved / np.linalg.norm(moved)
 
 
+def point_distance(psi_a, psi_b):
+    """The trace distance between two pure states, as a stack of one row."""
+    return float(pure_trace_distances(psi_a[None], psi_b[None])[0])
+
+
 def photon_distance(theta, phi, beta):
     """Trace distance between the h polarization of a photon along
     (theta, phi) and of the same photon boosted by ``beta``, point by point
@@ -50,10 +56,10 @@ def photon_distance(theta, phi, beta):
     rest = unit_vectors(*polar_angles(theta, phi))
     moved = aberrated(rest, beta)
 
-    def h_matrix(n):
-        return DensityMatrix.from_pure(linear_basis(*n[:, None])[:3, 0], (3,))
+    def h(n):
+        return linear_basis(*n[:, None])[:3, 0]
 
-    return trace_distance(h_matrix(rest), h_matrix(moved))
+    return point_distance(h(rest), h(moved))
 
 
 def pair_distance(theta, phi, beta):
@@ -61,12 +67,12 @@ def pair_distance(theta, phi, beta):
     (theta, phi) and arm B at its polar antipode, point by point through the
     sweep's kernel."""
 
-    def matrix(a, b):
-        return DensityMatrix.from_pure(pair_amplitudes(a[None], b[None])[0], (3, 3))
+    def amplitudes(a, b):
+        return pair_amplitudes(a[None], b[None])[0]
 
     n_a, n_b = back_to_back(theta, phi)
     moved_a, moved_b = (aberrated(n, beta) for n in (n_a, n_b))
-    return trace_distance(matrix(n_a, n_b), matrix(moved_a, moved_b))
+    return point_distance(amplitudes(n_a, n_b), amplitudes(moved_a, moved_b))
 
 
 class TestSweepSpec:
@@ -251,11 +257,11 @@ def _tilt_polar(nodes):
     return tuple(unit_vectors(np.arctan2(np.hypot(x, y), z) + 1e-6, np.arctan2(y, x)).T)
 
 
-def _unhermitian_one(rho):
-    """Break the Hermiticity of one matrix in a stack by 1e-6."""
-    rho = rho.copy()
-    rho[1, 0, 1] += 1e-6
-    return rho
+def _stretch_one_row(psi):
+    """Scale the second amplitude row of a stack to norm 1 + 1e-6."""
+    psi = psi.copy()
+    psi[1] *= 1.0 + 1e-6
+    return psi
 
 
 # (eps_numeric, residual) printed at the poles with --beta 1e-3.  The unit
@@ -312,16 +318,20 @@ class TestBatchedSweeps:
         "run, module, name, damage, message",
         [
             (run_single_photon_sweep, cli, "linear_basis", _scale_one_h, "unit norm"),
-            (run_single_photon_sweep, cli, "pure_projectors", _unhermitian_one, "not Hermitian"),
+            (run_single_photon_sweep, cli, "pure_trace_distances", _stretch_one_row, "normalized"),
             (run_single_photon_sweep, cli, "aberrate", _tilt_polar, "disagree"),
             (run_pair_sweep, states, "linear_basis", _scale_one_h, "unit norm"),
-            (run_pair_sweep, cli, "pure_projectors", _unhermitian_one, "not Hermitian"),
+            (run_pair_sweep, cli, "pure_trace_distances", _stretch_one_row, "normalized"),
         ],
     )
     def test_every_point_is_checked(self, run, module, name, damage, message, monkeypatch):
-        # one corrupted entry in a stack fails the whole sweep
+        # one corrupted entry in a stack fails the whole sweep: the rows a
+        # distance takes are damaged on the way in, other stacks on the way out
         original = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *args: damage(original(*args)))
+        if name == "pure_trace_distances":
+            monkeypatch.setattr(module, name, lambda a, b: original(damage(a), b))
+        else:
+            monkeypatch.setattr(module, name, lambda *args: damage(original(*args)))
         phi = SweepSpec(0.5, 6.0, 3) if run is run_single_photon_sweep else 0.5
         with pytest.raises(DomainError, match=message):
             run(Scenario(beta=1e-4, theta=SweepSpec(0.1, 3.0, 3), phi=phi))
@@ -354,6 +364,36 @@ class TestBatchedSweeps:
         # norm defect of 1.1e-12 at beta = -0.9999 near theta = pi
         assert main(argv + ["--beta", beta]) == 0
         assert capsys.readouterr().err == ""
+
+
+def exact_distances(psi_a, psi_b):
+    """Trace distances of the pure row pairs, with 1 - (a.b)^2 / ((a.a)(b.b))
+    taken in exact rationals from the float rows: only the final square root
+    rounds."""
+
+    def dot(x, y):
+        return sum(p * q for p, q in zip(x, y))
+
+    distances = []
+    for row_a, row_b in zip(psi_a.tolist(), psi_b.tolist()):
+        a, b = [Fraction(x) for x in row_a], [Fraction(x) for x in row_b]
+        distances.append(math.sqrt(1 - dot(a, b) ** 2 / (dot(a, a) * dot(b, b))))
+    return distances
+
+
+class TestPairDistanceAccuracy:
+    """The pair sweep's distances against an exact reference on its own
+    amplitude rows, at the small boosts of the paper's error law, where the
+    eigensolve of the projector difference was off by 2.2e-10 and 2.7e-11."""
+
+    @pytest.mark.parametrize("beta, bound", [(1e-6, 2e-10), (1e-5, 2e-11)])
+    def test_relative_error(self, beta, bound):
+        phi, thetas = 0.7, SweepSpec(0.1, math.pi - 0.1, 200)
+        rows = run_pair_sweep(Scenario(beta=beta, theta=thetas, phi=phi))
+        values = thetas.values()
+        psi = cli._type1_amplitudes(*cli._back_to_back(values, [phi] * len(values)), beta)
+        for row, exact in zip(rows, exact_distances(*psi), strict=True):
+            assert abs(row["eps_numeric"] - exact) <= bound * exact, row["theta"]
 
 
 class TestTypeIAcrossCommands:
@@ -407,46 +447,47 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 def reference_rows(theta, phi, beta):
     """li-check's rows as the per-protocol object layer built them, one
-    validated matrix per state: the type-I pair along both arms, at rest and
+    state vector at a time: the type-I pair along both arms, at rest and
     aberrated, with nothing to compensate; for types II and III the Wigner
     phase of each arm, helicity +1, and the occupation-basis layout (type II
-    on indices 2 and 1, type III on 0 and 3)."""
+    on indices 2 and 1, type III on 0 and 3).  Each distance is one pure
+    pair's, and each negativity one validated matrix's."""
     n_a, n_b = back_to_back(theta, phi)
     theta_a, theta_b = wigner_phases(boost_z(beta), np.stack([n_a, n_b]))
 
     def type1(a, b):
-        return DensityMatrix.from_pure(pair_amplitudes(a[None], b[None])[0], (3, 3))
+        return pair_amplitudes(a[None], b[None])[0]
 
     def type2(phi_a, phi_b):
         psi = np.zeros(4, dtype=complex)
         psi[2] = np.exp(1j * phi_a) * _INV_SQRT2
         psi[1] = -np.exp(1j * phi_b) * _INV_SQRT2
-        return DensityMatrix.from_pure(psi, (2, 2))
+        return psi
 
     def type3(chi):
         psi = np.zeros(4, dtype=complex)
         psi[0] = np.exp(1j * chi) * _INV_SQRT2
         psi[3] = -np.exp(1j * chi) * _INV_SQRT2
-        return DensityMatrix.from_pure(psi, (2, 2))
+        return psi
 
     boosted2 = type2(0.0 - theta_a, 0.0 - theta_b)
     boosted3 = type3(0.0 - (theta_a + theta_b))
     source1 = type1(n_a, n_b)
     boosted1 = type1(aberrated(n_a, beta), aberrated(n_b, beta))
     rows = []
-    for name, source, boosted, compensated in (
-        ("type1", source1, boosted1, (source1, boosted1)),
-        ("type2", type2(0.0, 0.0), boosted2, (type2(0.0, 0.0), type2(0.0, 0.0))),
-        ("type3", type3(0.0), boosted3, (type3(0.0), type3(0.0))),
+    for name, dims, source, boosted, compensated in (
+        ("type1", (3, 3), source1, boosted1, (source1, boosted1)),
+        ("type2", (2, 2), type2(0.0, 0.0), boosted2, (type2(0.0, 0.0), type2(0.0, 0.0))),
+        ("type3", (2, 2), type3(0.0), boosted3, (type3(0.0), type3(0.0))),
     ):
-        distance = trace_distance(*compensated)
+        distance = point_distance(*compensated)
         rows.append(
             {
                 "protocol": name,
-                "trace_distance_raw": trace_distance(source, boosted),
+                "trace_distance_raw": point_distance(source, boosted),
                 "trace_distance_compensated": distance,
-                "negativity_source": negativity(source),
-                "negativity_boosted": negativity(boosted),
+                "negativity_source": negativity(DensityMatrix.from_pure(source, dims)),
+                "negativity_boosted": negativity(DensityMatrix.from_pure(boosted, dims)),
                 "verdict": "invariant" if distance <= cli.LI_TOLERANCE else "frame_dependent",
             }
         )
@@ -569,7 +610,8 @@ class TestNegativeFlagValues:
 class TestSweepCostIndependentOfSize:
     """Guard against the per-point path coming back: the number of
     eigensolver calls and DensityMatrix constructions must not grow with the
-    number of points swept."""
+    number of points swept.  The error-law distances need neither a
+    factorization nor an eigensolve."""
 
     @staticmethod
     def _counts(monkeypatch, run, scenario):
@@ -604,8 +646,7 @@ class TestSweepCostIndependentOfSize:
         small = self._counts(monkeypatch, run_single_photon_sweep, scenario(12))
         large = self._counts(monkeypatch, run_single_photon_sweep, scenario(24))
         assert small == large
-        # one factorization certifies the whole stack; one eigensolve measures
-        assert small == {"eigvalsh": 1, "cholesky": 1, "density_matrices": 0}
+        assert small == {"eigvalsh": 0, "cholesky": 0, "density_matrices": 0}
 
     def test_pair(self, monkeypatch):
         def scenario(n):
@@ -614,7 +655,13 @@ class TestSweepCostIndependentOfSize:
         small = self._counts(monkeypatch, run_pair_sweep, scenario(60))
         large = self._counts(monkeypatch, run_pair_sweep, scenario(120))
         assert small == large
-        assert small == {"eigvalsh": 1, "cholesky": 1, "density_matrices": 0}
+        assert small == {"eigvalsh": 0, "cholesky": 0, "density_matrices": 0}
+
+    def test_li_check(self, monkeypatch):
+        # all from the six negativities: one validated matrix, one
+        # factorization and one eigensolve each
+        counts = self._counts(monkeypatch, run_li_check, Scenario(beta=0.3, theta=1.0, phi=0.4))
+        assert counts == {"eigvalsh": 6, "cholesky": 6, "density_matrices": 6}
 
 
 class TestGrid:
@@ -801,11 +848,21 @@ class TestMainEntry:
         ],
     )
     def test_sigma_squared_overflow_is_flat_beam(self, argv, capsys):
-        # sigma^2 overflows to inf: the beam is flat over the sphere
+        # sigma^2 would overflow; (theta / sigma)^2 rounds to 0, so the beam
+        # is flat over the sphere
         assert main(argv) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
         assert len(captured.out.splitlines()) > 1
+
+    def test_sigma_squared_underflow_is_sharp_pair(self, capsys):
+        # sigma^2 would underflow to 0; (theta / sigma)^2 is at most 36 on the
+        # grid, so the narrow beam gives the sharp pair's negativity
+        argv = ["negativity", "--sigma", "1.5e-162", "--grid-theta", "2", "--grid-phi", "2"]
+        assert main(argv + ["--beta", "0.1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == "alpha,beta,negativity\n0,0,0.5\n0,0.1,0.5\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -197,7 +197,8 @@ class TestQuadratureGrid:
 
     @pytest.mark.parametrize("n_phi", [8, 7])
     def test_overflowing_sigma_gives_flat_beam(self, n_phi):
-        # sigma^2 = inf: every row keeps its shell weight, normalized
+        # (theta / sigma)^2 rounds to 0: every row keeps its shell weight,
+        # normalized
         for sigma in (1.4e154, 1e200, 1.7976931348623157e308):
             grid = make_grid(6, n_phi, sigma=sigma)
             flat = np.repeat(grid.row_weight / (n_phi * grid.row_weight.sum()), n_phi // 2 + 1)

@@ -10,6 +10,7 @@ from boostlink.quantum import (
     fidelity_to_pure,
     negativity,
     pure_projectors,
+    pure_trace_distances,
     purity,
     trace_distance,
 )
@@ -154,6 +155,83 @@ class TestTraceDistance:
         b = DensityMatrix(np.eye(4) / 4.0, (4,))
         with pytest.raises(DomainError):
             trace_distance(a, b)
+
+
+class TestPureTraceDistances:
+    """The residual-norm distance against the eigensolve of the validated
+    projectors, its exact values, and the inputs it rejects."""
+
+    @staticmethod
+    def rows(rng, n, d, complex_rows):
+        psi = rng.normal(size=(n, d))
+        if complex_rows:
+            psi = psi + 1j * rng.normal(size=(n, d))
+        return psi / np.linalg.norm(psi, axis=-1, keepdims=True)
+
+    @pytest.mark.parametrize("complex_rows", [False, True])
+    @pytest.mark.parametrize("d", [2, 3, 4, 9])
+    def test_matches_eigensolve_route(self, d, complex_rows):
+        rng = np.random.default_rng(23 + d)
+        a = self.rows(rng, 40, d, complex_rows)
+        # random pairs, and pairs a small step apart
+        step = 10.0 ** rng.uniform(-9, -2, size=(40, 1))
+        near = a + step * self.rows(rng, 40, d, complex_rows)
+        near /= np.linalg.norm(near, axis=-1, keepdims=True)
+        a, b = np.concatenate([a, a]), np.concatenate([self.rows(rng, 40, d, complex_rows), near])
+        for distance, row_a, row_b in zip(pure_trace_distances(a, b), a, b):
+            rho_a, rho_b = (DensityMatrix.from_pure(row, (d,)) for row in (row_a, row_b))
+            assert distance == pytest.approx(trace_distance(rho_a, rho_b), abs=1e-12, rel=1e-9)
+
+    @pytest.mark.parametrize("complex_rows", [False, True])
+    def test_identical_rows_give_exactly_zero(self, complex_rows):
+        rng = np.random.default_rng(29)
+        for d in (2, 3, 4, 9):
+            a = self.rows(rng, 50, d, complex_rows)
+            assert not pure_trace_distances(a, a.copy()).any()
+
+    def test_orthogonal_basis_rows_give_exactly_one(self):
+        basis = np.eye(4)
+        distances = pure_trace_distances(np.repeat(basis, 4, axis=0), np.tile(basis, (4, 1)))
+        assert distances.tolist() == (1.0 - np.eye(4)).ravel().tolist()
+        assert pure_trace_distances(1j * basis[:2], basis[2:]).tolist() == [1.0, 1.0]
+
+    def test_empty_stack(self):
+        empty = np.zeros((0, 3))
+        assert pure_trace_distances(empty, empty).shape == (0,)
+
+    @staticmethod
+    def message(psi_a, psi_b):
+        with pytest.raises(DomainError) as err:
+            pure_trace_distances(psi_a, psi_b)
+        return str(err.value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_row(self, value):
+        good = np.tile(BELL_PHI_PLUS, (3, 1))
+        bad = good.astype(complex)
+        bad[1, 2] = complex(0.0, value)
+        for pair in ((bad, good), (good, bad)):
+            assert "pure-state vector must be normalized" in self.message(*pair)
+
+    def test_rejects_norm_off_by_more_than_tolerance(self):
+        good = np.eye(3)
+        bad = good.copy()
+        bad[2] *= 1.0 + 1e-6
+        expected = "pure-state vector must be normalized, got norm 1.000001"
+        assert self.message(bad, good) == expected
+        assert self.message(good, bad) == expected
+
+    def test_rejects_trace_off_by_more_than_tolerance(self):
+        # the norm is within 1e-10 of 1; its square, the projector's trace, is not
+        good = np.eye(3)
+        bad = good.copy()
+        bad[1] *= 1.0 + 7.5e-11
+        expected = "trace must equal 1, got (1.00000000015+0j)"
+        assert self.message(bad, good) == expected
+        assert self.message(good, bad) == expected
+        with pytest.raises(DomainError) as err:
+            DensityMatrix.from_pure(bad[1], (3,))
+        assert str(err.value) == expected
 
 
 class TestPurity:
