@@ -38,7 +38,8 @@ the shift table are involutions, so the targets read (m, m) exactly when
     pi_m(a, b) = 3 shift[a, m] + shift[b, m]:
 
 the same products, summed in the same order, as the coincidence blocks of
-the permuted R (x) R.
+the permuted R (x) R.  Both blocks R[pi_m][:, pi_m] come from one gather of
+R's flat entries.
 
 The qutrit bases are those of ``diffracted_reduced_type1``: the per-arm beam
 frames with arm B's second axis reversed, in which the distributed pair's
@@ -173,17 +174,21 @@ def bell_target() -> np.ndarray:
 # whose targets land on (m, m) under source pair (a, b)
 _KEPT_SHIFTS = _SHIFT_TABLE[:, _KEPT_OUTCOMES].T
 _KEPT_PI = (QUTRIT_DIM * _KEPT_SHIFTS[:, :, None] + _KEPT_SHIFTS[:, None, :]).reshape(-1, 9)
-_KEPT_INDEX = [np.ix_(pi, pi) for pi in _KEPT_PI]
+# flat indices of R[pi_m][:, pi_m] for both m: one gather into a (2, 9, 9) stack
+_KEPT_FLAT = QUTRIT_DIM * QUTRIT_DIM * _KEPT_PI[:, :, None] + _KEPT_PI[:, None, :]
 
 
 def _transverse_hadamard_pair() -> np.ndarray:
     h = np.array(
         [[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, math.sqrt(2.0)]]
     ) / math.sqrt(2.0)
-    return np.kron(h, h)
+    return np.kron(h, h).astype(complex)
 
 
+# E is real: stored complex, like the matrices it rotates, so that no call
+# casts it, and E^dagger is its transpose
 _ERROR_EXCHANGE = _transverse_hadamard_pair()
+_ERROR_EXCHANGE_H = _ERROR_EXCHANGE.T
 
 
 def purify_round(rho: DensityMatrix) -> tuple[DensityMatrix, float]:
@@ -194,16 +199,17 @@ def purify_round(rho: DensityMatrix) -> tuple[DensityMatrix, float]:
     """
     if rho.dims != (QUTRIT_DIM, QUTRIT_DIM):
         raise DomainError(f"expected qutrit-pair dims (3, 3), got {rho.dims}")
-    d = QUTRIT_DIM
-    rotated = _ERROR_EXCHANGE @ rho.mat @ _ERROR_EXCHANGE.conj().T
-    kept = sum(rotated * rotated[index] for index in _KEPT_INDEX)
-    success = float(np.trace(kept).real)
+    rotated = _ERROR_EXCHANGE @ rho.mat @ _ERROR_EXCHANGE_H
+    kept = (rotated * rotated.take(_KEPT_FLAT)).sum(axis=0)
+    success = float(kept.trace().real)
     if success < MIN_SUCCESS_PROBABILITY:
         raise DegenerateProtocolError(
             f"coincidence probability {success:.3e} is vanishingly small"
         )
     kept /= success
-    return DensityMatrix(0.5 * (kept + kept.conj().T), (d, d)), success
+    kept += kept.conj().T
+    kept *= 0.5
+    return DensityMatrix(kept, rho.dims), success
 
 
 def photons_required(
@@ -213,17 +219,21 @@ def photons_required(
     max_rounds: int = 40,
 ) -> PurificationTrace:
     """Iterate purification rounds on ``rho0`` (round 0) until Tr(rho^2)
-    reaches ``target_purity``, recording every round with its cumulative
+    reaches ``target_purity``, at most ``max_rounds`` of them (a
+    non-negative int), recording every round with its cumulative
     ``photon_budget``.
 
     A round that lowers the fidelity to the Bell target marks the target
     unreachable and the trace is returned as a failure outcome rather than
     raising.
     """
-    if attenuation_factor <= 0.0:
-        raise DomainError(f"attenuation must be positive, got {attenuation_factor}")
+    if not 0.0 < attenuation_factor < math.inf:
+        raise DomainError(f"attenuation must be positive and finite, got {attenuation_factor}")
     if not 0.0 < target_purity <= 1.0:
         raise DomainError(f"target purity must lie in (0, 1], got {target_purity}")
+    is_int = isinstance(max_rounds, (int, np.integer)) and not isinstance(max_rounds, bool)
+    if not (is_int and max_rounds >= 0):
+        raise DomainError(f"round cap must be a non-negative integer, got {max_rounds!r}")
     target = bell_target()
     rho, success, successes, rounds = rho0, 1.0, [], []
     for k in range(max_rounds + 1):

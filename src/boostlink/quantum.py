@@ -3,7 +3,10 @@ fidelity.
 
 Matrices in this package stay small (at most 9x9; angular grids enter
 through weighted sums, never through dimension growth), so every eigenproblem
-is solved densely with the Hermitian solver.
+is solved densely with the Hermitian solver.  Purity and the fidelity to a
+pure target need none: ``purity`` is the inner product <rho, rho> =
+sum |rho_ij|^2, which equals Tr(rho^2) for the Hermitian matrices
+``DensityMatrix`` holds, and ``fidelity_to_pure`` is <psi| rho |psi>.
 
 Validation, pure-state projectors and the trace distance are array functions
 over stacks of matrices (``check_density_matrices``, ``pure_projectors``,
@@ -53,7 +56,7 @@ class DensityMatrix:
         check_density_matrices(mat[None])
         if not all(isinstance(d, (int, np.integer)) and d > 0 for d in self.dims):
             raise DomainError(f"subsystem dimensions must be positive integers, got {self.dims}")
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(map(int, self.dims))
         if mat.shape[0] != math.prod(dims):
             raise DomainError(f"subsystem dimensions {dims} do not match matrix size {mat.shape[0]}")
         mat.setflags(write=False)
@@ -88,10 +91,14 @@ def check_density_matrices(mats) -> None:
     off = np.abs(tr - 1.0)
     if off.max(initial=0.0) > TRACE_TOL:
         raise DomainError(f"trace must equal 1, got {complex(tr[off > TRACE_TOL][0])}")
+    # rho - EIGENVALUE_TOL * I: the diagonal of a float copy, shifted in place
+    shifted = mats.astype(np.promote_types(mats.dtype, np.float64))
+    n = shifted.shape[-1]
+    shifted.reshape(len(shifted), n * n)[:, :: n + 1] -= EIGENVALUE_TOL
     try:
         # factorizes exactly when every eigenvalue lies above EIGENVALUE_TOL,
         # up to a backward error of about n * 1e-16 * |rho|, far inside it
-        np.linalg.cholesky(mats - EIGENVALUE_TOL * np.eye(mats.shape[-1]))
+        np.linalg.cholesky(shifted)
         return
     except np.linalg.LinAlgError:
         pass
@@ -171,8 +178,8 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
 
 
 def purity(rho: DensityMatrix) -> float:
-    """Tr(rho^2), in (0, 1]."""
-    return float(np.trace(rho.mat @ rho.mat).real)
+    """Tr(rho^2), in (0, 1], taken as <rho, rho> = Tr(rho^dagger rho)."""
+    return float(np.vdot(rho.mat, rho.mat).real)
 
 
 def negativity(rho: DensityMatrix) -> float:
@@ -192,7 +199,7 @@ def fidelity_to_pure(rho: DensityMatrix, psi) -> float:
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (rho.dim,):
         raise DomainError(f"target vector has dimension {psi.shape}, expected ({rho.dim},)")
-    norm = float(np.linalg.norm(psi))
+    norm = math.sqrt(np.vdot(psi, psi).real)
     if not abs(norm - 1.0) <= 1e-10:
         raise DomainError(f"target vector must be normalized, got norm {norm}")
     return float(np.vdot(psi, rho.mat @ psi).real)

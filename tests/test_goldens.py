@@ -30,6 +30,8 @@ SCENARIOS = {
                                   "-0.4:0.4:5", "--grid-theta", "96", "--grid-phi", "96"],
     "purify_sigma1.5": ["purify", "--sigma", "1.5", "--grid-theta", "32", "--grid-phi", "32"],
     "purify_sigma3": ["purify", "--sigma", "3"],
+    # the stalled sigma ~ 2 path: 40 rounds to the cap, F tending to 1/2
+    "purify_sigma2": ["purify", "--sigma", "2", "--grid-theta", "32", "--grid-phi", "32"],
     "budget": ["budget"],
 }
 

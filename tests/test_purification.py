@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from boostlink import purification
 from boostlink.diffraction import diffracted_reduced_type1, make_grid
 from boostlink.errors import DegenerateProtocolError, DomainError
 from boostlink.purification import (
@@ -59,6 +60,20 @@ def _reference_round(rho):
     kept = sum(blocks[:, :, m, m, :, :, m, m].reshape(9, 9) for m in (0, 1))
     success = np.trace(kept).real
     kept = kept / success
+    return 0.5 * (kept + kept.conj().T), success
+
+
+def _sum_form_round(mat):
+    """The round as it summed one np.ix_ gather per kept outcome from a
+    leading integer 0, with E^dagger taken on every call."""
+    shifts = np.array([[0, 1, 2], [1, 0, 2], [2, 1, 0]])[:, (0, 1)].T
+    pis = (3 * shifts[:, :, None] + shifts[:, None, :]).reshape(-1, 9)
+    h = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, math.sqrt(2.0)]]) / math.sqrt(2.0)
+    e = np.kron(h, h)
+    rotated = e @ mat @ e.conj().T
+    kept = sum(rotated * rotated[np.ix_(pi, pi)] for pi in pis)
+    success = float(np.trace(kept).real)
+    kept /= success
     return 0.5 * (kept + kept.conj().T), success
 
 
@@ -222,6 +237,16 @@ class TestPurifyRound:
         assert abs(success - want_success) <= 1e-14
 
     @PROPERTY
+    @given(parts=arrays(np.float64, (2, 9, 9), elements=UNIT_FLOATS))
+    def test_matches_sum_form(self, parts):
+        rho = _density_matrix(parts)
+        want, want_success = _sum_form_round(rho.mat.copy())
+        assume(want_success >= purification.MIN_SUCCESS_PROBABILITY)
+        out, success = purify_round(rho)
+        assert np.abs(out.mat - want).max() <= 1e-15
+        assert success == want_success
+
+    @PROPERTY
     @given(
         weights=arrays(np.float64, (4,), elements=st.floats(0.0, 1.0)),
         vectors=arrays(np.float64, (2, 4, 2, 3), elements=UNIT_FLOATS),
@@ -300,3 +325,58 @@ class TestPhotonsRequired:
             photons_required(rho, 0.0, 100.0)
         with pytest.raises(DomainError):
             photons_required(rho, 0.99, -1.0)
+
+    @pytest.mark.parametrize("factor", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_rejects_attenuation_that_is_not_positive_and_finite(self, factor):
+        rho = DensityMatrix.from_pure(bell_target(), (3, 3))
+        with pytest.raises(DomainError, match="attenuation must be positive and finite"):
+            photons_required(rho, 0.99, factor)
+
+    @pytest.mark.parametrize("max_rounds", [-1, 2.5, True, False, "3", None])
+    def test_rejects_round_cap_that_is_not_a_non_negative_int(self, max_rounds):
+        # the target is met at round 0, so only the check can stop the run
+        rho = DensityMatrix.from_pure(bell_target(), (3, 3))
+        with pytest.raises(DomainError, match="round cap must be a non-negative integer"):
+            photons_required(rho, 0.99, 100.0, max_rounds=max_rounds)
+
+    @pytest.mark.parametrize("max_rounds", [0, np.int64(0)])
+    def test_zero_round_cap_records_round_zero(self, max_rounds):
+        trace = photons_required(diffracted_qutrit_pair(0.5, n=32), 0.99, 100.0, max_rounds)
+        assert [r.round_index for r in trace.rounds] == [0]
+        assert not trace.succeeded
+
+
+class TestRoundCost:
+    """Each round validates its output once: one DensityMatrix, one
+    Cholesky certificate, no eigensolve, and one public purify_round call."""
+
+    @staticmethod
+    def _counts(monkeypatch, sigma):
+        rho = diffracted_qutrit_pair(sigma, n=32)
+        targets = {
+            "purify_round": (purification, "purify_round"),
+            "density_matrices": (DensityMatrix, "__post_init__"),
+            "cholesky": (np.linalg, "cholesky"),
+            "eigvalsh": (np.linalg, "eigvalsh"),
+        }
+        counts = dict.fromkeys(targets, 0)
+
+        def counting(key, fn):
+            def call(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        with monkeypatch.context() as patch:
+            for key, (owner, name) in targets.items():
+                patch.setattr(owner, name, counting(key, getattr(owner, name)))
+            trace = photons_required(rho, 0.99, 100.0)
+        return len(trace.rounds) - 1, counts
+
+    @pytest.mark.parametrize("sigma, expected_rounds", [(0.5, 4), (2.0, 40)])
+    def test_one_check_per_round(self, monkeypatch, sigma, expected_rounds):
+        rounds, counts = self._counts(monkeypatch, sigma)
+        assert rounds == expected_rounds
+        assert counts == {
+            "purify_round": rounds, "density_matrices": rounds, "cholesky": rounds, "eigvalsh": 0
+        }

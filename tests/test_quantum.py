@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from boostlink.errors import DomainError
 from boostlink.quantum import (
@@ -249,6 +252,17 @@ class TestPurity:
         mat = np.zeros((4, 4), dtype=complex)
         mat[0, 0] = mat[1, 1] = 0.5
         assert purity(DensityMatrix(mat, (4,))) == pytest.approx(0.5, rel=1e-12)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(parts=arrays(np.float64, (2, 9, 9), elements=st.floats(-1.0, 1.0)))
+    def test_matches_trace_of_square(self, parts):
+        # G G^dagger / Tr from the real and imaginary parts of a 9x9 G
+        g = parts[0] + 1j * parts[1]
+        mat = g @ g.conj().T
+        trace = np.trace(mat).real
+        assume(trace > 1e-3)
+        rho = DensityMatrix(mat / trace, (3, 3))
+        assert abs(purity(rho) - np.trace(rho.mat @ rho.mat).real) <= 1e-15
 
 
 class TestNegativity:
