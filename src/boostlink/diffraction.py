@@ -50,13 +50,15 @@ under glibc's default 128 KiB mmap threshold.
 
 Quadrature: Gauss-Legendre in theta on [0, min(6*sigma, pi)] times a uniform
 periodic grid in phi.  The Gaussian is truncated at the domain edge; the
-grid-doubling convergence test bounds the sensitivity.  A grid is its n_theta
-rows of one theta and one weight and the spread it was built for, so a beam
-cannot be evaluated on a grid cut for another: its weights take one exp per
-row, and no call builds an n_theta x n_phi array.  The exponent is
-(theta / sigma)^2, at most 36 on the grid, so a spread whose square would
-underflow still weights its beam, and one far wider than pi gives a flat
-beam.
+grid-doubling convergence test bounds the sensitivity.  A grid is (n_theta,
+n_phi, sigma): its n_theta rows of one theta and one weight are derived from
+those three at construction, so a beam cannot be evaluated on a grid cut for
+another spread.  The beam's weights take one exp per row, and the kernel
+builds no n_theta x n_phi array; ``theta``, built on access, is the one
+full-grid node list left.  The exponent is (theta / sigma)^2, at most 36 on
+the grid, so a spread whose square would underflow still weights its beam,
+and one far wider than pi gives a flat beam.  A spread so narrow that a row
+weight underflows to 0 is rejected, not integrated on the rows left.
 
 Mirror fold: the profile, the rotation about y and the z-boost commute with
 the mirror y -> -y, which maps the phi grid 2 pi k / n_phi onto itself and
@@ -71,7 +73,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -92,57 +94,6 @@ _B_AXIS_FLIP = np.multiply.outer(_FLIP_Y, _FLIP_Y).reshape(2, 3, 2, 3)
 _BLOCK_NODES = 2560
 
 
-@dataclass(frozen=True, eq=False)
-class QuadratureGrid:
-    """Product quadrature: rows of one theta and one weight, each at the n_phi
-    azimuths 2 pi k / n_phi; the weights carry the invariant shell measure
-    (1/2) sin(theta) dtheta dphi of unit momentum, and ``sigma`` is the
-    angular spread of the beam the grid is built for.  ``theta``, ``phi`` and
-    ``weight`` list the n_theta * n_phi nodes row by row, built on access."""
-
-    row_theta: np.ndarray
-    row_weight: np.ndarray
-    n_phi: int
-    sigma: float
-
-    def __post_init__(self):
-        if not 0.0 < self.sigma < math.inf:
-            raise DomainError(f"angular spread must be positive and finite, got {self.sigma}")
-        for name in ("row_theta", "row_weight"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.ndim != 1 or arr.size == 0:
-                raise DomainError(f"{name} must be a non-empty 1-D array")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if self.row_theta.shape != self.row_weight.shape:
-            raise DomainError("row arrays must have matching shapes")
-        # min and max are NaN when any entry is, which fails every comparison
-        if not 0.0 <= self.row_theta.min() <= self.row_theta.max() <= math.pi:
-            raise DomainError("row thetas must lie in [0, pi]")
-        if not self.row_weight.max() < math.inf:
-            raise DomainError("quadrature weights must be finite")
-        if not self.row_weight.min() > 0.0:
-            raise DomainError("all quadrature weights must be positive")
-        if not (isinstance(self.n_phi, (int, np.integer)) and self.n_phi >= 2):
-            raise DomainError(f"n_phi must be an integer >= 2, got {self.n_phi!r}")
-
-    @property
-    def n_theta(self) -> int:
-        return self.row_theta.size
-
-    @property
-    def theta(self) -> np.ndarray:
-        return np.repeat(self.row_theta, self.n_phi)
-
-    @property
-    def phi(self) -> np.ndarray:
-        return np.tile(2.0 * math.pi * np.arange(self.n_phi) / self.n_phi, self.n_theta)
-
-    @property
-    def weight(self) -> np.ndarray:
-        return np.repeat(self.row_weight, self.n_phi)
-
-
 @functools.lru_cache(maxsize=8)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only Gauss-Legendre nodes and weights on [-1, 1], kept per node
@@ -153,16 +104,51 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def make_grid(n_theta: int, n_phi: int, sigma: float) -> QuadratureGrid:
+@dataclass(frozen=True, eq=False)
+class QuadratureGrid:
     """Gauss-Legendre x periodic-trapezoid grid for a beam of angular spread
+    ``sigma``: n_theta rows on [0, min(6 sigma, pi)], each of one theta and
+    one weight at the n_phi azimuths 2 pi k / n_phi.  The read-only rows
+    ``row_theta`` and ``row_weight`` are derived from the three fields, so a
+    grid cannot carry rows cut for another spread; the weights carry the
+    invariant shell measure (1/2) sin(theta) dtheta dphi of unit momentum."""
+
+    n_theta: int
+    n_phi: int
+    sigma: float
+    row_theta: np.ndarray = field(init=False)
+    row_weight: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        if not 0.0 < self.sigma < math.inf:
+            raise DomainError(f"angular spread must be positive and finite, got {self.sigma}")
+        for name in ("n_theta", "n_phi"):
+            count = getattr(self, name)
+            if not (isinstance(count, (int, np.integer)) and count >= 2):
+                raise DomainError(f"{name} must be an integer >= 2, got {count!r}")
+        theta_max = min(TRUNCATION_SIGMAS * self.sigma, math.pi)
+        nodes, gl_weights = _gauss_legendre(self.n_theta)
+        row_theta = 0.5 * theta_max * (nodes + 1.0)
+        row_weight = 0.5 * np.sin(row_theta) * (0.5 * theta_max * gl_weights) * (2.0 * math.pi / self.n_phi)
+        # a narrow beam's weight, a product of numbers near sigma, can underflow
+        if not row_weight.min() > 0.0:
+            raise DomainError("all quadrature weights must be positive")
+        for name, rows in (("row_theta", row_theta), ("row_weight", row_weight)):
+            rows.setflags(write=False)
+            object.__setattr__(self, name, rows)
+
+    @property
+    def theta(self) -> np.ndarray:
+        """The n_theta * n_phi node thetas row by row, built on each access.
+        The kernel never reads it; it stays because the benchmark's tracer
+        counts nodes by ``theta.size``."""
+        return np.repeat(self.row_theta, self.n_phi)
+
+
+def make_grid(n_theta: int, n_phi: int, sigma: float) -> QuadratureGrid:
+    """The grid of n_theta x n_phi nodes for a beam of angular spread
     ``sigma``; the polar domain is truncated to 6 sigma for narrow beams."""
-    if n_theta < 2 or n_phi < 2:
-        raise DomainError("grid needs at least 2 nodes per axis")
-    theta_max = min(TRUNCATION_SIGMAS * sigma, math.pi)
-    nodes, gl_weights = _gauss_legendre(n_theta)
-    row_theta = 0.5 * theta_max * (nodes + 1.0)
-    row_weight = 0.5 * np.sin(row_theta) * (0.5 * theta_max * gl_weights) * (2.0 * math.pi / n_phi)
-    return QuadratureGrid(row_theta, row_weight, n_phi, sigma)
+    return QuadratureGrid(n_theta, n_phi, sigma)
 
 
 def _half_nodes(grid):

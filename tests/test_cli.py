@@ -864,6 +864,18 @@ class TestMainEntry:
         assert captured.err == ""
         assert captured.out == "alpha,beta,negativity\n0,0,0.5\n0,0.1,0.5\n"
 
+    def test_underflowed_row_weights_exit_2(self, capsys):
+        # a row weight is a product of two numbers near sigma: at 1e-160 it
+        # underflows to 0 on the 64-row grid, which must not be integrated on
+        # the rows left, while the 8-row grid keeps every weight positive
+        argv = ["negativity", "--sigma", "1e-160", "--grid-phi", "64", "--grid-theta"]
+        assert main(argv + ["64"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "all quadrature weights must be positive" in captured.err
+        assert main(argv + ["8", "--beta", "0.1"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "0,0.1,0.5"
+
     @pytest.mark.parametrize(
         "argv",
         [

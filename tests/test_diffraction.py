@@ -37,7 +37,8 @@ BASELINE_PURITY_SIGMA1 = 0.2737031369435112
 def _reference_weights(grid):
     """Reference: probability weights w |f|^2 / M of the grid's beam on every
     node of the full grid, one exp per node; the normalization sum defines M."""
-    raw = grid.weight * np.exp(-(grid.theta**2) / (grid.sigma**2))
+    theta, _, weight = _full_grid_layout(grid.n_theta, grid.n_phi, grid.sigma)
+    raw = weight * np.exp(-(theta**2) / (grid.sigma**2))
     return raw / raw.sum()
 
 
@@ -73,8 +74,9 @@ def _reference_linear_pol(theta, phi):
 
 def _reference_patch_angles(grid, alpha, beta, mirror):
     rot = _reference_axis_rotation_y(alpha + (math.pi if mirror else 0.0))
-    ct, st = np.cos(grid.theta), np.sin(grid.theta)
-    patch = np.stack([st * np.cos(grid.phi), st * np.sin(grid.phi), ct], axis=-1)
+    theta, phi, _ = _full_grid_layout(grid.n_theta, grid.n_phi, grid.sigma)
+    ct, st = np.cos(theta), np.sin(theta)
+    patch = np.stack([st * np.cos(phi), st * np.sin(phi), ct], axis=-1)
     lab = patch @ rot.T
     theta_lab = np.arccos(np.clip(lab[:, 2], -1.0, 1.0))
     phi_lab = np.arctan2(lab[:, 1], lab[:, 0])
@@ -150,8 +152,9 @@ class TestBeamProfile:
 
     @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
     def test_grid_checks_sigma_before_rows(self, sigma):
+        # before both node counts, which are bad here too, and any row
         with pytest.raises(DomainError, match=self.SPREAD):
-            QuadratureGrid([math.nan], [0.0], 1, sigma)
+            QuadratureGrid(1, 1, sigma)
 
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_alpha(self, alpha):
@@ -193,7 +196,9 @@ class TestQuadratureGrid:
         # (1/2) * 2*pi * (1 - cos(theta_max)), the whole sphere once 6 sigma
         # reaches pi.
         grid = make_grid(64, 64, sigma=1.0)
-        assert grid.weight.sum() == pytest.approx(2.0 * math.pi, rel=1e-10)
+        _, _, weight = _full_grid_layout(grid.n_theta, grid.n_phi, grid.sigma)
+        for total in (weight.sum(), grid.n_phi * grid.row_weight.sum()):
+            assert total == pytest.approx(2.0 * math.pi, rel=1e-10)
 
     @pytest.mark.parametrize("n_phi", [8, 7])
     def test_overflowing_sigma_gives_flat_beam(self, n_phi):
@@ -206,40 +211,29 @@ class TestQuadratureGrid:
             flat[:, [0, -1] if n_phi % 2 == 0 else [0]] *= 0.5
             assert _half_weights(grid).tobytes() == flat.ravel().tobytes()
 
-    def test_rejects_nonpositive_weights(self):
-        grid = make_grid(8, 8, sigma=0.2)
-        with pytest.raises(DomainError):
-            QuadratureGrid(grid.row_theta, -grid.row_weight, 8, 0.2)
+    BAD_COUNTS = [0, -3, 1, 2.5, 4.0, "8", None, True]
 
-    @pytest.mark.parametrize("row_theta, row_weight, message", [
-        ([0.1, 0.2], [0.5, math.nan], "quadrature weights must be finite"),
-        ([0.1, 0.2], [math.inf, 0.5], "quadrature weights must be finite"),
-        ([0.1, 0.2], [0.5, -math.inf], "all quadrature weights must be positive"),
-        ([0.1, 0.2], [0.5, 0.0], "all quadrature weights must be positive"),
-        ([[0.1, 0.2]], [[0.5, 0.5]], "row_theta must be a non-empty 1-D array"),
-        (0.1, 0.5, "row_theta must be a non-empty 1-D array"),
-        ([], [], "row_theta must be a non-empty 1-D array"),
-        ([0.1, 0.2], [], "row_weight must be a non-empty 1-D array"),
-        ([0.1, math.nan], [0.5, 0.5], r"row thetas must lie in \[0, pi\]"),
-        ([math.nan, 0.1], [0.5, 0.5], r"row thetas must lie in \[0, pi\]"),
-        ([-0.1, 0.2], [0.5, 0.5], r"row thetas must lie in \[0, pi\]"),
-        ([0.1, 3.2], [0.5, 0.5], r"row thetas must lie in \[0, pi\]"),
-        ([0.1, math.inf], [0.5, 0.5], r"row thetas must lie in \[0, pi\]"),
-    ])
-    def test_rejects_bad_rows(self, row_theta, row_weight, message):
-        # each of these used to be accepted and fail later, in the kernel
-        with pytest.raises(DomainError, match=message):
-            QuadratureGrid(row_theta, row_weight, 8, 0.2)
-
-    @pytest.mark.parametrize("n_phi", [0, -3, 1, 2.5, 4.0, "8", None, True])
+    @pytest.mark.parametrize("n_phi", BAD_COUNTS)
     def test_rejects_bad_n_phi(self, n_phi):
-        grid = make_grid(8, 8, sigma=0.2)
         with pytest.raises(DomainError, match="n_phi must be an integer >= 2"):
-            QuadratureGrid(grid.row_theta, grid.row_weight, n_phi, 0.2)
+            QuadratureGrid(8, n_phi, 0.2)
 
-    def test_accepts_numpy_integer_n_phi_and_edge_thetas(self):
-        grid = QuadratureGrid([0.0, math.pi], [0.5, 0.5], np.int64(2), 1.0)
+    @pytest.mark.parametrize("n_theta", BAD_COUNTS)
+    def test_rejects_bad_n_theta(self, n_theta):
+        with pytest.raises(DomainError, match="n_theta must be an integer >= 2"):
+            make_grid(n_theta, 8, 0.2)
+
+    def test_accepts_numpy_integer_counts(self):
+        grid = QuadratureGrid(np.int64(2), np.int32(2), 1.0)
         assert grid.n_phi == 2 and grid.n_theta == 2
+        assert grid.row_theta.size == 2
+
+    def test_rejects_underflowed_weights(self):
+        # a spread of 1e-160 gives rows near 1e-160, whose weights, products
+        # of two such numbers, are 0 on the 64-row grid and positive on 8 rows
+        with pytest.raises(DomainError, match="all quadrature weights must be positive"):
+            make_grid(64, 64, 1e-160)
+        assert make_grid(8, 8, 1e-160).row_weight.min() > 0.0
 
     def test_rejects_tiny_grid(self):
         with pytest.raises(DomainError):
@@ -268,25 +262,27 @@ class TestQuadratureGrid:
 
 class TestGridLayout:
     """The kernel folds each arm over phi -> 2 pi - phi, which holds on the
-    product layout; a grid is its theta rows, so no other layout exists."""
+    product layout; a grid is (n_theta, n_phi, sigma) and derives its theta
+    rows, so no other layout exists."""
 
     @pytest.mark.parametrize("n_theta, n_phi", [(2, 2), (5, 3), (12, 31), (7, 32)])
     def test_make_grid_layout_accepted(self, n_theta, n_phi):
-        # the nodes listed by a grid, and by one rebuilt from its rows, are
-        # the full-grid arrays bit for bit, on odd and even n_phi
+        # the grid's rows, repeated along each row's n_phi nodes, are the
+        # full-grid arrays bit for bit, on odd and even n_phi
         grid = make_grid(n_theta, n_phi, sigma=0.4)
-        rebuilt = QuadratureGrid(grid.row_theta, grid.row_weight, n_phi, 0.4)
-        reference = _full_grid_layout(n_theta, n_phi, 0.4)
-        for g in (grid, rebuilt):
-            assert g.n_theta == n_theta and g.n_phi == n_phi
-            for got, want in zip((g.theta, g.phi, g.weight), reference):
-                assert got.shape == (n_theta * n_phi,)
-                assert got.tobytes() == want.tobytes()
+        assert (grid.n_theta, grid.n_phi, grid.sigma) == (n_theta, n_phi, 0.4)
+        theta, _, weight = _full_grid_layout(grid.n_theta, grid.n_phi, grid.sigma)
+        for got, want in ((grid.theta, theta), (np.repeat(grid.row_weight, n_phi), weight)):
+            assert got.shape == (n_theta * n_phi,)
+            assert got.tobytes() == want.tobytes()
 
-    def test_rejects_node_count_mismatch(self):
-        grid = make_grid(6, 8, sigma=0.4)
-        with pytest.raises(DomainError, match="matching shapes"):
-            QuadratureGrid(grid.row_theta, grid.row_weight[:-1], 8, 0.4)
+    @pytest.mark.parametrize("n_phi", [8, 7])
+    def test_rows_are_the_reference_rows(self, n_phi):
+        grid = QuadratureGrid(12, n_phi, 0.4)
+        theta, _, weight = _full_grid_layout(12, n_phi, 0.4)
+        assert grid.row_theta.tobytes() == theta[::n_phi].tobytes()
+        assert grid.row_weight.tobytes() == weight[::n_phi].tobytes()
+        assert grid.theta.size == 12 * n_phi
 
 
 class TestGaussLegendreCache:
@@ -316,7 +312,7 @@ class TestGaussLegendreCache:
         uncached = [make_grid(24, 8, sigma=s) for s in (0.3, 2.0)]
         for got, want in zip(cached, uncached):
             assert got.sigma == want.sigma
-            for name in ("row_theta", "row_weight", "theta", "phi", "weight"):
+            for name in ("row_theta", "row_weight", "theta"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
