@@ -51,14 +51,15 @@ under glibc's default 128 KiB mmap threshold.
 Quadrature: Gauss-Legendre in theta on [0, min(6*sigma, pi)] times a uniform
 periodic grid in phi.  The Gaussian is truncated at the domain edge; the
 grid-doubling convergence test bounds the sensitivity.  A grid is (n_theta,
-n_phi, sigma): its n_theta rows of one theta and one weight are derived from
-those three at construction, so a beam cannot be evaluated on a grid cut for
-another spread.  The beam's weights take one exp per row, and the kernel
-builds no n_theta x n_phi array; ``theta``, built on access, is the one
-full-grid node list left.  The exponent is (theta / sigma)^2, at most 36 on
-the grid, so a spread whose square would underflow still weights its beam,
-and one far wider than pi gives a flat beam.  A spread so narrow that a row
-weight underflows to 0 is rejected, not integrated on the rows left.
+n_phi, sigma) and derives from them, once, the half-grid unit vectors and
+normalized beam weights each kernel call reads, so no beam meets a grid cut
+for another spread.  One exp per row weights the beam; ``theta``, built on
+access, is the one n_theta x n_phi array.  The exponent is (theta / sigma)^2,
+at most 36 on the grid, so a spread whose square would underflow still
+weights its beam, and one far wider than pi gives a flat beam.  The grid
+rejects a row shell weight that underflows to 0 and a beam it cannot
+normalize; a row's beam weight, the shell weight times the exp, is not
+checked, so one underflowed to 0 or to a subnormal is integrated as it is.
 
 Mirror fold: the profile, the rotation about y and the z-boost commute with
 the mirror y -> -y, which maps the phi grid 2 pi k / n_phi onto itself and
@@ -107,35 +108,54 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True, eq=False)
 class QuadratureGrid:
     """Gauss-Legendre x periodic-trapezoid grid for a beam of angular spread
-    ``sigma``: n_theta rows on [0, min(6 sigma, pi)], each of one theta and
-    one weight at the n_phi azimuths 2 pi k / n_phi.  The read-only rows
-    ``row_theta`` and ``row_weight`` are derived from the three fields, so a
-    grid cannot carry rows cut for another spread; the weights carry the
-    invariant shell measure (1/2) sin(theta) dtheta dphi of unit momentum."""
+    ``sigma``: n_theta rows on [0, min(6 sigma, pi)] at the n_phi azimuths
+    2 pi k / n_phi.  Derived once when built, read only: ``row_theta`` and
+    the kernel's half-grid (phi in [0, pi]) unit vectors and normalized beam
+    weights; it rejects underflowed shell weights and a beam it cannot
+    normalize."""
 
     n_theta: int
     n_phi: int
     sigma: float
     row_theta: np.ndarray = field(init=False)
-    row_weight: np.ndarray = field(init=False)
+    _nodes: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False)
+    _weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not 0.0 < self.sigma < math.inf:
+        real = isinstance(self.sigma, (int, float, np.integer, np.floating)) and not isinstance(self.sigma, bool)
+        if not (real and 0.0 < self.sigma < math.inf):
             raise DomainError(f"angular spread must be positive and finite, got {self.sigma}")
         for name in ("n_theta", "n_phi"):
             count = getattr(self, name)
             if not (isinstance(count, (int, np.integer)) and count >= 2):
                 raise DomainError(f"{name} must be an integer >= 2, got {count!r}")
         theta_max = min(TRUNCATION_SIGMAS * self.sigma, math.pi)
-        nodes, gl_weights = _gauss_legendre(self.n_theta)
-        row_theta = 0.5 * theta_max * (nodes + 1.0)
+        gl_nodes, gl_weights = _gauss_legendre(self.n_theta)
+        row_theta = 0.5 * theta_max * (gl_nodes + 1.0)
+        # the shell measure (1/2) sin(theta) dtheta dphi; normalization cancels its scale
         row_weight = 0.5 * np.sin(row_theta) * (0.5 * theta_max * gl_weights) * (2.0 * math.pi / self.n_phi)
         # a narrow beam's weight, a product of numbers near sigma, can underflow
         if not row_weight.min() > 0.0:
             raise DomainError("all quadrature weights must be positive")
-        for name, rows in (("row_theta", row_theta), ("row_weight", row_weight)):
-            rows.setflags(write=False)
-            object.__setattr__(self, name, rows)
+        # beam weights w |f|^2 / M, M the full-grid sum, one exp per row; doubled
+        # where the mirror phi -> 2 pi - phi is another node (not phi = 0, pi)
+        row = row_weight * np.exp(-((row_theta / self.sigma) ** 2))
+        total = self.n_phi * float(row.sum())
+        if not math.isfinite(total) or total <= 0.0:
+            raise DomainError("quadrature grid cannot normalize this beam profile")
+        half = self.n_phi // 2 + 1
+        fold = np.full(half, 2.0)
+        fold[[0, -1] if self.n_phi % 2 == 0 else [0]] = 1.0
+        weights = np.multiply.outer(row / total, fold).ravel()
+        # half-grid unit vectors (x, y, z), outer products of sines and cosines
+        theta = row_theta[:, None]
+        phi = 2.0 * math.pi * np.arange(half) / self.n_phi
+        x, y = np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi)
+        nodes = x.ravel(), y.ravel(), np.repeat(np.cos(theta), half)
+        for array in (row_theta, weights, *nodes):
+            array.setflags(write=False)
+        for name, value in (("row_theta", row_theta), ("_nodes", nodes), ("_weights", weights)):
+            object.__setattr__(self, name, value)
 
     @property
     def theta(self) -> np.ndarray:
@@ -149,28 +169,6 @@ def make_grid(n_theta: int, n_phi: int, sigma: float) -> QuadratureGrid:
     """The grid of n_theta x n_phi nodes for a beam of angular spread
     ``sigma``; the polar domain is truncated to 6 sigma for narrow beams."""
     return QuadratureGrid(n_theta, n_phi, sigma)
-
-
-def _half_nodes(grid):
-    """Unit vectors (x, y, z) of the nodes with phi in [0, pi], n_phi // 2 + 1
-    per theta row, as outer products of per-axis sines and cosines."""
-    theta = grid.row_theta[:, None]
-    phi = 2.0 * math.pi * np.arange(grid.n_phi // 2 + 1) / grid.n_phi
-    x, y = np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi)
-    return x.ravel(), y.ravel(), np.repeat(np.cos(theta), phi.size)
-
-
-def _half_weights(grid):
-    """Probability weights w |f|^2 / M of the grid's beam on the half-grid
-    nodes, M the sum over the full grid, from one exp per theta row; doubled
-    where the mirror phi -> 2 pi - phi is another node (not phi = 0, pi)."""
-    row = grid.row_weight * np.exp(-((grid.row_theta / grid.sigma) ** 2))
-    total = grid.n_phi * float(row.sum())
-    if not math.isfinite(total) or total <= 0.0:
-        raise DomainError("quadrature grid cannot normalize this beam profile")
-    fold = np.full(grid.n_phi // 2 + 1, 2.0)
-    fold[[0, -1] if grid.n_phi % 2 == 0 else [0]] = 1.0
-    return np.multiply.outer(row / total, fold).ravel()
 
 
 def _arm_moments(nodes, weights, axis_angle, betas):
@@ -218,10 +216,9 @@ def diffracted_reduced_type1(
         raise DomainError(f"betas must be a 1-D sequence, got shape {np.shape(betas)}")
     # + 0.0 turns -0.0 into 0.0: a zero boost is one evaluation whatever its sign
     betas = [float(b) + 0.0 for b in betas]
-    weights = _half_weights(grid)
     for b in betas:
         check_velocity(b)
     arm_betas = list(dict.fromkeys(betas + [-b + 0.0 for b in betas]))
-    moments = dict(zip(arm_betas, _arm_moments(_half_nodes(grid), weights, alpha, arm_betas)))
+    moments = dict(zip(arm_betas, _arm_moments(grid._nodes, grid._weights, alpha, arm_betas)))
     rhos = (_bell_mixture(moments[b], moments[-b + 0.0] * _B_AXIS_FLIP) for b in betas)
     return tuple(DensityMatrix(0.5 * (rho + rho.conj().T), (3, 3)) for rho in rhos)

@@ -876,6 +876,20 @@ class TestMainEntry:
         assert main(argv + ["8", "--beta", "0.1"]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "0,0.1,0.5"
 
+    def test_unnormalizable_beam_exits_2_before_the_kernel(self, monkeypatch, capsys):
+        # every shell weight of the 2 x 4 grid is positive, but each times its
+        # row's exp underflows to 0: the grid rejects the beam when it is
+        # built, and the kernel is never called
+        def kernel(*args):
+            raise AssertionError("kernel called on a grid that cannot normalize its beam")
+
+        monkeypatch.setattr(cli, "diffracted_reduced_type1", kernel)
+        argv = ["negativity", "--sigma", "1.5e-162", "--grid-theta", "2", "--grid-phi", "4"]
+        assert main(argv + ["--beta", "0.1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "quadrature grid cannot normalize this beam profile" in captured.err
+
     @pytest.mark.parametrize(
         "argv",
         [

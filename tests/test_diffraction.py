@@ -17,8 +17,6 @@ from boostlink.diffraction import (
     _arm_moments,
     _bell_mixture,
     _gauss_legendre,
-    _half_nodes,
-    _half_weights,
     diffracted_reduced_type1,
     make_grid,
 )
@@ -126,7 +124,7 @@ def _kernel(alpha, beta, grid, opposite):
     mirrored arm, so that arm B's axis lies back along ``alpha``."""
     if opposite:
         return _one(alpha, beta, grid).mat
-    nodes, weights = _half_nodes(grid), _half_weights(grid)
+    nodes, weights = grid._nodes, grid._weights
     [a] = _arm_moments(nodes, weights, alpha, [beta])
     [b] = _arm_moments(nodes, weights, alpha - math.pi, [-beta])
     rho = _bell_mixture(a, b * _B_AXIS_FLIP)
@@ -149,6 +147,21 @@ class TestBeamProfile:
         # inf would otherwise give a flat beam over [0, pi]
         with pytest.raises(DomainError, match=self.SPREAD):
             make_grid(8, 8, sigma)
+
+    @pytest.mark.parametrize("sigma", ["0.2", None, [0.2], 0.2 + 0j, True, False, np.True_])
+    def test_rejects_non_real_sigma(self, sigma):
+        # a bool is not a spread, and the rest are not real numbers
+        with pytest.raises(DomainError, match=self.SPREAD):
+            make_grid(8, 8, sigma)
+
+    def test_accepts_int_and_numpy_float_sigma(self):
+        want = make_grid(8, 8, 1.0)
+        for sigma in (1, np.int64(1), np.float64(1.0)):
+            grid = make_grid(8, 8, sigma)
+            assert grid.sigma == 1.0
+            assert grid._weights.tobytes() == want._weights.tobytes()
+            for got, ref in zip(grid._nodes, want._nodes, strict=True):
+                assert got.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
     def test_grid_checks_sigma_before_rows(self, sigma):
@@ -179,6 +192,24 @@ def _full_grid_layout(n_theta, n_phi, sigma):
     )
 
 
+def _half_grid_reference(n_theta, n_phi, sigma):
+    """Reference: the unit vectors (x, y, z) of the full-grid layout's nodes
+    with phi in [0, pi], and their beam weights from the layout's shell
+    measure, normalized by the full-grid sum and doubled where the mirror
+    phi -> 2 pi - phi is another node."""
+    half = n_phi // 2 + 1
+    theta, phi, weight = (a.reshape(n_theta, n_phi)[:, :half]
+                          for a in _full_grid_layout(n_theta, n_phi, sigma))
+    nodes = [(np.sin(theta) * np.cos(phi)).ravel(), (np.sin(theta) * np.sin(phi)).ravel(),
+             np.cos(theta).ravel()]
+    row = weight[:, 0] * np.exp(-((theta[:, 0] / sigma) ** 2))
+    fold = np.full(half, 2.0)
+    fold[0] = 1.0
+    if n_phi % 2 == 0:
+        fold[-1] = 1.0
+    return nodes, ((row / (n_phi * row.sum()))[:, None] * fold).ravel()
+
+
 class TestQuadratureGrid:
     def test_normalization_defines_probability_weights(self):
         # the half-grid weights count each mirrored node twice, so they sum
@@ -186,7 +217,7 @@ class TestQuadratureGrid:
         for sigma in (0.01, 0.1, 1.0):
             for n_phi in (64, 63):
                 grid = make_grid(64, n_phi, sigma=sigma)
-                w = _half_weights(grid)
+                w = grid._weights
                 assert w.sum() == pytest.approx(1.0, rel=1e-12)
                 assert np.all(w > 0.0)
                 assert _reference_weights(grid).sum() == pytest.approx(1.0, rel=1e-12)
@@ -197,7 +228,7 @@ class TestQuadratureGrid:
         # reaches pi.
         grid = make_grid(64, 64, sigma=1.0)
         _, _, weight = _full_grid_layout(grid.n_theta, grid.n_phi, grid.sigma)
-        for total in (weight.sum(), grid.n_phi * grid.row_weight.sum()):
+        for total in (weight.sum(), grid.n_phi * weight[:: grid.n_phi].sum()):
             assert total == pytest.approx(2.0 * math.pi, rel=1e-10)
 
     @pytest.mark.parametrize("n_phi", [8, 7])
@@ -206,10 +237,11 @@ class TestQuadratureGrid:
         # normalized
         for sigma in (1.4e154, 1e200, 1.7976931348623157e308):
             grid = make_grid(6, n_phi, sigma=sigma)
-            flat = np.repeat(grid.row_weight / (n_phi * grid.row_weight.sum()), n_phi // 2 + 1)
+            shell = _full_grid_layout(6, n_phi, sigma)[2][::n_phi]
+            flat = np.repeat(shell / (n_phi * shell.sum()), n_phi // 2 + 1)
             flat = flat.reshape(6, -1) * 2.0
             flat[:, [0, -1] if n_phi % 2 == 0 else [0]] *= 0.5
-            assert _half_weights(grid).tobytes() == flat.ravel().tobytes()
+            assert grid._weights.tobytes() == flat.ravel().tobytes()
 
     BAD_COUNTS = [0, -3, 1, 2.5, 4.0, "8", None, True]
 
@@ -233,7 +265,16 @@ class TestQuadratureGrid:
         # of two such numbers, are 0 on the 64-row grid and positive on 8 rows
         with pytest.raises(DomainError, match="all quadrature weights must be positive"):
             make_grid(64, 64, 1e-160)
-        assert make_grid(8, 8, 1e-160).row_weight.min() > 0.0
+        assert _full_grid_layout(8, 8, 1e-160)[2].min() > 0.0
+        assert make_grid(8, 8, 1e-160)._weights.sum() == pytest.approx(1.0, rel=1e-12)
+
+    def test_rejects_unnormalizable_beam(self):
+        # every shell weight of the 2 x 4 grid at 1.5e-162 is positive, but
+        # each times its row's exp underflows to 0, so the beam has no mass;
+        # the grid rejects it before any kernel call
+        assert _full_grid_layout(2, 4, 1.5e-162)[2].min() > 0.0
+        with pytest.raises(DomainError, match="quadrature grid cannot normalize this beam profile"):
+            make_grid(2, 4, 1.5e-162)
 
     def test_rejects_tiny_grid(self):
         with pytest.raises(DomainError):
@@ -241,14 +282,16 @@ class TestQuadratureGrid:
 
     def test_rows_are_read_only(self):
         grid = make_grid(4, 4, sigma=0.4)
-        for array in (grid.row_theta, grid.row_weight):
+        for array in (grid.row_theta, grid._weights, *grid._nodes):
             with pytest.raises(ValueError):
                 array[0] = 0.0
         with pytest.raises(AttributeError):
             grid.theta = grid.theta
 
-    def test_build_keeps_only_rows(self):
-        # the full 1024^2 node arrays would take 24 MiB; the rows take 16 KiB
+    def test_build_keeps_only_derived_arrays(self):
+        # the grid keeps its rows and the half grid's nodes and weights, 16 MiB
+        # at 1024^2 (the full node arrays would take 24 MiB); the build peaks
+        # under 64 KiB above what it keeps
         make_grid(1024, 1024, sigma=0.4)  # fills the Gauss-Legendre cache
         tracemalloc.start()
         try:
@@ -256,8 +299,10 @@ class TestQuadratureGrid:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 1024
+        kept = [grid.row_theta, grid._weights, *grid._nodes]
+        assert peak < sum(a.nbytes for a in kept) + 64 * 1024
         assert grid.row_theta.size == 1024
+        assert [a.shape for a in kept[1:]] == [(1024 * 513,)] * 4
 
 
 class TestGridLayout:
@@ -271,17 +316,20 @@ class TestGridLayout:
         # full-grid arrays bit for bit, on odd and even n_phi
         grid = make_grid(n_theta, n_phi, sigma=0.4)
         assert (grid.n_theta, grid.n_phi, grid.sigma) == (n_theta, n_phi, 0.4)
-        theta, _, weight = _full_grid_layout(grid.n_theta, grid.n_phi, grid.sigma)
-        for got, want in ((grid.theta, theta), (np.repeat(grid.row_weight, n_phi), weight)):
-            assert got.shape == (n_theta * n_phi,)
+        theta, _, _ = _full_grid_layout(grid.n_theta, grid.n_phi, grid.sigma)
+        assert grid.theta.shape == (n_theta * n_phi,)
+        assert grid.theta.tobytes() == theta.tobytes()
+        nodes, weights = _half_grid_reference(n_theta, n_phi, 0.4)
+        for got, want in zip((*grid._nodes, grid._weights), (*nodes, weights), strict=True):
+            assert got.shape == (n_theta * (n_phi // 2 + 1),)
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n_phi", [8, 7])
     def test_rows_are_the_reference_rows(self, n_phi):
         grid = QuadratureGrid(12, n_phi, 0.4)
-        theta, _, weight = _full_grid_layout(12, n_phi, 0.4)
+        theta, _, _ = _full_grid_layout(12, n_phi, 0.4)
         assert grid.row_theta.tobytes() == theta[::n_phi].tobytes()
-        assert grid.row_weight.tobytes() == weight[::n_phi].tobytes()
+        assert grid._weights.tobytes() == _half_grid_reference(12, n_phi, 0.4)[1].tobytes()
         assert grid.theta.size == 12 * n_phi
 
 
@@ -312,8 +360,10 @@ class TestGaussLegendreCache:
         uncached = [make_grid(24, 8, sigma=s) for s in (0.3, 2.0)]
         for got, want in zip(cached, uncached):
             assert got.sigma == want.sigma
-            for name in ("row_theta", "row_weight", "theta"):
+            for name in ("row_theta", "theta", "_weights"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+            for g, w in zip(got._nodes, want._nodes, strict=True):
+                assert g.tobytes() == w.tobytes()
 
 
 class TestDiffractedReducedType1:
@@ -437,11 +487,11 @@ class TestUnitVectorKernel:
         assert worst <= 1e-12
 
     def test_work_per_call(self, monkeypatch):
-        # the beam's profile is evaluated once per theta row for both arms,
-        # and each block of its n_theta * (n_phi // 2 + 1) half-grid nodes is
-        # rotated to the lab once; each block is boosted once per distinct
-        # arm beta: arm A's betas, then the negated ones for arm B, 0.0 and
-        # -0.0 as one
+        # the beam's profile is evaluated once per theta row when the grid is
+        # built and never by the kernel, and each block of its n_theta *
+        # (n_phi // 2 + 1) half-grid nodes is rotated to the lab once; each
+        # block is boosted once per distinct arm beta: arm A's betas, then the
+        # negated ones for arm B, 0.0 and -0.0 as one
         rotations, boosts, exp_sizes = [], [], []
         rotate, boost, exp = diffraction.rotate_to_lab, diffraction.boost_to_beam_frame, np.exp
 
@@ -462,7 +512,9 @@ class TestUnitVectorKernel:
         monkeypatch.setattr(np, "exp", counting_exp)
         sweeps = [([0.4], [0.4, -0.4]), ([0.0, 0.4, -0.0, -0.4, 0.4], [0.0, 0.4, -0.4])]
         for n_theta, n_phi in ((16, 32), (9, 31), (3, 2), _one_past_whole_blocks()):
+            exp_sizes.clear()
             grid = make_grid(n_theta, n_phi, sigma=0.6)
+            assert exp_sizes == [n_theta]
             half = n_theta * (n_phi // 2 + 1)
             blocks = [min(_BLOCK_NODES, half - start) for start in range(0, half, _BLOCK_NODES)]
             for betas, arm_betas in sweeps:
@@ -473,7 +525,7 @@ class TestUnitVectorKernel:
                 assert rotations == [(size, 0.3) for size in blocks]
                 assert boosts == [(size, 0.3, b) for size in blocks for b in arm_betas]
                 assert not any(math.copysign(1.0, b) < 0 for _, _, b in boosts if b == 0.0)
-                assert exp_sizes == [n_theta]
+                assert exp_sizes == []
 
     def test_node_identities(self):
         # h, v orthonormal and transverse to the unit aberrated direction n,
@@ -481,7 +533,7 @@ class TestUnitVectorKernel:
         tol = 2e-14
         closest = 2.0
         for sigma in (0.2, 1.0, 3.0):
-            nodes = _half_nodes(make_grid(32, 32, sigma=sigma))
+            nodes = make_grid(32, 32, sigma=sigma)._nodes
             for axis_angle in (0.0, 1.1, math.pi / 2, math.pi, 4.0):
                 for beta in (-0.9, 0.0, 0.3, 0.9):
                     n = np.array(aberrate(nodes, axis_angle, beta))
@@ -578,7 +630,7 @@ class TestBlockedMoments:
 
         for sigma, alpha in self.BEAMS:
             grid = make_grid(n_theta, n_phi, sigma=sigma)
-            nodes, weights = _half_nodes(grid), _half_weights(grid)
+            nodes, weights = grid._nodes, grid._weights
             for axis_angle in (alpha, alpha + math.pi):
                 blocked = _arm_moments(nodes, weights, axis_angle, self.BETAS)
                 for beta, moments in zip(self.BETAS, blocked, strict=True):
@@ -598,7 +650,7 @@ class TestBlockedMoments:
     def test_single_block_bitwise_unblocked(self, n, monkeypatch):
         for sigma, alpha in self.BEAMS:
             grid = make_grid(n, n, sigma=sigma)
-            nodes, weights = _half_nodes(grid), _half_weights(grid)
+            nodes, weights = grid._nodes, grid._weights
             blocked = _arm_moments(nodes, weights, alpha, self.BETAS)
             for beta, moments in zip(self.BETAS, blocked, strict=True):
                 ref = _unblocked_arm_moments(nodes, weights, alpha, beta)
@@ -611,7 +663,7 @@ class TestBlockedMoments:
         # guards against the full 6 x N basis stack coming back: unblocked,
         # one 256^2 call peaks near 4.8 MB; several betas share each block
         grid = make_grid(256, 256, sigma=1.0)
-        nodes, weights = _half_nodes(grid), _half_weights(grid)
+        nodes, weights = grid._nodes, grid._weights
         tracemalloc.start()
         try:
             _arm_moments(nodes, weights, 0.3, [0.5, -0.5, 0.0, 0.2])
@@ -645,6 +697,33 @@ class TestBetaSweep:
                 assert rho.mat.tobytes() == single.mat.tobytes()
                 assert rho.dims == (3, 3)
 
+    @pytest.mark.parametrize("n_theta, n_phi", [(8, 7), (48, 48), _one_past_whole_blocks()])
+    def test_one_grid_serves_every_alpha(self, n_theta, n_phi, monkeypatch):
+        # the kernel reads the grid's own node and weight arrays, unchanged:
+        # one grid over an alpha sweep gives a fresh grid's matrices bit for
+        # bit, and its derived arrays refuse writes
+        grid = make_grid(n_theta, n_phi, sigma=0.8)
+        derived = [grid.row_theta, grid._weights, *grid._nodes]
+        before = [a.tobytes() for a in derived]
+        passed = []
+        arm_moments = diffraction._arm_moments
+
+        def recording(nodes, weights, axis_angle, betas):
+            passed.append((nodes, weights))
+            return arm_moments(nodes, weights, axis_angle, betas)
+
+        monkeypatch.setattr(diffraction, "_arm_moments", recording)
+        for alpha in (0.0, 0.9, math.pi / 2, 2.5):
+            reused = diffracted_reduced_type1(alpha, self.BETAS, grid)
+            fresh = diffracted_reduced_type1(alpha, self.BETAS, make_grid(n_theta, n_phi, sigma=0.8))
+            for got, want in zip(reused, fresh, strict=True):
+                assert got.mat.tobytes() == want.mat.tobytes()
+        assert all(nodes is grid._nodes and weights is grid._weights for nodes, weights in passed[::2])
+        assert [a.tobytes() for a in derived] == before
+        for array in derived:
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
     def test_array_and_empty_sweeps(self):
         grid = make_grid(12, 12, sigma=0.5)
         from_array = diffracted_reduced_type1(0.4, np.array([0.1, 0.2]), grid)
@@ -666,7 +745,7 @@ class TestBetaSweep:
         worst = 0.0
         for sigma in (0.2, 1.0, 3.0):
             grid = make_grid(n_theta, n_phi, sigma=sigma)
-            nodes, weights = _half_nodes(grid), _half_weights(grid)
+            nodes, weights = grid._nodes, grid._weights
             for alpha in (0.0, 0.9, math.pi / 2, math.pi - 0.01, 4.0):
                 betas = [-0.9, -0.3, 0.0, 0.5, 0.9]
                 explicit = _arm_moments(nodes, weights, alpha + math.pi, betas)
@@ -681,7 +760,8 @@ class TestBetaSweep:
         def no_node_work(*args):
             raise AssertionError("node work before the velocity check")
 
-        for name in ("_half_nodes", "rotate_to_lab", "boost_to_beam_frame", "linear_basis"):
+        # the grid holds its node directions; per-beta work is what must wait
+        for name in ("rotate_to_lab", "boost_to_beam_frame", "linear_basis"):
             monkeypatch.setattr(diffraction, name, no_node_work)
         grid = make_grid(16, 16, sigma=0.5)
         with pytest.raises(DomainError, match="boost velocity"):
