@@ -13,7 +13,7 @@ from .errors import (
     DomainError,
     NumericalConsistencyError,
 )
-from .lorentz import approx_transform_theta, boost_z, transform_angles, wigner_phases
+from .lorentz import approx_transform_theta, boost_z, wigner_phases
 from .purification import (
     LinkParams,
     PurificationTrace,

@@ -158,7 +158,7 @@ def run_single_photon_sweep(scenario: Scenario) -> list[dict]:
     n = len(points)
     rest = unit_vectors(*polar_angles(*np.array(points).T))
     # rest directions first, then their aberrated images
-    normals = np.concatenate([rest, _aberrated(rest, beta)])
+    normals = np.concatenate([rest, aberrate(rest, beta)])
     eps = linear_basis(*normals.T)[:3].T
     check_polarizations(eps, normals)
     momenta = np.hstack([np.ones((n, 1)), rest])
@@ -198,19 +198,11 @@ def _back_to_back(theta, phi) -> tuple[np.ndarray, np.ndarray]:
     return unit_vectors(theta_a, phi_a), unit_vectors(theta_b, phi_b)
 
 
-def _aberrated(n, beta) -> np.ndarray:
-    """The (N, 3) unit vectors ``n`` aberrated by a z-boost ``beta``,
-    renormalized: ``aberrate`` divides the input's norm defect |n|^2 - 1 by
-    gamma^2 (1 - beta n_z)^2, which is 5e-5 at beta n_z = |beta| = 0.9999."""
-    moved = np.transpose(aberrate(n.T, 0.0, beta))
-    return moved / np.linalg.norm(moved, axis=-1, keepdims=True)
-
-
 def _type1_amplitudes(n_a, n_b, beta) -> tuple[np.ndarray, np.ndarray]:
     """Type-I amplitudes of the pairs along the (N, 3) unit vectors ``n_a``
     and ``n_b``, at rest and with both directions aberrated by a z-boost
     ``beta``: two (N, 9) stacks, checked on every row."""
-    return pair_amplitudes(n_a, n_b), pair_amplitudes(_aberrated(n_a, beta), _aberrated(n_b, beta))
+    return pair_amplitudes(n_a, n_b), pair_amplitudes(aberrate(n_a, beta), aberrate(n_b, beta))
 
 
 def run_negativity_sweep(scenario: Scenario) -> list[dict]:

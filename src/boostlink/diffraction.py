@@ -17,9 +17,10 @@ rigidly (nodes and polarization patch together) about y to the polar
 direction ``alpha`` (azimuth 0); "opposite directions" places arm B's axis at
 the exact mirror of arm A's, which is what makes one arm's spread tighten and
 the other broaden under a z-boost.  Each node goes through the package's
-one direction kernel, ``lorentz.aberrate`` in its two steps:
-``rotate_to_lab`` takes it to the lab, ``boost_to_beam_frame`` aberrates it
-under the z-boost there and rotates it back to the beam frame, where
+one aberration formula in the two steps that ``lorentz.aberrate`` composes
+for a beam along z: ``rotate_to_lab`` takes it to the lab at the beam's
+angle, ``boost_to_beam_frame`` aberrates it under the z-boost there and
+rotates it back to the beam frame, where
 ``photon.linear_basis`` gives its h and v (singular only at the beam-frame
 backward pole n = -z).  Arm B's axis at alpha + pi is an arm at alpha under
 -beta: R_y(pi) conjugates B_z(beta) into B_z(-beta), and the rotations in

@@ -12,7 +12,8 @@ n = -z exactly (see ``linear_basis``); at theta = pi the unit vector keeps a
 1.2e-16 offset from it, and there Q is the half-turn about the axis at
 azimuth phi + pi/2, so h and v are x and y reflected through it.  A boost
 acts on a linearly polarized photon by aberrating its direction
-(``lorentz.aberrate``) and re-evaluating the same basis there, with no phase.
+(``lorentz.aberrate``, on (N, 3) unit vectors) and re-evaluating the same
+basis there, with no phase.
 
 Every function works on stacks of directions: the ``single-photon`` sweep
 and the type-I pair amplitude (``states.pair_amplitudes``) call each once on

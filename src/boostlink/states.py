@@ -5,7 +5,7 @@
   bases there; no Wigner phases appear for a pure boost.  It has no state
   object: ``pair_amplitudes`` gives the amplitude for a stack of unit-vector
   pairs, and the ``pair`` sweep and ``li-check`` call it on the rest
-  directions and on their images under ``lorentz.aberrate``.
+  directions and on their images under ``lorentz.aberrate(n, beta)``.
 * Type II: single photon split over two arms, (|1 0> - |0 1>)/sqrt(2) in the
   occupation basis.  A boost shifts each branch's phase by
   -lambda * Theta(boost, momentum of that branch), so only the relative

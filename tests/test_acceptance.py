@@ -12,10 +12,10 @@ import numpy as np
 from boostlink.cli import Scenario, SweepSpec, run_negativity_sweep
 from boostlink.diffraction import diffracted_reduced_type1, make_grid
 from boostlink.lorentz import (
+    aberrate,
     approx_transform_theta,
     boost_z,
     polar_angles,
-    transform_angles,
     unit_vectors,
     wigner_phases,
 )
@@ -36,7 +36,15 @@ from boostlink.quantum import (
     trace_distance,
 )
 from boostlink.states import pair_amplitudes, type2_amplitudes, type3_amplitudes
-from test_lorentz import K, inverse, little_group, random_transform, rotation_y, rotation_z
+from test_lorentz import (
+    K,
+    aberrated_polar,
+    inverse,
+    little_group,
+    random_transform,
+    rotation_y,
+    rotation_z,
+)
 
 BASELINE_NEGATIVITY_SIGMA1 = 0.19917779685594897
 
@@ -60,9 +68,10 @@ def type1_matrix(dir_a, dir_b, beta=None):
     """Polarization matrix of the type-I pair along the angle pairs ``dir_a``
     and ``dir_b``; with ``beta``, after a z-boost, which aberrates both
     directions."""
+    n_a, n_b = unit(dir_a)[None], unit(dir_b)[None]
     if beta is not None:
-        dir_a, dir_b = transform_angles(*dir_a, beta), transform_angles(*dir_b, beta)
-    amplitude = pair_amplitudes(unit(dir_a)[None], unit(dir_b)[None])[0]
+        n_a, n_b = aberrate(n_a, beta), aberrate(n_b, beta)
+    amplitude = pair_amplitudes(n_a, n_b)[0]
     return DensityMatrix.from_pure(amplitude, (3, 3))
 
 
@@ -71,9 +80,9 @@ def pair_distance(theta, beta):
     return trace_distance(type1_matrix(*pair), type1_matrix(*pair, beta))
 
 
-def h_matrix(direction):
-    """Density matrix of the h polarization vector at ``direction``."""
-    h = linear_basis(*unit(direction)[:, None])[:3, 0]
+def h_matrix(n):
+    """Density matrix of the h polarization vector at the unit vector ``n``."""
+    h = linear_basis(*n[:, None])[:3, 0]
     return DensityMatrix.from_pure(h, (3,))
 
 
@@ -91,9 +100,8 @@ def test_criterion_1_single_photon_error_law():
             geometry = math.sin(theta) * math.cos(phi)
             if abs(geometry) < 0.05:
                 continue
-            numeric = trace_distance(
-                h_matrix((theta, phi)), h_matrix(transform_angles(theta, phi, beta))
-            )
+            rest = unit((theta, phi))
+            numeric = trace_distance(h_matrix(rest), h_matrix(aberrate(rest[None], beta)[0]))
             expected = beta * abs(geometry)
             worst = max(worst, abs(numeric - expected) / expected)
             checked += 1
@@ -309,13 +317,13 @@ def test_criterion_9_wigner_phase_consistency():
 def test_criterion_10_approximate_aberration_map():
     worst = 0.0
     for beta in (1e-5, 1e-4, 1e-3):
-        exact = transform_angles(math.pi / 2, 0.0, beta)[0] - math.pi / 2
+        exact = aberrated_polar(math.pi / 2, 0.0, beta) - math.pi / 2
         approx = approx_transform_theta(math.pi / 2, beta) - math.pi / 2
         worst = max(worst, abs(approx - exact) / abs(exact))
     sign_ok = True
     for beta in (1e-3, -1e-3):
         for theta in np.linspace(0.05, math.pi - 0.05, 40):
-            exact_dev = transform_angles(theta, 0.0, beta)[0] - theta
+            exact_dev = aberrated_polar(theta, 0.0, beta) - theta
             approx_dev = approx_transform_theta(theta, beta) - theta
             if math.copysign(1, exact_dev) != math.copysign(1, approx_dev):
                 sign_ok = False

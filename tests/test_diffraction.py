@@ -21,7 +21,7 @@ from boostlink.diffraction import (
     make_grid,
 )
 from boostlink.errors import DomainError
-from boostlink.lorentz import aberrate, polar_angles, unit_vectors
+from boostlink.lorentz import aberrate, boost_to_beam_frame, polar_angles, rotate_to_lab, unit_vectors
 from boostlink.photon import linear_basis
 from boostlink.quantum import DensityMatrix, negativity, purity
 from boostlink.states import pair_amplitudes
@@ -384,7 +384,7 @@ class TestDiffractedReducedType1:
 
     def test_sharp_negativity_matches_states_module(self):
         arms = unit_vectors(*polar_angles(np.array([0.4, math.pi - 0.4]), np.array([0.0, math.pi])))
-        a, b = (np.array(aberrate(n, 0.0, 0.15)) for n in arms)
+        a, b = aberrate(arms, 0.15)
         sharp = pair_amplitudes(a[None], b[None])[0]
         rho = DensityMatrix.from_pure(sharp, (3, 3))
         assert negativity(rho) == pytest.approx(0.5, abs=1e-12)
@@ -536,7 +536,7 @@ class TestUnitVectorKernel:
             nodes = make_grid(32, 32, sigma=sigma)._nodes
             for axis_angle in (0.0, 1.1, math.pi / 2, math.pi, 4.0):
                 for beta in (-0.9, 0.0, 0.3, 0.9):
-                    n = np.array(aberrate(nodes, axis_angle, beta))
+                    n = np.array(_beam_frame_aberration(nodes, axis_angle, beta))
                     basis = linear_basis(*n)
                     h, v = basis[:3], basis[3:]
                     closest = min(closest, float(1.0 + n[2].min()))
@@ -569,16 +569,21 @@ class TestUnitVectorKernel:
         assert np.linalg.eigvalsh(rho).min() >= -1e-12
 
 
+def _beam_frame_aberration(nodes, axis_angle, beta):
+    """The kernel's two aberration steps on the whole node stack at once."""
+    return boost_to_beam_frame(rotate_to_lab(nodes, axis_angle), axis_angle, beta)
+
+
 def _unblocked_arm_moments(nodes, weights, axis_angle, beta):
     """Reference: one product over every half-grid node, no blocks."""
-    basis = linear_basis(*aberrate(nodes, axis_angle, beta))
+    basis = linear_basis(*_beam_frame_aberration(nodes, axis_angle, beta))
     return (((basis * weights) @ basis.T) * _MIRROR_EVEN).reshape(2, 3, 2, 3)
 
 
 def _exact_arm_moments(nodes, weights, axis_angle, beta):
     """Reference: the same node terms as the kernel, each entry summed with
     math.fsum, i.e. the correctly rounded sum."""
-    basis = linear_basis(*aberrate(nodes, axis_angle, beta))
+    basis = linear_basis(*_beam_frame_aberration(nodes, axis_angle, beta))
     weighted = basis * weights
     moments = np.array([[math.fsum(weighted[i] * basis[j]) for j in range(6)] for i in range(6)])
     return (moments * _MIRROR_EVEN).reshape(2, 3, 2, 3)

@@ -30,7 +30,7 @@ def type1_matrix(dir_a, dir_b, beta=None):
     """Polarization matrix of the type-I pair, on dims (3, 3); with ``beta``,
     after a z-boost, which aberrates both directions."""
     if beta is not None:
-        dir_a, dir_b = (np.array(aberrate(d, 0.0, beta)) for d in (dir_a, dir_b))
+        dir_a, dir_b = aberrate(np.stack([dir_a, dir_b]), beta)
     return DensityMatrix.from_pure(type1_amplitude(dir_a, dir_b), (3, 3))
 
 
@@ -61,7 +61,7 @@ class TestMakeType1:
 class TestBoostType1:
     def test_zero_velocity_identity(self):
         dir_a, dir_b = opposite_pair(1.1, 0.4)
-        moved = [np.array(aberrate(d, 0.0, 0.0)) for d in (dir_a, dir_b)]
+        moved = aberrate(np.stack([dir_a, dir_b]), 0.0)
         assert np.allclose(type1_amplitude(*moved), type1_amplitude(dir_a, dir_b), atol=1e-15)
         p_a = np.concatenate([[1.0], dir_a])
         assert np.allclose(boost_z(0.0) @ p_a, p_a, atol=1e-15)
