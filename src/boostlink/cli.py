@@ -38,7 +38,8 @@ from .errors import ConfigError, DegenerateProtocolError, DomainError, Numerical
 from .lorentz import aberrate, boost_z, polar_angles, unit_vectors, wigner_phases
 from .photon import check_photons, check_polarizations, linear_basis
 from .purification import LinkParams, attenuation, photons_required
-from .quantum import DensityMatrix, negativity, pure_trace_distances
+# DensityMatrix is unused here; perfbench's tracer test reads cli.DensityMatrix
+from .quantum import DensityMatrix, negativity, pure_negativities, pure_trace_distances
 from .states import pair_amplitudes, type2_amplitudes, type3_amplitudes
 
 FORMATS = ("csv", "jsonl")
@@ -263,16 +264,16 @@ def run_li_check(scenario: Scenario) -> list[dict]:
 
     Each protocol is a table entry holding its amplitude rows at rest,
     boosted and compensated; one ``pure_trace_distances`` call on the rows
-    gives its raw and compensated distances, with no matrix, and each
-    negativity is one validated matrix's.  Type I aberrates both directions
-    and has nothing to compensate.  Types II and III take their boosted
-    phases from one Wigner phase per arm (helicity +1), both from one
-    ``wigner_phases`` call, which checks the boost matrix: the type II branch
-    phases shift by -Theta_A and -Theta_B, the type III global phase by
-    -(Theta_A + Theta_B), and the compensated rows add the computed phases
-    back.  Under this z-boost the Wigner phase is identically 0, so the
-    compensated column cannot fail yet; it tests something only once
-    li-check boosts along a tilted axis."""
+    gives its raw and compensated distances and one ``pure_negativities``
+    call its negativities at rest and boosted, with no matrix.  Type I
+    aberrates both directions and has nothing to compensate.  Types II and
+    III take their boosted phases from one Wigner phase per arm (helicity
+    +1), both from one ``wigner_phases`` call, which checks the boost
+    matrix: the type II branch phases shift by -Theta_A and -Theta_B, the
+    type III global phase by -(Theta_A + Theta_B), and the compensated rows
+    add the computed phases back.  Under this z-boost the Wigner phase is
+    identically 0, so the compensated column cannot fail yet; it tests
+    something only once li-check boosts along a tilted axis."""
     beta = _scalar(scenario, "beta")
     theta = _scalar(scenario, "theta")
     phi = _scalar(scenario, "phi")
@@ -291,13 +292,16 @@ def run_li_check(scenario: Scenario) -> list[dict]:
         raw, distance = pure_trace_distances(
             np.stack([source, source]), np.stack([boosted, compensated])
         ).tolist()
+        negativity_source, negativity_boosted = pure_negativities(
+            np.stack([source, boosted]), dims
+        ).tolist()
         rows.append(
             {
                 "protocol": name,
                 "trace_distance_raw": raw,
                 "trace_distance_compensated": distance,
-                "negativity_source": negativity(DensityMatrix.from_pure(source, dims)),
-                "negativity_boosted": negativity(DensityMatrix.from_pure(boosted, dims)),
+                "negativity_source": negativity_source,
+                "negativity_boosted": negativity_boosted,
                 "verdict": "invariant" if distance <= LI_TOLERANCE else "frame_dependent",
             }
         )

@@ -8,20 +8,23 @@ pure target need none: ``purity`` is the inner product <rho, rho> =
 sum |rho_ij|^2, which equals Tr(rho^2) for the Hermitian matrices
 ``DensityMatrix`` holds, and ``fidelity_to_pure`` is <psi| rho |psi>.
 
-Validation, pure-state projectors and the trace distance are array functions
-over stacks of matrices (``check_density_matrices``, ``pure_projectors``,
-``trace_distances``): ``DensityMatrix`` and ``trace_distance`` call them on
-one item.  Positivity needs no spectrum: a Cholesky factorization of
-rho - EIGENVALUE_TOL * I certifies every eigenvalue above the tolerance, and
-only a stack it cannot certify is eigensolved, to name the first offender or
-to accept what the factorization missed at the boundary.
+Validation and the trace distance are array functions over stacks of
+matrices (``check_density_matrices``, ``trace_distances``):
+``DensityMatrix`` and ``trace_distance`` call them on one item.  Positivity
+needs no spectrum: a Cholesky factorization of rho - EIGENVALUE_TOL * I
+certifies every eigenvalue above the tolerance, and only a stack it cannot
+certify is eigensolved, to name the first offender or to accept what the
+factorization missed at the boundary.
 
-The error-law sweeps compare pure states only, and need no matrix at all:
-``pure_trace_distances`` takes two stacks of state vectors and returns each
-pair's distance sqrt(1 - |<a|b>|^2) as the residual norm of a after
-projecting out b, checked as ``DensityMatrix.from_pure`` checks its vector
-and its projector's trace.  A sweep costs no factorization and no eigensolve
-whatever its size, and a distance near 0 keeps its relative accuracy.
+Pure states need no matrix at all.  They enter as stacks of state-vector
+rows, each checked as a projector would be: its norm to 1e-10, then its
+norm squared, the projector's trace, to ``TRACE_TOL``.
+``pure_trace_distances`` takes two stacks and returns each pair's distance
+sqrt(1 - |<a|b>|^2) as the residual norm of a after projecting out b, and
+``pure_negativities`` takes one bipartite stack and returns each row's
+negativity from its Schmidt coefficients.  Neither builds a projector, runs
+a factorization or eigensolves, whatever the stack's size, and a distance
+near 0 keeps its relative accuracy.
 """
 
 from __future__ import annotations
@@ -66,11 +69,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
-
-    @classmethod
-    def from_pure(cls, psi, dims) -> "DensityMatrix":
-        psi = np.asarray(psi, dtype=complex).ravel()
-        return cls(pure_projectors(psi[None])[0], tuple(dims))
 
 
 def check_density_matrices(mats) -> None:
@@ -117,19 +115,19 @@ def _squared_norms(psi) -> np.ndarray:
     return (psi * psi).sum(axis=-1)
 
 
-def _check_normalized(norm2) -> None:
-    """Reject a row whose norm sqrt(norm2) is not within 1e-10 of 1."""
-    norm = np.sqrt(norm2)
-    off = ~(np.abs(norm - 1.0) <= 1e-10)
+def _check_rows(norm2) -> None:
+    """Reject a pure-state row by its squared norm ``norm2``: first a norm
+    sqrt(norm2) that is not within 1e-10 of 1 (NaN included), then a squared
+    norm, the trace of the row's projector, not within ``TRACE_TOL`` of 1.
+    The first offender is named."""
+    off = ~(np.abs(norm2 - 1.0) <= TRACE_TOL)
     if off.any():
-        raise DomainError(f"pure-state vector must be normalized, got norm {norm[off][0]}")
-
-
-def pure_projectors(psi) -> np.ndarray:
-    """Projectors |psi><psi|, (N, d, d), for a stack of normalized state
-    vectors ``psi`` (N, d)."""
-    _check_normalized(_squared_norms(psi))
-    return psi[:, :, None] * psi.conj()[:, None, :]
+        # a norm off by more than 1e-10, or not finite, is named first
+        norm = np.sqrt(norm2)
+        bad = ~(np.abs(norm - 1.0) <= 1e-10)
+        if bad.any():
+            raise DomainError(f"pure-state vector must be normalized, got norm {norm[bad][0]}")
+        raise DomainError(f"trace must equal 1, got {complex(norm2[off][0])}")
 
 
 def pure_trace_distances(psi_a, psi_b) -> np.ndarray:
@@ -137,19 +135,12 @@ def pure_trace_distances(psi_a, psi_b) -> np.ndarray:
     normalized (N, d) stacks ``psi_a`` and ``psi_b``, real or complex:
     sqrt(1 - |<a|b>|^2), taken as the residual norm |a - (<b|a>/<b|b>) b|.
     The residual keeps its relative accuracy as the states meet, and
-    identical rows give exactly 0.  Rows are checked as
-    ``DensityMatrix.from_pure`` checks them: the norm to 1e-10, then the
-    norm squared, the projector's trace, to ``TRACE_TOL``.  Each row sums
-    in C order, so its distance is the one a one-row stack gives, bit for
-    bit."""
+    identical rows give exactly 0.  Rows are checked over both stacks, a
+    before b, as a projector's norm and trace would be.  Each row sums in C
+    order, so its distance is the one a one-row stack gives, bit for bit."""
     psi_a, psi_b = np.ascontiguousarray(psi_a), np.ascontiguousarray(psi_b)
     norm2_b = _squared_norms(psi_b)
-    norm2 = np.concatenate([_squared_norms(psi_a), norm2_b])
-    off = ~(np.abs(norm2 - 1.0) <= TRACE_TOL)
-    if off.any():
-        # a norm off by more than 1e-10, or not finite, is named first
-        _check_normalized(norm2)
-        raise DomainError(f"trace must equal 1, got {complex(norm2[off][0])}")
+    _check_rows(np.concatenate([_squared_norms(psi_a), norm2_b]))
     # <b|a> / <b|b> in real arithmetic, summed as <b|b> is, so that identical
     # rows scale by exactly 1: numpy's complex product can fuse a
     # multiply-add, which leaves <a|a> a nonzero imaginary part, and its
@@ -161,6 +152,30 @@ def pure_trace_distances(psi_a, psi_b) -> np.ndarray:
     else:
         scale = (psi_b * psi_a).sum(axis=-1) / norm2_b
     return np.sqrt(_squared_norms(psi_a - scale[:, None] * psi_b))
+
+
+def pure_negativities(psi, dims) -> np.ndarray:
+    """Negativity of the pure state of each normalized (N, d) row of
+    ``psi``, real or complex, across the cut ``dims`` = (d_A, d_B) with
+    d_A * d_B = d.  With s the singular values of the row reshaped to
+    (d_A, d_B), its Schmidt coefficients, the partial transpose's negative
+    eigenvalues are -s_i s_j for i < j (Vidal and Werner, PRA 65, 032314),
+    so the negativity is sum_{i<j} s_i s_j, summed pairwise so that a
+    product state gives 0 or more, never a negative round-off.  Rows are
+    checked as ``pure_trace_distances`` checks them; each row's value is the
+    one a one-row stack gives, bit for bit."""
+    if not (
+        isinstance(dims, (tuple, list))
+        and len(dims) == 2
+        and all(isinstance(d, (int, np.integer)) and d > 0 for d in dims)
+    ):
+        raise DomainError(f"a bipartite cut needs two positive integer dimensions, got {dims}")
+    psi, size = np.asarray(psi), dims[0] * dims[1]
+    if psi.ndim != 2 or psi.shape[1] != size:
+        raise DomainError(f"dimensions {tuple(dims)} need (N, {size}) rows, got shape {psi.shape}")
+    _check_rows(_squared_norms(psi))
+    s = np.linalg.svd(psi.reshape(len(psi), *dims), compute_uv=False)
+    return (s[:, 1:] * np.cumsum(s, axis=-1)[:, :-1]).sum(axis=-1)
 
 
 def trace_distances(a, b) -> np.ndarray:

@@ -15,10 +15,10 @@
   -lambda * (Theta(boost, p) + Theta(boost, q)), which cancels in the density
   matrix.
 
-Every protocol is given as pure-state amplitude rows: callers measure
-distances on the rows themselves (``quantum.pure_trace_distances``) and turn
-them into density matrices only for a negativity
-(``DensityMatrix.from_pure``).  The Fock-basis protocols are functions of
+Every protocol is given as pure-state amplitude rows, and callers measure
+them on the rows themselves, with no density matrix: distances with
+``quantum.pure_trace_distances`` and negativities with
+``quantum.pure_negativities``.  The Fock-basis protocols are functions of
 their phases alone: ``type2_amplitudes(phase_a, phase_b)`` and
 ``type3_amplitudes(phase)`` give one occupation-basis row of C^4 (dims
 (2, 2)) per phase, as ``pair_amplitudes`` gives one C^9 row per direction

@@ -72,7 +72,7 @@ def type1_matrix(dir_a, dir_b, beta=None):
     if beta is not None:
         n_a, n_b = aberrate(n_a, beta), aberrate(n_b, beta)
     amplitude = pair_amplitudes(n_a, n_b)[0]
-    return DensityMatrix.from_pure(amplitude, (3, 3))
+    return DensityMatrix(np.outer(amplitude, np.conj(amplitude)), (3, 3))
 
 
 def pair_distance(theta, beta):
@@ -83,7 +83,7 @@ def pair_distance(theta, beta):
 def h_matrix(n):
     """Density matrix of the h polarization vector at the unit vector ``n``."""
     h = linear_basis(*n[:, None])[:3, 0]
-    return DensityMatrix.from_pure(h, (3,))
+    return DensityMatrix(np.outer(h, np.conj(h)), (3,))
 
 
 def random_direction(rng):
@@ -128,10 +128,12 @@ def test_criterion_3_fock_state_lorentz_invariance():
     arms = np.stack([unit((0.8, 0.4)), unit(antipode((0.8, 0.4)))])
 
     def type2(phase_a, phase_b):
-        return DensityMatrix.from_pure(type2_amplitudes(phase_a, phase_b), (2, 2))
+        psi = type2_amplitudes(phase_a, phase_b)
+        return DensityMatrix(np.outer(psi, np.conj(psi)), (2, 2))
 
     def type3(phase):
-        return DensityMatrix.from_pure(type3_amplitudes(phase), (2, 2))
+        psi = type3_amplitudes(phase)
+        return DensityMatrix(np.outer(psi, np.conj(psi)), (2, 2))
 
     worst_three = 0.0
     worst_two = 0.0

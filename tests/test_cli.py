@@ -26,7 +26,7 @@ from boostlink.errors import ConfigError, DomainError
 from boostlink.lorentz import aberrate, boost_z, polar_angles, unit_vectors, wigner_phases
 from boostlink.photon import linear_basis
 from boostlink.purification import photon_budget, photons_required
-from boostlink.quantum import DensityMatrix, negativity, pure_trace_distances
+from boostlink.quantum import DensityMatrix, pure_negativities, pure_trace_distances
 from boostlink.states import pair_amplitudes
 
 
@@ -445,7 +445,7 @@ def reference_rows(theta, phi, beta):
     aberrated, with nothing to compensate; for types II and III the Wigner
     phase of each arm, helicity +1, and the occupation-basis layout (type II
     on indices 2 and 1, type III on 0 and 3).  Each distance is one pure
-    pair's, and each negativity one validated matrix's."""
+    pair's, and each negativity a one-row ``pure_negativities`` call's."""
     n_a, n_b = back_to_back(theta, phi)
     theta_a, theta_b = wigner_phases(boost_z(beta), np.stack([n_a, n_b]))
 
@@ -480,8 +480,8 @@ def reference_rows(theta, phi, beta):
                 "protocol": name,
                 "trace_distance_raw": point_distance(source, boosted),
                 "trace_distance_compensated": distance,
-                "negativity_source": negativity(DensityMatrix.from_pure(source, dims)),
-                "negativity_boosted": negativity(DensityMatrix.from_pure(boosted, dims)),
+                "negativity_source": pure_negativities(source[None], dims)[0],
+                "negativity_boosted": pure_negativities(boosted[None], dims)[0],
                 "verdict": "invariant" if distance <= cli.LI_TOLERANCE else "frame_dependent",
             }
         )
@@ -489,7 +489,7 @@ def reference_rows(theta, phi, beta):
 
 
 class TestFockRows:
-    """li-check's rows equal the per-state matrix reference bitwise; the type
+    """li-check's rows equal the per-state reference bitwise; the type
     II/III rows come from one Wigner phase per arm."""
 
     @pytest.mark.parametrize(
@@ -604,8 +604,8 @@ class TestNegativeFlagValues:
 class TestSweepCostIndependentOfSize:
     """Guard against the per-point path coming back: the number of
     eigensolver calls and DensityMatrix constructions must not grow with the
-    number of points swept.  The error-law distances need neither a
-    factorization nor an eigensolve."""
+    number of points swept.  The pure-state distances and negativities need
+    neither a factorization nor an eigensolve."""
 
     @staticmethod
     def _counts(monkeypatch, run, scenario):
@@ -652,10 +652,9 @@ class TestSweepCostIndependentOfSize:
         assert small == {"eigvalsh": 0, "cholesky": 0, "density_matrices": 0}
 
     def test_li_check(self, monkeypatch):
-        # all from the six negativities: one validated matrix, one
-        # factorization and one eigensolve each
+        # the six negativities come from the amplitude rows' singular values
         counts = self._counts(monkeypatch, run_li_check, Scenario(beta=0.3, theta=1.0, phi=0.4))
-        assert counts == {"eigvalsh": 6, "cholesky": 6, "density_matrices": 6}
+        assert counts == {"eigvalsh": 0, "cholesky": 0, "density_matrices": 0}
 
 
 class TestGrid:

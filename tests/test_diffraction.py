@@ -386,7 +386,7 @@ class TestDiffractedReducedType1:
         arms = unit_vectors(*polar_angles(np.array([0.4, math.pi - 0.4]), np.array([0.0, math.pi])))
         a, b = aberrate(arms, 0.15)
         sharp = pair_amplitudes(a[None], b[None])[0]
-        rho = DensityMatrix.from_pure(sharp, (3, 3))
+        rho = DensityMatrix(np.outer(sharp, np.conj(sharp)), (3, 3))
         assert negativity(rho) == pytest.approx(0.5, abs=1e-12)
 
     def test_purity_never_exceeds_one(self):

@@ -184,8 +184,8 @@ class TestSinglePhotonErrorLaw:
                     continue  # skip zeros of the formula
                 eps, _ = basis(theta, phi)
                 _, (eps_b, _) = boosted(theta, phi, beta)
-                rho_s = DensityMatrix.from_pure(eps, (3,))
-                rho_a = DensityMatrix.from_pure(eps_b, (3,))
+                rho_s = DensityMatrix(np.outer(eps, np.conj(eps)), (3,))
+                rho_a = DensityMatrix(np.outer(eps_b, np.conj(eps_b)), (3,))
                 numeric = trace_distance(rho_s, rho_a)
                 # The overlap route computes sqrt(1 - |c|^2) with |c|^2 within
                 # ~1e-12 of 1, so only relative agreement is meaningful here.

@@ -154,7 +154,7 @@ class TestPhotonBudget:
 
 class TestPurifyRound:
     def test_ideal_bell_pair_is_fixed_point(self):
-        rho = DensityMatrix.from_pure(bell_target(), (3, 3))
+        rho = DensityMatrix(np.outer(bell_target(), np.conj(bell_target())), (3, 3))
         out, success = purify_round(rho)
         assert fidelity_to_pure(out, bell_target()) == pytest.approx(1.0, abs=1e-12)
         assert success == pytest.approx(1.0, abs=1e-12)
@@ -282,7 +282,7 @@ class TestQutritProjection:
 
 class TestPhotonsRequired:
     def test_target_already_met_returns_attenuation(self):
-        rho = DensityMatrix.from_pure(bell_target(), (3, 3))
+        rho = DensityMatrix(np.outer(bell_target(), np.conj(bell_target())), (3, 3))
         trace = photons_required(rho, 0.99, 108.16)
         assert trace.succeeded
         assert len(trace.rounds) == 1
@@ -328,14 +328,14 @@ class TestPhotonsRequired:
 
     @pytest.mark.parametrize("factor", [0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_rejects_attenuation_that_is_not_positive_and_finite(self, factor):
-        rho = DensityMatrix.from_pure(bell_target(), (3, 3))
+        rho = DensityMatrix(np.outer(bell_target(), np.conj(bell_target())), (3, 3))
         with pytest.raises(DomainError, match="attenuation must be positive and finite"):
             photons_required(rho, 0.99, factor)
 
     @pytest.mark.parametrize("max_rounds", [-1, 2.5, True, False, "3", None])
     def test_rejects_round_cap_that_is_not_a_non_negative_int(self, max_rounds):
         # the target is met at round 0, so only the check can stop the run
-        rho = DensityMatrix.from_pure(bell_target(), (3, 3))
+        rho = DensityMatrix(np.outer(bell_target(), np.conj(bell_target())), (3, 3))
         with pytest.raises(DomainError, match="round cap must be a non-negative integer"):
             photons_required(rho, 0.99, 100.0, max_rounds=max_rounds)
 

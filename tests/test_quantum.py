@@ -12,7 +12,7 @@ from boostlink.quantum import (
     check_density_matrices,
     fidelity_to_pure,
     negativity,
-    pure_projectors,
+    pure_negativities,
     pure_trace_distances,
     purity,
     trace_distance,
@@ -107,26 +107,23 @@ class TestDensityMatrix:
         rho = DensityMatrix(np.eye(4) / 4.0, (np.int64(2), np.int32(2)))
         assert rho.dims == (2, 2) and all(type(d) is int for d in rho.dims)
 
-    def test_from_pure_requires_normalization(self):
-        with pytest.raises(DomainError):
-            DensityMatrix.from_pure(np.array([1.0, 1.0]), (2,))
-
 
 class TestTraceDistance:
     def test_identical_states(self):
-        rho = DensityMatrix.from_pure(BELL_PHI_PLUS, (2, 2))
+        rho = DensityMatrix(np.outer(BELL_PHI_PLUS, BELL_PHI_PLUS), (2, 2))
         assert trace_distance(rho, rho) == pytest.approx(0.0, abs=1e-14)
 
     def test_orthogonal_pure_states(self):
-        a = DensityMatrix.from_pure(np.array([1.0, 0.0]), (2,))
-        b = DensityMatrix.from_pure(np.array([0.0, 1.0]), (2,))
+        a = DensityMatrix(np.diag([1.0, 0.0]), (2,))
+        b = DensityMatrix(np.diag([0.0, 1.0]), (2,))
         assert trace_distance(a, b) == pytest.approx(1.0, rel=1e-12)
 
     def test_overlapping_pure_states(self):
         # Overlap c = 0.6 gives sqrt(1 - c^2) = 0.8.
         c = 0.6
-        a = DensityMatrix.from_pure(np.array([1.0, 0.0]), (2,))
-        b = DensityMatrix.from_pure(np.array([c, math.sqrt(1 - c * c)]), (2,))
+        psi = np.array([c, math.sqrt(1 - c * c)])
+        a = DensityMatrix(np.diag([1.0, 0.0]), (2,))
+        b = DensityMatrix(np.outer(psi, psi), (2,))
         assert trace_distance(a, b) == pytest.approx(0.8, rel=1e-12)
 
     def test_pure_state_overlap_formula(self):
@@ -134,8 +131,8 @@ class TestTraceDistance:
         for _ in range(30):
             u = random_state_vector(rng, 5)
             v = random_state_vector(rng, 5)
-            a = DensityMatrix.from_pure(u, (5,))
-            b = DensityMatrix.from_pure(v, (5,))
+            a = DensityMatrix(np.outer(u, np.conj(u)), (5,))
+            b = DensityMatrix(np.outer(v, np.conj(v)), (5,))
             expected = math.sqrt(1.0 - abs(np.vdot(u, v)) ** 2)
             assert trace_distance(a, b) == pytest.approx(expected, abs=1e-12)
 
@@ -162,7 +159,8 @@ class TestTraceDistance:
 
 class TestPureTraceDistances:
     """The residual-norm distance against the eigensolve of the validated
-    projectors, its exact values, and the inputs it rejects."""
+    projectors, its exact values, and the rows it rejects, which
+    ``pure_negativities`` rejects with the same messages."""
 
     @staticmethod
     def rows(rng, n, d, complex_rows):
@@ -182,7 +180,7 @@ class TestPureTraceDistances:
         near /= np.linalg.norm(near, axis=-1, keepdims=True)
         a, b = np.concatenate([a, a]), np.concatenate([self.rows(rng, 40, d, complex_rows), near])
         for distance, row_a, row_b in zip(pure_trace_distances(a, b), a, b):
-            rho_a, rho_b = (DensityMatrix.from_pure(row, (d,)) for row in (row_a, row_b))
+            rho_a, rho_b = (DensityMatrix(np.outer(row, np.conj(row)), (d,)) for row in (row_a, row_b))
             assert distance == pytest.approx(trace_distance(rho_a, rho_b), abs=1e-12, rel=1e-9)
 
     @pytest.mark.parametrize("complex_rows", [False, True])
@@ -203,26 +201,36 @@ class TestPureTraceDistances:
         assert pure_trace_distances(empty, empty).shape == (0,)
 
     @staticmethod
-    def message(psi_a, psi_b):
-        with pytest.raises(DomainError) as err:
-            pure_trace_distances(psi_a, psi_b)
-        return str(err.value)
+    def messages(bad, good):
+        """What each pure-state function raises on the row stack ``bad``:
+        the distances with it on either side of ``good``, and the
+        negativities across a (1, d) cut."""
+        calls = (
+            lambda: pure_trace_distances(bad, good),
+            lambda: pure_trace_distances(good, bad),
+            lambda: pure_negativities(bad, (1, bad.shape[1])),
+        )
+        messages = []
+        for call in calls:
+            with pytest.raises(DomainError) as err:
+                call()
+            messages.append(str(err.value))
+        return messages
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_rejects_non_finite_row(self, value):
         good = np.tile(BELL_PHI_PLUS, (3, 1))
         bad = good.astype(complex)
         bad[1, 2] = complex(0.0, value)
-        for pair in ((bad, good), (good, bad)):
-            assert "pure-state vector must be normalized" in self.message(*pair)
+        expected = f"pure-state vector must be normalized, got norm {value}"
+        assert self.messages(bad, good) == [expected] * 3
 
     def test_rejects_norm_off_by_more_than_tolerance(self):
         good = np.eye(3)
         bad = good.copy()
         bad[2] *= 1.0 + 1e-6
         expected = "pure-state vector must be normalized, got norm 1.000001"
-        assert self.message(bad, good) == expected
-        assert self.message(good, bad) == expected
+        assert self.messages(bad, good) == [expected] * 3
 
     def test_rejects_trace_off_by_more_than_tolerance(self):
         # the norm is within 1e-10 of 1; its square, the projector's trace, is not
@@ -230,17 +238,70 @@ class TestPureTraceDistances:
         bad = good.copy()
         bad[1] *= 1.0 + 7.5e-11
         expected = "trace must equal 1, got (1.00000000015+0j)"
-        assert self.message(bad, good) == expected
-        assert self.message(good, bad) == expected
+        assert self.messages(bad, good) == [expected] * 3
         with pytest.raises(DomainError) as err:
-            DensityMatrix.from_pure(bad[1], (3,))
+            DensityMatrix(np.outer(bad[1], np.conj(bad[1])), (3,))
         assert str(err.value) == expected
+
+
+class TestPureNegativities:
+    """The Schmidt-coefficient negativity against the partial-transpose
+    eigensolve of the validated projector, its exact values, and the cuts it
+    rejects; the row checks are covered with ``TestPureTraceDistances``'s."""
+
+    CUTS = [(2, 2), (3, 3), (2, 3), (3, 2)]
+
+    @staticmethod
+    def matrix_route(row, dims):
+        return negativity(DensityMatrix(np.outer(row, np.conj(row)), dims))
+
+    @pytest.mark.parametrize("complex_rows", [False, True])
+    @pytest.mark.parametrize("dims", CUTS)
+    def test_matches_matrix_route(self, dims, complex_rows):
+        rng = np.random.default_rng(31 + 10 * dims[0] + dims[1])
+        psi = TestPureTraceDistances.rows(rng, 300, dims[0] * dims[1], complex_rows)
+        values = pure_negativities(psi, dims)
+        for i, (value, row) in enumerate(zip(values, psi)):
+            assert abs(value - self.matrix_route(row, dims)) <= 2e-15
+            # a one-row stack gives the same bits
+            assert pure_negativities(psi[i : i + 1], dims)[0] == value
+
+    @pytest.mark.parametrize("complex_rows", [False, True])
+    @pytest.mark.parametrize("dims", CUTS)
+    def test_product_states_are_not_negative(self, dims, complex_rows):
+        rng = np.random.default_rng(37 + 10 * dims[0] + dims[1])
+        a = TestPureTraceDistances.rows(rng, 200, dims[0], complex_rows)
+        b = TestPureTraceDistances.rows(rng, 200, dims[1], complex_rows)
+        values = pure_negativities((a[:, :, None] * b[:, None, :]).reshape(200, -1), dims)
+        assert values.min() >= 0.0
+        assert values.max() <= 1e-15
+
+    def test_maximally_entangled_rows(self):
+        bell = np.array([BELL_PHI_PLUS, [0.0, 1.0, -1.0, 0.0] / np.sqrt(2.0)])
+        assert np.abs(pure_negativities(bell, (2, 2)) - 0.5).max() <= 1e-15
+        qutrits = np.eye(3).reshape(1, 9) / np.sqrt(3.0)
+        assert abs(pure_negativities(qutrits, (3, 3))[0] - 1.0) <= 1e-15
+
+    def test_empty_stack(self):
+        assert pure_negativities(np.zeros((0, 4)), (2, 2)).shape == (0,)
+
+    @pytest.mark.parametrize(
+        "dims", [(4,), (2, 2, 1), (2.0, 2), (0, 4), (-2, -2), ("2", "2"), 4, (2, 3), (4, 2)]
+    )
+    def test_rejects_a_cut_that_is_not_two_dimensions_of_the_row(self, dims):
+        with pytest.raises(DomainError):
+            pure_negativities(np.tile(BELL_PHI_PLUS, (2, 1)), dims)
+
+    def test_rejects_rows_that_are_not_a_stack(self):
+        with pytest.raises(DomainError, match="need"):
+            pure_negativities(BELL_PHI_PLUS, (2, 2))
 
 
 class TestPurity:
     def test_pure_projector(self):
         rng = np.random.default_rng(7)
-        rho = DensityMatrix.from_pure(random_state_vector(rng, 6), (6,))
+        psi = random_state_vector(rng, 6)
+        rho = DensityMatrix(np.outer(psi, np.conj(psi)), (6,))
         assert purity(rho) == pytest.approx(1.0, rel=1e-12)
 
     def test_maximally_mixed(self):
@@ -267,7 +328,7 @@ class TestPurity:
 
 class TestNegativity:
     def test_bell_state(self):
-        rho = DensityMatrix.from_pure(BELL_PHI_PLUS, (2, 2))
+        rho = DensityMatrix(np.outer(BELL_PHI_PLUS, BELL_PHI_PLUS), (2, 2))
         assert negativity(rho) == pytest.approx(0.5, abs=1e-12)
 
     def test_product_state(self):
@@ -320,11 +381,11 @@ class TestFidelityToPure:
     def test_exact_match(self):
         rng = np.random.default_rng(21)
         psi = random_state_vector(rng, 4)
-        rho = DensityMatrix.from_pure(psi, (4,))
+        rho = DensityMatrix(np.outer(psi, np.conj(psi)), (4,))
         assert fidelity_to_pure(rho, psi) == pytest.approx(1.0, rel=1e-12)
 
     def test_orthogonal(self):
-        rho = DensityMatrix.from_pure(np.array([1.0, 0.0]), (2,))
+        rho = DensityMatrix(np.diag([1.0, 0.0]), (2,))
         assert fidelity_to_pure(rho, np.array([0.0, 1.0])) == pytest.approx(
             0.0, abs=1e-14
         )
@@ -370,12 +431,6 @@ class TestStackedValidation:
     def test_valid_stack_passes(self):
         check_density_matrices(self.stack())
 
-    def test_pure_projectors_reject_nan_row(self):
-        psi = np.tile(BELL_PHI_PLUS, (3, 1)).astype(complex)
-        psi[1, 2] = complex(0.0, math.nan)
-        with pytest.raises(DomainError, match="norm nan"):
-            pure_projectors(psi)
-
     def test_non_hermitian_entry(self):
         mats = self.stack()
         mats[2, 0, 1] += 1e-6
@@ -404,7 +459,8 @@ class TestStackedValidation:
 
     def test_empty_stack_passes(self):
         check_density_matrices(np.zeros((0, 4, 4), dtype=complex))
-        check_density_matrices(pure_projectors(np.zeros((0, 3), dtype=complex)))
+        psi = np.zeros((0, 3), dtype=complex)
+        check_density_matrices(psi[:, :, None] * psi.conj()[:, None, :])
 
     def test_zero_size_matrix_has_no_unit_trace(self):
         with pytest.raises(DomainError, match="trace must equal 1"):
@@ -423,7 +479,7 @@ class TestStackedValidation:
         rng = np.random.default_rng(19)
         for d in (2, 3, 4, 9):
             psi = np.array([random_state_vector(rng, d) for _ in range(20)])
-            check_density_matrices(pure_projectors(psi))
+            check_density_matrices(psi[:, :, None] * psi.conj()[:, None, :])
 
     @pytest.mark.parametrize("smallest", [-1.01e-9, -2e-9])
     def test_negative_eigenvalue_beyond_tolerance_rejected(self, smallest):

@@ -31,17 +31,20 @@ def type1_matrix(dir_a, dir_b, beta=None):
     after a z-boost, which aberrates both directions."""
     if beta is not None:
         dir_a, dir_b = aberrate(np.stack([dir_a, dir_b]), beta)
-    return DensityMatrix.from_pure(type1_amplitude(dir_a, dir_b), (3, 3))
+    psi = type1_amplitude(dir_a, dir_b)
+    return DensityMatrix(np.outer(psi, np.conj(psi)), (3, 3))
 
 
 def type2_reduced(phase_a, phase_b):
     """The type-II matrix on dims (2, 2) at one pair of branch phases."""
-    return DensityMatrix.from_pure(type2_amplitudes(phase_a, phase_b), (2, 2))
+    psi = type2_amplitudes(phase_a, phase_b)
+    return DensityMatrix(np.outer(psi, np.conj(psi)), (2, 2))
 
 
 def type3_reduced(phase):
     """The type-III matrix on dims (2, 2) at one global phase."""
-    return DensityMatrix.from_pure(type3_amplitudes(phase), (2, 2))
+    psi = type3_amplitudes(phase)
+    return DensityMatrix(np.outer(psi, np.conj(psi)), (2, 2))
 
 
 def random_direction(rng):
