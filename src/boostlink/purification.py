@@ -46,6 +46,15 @@ frames with arm B's second axis reversed, in which the distributed pair's
 ideal form is the (|00> + |11>)/sqrt(2) fixed point, ``bell_target()``.  The
 kernel's matrix is the round's input as it is.
 
+A round takes and returns the bare 9x9 array.  Its output is Hermitian by
+construction and positive semidefinite up to rounding (a sum of Schur
+products of positive matrices), so ``photons_required`` checks a run's
+outputs once: as one (k, 9, 9) stack through ``check_density_matrices``, with
+``DensityMatrix``'s checks and tolerances, when the run returns or raises.
+Each round's fidelity and purity are ``fidelity_to_pure`` and ``purity``'s
+own expressions on the array, and its budget multiplies one more success
+into a running product, in ``photon_budget``'s order.
+
 Where broad beams must fail (rest frame, beta = 0, 64x64 grid):
 
 * sigma = 2 is entangled and distillable.  Its negativity is 0.0143668518652,
@@ -81,7 +90,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateProtocolError, DomainError
-from .quantum import DensityMatrix, fidelity_to_pure, purity
+# _fidelity and _purity: fidelity_to_pure and purity on a bare matrix
+from .quantum import DensityMatrix, _fidelity, _purity, _unit_target, check_density_matrices
 
 QUTRIT_DIM = 3
 MIN_SUCCESS_PROBABILITY = 1e-12
@@ -153,9 +163,21 @@ def photon_budget(rounds: int, attenuation_factor: float, success_probabilities)
         raise DomainError(f"round count must be non-negative, got {rounds}")
     product = 1.0
     for s in success_probabilities:
-        if not 0.0 < s <= 1.0:
-            raise DomainError(f"success probabilities must lie in (0, 1], got {s}")
-        product *= s
+        product = _times_success(product, s)
+    return _budget(rounds, attenuation_factor, product)
+
+
+def _times_success(product: float, s: float) -> float:
+    """The running product of success probabilities times ``s``, which must
+    lie in (0, 1]."""
+    if not 0.0 < s <= 1.0:
+        raise DomainError(f"success probabilities must lie in (0, 1], got {s}")
+    return product * s
+
+
+def _budget(rounds: int, attenuation_factor: float, product: float) -> float:
+    """``photon_budget`` from the product of the rounds' success
+    probabilities."""
     budget = (2.0**rounds) * attenuation_factor / product
     if not math.isfinite(budget):
         raise DomainError(f"photon budget after {rounds} rounds is not finite, got {budget}")
@@ -191,15 +213,17 @@ _ERROR_EXCHANGE = _transverse_hadamard_pair()
 _ERROR_EXCHANGE_H = _ERROR_EXCHANGE.T
 
 
-def purify_round(rho: DensityMatrix) -> tuple[DensityMatrix, float]:
-    """One recurrence round on two copies of ``rho``.
+def purify_round(mat) -> tuple[np.ndarray, float]:
+    """One recurrence round on two copies of the (9, 9) qutrit-pair matrix
+    ``mat``, taken as it stands.
 
-    Returns the renormalized post-selected source pair and the coincidence
-    probability.
+    Returns the renormalized post-selected source pair, Hermitian by
+    construction and otherwise unchecked, and the coincidence probability.
+    ``photons_required`` checks every output it makes.
     """
-    if rho.dims != (QUTRIT_DIM, QUTRIT_DIM):
-        raise DomainError(f"expected qutrit-pair dims (3, 3), got {rho.dims}")
-    rotated = _ERROR_EXCHANGE @ rho.mat @ _ERROR_EXCHANGE_H
+    if np.shape(mat) != (QUTRIT_DIM * QUTRIT_DIM,) * 2:
+        raise DomainError(f"expected a (9, 9) qutrit-pair matrix, got shape {np.shape(mat)}")
+    rotated = _ERROR_EXCHANGE @ mat @ _ERROR_EXCHANGE_H
     kept = (rotated * rotated.take(_KEPT_FLAT)).sum(axis=0)
     success = float(kept.trace().real)
     if success < MIN_SUCCESS_PROBABILITY:
@@ -209,7 +233,7 @@ def purify_round(rho: DensityMatrix) -> tuple[DensityMatrix, float]:
     kept /= success
     kept += kept.conj().T
     kept *= 0.5
-    return DensityMatrix(kept, rho.dims), success
+    return kept, success
 
 
 def photons_required(
@@ -226,6 +250,11 @@ def photons_required(
     A round that lowers the fidelity to the Bell target marks the target
     unreachable and the trace is returned as a failure outcome rather than
     raising.
+
+    ``rho0`` must have dims (3, 3).  The rounds' outputs are checked as
+    ``DensityMatrix`` checks a matrix, as one stack when the run returns or
+    raises, so a bad round's ``DomainError`` replaces whatever a later round
+    raises.
     """
     if not 0.0 < attenuation_factor < math.inf:
         raise DomainError(f"attenuation must be positive and finite, got {attenuation_factor}")
@@ -234,16 +263,23 @@ def photons_required(
     is_int = isinstance(max_rounds, (int, np.integer)) and not isinstance(max_rounds, bool)
     if not (is_int and max_rounds >= 0):
         raise DomainError(f"round cap must be a non-negative integer, got {max_rounds!r}")
-    target = bell_target()
-    rho, success, successes, rounds = rho0, 1.0, [], []
-    for k in range(max_rounds + 1):
-        if k > 0:
-            rho, success = purify_round(rho)
-            successes.append(success)
-        budget = photon_budget(k, attenuation_factor, successes)
-        rounds.append(RoundResult(k, fidelity_to_pure(rho, target), success, budget))
-        if purity(rho) >= target_purity:
-            return PurificationTrace(tuple(rounds), budget, True)
-        if k > 0 and rounds[-1].fidelity < rounds[-2].fidelity:
-            break
+    if rho0.dims != (QUTRIT_DIM, QUTRIT_DIM):
+        raise DomainError(f"expected qutrit-pair dims (3, 3), got {rho0.dims}")
+    target = _unit_target(bell_target(), rho0.dim)
+    mat, success, product, outputs, rounds = rho0.mat, 1.0, 1.0, [], []
+    try:
+        for k in range(max_rounds + 1):
+            if k > 0:
+                mat, success = purify_round(mat)
+                outputs.append(mat)
+                product = _times_success(product, success)
+            budget = _budget(k, attenuation_factor, product)
+            rounds.append(RoundResult(k, _fidelity(mat, target), success, budget))
+            if _purity(mat) >= target_purity:
+                return PurificationTrace(tuple(rounds), budget, True)
+            if k > 0 and rounds[-1].fidelity < rounds[-2].fidelity:
+                break
+    finally:
+        if outputs:
+            check_density_matrices(np.stack(outputs))
     return PurificationTrace(tuple(rounds), math.inf, False)

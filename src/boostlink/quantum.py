@@ -10,11 +10,14 @@ sum |rho_ij|^2, which equals Tr(rho^2) for the Hermitian matrices
 
 Validation and the trace distance are array functions over stacks of
 matrices (``check_density_matrices``, ``trace_distances``):
-``DensityMatrix`` and ``trace_distance`` call them on one item.  Positivity
-needs no spectrum: a Cholesky factorization of rho - EIGENVALUE_TOL * I
-certifies every eigenvalue above the tolerance, and only a stack it cannot
-certify is eigensolved, to name the first offender or to accept what the
-factorization missed at the boundary.
+``DensityMatrix`` and ``trace_distance`` call them on one item, and a
+purification run calls the check once on all its rounds' outputs, which it
+measures as bare arrays through the private forms behind ``purity`` and
+``fidelity_to_pure``.  Positivity needs no spectrum: a Cholesky
+factorization of rho - EIGENVALUE_TOL * I certifies every eigenvalue above
+the tolerance, and only a stack it cannot certify is eigensolved, to name
+the first offender or to accept what the factorization missed at the
+boundary.
 
 Pure states need no matrix at all.  They enter as stacks of state-vector
 rows, each checked as a projector would be: its norm to 1e-10, then its
@@ -72,10 +75,14 @@ class DensityMatrix:
 
 
 def check_density_matrices(mats) -> None:
-    """Reject any matrix in the stack ``mats`` (N, n, n) that has non-finite
-    entries, is not Hermitian, lacks unit trace or has an eigenvalue below
-    ``EIGENVALUE_TOL``; each check runs over the whole stack, and the first
-    offender of the first failing check is reported.  An empty stack passes."""
+    """Reject any matrix in the stack ``mats``, an (N, n, n) array-like, that
+    has non-finite entries, is not Hermitian, lacks unit trace or has an
+    eigenvalue below ``EIGENVALUE_TOL``; each check runs over the whole
+    stack, and the first offender of the first failing check is reported.
+    Any other shape is rejected.  An empty stack passes."""
+    mats = np.asarray(mats)
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+        raise DomainError(f"density matrices must be an (N, n, n) stack, got shape {mats.shape}")
     herm = np.abs(mats - mats.conj().swapaxes(-1, -2))
     worst = herm.max(initial=0.0)
     # the residual is non-finite exactly when some entry is
@@ -194,7 +201,12 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
 
 def purity(rho: DensityMatrix) -> float:
     """Tr(rho^2), in (0, 1], taken as <rho, rho> = Tr(rho^dagger rho)."""
-    return float(np.vdot(rho.mat, rho.mat).real)
+    return _purity(rho.mat)
+
+
+def _purity(mat) -> float:
+    """``purity`` of the Hermitian matrix ``mat``, as it stands."""
+    return float(np.vdot(mat, mat).real)
 
 
 def negativity(rho: DensityMatrix) -> float:
@@ -211,10 +223,21 @@ def negativity(rho: DensityMatrix) -> float:
 
 def fidelity_to_pure(rho: DensityMatrix, psi) -> float:
     """<psi| rho |psi> for a normalized target vector."""
+    return _fidelity(rho.mat, _unit_target(psi, rho.dim))
+
+
+def _unit_target(psi, dim: int) -> np.ndarray:
+    """``psi`` as a complex vector, checked to be a normalized target for a
+    dim x dim matrix."""
     psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (rho.dim,):
-        raise DomainError(f"target vector has dimension {psi.shape}, expected ({rho.dim},)")
+    if psi.shape != (dim,):
+        raise DomainError(f"target vector has dimension {psi.shape}, expected ({dim},)")
     norm = math.sqrt(np.vdot(psi, psi).real)
     if not abs(norm - 1.0) <= 1e-10:
         raise DomainError(f"target vector must be normalized, got norm {norm}")
-    return float(np.vdot(psi, rho.mat @ psi).real)
+    return psi
+
+
+def _fidelity(mat, psi) -> float:
+    """``fidelity_to_pure`` of ``mat`` to a target ``_unit_target`` checked."""
+    return float(np.vdot(psi, mat @ psi).real)

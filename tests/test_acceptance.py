@@ -258,7 +258,7 @@ def test_criterion_8_purification_claims():
     round_negativities = []
     round_fidelities = []
     for _ in range(12):
-        state, _ = purify_round(state)
+        state = DensityMatrix(purify_round(state.mat)[0], (3, 3))
         round_negativities.append(negativity(state))
         round_fidelities.append(fidelity_to_pure(state, target))
     bounded = max(round_negativities) <= 1e-12 and max(round_fidelities) <= 0.5 + 1e-12

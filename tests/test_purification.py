@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,10 +8,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from boostlink import purification
+from boostlink.cli import main
 from boostlink.diffraction import diffracted_reduced_type1, make_grid
 from boostlink.errors import DegenerateProtocolError, DomainError
 from boostlink.purification import (
     LinkParams,
+    PurificationTrace,
+    RoundResult,
     attenuation,
     bell_target,
     photon_budget,
@@ -155,20 +159,23 @@ class TestPhotonBudget:
 class TestPurifyRound:
     def test_ideal_bell_pair_is_fixed_point(self):
         rho = DensityMatrix(np.outer(bell_target(), np.conj(bell_target())), (3, 3))
-        out, success = purify_round(rho)
-        assert fidelity_to_pure(out, bell_target()) == pytest.approx(1.0, abs=1e-12)
+        out, success = purify_round(rho.mat)
+        assert fidelity_to_pure(DensityMatrix(out, (3, 3)), bell_target()) == pytest.approx(
+            1.0, abs=1e-12
+        )
         assert success == pytest.approx(1.0, abs=1e-12)
 
     def test_output_is_valid_density_matrix(self):
-        out, _ = purify_round(diffracted_qutrit_pair(0.5, n=32))
-        assert out.dims == (3, 3)  # construction already validates invariants
+        out, _ = purify_round(diffracted_qutrit_pair(0.5, n=32).mat)
+        assert DensityMatrix(out, (3, 3)).dims == (3, 3)  # construction validates invariants
 
     def test_moderate_spread_fidelity_increases_each_round(self):
         rho = diffracted_qutrit_pair(0.5, n=48)
         target = bell_target()
         fidelity = fidelity_to_pure(rho, target)
         for _ in range(4):
-            rho, success = purify_round(rho)
+            out, success = purify_round(rho.mat)
+            rho = DensityMatrix(out, (3, 3))
             new_fidelity = fidelity_to_pure(rho, target)
             assert new_fidelity > fidelity
             assert 0.0 < success <= 1.0
@@ -183,23 +190,23 @@ class TestPurifyRound:
         target = bell_target()
         fidelities = [fidelity_to_pure(rho, target)]
         for _ in range(4):
-            rho, _ = purify_round(rho)
+            rho = DensityMatrix(purify_round(rho.mat)[0], (3, 3))
             fidelities.append(fidelity_to_pure(rho, target))
         assert fidelities[0] < 0.3
         assert all(f < 0.5 for f in fidelities)
 
     def test_maximally_mixed_is_fixed(self):
         rho = DensityMatrix(np.eye(9) / 9.0, (3, 3))
-        out, success = purify_round(rho)
-        assert np.allclose(out.mat, rho.mat, atol=1e-12)
+        out, success = purify_round(rho.mat)
+        assert np.allclose(DensityMatrix(out, (3, 3)).mat, rho.mat, atol=1e-12)
         assert 0.0 < success < 1.0
 
     def test_global_phase_invariance(self):
         rho = diffracted_qutrit_pair(0.5, n=32)
         phased = DensityMatrix(np.exp(1j * 0.7) * rho.mat * np.exp(-1j * 0.7), (3, 3))
-        out_a, s_a = purify_round(rho)
-        out_b, s_b = purify_round(phased)
-        assert np.allclose(out_a.mat, out_b.mat, atol=1e-12)
+        out_a, s_a = purify_round(rho.mat)
+        out_b, s_b = purify_round(phased.mat)
+        assert np.allclose(out_a, out_b, atol=1e-12)
         assert s_a == pytest.approx(s_b, abs=1e-12)
 
     def test_arm_swap_covariance(self):
@@ -214,16 +221,18 @@ class TestPurifyRound:
         target = bell_target()
         a, b = rho, swapped
         for _ in range(3):
-            a, s_a = purify_round(a)
-            b, s_b = purify_round(b)
+            out_a, s_a = purify_round(a.mat)
+            out_b, s_b = purify_round(b.mat)
+            a, b = DensityMatrix(out_a, (3, 3)), DensityMatrix(out_b, (3, 3))
             assert s_a == pytest.approx(s_b, abs=1e-10)
             assert fidelity_to_pure(a, target) == pytest.approx(
                 fidelity_to_pure(b, target), abs=1e-10
             )
 
     def test_rejects_wrong_dims(self):
-        with pytest.raises(DomainError):
-            purify_round(DensityMatrix(np.eye(4) / 4.0, (2, 2)))
+        message = r"expected a \(9, 9\) qutrit-pair matrix, got shape \(4, 4\)"
+        with pytest.raises(DomainError, match=message):
+            purify_round(np.eye(4) / 4.0)
 
     @PROPERTY
     @given(parts=arrays(np.float64, (2, 9, 9), elements=UNIT_FLOATS))
@@ -232,8 +241,8 @@ class TestPurifyRound:
         want, want_success = _reference_round(rho.mat)
         # near the success floor renormalizing amplifies round-off past 1e-14
         assume(want_success >= 1e-6)
-        out, success = purify_round(rho)
-        assert np.abs(out.mat - want).max() <= 1e-14
+        out, success = purify_round(rho.mat)
+        assert np.abs(DensityMatrix(out, (3, 3)).mat - want).max() <= 1e-14
         assert abs(success - want_success) <= 1e-14
 
     @PROPERTY
@@ -242,8 +251,8 @@ class TestPurifyRound:
         rho = _density_matrix(parts)
         want, want_success = _sum_form_round(rho.mat.copy())
         assume(want_success >= purification.MIN_SUCCESS_PROBABILITY)
-        out, success = purify_round(rho)
-        assert np.abs(out.mat - want).max() <= 1e-15
+        out, success = purify_round(rho.mat)
+        assert np.abs(DensityMatrix(out, (3, 3)).mat - want).max() <= 1e-15
         assert success == want_success
 
     @PROPERTY
@@ -260,9 +269,10 @@ class TestPurifyRound:
         products = products.reshape(4, 9)
         mat = np.einsum("k,ki,kj->ij", weights / weights.sum(), products, products.conj())
         try:
-            out, _ = purify_round(DensityMatrix(mat, (3, 3)))
+            out, _ = purify_round(DensityMatrix(mat, (3, 3)).mat)
         except DegenerateProtocolError:
             assume(False)
+        out = DensityMatrix(out, (3, 3))
         assert negativity(out) <= 1e-12
         assert fidelity_to_pure(out, bell_target()) <= 0.5 + 1e-12
 
@@ -326,6 +336,15 @@ class TestPhotonsRequired:
         with pytest.raises(DomainError):
             photons_required(rho, 0.99, -1.0)
 
+    @pytest.mark.parametrize(
+        "mat", [np.eye(9) / 9.0, np.outer(bell_target(), np.conj(bell_target()))]
+    )
+    def test_rejects_dims_other_than_a_qutrit_pair(self, mat):
+        # checked before round 0, so a pure input that meets the target is
+        # rejected too
+        with pytest.raises(DomainError, match=r"expected qutrit-pair dims \(3, 3\), got \(9,\)"):
+            photons_required(DensityMatrix(mat, (9,)), 0.99, 100.0)
+
     @pytest.mark.parametrize("factor", [0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_rejects_attenuation_that_is_not_positive_and_finite(self, factor):
         rho = DensityMatrix(np.outer(bell_target(), np.conj(bell_target())), (3, 3))
@@ -347,8 +366,9 @@ class TestPhotonsRequired:
 
 
 class TestRoundCost:
-    """Each round validates its output once: one DensityMatrix, one
-    Cholesky certificate, no eigensolve, and one public purify_round call."""
+    """A run checks its round outputs once, as one stack: one public
+    purify_round call per round, no DensityMatrix and no eigensolve, and one
+    Cholesky certificate whose argument holds every round's output."""
 
     @staticmethod
     def _counts(monkeypatch, sigma):
@@ -360,10 +380,13 @@ class TestRoundCost:
             "eigvalsh": (np.linalg, "eigvalsh"),
         }
         counts = dict.fromkeys(targets, 0)
+        shapes = []
 
         def counting(key, fn):
             def call(*args, **kwargs):
                 counts[key] += 1
+                if key == "cholesky":
+                    shapes.append(np.shape(args[0]))
                 return fn(*args, **kwargs)
             return call
 
@@ -371,12 +394,149 @@ class TestRoundCost:
             for key, (owner, name) in targets.items():
                 patch.setattr(owner, name, counting(key, getattr(owner, name)))
             trace = photons_required(rho, 0.99, 100.0)
-        return len(trace.rounds) - 1, counts
+        return len(trace.rounds) - 1, counts, shapes
 
     @pytest.mark.parametrize("sigma, expected_rounds", [(0.5, 4), (2.0, 40)])
     def test_one_check_per_round(self, monkeypatch, sigma, expected_rounds):
-        rounds, counts = self._counts(monkeypatch, sigma)
+        rounds, counts, shapes = self._counts(monkeypatch, sigma)
         assert rounds == expected_rounds
         assert counts == {
-            "purify_round": rounds, "density_matrices": rounds, "cholesky": rounds, "eigvalsh": 0
+            "purify_round": rounds, "density_matrices": 0, "cholesky": 1, "eigvalsh": 0
         }
+        assert shapes == [(rounds, 9, 9)]
+
+
+def _per_round_reference(rho0, target_purity, attenuation_factor, max_rounds=40):
+    """The run as it was written with a validated DensityMatrix per round:
+    each output checked as it is made, fidelity_to_pure and purity taken on
+    it, and photon_budget over every success so far."""
+    target = bell_target()
+    rho, success, successes, rounds = rho0, 1.0, [], []
+    for k in range(max_rounds + 1):
+        if k > 0:
+            out, success = purification.purify_round(rho.mat)
+            rho = DensityMatrix(out, rho.dims)
+            successes.append(success)
+        budget = photon_budget(k, attenuation_factor, successes)
+        rounds.append(RoundResult(k, fidelity_to_pure(rho, target), success, budget))
+        if purity(rho) >= target_purity:
+            return PurificationTrace(tuple(rounds), budget, True)
+        if k > 0 and rounds[-1].fidelity < rounds[-2].fidelity:
+            break
+    return PurificationTrace(tuple(rounds), math.inf, False)
+
+
+def _outcome(run, *args):
+    """The trace ``run`` returns, or the type and message of what it raises."""
+    try:
+        return run(*args)
+    except (DomainError, DegenerateProtocolError) as err:
+        return type(err), str(err)
+
+
+def _eigenvalue_below_tolerance(mat):
+    # the smallest eigenvalue moved to -1e-6 and the largest raised to match:
+    # Hermitian, unit trace
+    w, v = np.linalg.eigh(mat)
+    w[-1] += w[0] + 1e-6
+    w[0] = -1e-6
+    return (v * w) @ v.conj().T
+
+
+def _not_hermitian(mat):
+    mat[0, 8] += 1e-6
+    return mat
+
+
+def _trace_off(mat):
+    mat[8, 8] += 1e-6
+    return mat
+
+
+def _nan_entry(mat):
+    mat[8, 8] = math.nan
+    return mat
+
+
+BAD_ROUNDS = {
+    "eigenvalue": (_eigenvalue_below_tolerance, r"negative eigenvalue \(-1\.000e-06\)"),
+    "hermiticity": (_not_hermitian, r"not Hermitian \(deviation 1\.000e-06\)"),
+    "trace": (_trace_off, r"trace must equal 1, got \(1\.000001"),
+    "nan": (_nan_entry, "non-finite entries"),
+}
+
+
+def _with_bad_round(corrupt, run, *args, degenerate_after=False):
+    """``_outcome(run, *args)`` with round 2's output ``corrupt``-ed, and,
+    with ``degenerate_after``, round 3 raising DegenerateProtocolError."""
+    real = purification.purify_round
+    calls = []
+
+    def round_(mat):
+        calls.append(mat)
+        if degenerate_after and len(calls) == 3:
+            raise DegenerateProtocolError("coincidence probability 0.000e+00 is vanishingly small")
+        out, success = real(mat)
+        return (corrupt(out) if len(calls) == 2 else out), success
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(purification, "purify_round", round_)
+        return _outcome(run, *args)
+
+
+class TestEveryRoundChecked:
+    """The run checks its outputs as one stack when it ends, and gives what
+    a check on each output as it is made gives: the same trace, and the same
+    error for a bad round."""
+
+    @PROPERTY
+    @given(
+        parts=arrays(np.float64, (2, 9, 9), elements=UNIT_FLOATS),
+        target_purity=st.floats(0.05, 1.0),
+        max_rounds=st.integers(0, 40),
+    )
+    def test_random_inputs_give_the_per_round_trace(self, parts, target_purity, max_rounds):
+        rho = _density_matrix(parts)
+        want = _outcome(_per_round_reference, rho, target_purity, 100.0, max_rounds)
+        assert _outcome(photons_required, rho, target_purity, 100.0, max_rounds) == want
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(
+        sigma=st.floats(0.05, 3.0),
+        beta=st.floats(-0.9, 0.9),
+        target_purity=st.floats(0.5, 1.0),
+    )
+    def test_diffracted_pairs_give_the_per_round_trace(self, sigma, beta, target_purity):
+        rho = diffracted_qutrit_pair(sigma, beta, n=8)
+        want = _per_round_reference(rho, target_purity, 108.16)
+        assert photons_required(rho, target_purity, 108.16) == want
+
+    @pytest.mark.parametrize("sigma, n", [(1.5, 32), (2.0, 32), (3.0, 64)])
+    def test_golden_runs_give_the_per_round_trace(self, sigma, n):
+        # the inputs of purify_sigma1.5, purify_sigma2 and purify_sigma3
+        rho = diffracted_qutrit_pair(sigma, n=n)
+        assert photons_required(rho, 0.99, 100.0) == _per_round_reference(rho, 0.99, 100.0)
+
+    @pytest.mark.parametrize("kind", BAD_ROUNDS)
+    def test_bad_round_raises_its_check(self, kind):
+        corrupt, message = BAD_ROUNDS[kind]
+        rho = diffracted_qutrit_pair(0.5, n=32)
+        want = _with_bad_round(corrupt, _per_round_reference, rho, 0.99, 100.0)
+        assert want[0] is DomainError and re.search(message, want[1])
+        assert _with_bad_round(corrupt, photons_required, rho, 0.99, 100.0) == want
+
+    @pytest.mark.parametrize("kind", BAD_ROUNDS)
+    def test_bad_round_exits_2(self, capsys, kind):
+        corrupt, message = BAD_ROUNDS[kind]
+        argv = ["purify", "--sigma", "0.5", "--grid-theta", "32", "--grid-phi", "32"]
+        assert _with_bad_round(corrupt, main, argv) == 2
+        assert re.search(message, capsys.readouterr().err)
+
+    def test_bad_round_wins_over_a_later_degenerate_round(self):
+        # round 2's fidelity rises, so round 3 runs and raises
+        rho = diffracted_qutrit_pair(0.5, n=32)
+        args = (rho, 0.99, 100.0)
+        want = _with_bad_round(_not_hermitian, _per_round_reference, *args, degenerate_after=True)
+        assert want == (DomainError, "matrix is not Hermitian (deviation 1.000e-06)")
+        got = _with_bad_round(_not_hermitian, photons_required, *args, degenerate_after=True)
+        assert got == want

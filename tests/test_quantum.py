@@ -462,6 +462,22 @@ class TestStackedValidation:
         psi = np.zeros((0, 3), dtype=complex)
         check_density_matrices(psi[:, :, None] * psi.conj()[:, None, :])
 
+    def test_single_matrix_rejected_by_shape(self):
+        with pytest.raises(DomainError, match=r"\(N, n, n\) stack, got shape \(3, 3\)"):
+            check_density_matrices(np.eye(3) / 3.0)
+
+    def test_non_square_stack_rejected_by_shape(self):
+        with pytest.raises(DomainError, match=r"\(N, n, n\) stack, got shape \(2, 3, 4\)"):
+            check_density_matrices(np.zeros((2, 3, 4)))
+
+    def test_nested_lists_checked_as_arrays(self):
+        mats = self.stack()
+        check_density_matrices(mats.tolist())
+        mats[2, 0, 1] += 1e-6
+        with pytest.raises(DomainError) as err:
+            check_density_matrices(mats.tolist())
+        assert str(err.value) == self.per_item_message(mats[2])
+
     def test_zero_size_matrix_has_no_unit_trace(self):
         with pytest.raises(DomainError, match="trace must equal 1"):
             DensityMatrix(np.zeros((0, 0)), (0,))
