@@ -24,13 +24,7 @@ from .purification import (
     photons_required,
     purify_round,
 )
-from .quantum import (
-    DensityMatrix,
-    fidelity_to_pure,
-    negativity,
-    purity,
-    trace_distance,
-)
+from .quantum import fidelity_to_pure, negativity, purity
 from .states import type2_amplitudes, type3_amplitudes
 
 __version__ = "0.1.0"

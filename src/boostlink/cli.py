@@ -215,11 +215,8 @@ def run_negativity_sweep(scenario: Scenario) -> list[dict]:
     grid = make_grid(scenario.grid_theta, scenario.grid_phi, scenario.sigma)
     rows = []
     for alpha in _values(scenario, "alpha"):
-        rhos = diffracted_reduced_type1(alpha, betas, grid)
-        rows.extend(
-            {"alpha": alpha, "beta": beta, "negativity": negativity(rho)}
-            for beta, rho in zip(betas, rhos)
-        )
+        values = negativity(diffracted_reduced_type1(alpha, betas, grid), (3, 3)).tolist()
+        rows.extend({"alpha": alpha, "beta": beta, "negativity": v} for beta, v in zip(betas, values))
     return rows
 
 

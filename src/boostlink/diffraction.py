@@ -34,20 +34,22 @@ per-arm frames tied to the beam axes, with arm B's second axis reversed
 limit, is ``purification.bell_target()``.  The frames are boost-independent,
 so entanglement measures and cross-frame distances are unaffected.
 
-One call takes a 1-D sequence of betas (one matrix per beta, in order),
-checks every beta before any node work, and evaluates each distinct arm beta
-once, 0.0 and -0.0 as one: the beta = 0 baseline serves both arms, and a
-signed sweep shares beta with -beta.  Each arm's four moment blocks are the
-6x6 matrix (X w) X^T, X = [h | v] a 6 x N array, summed over consecutive
-blocks of _BLOCK_NODES half-grid nodes.  Blocks are the outer loop and betas
-the inner one: a block is rotated to the lab once, then boosted once per
-beta, and its product added to that beta's sum in node order, so each matrix
-is bit for bit the one-beta call's.  A call's temporaries are small heap
-blocks, never freshly mapped arrays.  The block size is a constant, so
-output does not depend on the host.  It lies in [2112, 2730]: the half grid
-of a 64 x 64 or smaller grid (64 x 33 nodes) is one block, whose moments are
-the single product bit for bit, and a block's 6 x B float64 stack stays
-under glibc's default 128 KiB mmap threshold.
+One call takes a 1-D sequence of betas and returns one read-only complex
+(n_beta, 9, 9) stack, a matrix per beta in order, Hermitian by construction
+and checked by the function that receives it.  It checks every beta before
+any node work, and evaluates each distinct arm beta once, 0.0 and -0.0 as
+one: the beta = 0 baseline serves both arms, and a signed sweep shares beta
+with -beta.  Each arm's four moment blocks are the 6x6 matrix (X w) X^T,
+X = [h | v] a 6 x N array, summed over consecutive blocks of _BLOCK_NODES
+half-grid nodes.  Blocks are the outer loop and betas the inner one: a
+block is rotated to the lab once, then boosted once per beta, and its
+product added to that beta's sum in node order, so each matrix is bit for
+bit the one-beta call's.  A call's temporaries are small heap blocks, never
+freshly mapped arrays.  The block size is a constant, so output does not
+depend on the host.  It lies in [2112, 2730]: the half grid of a 64 x 64 or
+smaller grid (64 x 33 nodes) is one block, whose moments are the single
+product bit for bit, and a block's 6 x B float64 stack stays under glibc's
+default 128 KiB mmap threshold.
 
 Quadrature: Gauss-Legendre in theta on [0, min(6*sigma, pi)] times a uniform
 periodic grid in phi.  The Gaussian is truncated at the domain edge; the
@@ -82,7 +84,6 @@ import numpy as np
 from .errors import DomainError
 from .lorentz import boost_to_beam_frame, check_velocity, rotate_to_lab
 from .photon import linear_basis
-from .quantum import DensityMatrix
 
 TRUNCATION_SIGMAS = 6.0
 # Moments between rows of X of equal parity; the mirror fold cancels the rest.
@@ -197,15 +198,13 @@ def _bell_mixture(a, b):
     return 0.5 * np.einsum("xy,xiyj,xkyl->ikjl", _BELL_SIGNS, a, b).reshape(9, 9)
 
 
-def diffracted_reduced_type1(
-    alpha: float, betas: Sequence[float], grid: QuadratureGrid
-) -> tuple[DensityMatrix, ...]:
+def diffracted_reduced_type1(alpha: float, betas: Sequence[float], grid: QuadratureGrid) -> np.ndarray:
     """Momentum-traced polarization matrices (dims (3, 3)) of the diffracted
     pair of the grid's beam, arm A's axis at polar angle ``alpha`` and arm
     B's at the mirror ``alpha + pi``, one per beta in ``betas`` as seen after
-    a z-boost by that beta, in order, from one pass over the nodes.  They
-    are in the beam frames with arm B's second axis reversed, where the
-    ideal pair is ``purification.bell_target()``.
+    a z-boost by that beta, in order, from one pass over the nodes, as one
+    unchecked (len(betas), 9, 9) stack.  They are in the beam frames with
+    arm B's second axis reversed, where the ideal pair is ``bell_target()``.
 
     The double node sum factorizes into per-arm moments A_xy, B_xy; arm B
     is evaluated as arm A's geometry under -beta, and each distinct arm beta
@@ -221,5 +220,7 @@ def diffracted_reduced_type1(
         check_velocity(b)
     arm_betas = list(dict.fromkeys(betas + [-b + 0.0 for b in betas]))
     moments = dict(zip(arm_betas, _arm_moments(grid._nodes, grid._weights, alpha, arm_betas)))
-    rhos = (_bell_mixture(moments[b], moments[-b + 0.0] * _B_AXIS_FLIP) for b in betas)
-    return tuple(DensityMatrix(0.5 * (rho + rho.conj().T), (3, 3)) for rho in rhos)
+    rhos = np.reshape([_bell_mixture(moments[b], moments[-b + 0.0] * _B_AXIS_FLIP) for b in betas], (-1, 9, 9))
+    rhos = (0.5 * (rhos + rhos.conj().swapaxes(-1, -2))).astype(complex)
+    rhos.setflags(write=False)
+    return rhos

@@ -44,16 +44,16 @@ R's flat entries.
 The qutrit bases are those of ``diffracted_reduced_type1``: the per-arm beam
 frames with arm B's second axis reversed, in which the distributed pair's
 ideal form is the (|00> + |11>)/sqrt(2) fixed point, ``bell_target()``.  The
-kernel's matrix is the round's input as it is.
+kernel's 9x9 array is the round's input as it is.
 
 A round takes and returns the bare 9x9 array.  Its output is Hermitian by
 construction and positive semidefinite up to rounding (a sum of Schur
-products of positive matrices), so ``photons_required`` checks a run's
-outputs once: as one (k, 9, 9) stack through ``check_density_matrices``, with
-``DensityMatrix``'s checks and tolerances, when the run returns or raises.
-Each round's fidelity and purity are ``fidelity_to_pure`` and ``purity``'s
-own expressions on the array, and its budget multiplies one more success
-into a running product, in ``photon_budget``'s order.
+products of positive matrices), so ``photons_required`` checks its input at
+entry and a run's outputs once, as one (k, 9, 9) stack, when the run
+returns or raises.  Each round's fidelity and purity are
+``fidelity_to_pure`` and ``purity``'s own expressions on the array, and its
+budget multiplies one more success into a running product, in
+``photon_budget``'s order.
 
 Where broad beams must fail (rest frame, beta = 0, 64x64 grid):
 
@@ -91,7 +91,7 @@ import numpy as np
 
 from .errors import DegenerateProtocolError, DomainError
 # _fidelity and _purity: fidelity_to_pure and purity on a bare matrix
-from .quantum import DensityMatrix, _fidelity, _purity, _unit_target, check_density_matrices
+from .quantum import _checked, _fidelity, _is_count, _purity, check_density_matrices
 
 QUTRIT_DIM = 3
 MIN_SUCCESS_PROBABILITY = 1e-12
@@ -158,13 +158,24 @@ class PurificationTrace:
 
 def photon_budget(rounds: int, attenuation_factor: float, success_probabilities) -> float:
     """Photons consumed per delivered pair: 2^k * attenuation / prod(s_i),
-    which must be finite."""
-    if rounds < 0:
-        raise DomainError(f"round count must be non-negative, got {rounds}")
+    one s_i per round, which must be finite; checked as in ``photons_required``."""
+    _check_budget_inputs(attenuation_factor, rounds, "round count")
+    successes = list(success_probabilities)
+    if len(successes) != rounds:
+        raise DomainError(f"{rounds} rounds need {rounds} success probabilities, got {len(successes)}")
     product = 1.0
-    for s in success_probabilities:
+    for s in successes:
         product = _times_success(product, s)
     return _budget(rounds, attenuation_factor, product)
+
+
+def _check_budget_inputs(attenuation_factor: float, rounds, name: str) -> None:
+    """Reject an attenuation that is not positive and finite, then a round
+    count ``name`` that is not a non-negative int (a bool included)."""
+    if not 0.0 < attenuation_factor < math.inf:
+        raise DomainError(f"attenuation must be positive and finite, got {attenuation_factor}")
+    if not (_is_count(rounds) and rounds >= 0):
+        raise DomainError(f"{name} must be a non-negative integer, got {rounds!r}")
 
 
 def _times_success(product: float, s: float) -> float:
@@ -237,36 +248,26 @@ def purify_round(mat) -> tuple[np.ndarray, float]:
 
 
 def photons_required(
-    rho0: DensityMatrix,
-    target_purity: float,
-    attenuation_factor: float,
-    max_rounds: int = 40,
+    rho0, target_purity: float, attenuation_factor: float, max_rounds: int = 40
 ) -> PurificationTrace:
-    """Iterate purification rounds on ``rho0`` (round 0) until Tr(rho^2)
-    reaches ``target_purity``, at most ``max_rounds`` of them (a
-    non-negative int), recording every round with its cumulative
-    ``photon_budget``.
+    """Iterate purification rounds on the (9, 9) qutrit-pair density matrix
+    ``rho0`` (round 0) until Tr(rho^2) reaches ``target_purity``, at most
+    ``max_rounds`` of them (a non-negative int), recording every round with
+    its cumulative ``photon_budget``.
 
     A round that lowers the fidelity to the Bell target marks the target
     unreachable and the trace is returned as a failure outcome rather than
     raising.
 
-    ``rho0`` must have dims (3, 3).  The rounds' outputs are checked as
-    ``DensityMatrix`` checks a matrix, as one stack when the run returns or
-    raises, so a bad round's ``DomainError`` replaces whatever a later round
-    raises.
+    ``rho0`` is checked before round 0, and the rounds' outputs as one stack
+    when the run returns or raises, so a bad round's ``DomainError``
+    replaces whatever a later round raises.
     """
-    if not 0.0 < attenuation_factor < math.inf:
-        raise DomainError(f"attenuation must be positive and finite, got {attenuation_factor}")
+    _check_budget_inputs(attenuation_factor, max_rounds, "round cap")
     if not 0.0 < target_purity <= 1.0:
         raise DomainError(f"target purity must lie in (0, 1], got {target_purity}")
-    is_int = isinstance(max_rounds, (int, np.integer)) and not isinstance(max_rounds, bool)
-    if not (is_int and max_rounds >= 0):
-        raise DomainError(f"round cap must be a non-negative integer, got {max_rounds!r}")
-    if rho0.dims != (QUTRIT_DIM, QUTRIT_DIM):
-        raise DomainError(f"expected qutrit-pair dims (3, 3), got {rho0.dims}")
-    target = _unit_target(bell_target(), rho0.dim)
-    mat, success, product, outputs, rounds = rho0.mat, 1.0, 1.0, [], []
+    mat, target = _checked(rho0, QUTRIT_DIM * QUTRIT_DIM, stack=False), bell_target()
+    success, product, outputs, rounds = 1.0, 1.0, [], []
     try:
         for k in range(max_rounds + 1):
             if k > 0:

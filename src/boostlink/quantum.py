@@ -1,23 +1,21 @@
-"""Dense density-matrix algebra: trace distance, purity, negativity,
-fidelity.
+"""Dense density-matrix algebra: purity, negativity, fidelity, trace
+distances.
 
 Matrices in this package stay small (at most 9x9; angular grids enter
 through weighted sums, never through dimension growth), so every eigenproblem
-is solved densely with the Hermitian solver.  Purity and the fidelity to a
-pure target need none: ``purity`` is the inner product <rho, rho> =
-sum |rho_ij|^2, which equals Tr(rho^2) for the Hermitian matrices
-``DensityMatrix`` holds, and ``fidelity_to_pure`` is <psi| rho |psi>.
+is solved densely with the Hermitian solver.  ``purity`` is the inner product
+<rho, rho> = sum |rho_ij|^2, Tr(rho^2) for a Hermitian matrix, and
+``fidelity_to_pure`` is <psi| rho |psi>: neither needs one.
 
-Validation and the trace distance are array functions over stacks of
-matrices (``check_density_matrices``, ``trace_distances``):
-``DensityMatrix`` and ``trace_distance`` call them on one item, and a
-purification run calls the check once on all its rounds' outputs, which it
-measures as bare arrays through the private forms behind ``purity`` and
-``fidelity_to_pure``.  Positivity needs no spectrum: a Cholesky
-factorization of rho - EIGENVALUE_TOL * I certifies every eigenvalue above
-the tolerance, and only a stack it cannot certify is eigensolved, to name
-the first offender or to accept what the factorization missed at the
-boundary.
+Density matrices move between modules as bare complex arrays, checked by
+``check_density_matrices`` once, where a public function takes them:
+``negativity`` takes an (N, n, n) stack and a two-part cut, and eigensolves
+the partial transposes in one batched call; ``purity`` and
+``fidelity_to_pure`` take one matrix.  Positivity needs no spectrum: a
+Cholesky factorization of rho - EIGENVALUE_TOL * I certifies every
+eigenvalue above the tolerance, and only a stack it cannot certify is
+eigensolved, to name the first offender or to accept what the factorization
+missed at the boundary.
 
 Pure states need no matrix at all.  They enter as stacks of state-vector
 rows, each checked as a projector would be: its norm to 1e-10, then its
@@ -56,11 +54,8 @@ class DensityMatrix:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        mat = np.array(self.mat, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise DomainError(f"density matrix must be square, got shape {mat.shape}")
-        check_density_matrices(mat[None])
-        if not all(isinstance(d, (int, np.integer)) and d > 0 for d in self.dims):
+        mat = _checked(np.array(self.mat, dtype=complex), stack=False)
+        if not all(_is_count(d) and d > 0 for d in self.dims):
             raise DomainError(f"subsystem dimensions must be positive integers, got {self.dims}")
         dims = tuple(map(int, self.dims))
         if mat.shape[0] != math.prod(dims):
@@ -69,9 +64,29 @@ class DensityMatrix:
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "dims", dims)
 
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
+
+def _is_count(value) -> bool:
+    """Whether ``value`` is an int or a numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _cut_size(dims) -> int:
+    """d_A * d_B of the two-part cut ``dims``, two positive integers."""
+    if not (isinstance(dims, (tuple, list)) and len(dims) == 2 and all(_is_count(d) and d > 0 for d in dims)):
+        raise DomainError(f"a bipartite cut needs two positive integer dimensions, got {dims}")
+    return int(dims[0] * dims[1])
+
+
+def _checked(mats, n: int | None = None, stack: bool = True) -> np.ndarray:
+    """``mats`` as a complex (N, n, n) stack, or one (n, n) matrix when not
+    ``stack``, any n unless given, after one ``check_density_matrices``
+    call.  Any other shape is a ``DomainError`` naming it."""
+    mats = np.asarray(mats, dtype=complex)
+    if mats.ndim != 2 + stack or mats.shape[-1] != mats.shape[-2] or n not in (None, mats.shape[-1]):
+        want = f"({'N, ' * stack}{n or 'n'}, {n or 'n'})"
+        raise DomainError(f"expected density matrices of shape {want}, got shape {mats.shape}")
+    check_density_matrices(mats if stack else mats[None])
+    return mats
 
 
 def check_density_matrices(mats) -> None:
@@ -171,13 +186,7 @@ def pure_negativities(psi, dims) -> np.ndarray:
     product state gives 0 or more, never a negative round-off.  Rows are
     checked as ``pure_trace_distances`` checks them; each row's value is the
     one a one-row stack gives, bit for bit."""
-    if not (
-        isinstance(dims, (tuple, list))
-        and len(dims) == 2
-        and all(isinstance(d, (int, np.integer)) and d > 0 for d in dims)
-    ):
-        raise DomainError(f"a bipartite cut needs two positive integer dimensions, got {dims}")
-    psi, size = np.asarray(psi), dims[0] * dims[1]
+    psi, size = np.asarray(psi), _cut_size(dims)
     if psi.ndim != 2 or psi.shape[1] != size:
         raise DomainError(f"dimensions {tuple(dims)} need (N, {size}) rows, got shape {psi.shape}")
     _check_rows(_squared_norms(psi))
@@ -191,17 +200,10 @@ def trace_distances(a, b) -> np.ndarray:
     return 0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum(axis=-1)
 
 
-def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Half the trace norm of (a - b); 0 for identical states, 1 for
-    orthogonal pure states."""
-    if a.dims != b.dims:
-        raise DomainError(f"dimension mismatch: {a.dims} vs {b.dims}")
-    return float(trace_distances(a.mat[None], b.mat[None])[0])
-
-
-def purity(rho: DensityMatrix) -> float:
-    """Tr(rho^2), in (0, 1], taken as <rho, rho> = Tr(rho^dagger rho)."""
-    return _purity(rho.mat)
+def purity(mat) -> float:
+    """Tr(rho^2), in (0, 1], of the density matrix ``mat``, taken as
+    <rho, rho> = Tr(rho^dagger rho)."""
+    return _purity(_checked(mat, stack=False))
 
 
 def _purity(mat) -> float:
@@ -209,21 +211,25 @@ def _purity(mat) -> float:
     return float(np.vdot(mat, mat).real)
 
 
-def negativity(rho: DensityMatrix) -> float:
-    """Magnitude of the negative part of the partial transpose over the
-    first subsystem: (||rho^T_A||_1 - 1) / 2 for unit-trace input.  For a
-    bipartite state rho^T_B is the full transpose of rho^T_A, with the same
-    spectrum, so either cut gives this value."""
-    if len(rho.dims) < 2:
-        raise DomainError("negativity requires at least two subsystems")
-    tensor = np.swapaxes(rho.mat.reshape(rho.dims + rho.dims), 0, len(rho.dims))
-    eigs = np.linalg.eigvalsh(tensor.reshape(rho.dim, rho.dim))
-    return float(np.abs(eigs[eigs < 0.0]).sum())
+def negativity(mats, dims) -> np.ndarray:
+    """Negativity of each matrix of the (N, n, n) stack ``mats`` across the
+    cut ``dims`` = (d_A, d_B), n = d_A d_B: the magnitude of the negative
+    part of the partial transpose over A, (||rho^T_A||_1 - 1) / 2 for
+    unit-trace input.  rho^T_B is the full transpose of rho^T_A, with the
+    same spectrum, so either cut gives this value.  One check and one
+    batched eigensolve; each value is the one a one-matrix stack gives."""
+    size = _cut_size(dims)
+    mats = _checked(mats, size)
+    tensor = mats.reshape(len(mats), *dims, *dims).swapaxes(1, 3)
+    eigs = np.linalg.eigvalsh(tensor.reshape(len(mats), size, size))
+    return np.where(eigs < 0.0, -eigs, 0.0).sum(axis=-1)
 
 
-def fidelity_to_pure(rho: DensityMatrix, psi) -> float:
-    """<psi| rho |psi> for a normalized target vector."""
-    return _fidelity(rho.mat, _unit_target(psi, rho.dim))
+def fidelity_to_pure(mat, psi) -> float:
+    """<psi| rho |psi> of the density matrix ``mat`` for a normalized target
+    vector."""
+    mat = _checked(mat, stack=False)
+    return _fidelity(mat, _unit_target(psi, len(mat)))
 
 
 def _unit_target(psi, dim: int) -> np.ndarray:

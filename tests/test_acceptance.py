@@ -28,13 +28,7 @@ from boostlink.purification import (
     photons_required,
     purify_round,
 )
-from boostlink.quantum import (
-    DensityMatrix,
-    fidelity_to_pure,
-    negativity,
-    purity,
-    trace_distance,
-)
+from boostlink.quantum import fidelity_to_pure, negativity, purity, trace_distances
 from boostlink.states import pair_amplitudes, type2_amplitudes, type3_amplitudes
 from test_lorentz import (
     K,
@@ -72,7 +66,17 @@ def type1_matrix(dir_a, dir_b, beta=None):
     if beta is not None:
         n_a, n_b = aberrate(n_a, beta), aberrate(n_b, beta)
     amplitude = pair_amplitudes(n_a, n_b)[0]
-    return DensityMatrix(np.outer(amplitude, np.conj(amplitude)), (3, 3))
+    return np.outer(amplitude, np.conj(amplitude))
+
+
+def trace_distance(a, b):
+    """``trace_distances`` of the one pair of matrices (a, b)."""
+    return float(trace_distances(a[None], b[None])[0])
+
+
+def pair_negativity(rho, dims):
+    """``negativity`` of one matrix across ``dims``, as a stack of one."""
+    return float(negativity(rho[None], dims)[0])
 
 
 def pair_distance(theta, beta):
@@ -83,7 +87,7 @@ def pair_distance(theta, beta):
 def h_matrix(n):
     """Density matrix of the h polarization vector at the unit vector ``n``."""
     h = linear_basis(*n[:, None])[:3, 0]
-    return DensityMatrix(np.outer(h, np.conj(h)), (3,))
+    return np.outer(h, np.conj(h))
 
 
 def random_direction(rng):
@@ -129,11 +133,11 @@ def test_criterion_3_fock_state_lorentz_invariance():
 
     def type2(phase_a, phase_b):
         psi = type2_amplitudes(phase_a, phase_b)
-        return DensityMatrix(np.outer(psi, np.conj(psi)), (2, 2))
+        return np.outer(psi, np.conj(psi))
 
     def type3(phase):
         psi = type3_amplitudes(phase)
-        return DensityMatrix(np.outer(psi, np.conj(psi)), (2, 2))
+        return np.outer(psi, np.conj(psi))
 
     worst_three = 0.0
     worst_two = 0.0
@@ -150,7 +154,7 @@ def test_criterion_3_fock_state_lorentz_invariance():
             trace_distance(type2(0.0, 0.0), type2(shift_a + known_a, shift_b + known_b)),
         )
         for rho in (b2, b3):
-            worst_neg = max(worst_neg, abs(negativity(rho) - 0.5))
+            worst_neg = max(worst_neg, abs(pair_negativity(rho, (2, 2)) - 0.5))
     ok = worst_three <= 1e-12 and worst_two <= 1e-12 and worst_neg <= 1e-10
     report(3, ok, f"Fock-basis invariance: type3 distance {worst_three:.2e} (<= 1e-12), "
                   f"type2 compensated {worst_two:.2e} (<= 1e-12), "
@@ -163,7 +167,7 @@ def test_criterion_4_sharp_momentum_entanglement_invariance():
     for beta in (0.1, 0.3, 0.5):
         for _ in range(8):
             rho = type1_matrix(random_direction(rng), random_direction(rng), beta)
-            value = negativity(rho)
+            value = pair_negativity(rho, (3, 3))
             worst = max(worst, abs(value - 0.5))
     ok = worst <= 1e-10
     report(4, ok, f"sharp-momentum negativity: worst |N - 0.5| = {worst:.2e} (<= 1e-10)")
@@ -194,7 +198,7 @@ def test_criterion_5_purity_expansion():
         for n in (64, 128):
             grid = make_grid(n, n, sigma=sigma)
             (rho,) = diffracted_reduced_type1(0.0, [0.1], grid)
-            values.append((purity(rho), negativity(rho)))
+            values.append((purity(rho), pair_negativity(rho, (3, 3))))
         convergence = max(
             convergence,
             abs(values[0][0] - values[1][0]),
@@ -247,10 +251,10 @@ def test_criterion_8_purification_claims():
     # so no round may raise it past 1/2 and no purity target may be reported
     # as met.  sigma = 2 is not such a case: it is still entangled (printed).
     (rho_sigma2,) = diffracted_reduced_type1(0.0, [0.0], make_grid(64, 64, sigma=2.0))
-    negativity_sigma2 = negativity(rho_sigma2)
+    negativity_sigma2 = pair_negativity(rho_sigma2, (3, 3))
 
     (rho_broad,) = diffracted_reduced_type1(0.0, [0.0], make_grid(64, 64, sigma=3.0))
-    input_negativity = negativity(rho_broad)
+    input_negativity = pair_negativity(rho_broad, (3, 3))
     input_ppt = input_negativity <= 1e-12
 
     target = bell_target()
@@ -258,8 +262,9 @@ def test_criterion_8_purification_claims():
     round_negativities = []
     round_fidelities = []
     for _ in range(12):
-        state = DensityMatrix(purify_round(state.mat)[0], (3, 3))
-        round_negativities.append(negativity(state))
+        # each output is checked by the measures that take it
+        state = purify_round(state)[0]
+        round_negativities.append(pair_negativity(state, (3, 3)))
         round_fidelities.append(fidelity_to_pure(state, target))
     bounded = max(round_negativities) <= 1e-12 and max(round_fidelities) <= 0.5 + 1e-12
 

@@ -605,7 +605,8 @@ class TestSweepCostIndependentOfSize:
     """Guard against the per-point path coming back: the number of
     eigensolver calls and DensityMatrix constructions must not grow with the
     number of points swept.  The pure-state distances and negativities need
-    neither a factorization nor an eigensolve."""
+    neither a factorization nor an eigensolve; a diffracted pair's
+    negativities take one check and one eigensolve per alpha."""
 
     @staticmethod
     def _counts(monkeypatch, run, scenario):
@@ -655,6 +656,20 @@ class TestSweepCostIndependentOfSize:
         # the six negativities come from the amplitude rows' singular values
         counts = self._counts(monkeypatch, run_li_check, Scenario(beta=0.3, theta=1.0, phi=0.4))
         assert counts == {"eigvalsh": 0, "cholesky": 0, "density_matrices": 0}
+
+    def test_negativity(self, monkeypatch):
+        # the kernel's stack is checked once, by negativity, and its partial
+        # transposes eigensolved in one call, whatever the number of betas
+        def scenario(n):
+            return Scenario(beta=SweepSpec(0.05, 0.5, n), alpha=0.3, sigma=1.0, grid_theta=8, grid_phi=8)
+
+        # the Gauss-Legendre nodes are kept per count, and their first build
+        # eigensolves a companion matrix: build them before counting
+        make_grid(8, 8, 1.0)
+        small = self._counts(monkeypatch, run_negativity_sweep, scenario(3))
+        large = self._counts(monkeypatch, run_negativity_sweep, scenario(11))
+        assert small == large
+        assert small == {"eigvalsh": 1, "cholesky": 1, "density_matrices": 0}
 
 
 class TestGrid:

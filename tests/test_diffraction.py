@@ -23,7 +23,7 @@ from boostlink.diffraction import (
 from boostlink.errors import DomainError
 from boostlink.lorentz import aberrate, boost_to_beam_frame, polar_angles, rotate_to_lab, unit_vectors
 from boostlink.photon import linear_basis
-from boostlink.quantum import DensityMatrix, negativity, purity
+from boostlink.quantum import check_density_matrices, negativity, purity
 from boostlink.states import pair_amplitudes
 
 # Regression constants computed with this package's quadrature oracle at the
@@ -44,6 +44,11 @@ def _one(alpha, beta, grid):
     """The kernel's matrix at one beta."""
     (rho,) = diffracted_reduced_type1(alpha, [beta], grid)
     return rho
+
+
+def _negativity(rho):
+    """``negativity`` of one pair matrix, as a stack of one."""
+    return negativity(rho[None], (3, 3))[0]
 
 
 # Reference: the angle-based kernel the unit-vector kernel replaced.  Each arm
@@ -123,7 +128,7 @@ def _kernel(alpha, beta, grid, opposite):
     moments at ``alpha - pi`` under -beta, the route the kernel takes for a
     mirrored arm, so that arm B's axis lies back along ``alpha``."""
     if opposite:
-        return _one(alpha, beta, grid).mat
+        return _one(alpha, beta, grid)
     nodes, weights = grid._nodes, grid._weights
     [a] = _arm_moments(nodes, weights, alpha, [beta])
     [b] = _arm_moments(nodes, weights, alpha - math.pi, [-beta])
@@ -373,7 +378,7 @@ class TestDiffractedReducedType1:
             grid = make_grid(48, 32, sigma=1e-4)
             rho = _one(alpha, 0.15, grid)
             assert purity(rho) == pytest.approx(1.0, abs=1e-7)
-            assert negativity(rho) == pytest.approx(0.5, abs=1e-7)
+            assert _negativity(rho) == pytest.approx(0.5, abs=1e-7)
 
     def test_zero_spread_limit_purity(self):
         # The purity deficit is 2*sigma^2 to leading order, so it drops below
@@ -386,8 +391,7 @@ class TestDiffractedReducedType1:
         arms = unit_vectors(*polar_angles(np.array([0.4, math.pi - 0.4]), np.array([0.0, math.pi])))
         a, b = aberrate(arms, 0.15)
         sharp = pair_amplitudes(a[None], b[None])[0]
-        rho = DensityMatrix(np.outer(sharp, np.conj(sharp)), (3, 3))
-        assert negativity(rho) == pytest.approx(0.5, abs=1e-12)
+        assert _negativity(np.outer(sharp, np.conj(sharp))) == pytest.approx(0.5, abs=1e-12)
 
     def test_purity_never_exceeds_one(self):
         for sigma in (0.05, 0.5, 1.0):
@@ -434,7 +438,7 @@ class TestDiffractedReducedType1:
                 for n in (64, 128):
                     grid = make_grid(n, n, sigma=sigma)
                     rho = _one(0.0, beta, grid)
-                    values.append((purity(rho), negativity(rho)))
+                    values.append((purity(rho), _negativity(rho)))
                 assert abs(values[0][0] - values[1][0]) < 1e-6
                 assert abs(values[0][1] - values[1][1]) < 1e-6
 
@@ -564,7 +568,12 @@ class TestUnitVectorKernel:
         sigma=st.floats(0.05, 3.0),
     )
     def test_psd_unit_trace(self, alpha, beta, sigma):
-        rho = _one(alpha, beta, make_grid(24, 24, sigma=sigma)).mat
+        # the kernel does not check its stack: every matrix must pass the
+        # check of the function that receives it, and be Hermitian exactly
+        stack = diffracted_reduced_type1(alpha, [beta, -beta, 0.0], make_grid(24, 24, sigma=sigma))
+        check_density_matrices(stack)
+        assert np.array_equal(stack, stack.conj().swapaxes(-1, -2))
+        rho = _one(alpha, beta, make_grid(24, 24, sigma=sigma))
         assert abs(np.trace(rho) - 1.0) <= 1e-12
         assert np.linalg.eigvalsh(rho).min() >= -1e-12
 
@@ -619,7 +628,7 @@ class TestBlockedMoments:
 
         with monkeypatch.context() as patched:
             patched.setattr(diffraction, "_arm_moments", per_beta)
-            return _one(*args).mat
+            return _one(*args)
 
     @pytest.mark.parametrize("n_theta, n_phi", [(128, 128), (127, 129), _one_past_whole_blocks()])
     def test_multi_block_matches_unblocked(self, n_theta, n_phi, monkeypatch):
@@ -644,7 +653,7 @@ class TestBlockedMoments:
                     record("moment one-product", moments, _unblocked_arm_moments(*args))
             for beta in self.BETAS:
                 args = (alpha, beta, grid)
-                rho = _one(*args).mat
+                rho = _one(*args)
                 record("rho exact", rho, self._kernel_with(_exact_arm_moments, monkeypatch, *args))
                 record("rho one-product", rho,
                        self._kernel_with(_unblocked_arm_moments, monkeypatch, *args))
@@ -662,7 +671,7 @@ class TestBlockedMoments:
                 assert moments.tobytes() == ref.tobytes()
                 args = (alpha, beta, grid)
                 ref = self._kernel_with(_unblocked_arm_moments, monkeypatch, *args)
-                assert _one(*args).mat.tobytes() == ref.tobytes()
+                assert _one(*args).tobytes() == ref.tobytes()
 
     def test_peak_memory_independent_of_grid(self):
         # guards against the full 6 x N basis stack coming back: unblocked,
@@ -695,12 +704,10 @@ class TestBetaSweep:
         for sigma, alpha in dict.fromkeys(zip(sigmas, alphas)):
             grid = make_grid(n_theta, n_phi, sigma=sigma)
             sweep = diffracted_reduced_type1(alpha, self.BETAS, grid)
-            assert isinstance(sweep, tuple) and len(sweep) == len(self.BETAS)
+            assert isinstance(sweep, np.ndarray) and sweep.shape == (len(self.BETAS), 9, 9)
+            assert sweep.dtype == complex and not sweep.flags.writeable
             for beta, rho in zip(self.BETAS, sweep):
-                single = _one(alpha, beta, grid)
-                assert isinstance(single, DensityMatrix) and isinstance(rho, DensityMatrix)
-                assert rho.mat.tobytes() == single.mat.tobytes()
-                assert rho.dims == (3, 3)
+                assert rho.tobytes() == _one(alpha, beta, grid).tobytes()
 
     @pytest.mark.parametrize("n_theta, n_phi", [(8, 7), (48, 48), _one_past_whole_blocks()])
     def test_one_grid_serves_every_alpha(self, n_theta, n_phi, monkeypatch):
@@ -722,7 +729,7 @@ class TestBetaSweep:
             reused = diffracted_reduced_type1(alpha, self.BETAS, grid)
             fresh = diffracted_reduced_type1(alpha, self.BETAS, make_grid(n_theta, n_phi, sigma=0.8))
             for got, want in zip(reused, fresh, strict=True):
-                assert got.mat.tobytes() == want.mat.tobytes()
+                assert got.tobytes() == want.tobytes()
         assert all(nodes is grid._nodes and weights is grid._weights for nodes, weights in passed[::2])
         assert [a.tobytes() for a in derived] == before
         for array in derived:
@@ -733,8 +740,9 @@ class TestBetaSweep:
         grid = make_grid(12, 12, sigma=0.5)
         from_array = diffracted_reduced_type1(0.4, np.array([0.1, 0.2]), grid)
         from_list = diffracted_reduced_type1(0.4, [0.1, 0.2], grid)
-        assert [r.mat.tobytes() for r in from_array] == [r.mat.tobytes() for r in from_list]
-        assert diffracted_reduced_type1(0.4, [], grid) == ()
+        assert from_array.tobytes() == from_list.tobytes()
+        empty = diffracted_reduced_type1(0.4, [], grid)
+        assert empty.shape == (0, 9, 9) and empty.dtype == complex
 
     @pytest.mark.parametrize("betas", [0.1, np.float64(0.1), np.array(0.1), [[0.1, 0.2]]])
     def test_rejects_betas_not_1d(self, betas):

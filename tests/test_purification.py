@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from boostlink import purification
+from boostlink import diffraction, purification
 from boostlink.cli import main
 from boostlink.diffraction import diffracted_reduced_type1, make_grid
 from boostlink.errors import DegenerateProtocolError, DomainError
@@ -21,7 +21,7 @@ from boostlink.purification import (
     photons_required,
     purify_round,
 )
-from boostlink.quantum import DensityMatrix, fidelity_to_pure, negativity, purity
+from boostlink.quantum import DensityMatrix, check_density_matrices, fidelity_to_pure, negativity, purity
 
 PAPER_LINK = LinkParams(
     length=13000e3, wavelength=800e-9, aperture_source=1.0, aperture_receiver=1.0
@@ -87,7 +87,7 @@ def _density_matrix(parts):
     mat = g @ g.conj().T
     trace = np.trace(mat).real
     assume(trace > 1e-3)
-    return DensityMatrix(mat / trace, (3, 3))
+    return mat / trace
 
 
 def diffracted_qutrit_pair(sigma, beta=0.0, n=64):
@@ -139,6 +139,9 @@ class TestAttenuation:
             LinkParams(*link)
 
 
+BELL = np.outer(bell_target(), np.conj(bell_target()))
+
+
 class TestPhotonBudget:
     def test_hand_arithmetic_one_round(self):
         assert photon_budget(1, 100.0, [0.5]) == pytest.approx(400.0, rel=1e-15)
@@ -155,18 +158,39 @@ class TestPhotonBudget:
         with pytest.raises(DomainError, match="not finite"):
             photon_budget(1, 1e308, [0.5])
 
+    # photons_required's attenuation and round-cap checks, with its messages
+    @pytest.mark.parametrize("factor", [-5.0, 0.0, -0.0, math.nan, math.inf])
+    def test_rejects_attenuation_that_is_not_positive_and_finite(self, factor):
+        # -5.0 used to return -5.0, and 0.0 to return 0.0
+        with pytest.raises(DomainError, match="attenuation must be positive and finite"):
+            photon_budget(0, factor, [])
+
+    @pytest.mark.parametrize("rounds, successes", [(2.5, [0.5, 0.5]), (True, [0.5]), (-1, [])])
+    def test_rejects_round_count_that_is_not_a_non_negative_int(self, rounds, successes):
+        # 2.5 used to return 2262.7, and True to count as 1
+        with pytest.raises(DomainError, match="round count must be a non-negative integer"):
+            photon_budget(rounds, 100.0, successes)
+
+    @pytest.mark.parametrize("successes", [[0.5], [0.5, 0.5, 0.5, 0.5], []])
+    def test_rejects_one_success_probability_per_round_missing_or_extra(self, successes):
+        # 3 rounds with 1 success probability used to return 1600.0
+        with pytest.raises(DomainError, match=rf"3 rounds need 3 success probabilities, got {len(successes)}"):
+            photon_budget(3, 100.0, successes)
+
+    def test_accepts_numpy_round_count_and_any_iterable(self):
+        assert photon_budget(np.int64(2), 100.0, iter([0.5, 0.25])) == 3200.0
+
 
 class TestPurifyRound:
     def test_ideal_bell_pair_is_fixed_point(self):
-        rho = DensityMatrix(np.outer(bell_target(), np.conj(bell_target())), (3, 3))
-        out, success = purify_round(rho.mat)
-        assert fidelity_to_pure(DensityMatrix(out, (3, 3)), bell_target()) == pytest.approx(
+        out, success = purify_round(BELL)
+        assert fidelity_to_pure(out, bell_target()) == pytest.approx(
             1.0, abs=1e-12
         )
         assert success == pytest.approx(1.0, abs=1e-12)
 
     def test_output_is_valid_density_matrix(self):
-        out, _ = purify_round(diffracted_qutrit_pair(0.5, n=32).mat)
+        out, _ = purify_round(diffracted_qutrit_pair(0.5, n=32))
         assert DensityMatrix(out, (3, 3)).dims == (3, 3)  # construction validates invariants
 
     def test_moderate_spread_fidelity_increases_each_round(self):
@@ -174,8 +198,7 @@ class TestPurifyRound:
         target = bell_target()
         fidelity = fidelity_to_pure(rho, target)
         for _ in range(4):
-            out, success = purify_round(rho.mat)
-            rho = DensityMatrix(out, (3, 3))
+            rho, success = purify_round(rho)
             new_fidelity = fidelity_to_pure(rho, target)
             assert new_fidelity > fidelity
             assert 0.0 < success <= 1.0
@@ -190,22 +213,23 @@ class TestPurifyRound:
         target = bell_target()
         fidelities = [fidelity_to_pure(rho, target)]
         for _ in range(4):
-            rho = DensityMatrix(purify_round(rho.mat)[0], (3, 3))
+            rho = purify_round(rho)[0]
             fidelities.append(fidelity_to_pure(rho, target))
         assert fidelities[0] < 0.3
         assert all(f < 0.5 for f in fidelities)
 
     def test_maximally_mixed_is_fixed(self):
-        rho = DensityMatrix(np.eye(9) / 9.0, (3, 3))
-        out, success = purify_round(rho.mat)
-        assert np.allclose(DensityMatrix(out, (3, 3)).mat, rho.mat, atol=1e-12)
+        rho = np.eye(9) / 9.0
+        out, success = purify_round(rho)
+        check_density_matrices(out[None])
+        assert np.allclose(out, rho, atol=1e-12)
         assert 0.0 < success < 1.0
 
     def test_global_phase_invariance(self):
         rho = diffracted_qutrit_pair(0.5, n=32)
-        phased = DensityMatrix(np.exp(1j * 0.7) * rho.mat * np.exp(-1j * 0.7), (3, 3))
-        out_a, s_a = purify_round(rho.mat)
-        out_b, s_b = purify_round(phased.mat)
+        phased = np.exp(1j * 0.7) * rho * np.exp(-1j * 0.7)
+        out_a, s_a = purify_round(rho)
+        out_b, s_b = purify_round(phased)
         assert np.allclose(out_a, out_b, atol=1e-12)
         assert s_a == pytest.approx(s_b, abs=1e-12)
 
@@ -217,13 +241,12 @@ class TestPurifyRound:
         for i in range(3):
             for j in range(3):
                 swap[j * 3 + i, i * 3 + j] = 1.0
-        swapped = DensityMatrix(swap @ rho.mat @ swap.T, (3, 3))
+        swapped = swap @ rho @ swap.T
         target = bell_target()
         a, b = rho, swapped
         for _ in range(3):
-            out_a, s_a = purify_round(a.mat)
-            out_b, s_b = purify_round(b.mat)
-            a, b = DensityMatrix(out_a, (3, 3)), DensityMatrix(out_b, (3, 3))
+            a, s_a = purify_round(a)
+            b, s_b = purify_round(b)
             assert s_a == pytest.approx(s_b, abs=1e-10)
             assert fidelity_to_pure(a, target) == pytest.approx(
                 fidelity_to_pure(b, target), abs=1e-10
@@ -238,21 +261,23 @@ class TestPurifyRound:
     @given(parts=arrays(np.float64, (2, 9, 9), elements=UNIT_FLOATS))
     def test_matches_two_copy_reference(self, parts):
         rho = _density_matrix(parts)
-        want, want_success = _reference_round(rho.mat)
+        want, want_success = _reference_round(rho)
         # near the success floor renormalizing amplifies round-off past 1e-14
         assume(want_success >= 1e-6)
-        out, success = purify_round(rho.mat)
-        assert np.abs(DensityMatrix(out, (3, 3)).mat - want).max() <= 1e-14
+        out, success = purify_round(rho)
+        check_density_matrices(out[None])
+        assert np.abs(out - want).max() <= 1e-14
         assert abs(success - want_success) <= 1e-14
 
     @PROPERTY
     @given(parts=arrays(np.float64, (2, 9, 9), elements=UNIT_FLOATS))
     def test_matches_sum_form(self, parts):
         rho = _density_matrix(parts)
-        want, want_success = _sum_form_round(rho.mat.copy())
+        want, want_success = _sum_form_round(rho.astype(complex))
         assume(want_success >= purification.MIN_SUCCESS_PROBABILITY)
-        out, success = purify_round(rho.mat)
-        assert np.abs(DensityMatrix(out, (3, 3)).mat - want).max() <= 1e-15
+        out, success = purify_round(rho)
+        check_density_matrices(out[None])
+        assert np.abs(out - want).max() <= 1e-15
         assert success == want_success
 
     @PROPERTY
@@ -269,11 +294,11 @@ class TestPurifyRound:
         products = products.reshape(4, 9)
         mat = np.einsum("k,ki,kj->ij", weights / weights.sum(), products, products.conj())
         try:
-            out, _ = purify_round(DensityMatrix(mat, (3, 3)).mat)
+            check_density_matrices(mat[None])
+            out, _ = purify_round(mat)
         except DegenerateProtocolError:
             assume(False)
-        out = DensityMatrix(out, (3, 3))
-        assert negativity(out) <= 1e-12
+        assert negativity(out[None], (3, 3))[0] <= 1e-12
         assert fidelity_to_pure(out, bell_target()) <= 0.5 + 1e-12
 
 
@@ -287,13 +312,12 @@ class TestQutritProjection:
 
     def test_trace_preserved(self):
         rho9 = diffracted_qutrit_pair(0.8, n=32)
-        assert np.trace(rho9.mat).real == pytest.approx(1.0, abs=1e-12)
+        assert np.trace(rho9).real == pytest.approx(1.0, abs=1e-12)
 
 
 class TestPhotonsRequired:
     def test_target_already_met_returns_attenuation(self):
-        rho = DensityMatrix(np.outer(bell_target(), np.conj(bell_target())), (3, 3))
-        trace = photons_required(rho, 0.99, 108.16)
+        trace = photons_required(BELL, 0.99, 108.16)
         assert trace.succeeded
         assert len(trace.rounds) == 1
         assert trace.photons_required == pytest.approx(108.16, rel=1e-12)
@@ -336,27 +360,24 @@ class TestPhotonsRequired:
         with pytest.raises(DomainError):
             photons_required(rho, 0.99, -1.0)
 
-    @pytest.mark.parametrize(
-        "mat", [np.eye(9) / 9.0, np.outer(bell_target(), np.conj(bell_target()))]
-    )
+    @pytest.mark.parametrize("mat", [np.eye(4) / 4.0, BELL[None]])
     def test_rejects_dims_other_than_a_qutrit_pair(self, mat):
         # checked before round 0, so a pure input that meets the target is
         # rejected too
-        with pytest.raises(DomainError, match=r"expected qutrit-pair dims \(3, 3\), got \(9,\)"):
-            photons_required(DensityMatrix(mat, (9,)), 0.99, 100.0)
+        message = rf"expected density matrices of shape \(9, 9\), got shape {re.escape(str(mat.shape))}"
+        with pytest.raises(DomainError, match=message):
+            photons_required(mat, 0.99, 100.0)
 
     @pytest.mark.parametrize("factor", [0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_rejects_attenuation_that_is_not_positive_and_finite(self, factor):
-        rho = DensityMatrix(np.outer(bell_target(), np.conj(bell_target())), (3, 3))
         with pytest.raises(DomainError, match="attenuation must be positive and finite"):
-            photons_required(rho, 0.99, factor)
+            photons_required(BELL, 0.99, factor)
 
     @pytest.mark.parametrize("max_rounds", [-1, 2.5, True, False, "3", None])
     def test_rejects_round_cap_that_is_not_a_non_negative_int(self, max_rounds):
         # the target is met at round 0, so only the check can stop the run
-        rho = DensityMatrix(np.outer(bell_target(), np.conj(bell_target())), (3, 3))
         with pytest.raises(DomainError, match="round cap must be a non-negative integer"):
-            photons_required(rho, 0.99, 100.0, max_rounds=max_rounds)
+            photons_required(BELL, 0.99, 100.0, max_rounds=max_rounds)
 
     @pytest.mark.parametrize("max_rounds", [0, np.int64(0)])
     def test_zero_round_cap_records_round_zero(self, max_rounds):
@@ -366,9 +387,10 @@ class TestPhotonsRequired:
 
 
 class TestRoundCost:
-    """A run checks its round outputs once, as one stack: one public
-    purify_round call per round, no DensityMatrix and no eigensolve, and one
-    Cholesky certificate whose argument holds every round's output."""
+    """A run checks its input at entry and its round outputs once, as one
+    stack: one public purify_round call per round, no DensityMatrix and no
+    eigensolve, and two Cholesky certificates, one on the input and one whose
+    argument holds every round's output."""
 
     @staticmethod
     def _counts(monkeypatch, sigma):
@@ -401,9 +423,9 @@ class TestRoundCost:
         rounds, counts, shapes = self._counts(monkeypatch, sigma)
         assert rounds == expected_rounds
         assert counts == {
-            "purify_round": rounds, "density_matrices": 0, "cholesky": 1, "eigvalsh": 0
+            "purify_round": rounds, "density_matrices": 0, "cholesky": 2, "eigvalsh": 0
         }
-        assert shapes == [(rounds, 9, 9)]
+        assert shapes == [(1, 9, 9), (rounds, 9, 9)]
 
 
 def _per_round_reference(rho0, target_purity, attenuation_factor, max_rounds=40):
@@ -411,15 +433,15 @@ def _per_round_reference(rho0, target_purity, attenuation_factor, max_rounds=40)
     each output checked as it is made, fidelity_to_pure and purity taken on
     it, and photon_budget over every success so far."""
     target = bell_target()
-    rho, success, successes, rounds = rho0, 1.0, [], []
+    rho, success, successes, rounds = DensityMatrix(rho0, (3, 3)), 1.0, [], []
     for k in range(max_rounds + 1):
         if k > 0:
             out, success = purification.purify_round(rho.mat)
             rho = DensityMatrix(out, rho.dims)
             successes.append(success)
         budget = photon_budget(k, attenuation_factor, successes)
-        rounds.append(RoundResult(k, fidelity_to_pure(rho, target), success, budget))
-        if purity(rho) >= target_purity:
+        rounds.append(RoundResult(k, fidelity_to_pure(rho.mat, target), success, budget))
+        if purity(rho.mat) >= target_purity:
             return PurificationTrace(tuple(rounds), budget, True)
         if k > 0 and rounds[-1].fidelity < rounds[-2].fidelity:
             break
@@ -540,3 +562,43 @@ class TestEveryRoundChecked:
         assert want == (DomainError, "matrix is not Hermitian (deviation 1.000e-06)")
         got = _with_bad_round(_not_hermitian, photons_required, *args, degenerate_after=True)
         assert got == want
+
+
+# the checks a corrupted kernel stack meets on its way out of the CLI; a
+# non-Hermitian entry is not among them, because the kernel symmetrizes
+KERNEL_CORRUPTIONS = ("eigenvalue", "trace", "nan")
+
+
+class TestEntryCheck:
+    """A density matrix is checked where a public function takes it:
+    photons_required checks its input before round 0, and a kernel stack
+    that fails the check exits 2 with the message a DensityMatrix built from
+    it gives."""
+
+    @pytest.mark.parametrize("kind", BAD_ROUNDS)
+    def test_rejects_an_input_that_is_not_a_density_matrix(self, kind):
+        corrupt, message = BAD_ROUNDS[kind]
+        mat = corrupt(diffracted_qutrit_pair(0.5, n=32).copy())
+        with pytest.raises(DomainError, match=message) as err:
+            photons_required(mat, 0.99, 100.0)
+        with pytest.raises(DomainError) as want:
+            DensityMatrix(mat, (3, 3))
+        assert str(err.value) == str(want.value)
+
+    @pytest.mark.parametrize("kind", KERNEL_CORRUPTIONS)
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["negativity", "--grid-theta", "16", "--grid-phi", "16"],
+            ["negativity", "--alpha", "0:1:3", "--beta", "-0.3:0.3:3", "--grid-theta", "8", "--grid-phi", "8"],
+            ["purify", "--sigma", "0.5", "--grid-theta", "32", "--grid-phi", "32"],
+        ],
+    )
+    def test_corrupted_kernel_stack_exits_2(self, capsys, monkeypatch, kind, argv):
+        corrupt, message = BAD_ROUNDS[kind]
+        mixture = diffraction._bell_mixture
+        monkeypatch.setattr(diffraction, "_bell_mixture", lambda a, b: corrupt(mixture(a, b)))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(rf"boostlink: config error: [^\n]*{message}[^\n]*\n", captured.err)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from boostlink.quantum import (
     pure_negativities,
     pure_trace_distances,
     purity,
-    trace_distance,
+    trace_distances,
 )
 
 BELL_PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
@@ -26,11 +27,19 @@ def random_state_vector(rng, n):
     return v / np.linalg.norm(v)
 
 
-def random_density(rng, dims):
-    n = int(np.prod(dims))
+def random_density(rng, n):
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     mat = a @ a.conj().T
-    return DensityMatrix(mat / np.trace(mat), dims)
+    return mat / np.trace(mat)
+
+
+def projector(psi):
+    return np.outer(psi, np.conj(psi))
+
+
+def trace_distance(a, b):
+    """``trace_distances`` of the one pair of matrices (a, b)."""
+    return float(trace_distances(np.asarray(a)[None], np.asarray(b)[None])[0])
 
 
 def random_unitary(rng, n):
@@ -97,9 +106,12 @@ class TestDensityMatrix:
         with pytest.raises(DomainError):
             DensityMatrix(np.eye(4) / 4.0, (2, 3))
 
-    @pytest.mark.parametrize("dims", [(2.9, 2.0), (2.0, 2.0), (-2, -2), (4, 1.0), ("2", "2")])
+    @pytest.mark.parametrize(
+        "dims", [(2.9, 2.0), (2.0, 2.0), (-2, -2), (4, 1.0), ("2", "2"), (True, 4), (4, True)]
+    )
     def test_rejects_dims_not_positive_integers(self, dims):
-        # (2.9, 2.0) used to become (2, 2), and (-2, -2) to fail in negativity
+        # (2.9, 2.0) used to become (2, 2), (-2, -2) to fail in negativity,
+        # and (True, 4) to become (1, 4)
         with pytest.raises(DomainError, match="subsystem dimensions must be positive integers"):
             DensityMatrix(np.eye(4) / 4.0, dims)
 
@@ -109,36 +121,32 @@ class TestDensityMatrix:
 
 
 class TestTraceDistance:
+    """``trace_distances`` on stacks, read one pair at a time."""
+
     def test_identical_states(self):
-        rho = DensityMatrix(np.outer(BELL_PHI_PLUS, BELL_PHI_PLUS), (2, 2))
+        rho = projector(BELL_PHI_PLUS)
         assert trace_distance(rho, rho) == pytest.approx(0.0, abs=1e-14)
 
     def test_orthogonal_pure_states(self):
-        a = DensityMatrix(np.diag([1.0, 0.0]), (2,))
-        b = DensityMatrix(np.diag([0.0, 1.0]), (2,))
-        assert trace_distance(a, b) == pytest.approx(1.0, rel=1e-12)
+        assert trace_distance(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])) == pytest.approx(1.0, rel=1e-12)
 
     def test_overlapping_pure_states(self):
         # Overlap c = 0.6 gives sqrt(1 - c^2) = 0.8.
         c = 0.6
         psi = np.array([c, math.sqrt(1 - c * c)])
-        a = DensityMatrix(np.diag([1.0, 0.0]), (2,))
-        b = DensityMatrix(np.outer(psi, psi), (2,))
-        assert trace_distance(a, b) == pytest.approx(0.8, rel=1e-12)
+        assert trace_distance(np.diag([1.0, 0.0]), projector(psi)) == pytest.approx(0.8, rel=1e-12)
 
     def test_pure_state_overlap_formula(self):
         rng = np.random.default_rng(3)
         for _ in range(30):
             u = random_state_vector(rng, 5)
             v = random_state_vector(rng, 5)
-            a = DensityMatrix(np.outer(u, np.conj(u)), (5,))
-            b = DensityMatrix(np.outer(v, np.conj(v)), (5,))
             expected = math.sqrt(1.0 - abs(np.vdot(u, v)) ** 2)
-            assert trace_distance(a, b) == pytest.approx(expected, abs=1e-12)
+            assert trace_distance(projector(u), projector(v)) == pytest.approx(expected, abs=1e-12)
 
     def test_metric_properties(self):
         rng = np.random.default_rng(5)
-        states = [random_density(rng, (4,)) for _ in range(6)]
+        states = [random_density(rng, 4) for _ in range(6)]
         for a in states:
             assert trace_distance(a, a) <= 1e-10
             for b in states:
@@ -149,12 +157,6 @@ class TestTraceDistance:
                     assert trace_distance(a, c) <= (
                         trace_distance(a, b) + trace_distance(b, c) + 1e-9
                     )
-
-    def test_dim_mismatch_rejected(self):
-        a = DensityMatrix(np.eye(4) / 4.0, (2, 2))
-        b = DensityMatrix(np.eye(4) / 4.0, (4,))
-        with pytest.raises(DomainError):
-            trace_distance(a, b)
 
 
 class TestPureTraceDistances:
@@ -179,9 +181,10 @@ class TestPureTraceDistances:
         near = a + step * self.rows(rng, 40, d, complex_rows)
         near /= np.linalg.norm(near, axis=-1, keepdims=True)
         a, b = np.concatenate([a, a]), np.concatenate([self.rows(rng, 40, d, complex_rows), near])
-        for distance, row_a, row_b in zip(pure_trace_distances(a, b), a, b):
-            rho_a, rho_b = (DensityMatrix(np.outer(row, np.conj(row)), (d,)) for row in (row_a, row_b))
-            assert distance == pytest.approx(trace_distance(rho_a, rho_b), abs=1e-12, rel=1e-9)
+        projectors = a[:, :, None] * a.conj()[:, None, :], b[:, :, None] * b.conj()[:, None, :]
+        check_density_matrices(np.concatenate(projectors))
+        for distance, eigensolved in zip(pure_trace_distances(a, b), trace_distances(*projectors)):
+            assert distance == pytest.approx(eigensolved, abs=1e-12, rel=1e-9)
 
     @pytest.mark.parametrize("complex_rows", [False, True])
     def test_identical_rows_give_exactly_zero(self, complex_rows):
@@ -251,18 +254,15 @@ class TestPureNegativities:
 
     CUTS = [(2, 2), (3, 3), (2, 3), (3, 2)]
 
-    @staticmethod
-    def matrix_route(row, dims):
-        return negativity(DensityMatrix(np.outer(row, np.conj(row)), dims))
-
     @pytest.mark.parametrize("complex_rows", [False, True])
     @pytest.mark.parametrize("dims", CUTS)
     def test_matches_matrix_route(self, dims, complex_rows):
         rng = np.random.default_rng(31 + 10 * dims[0] + dims[1])
         psi = TestPureTraceDistances.rows(rng, 300, dims[0] * dims[1], complex_rows)
         values = pure_negativities(psi, dims)
-        for i, (value, row) in enumerate(zip(values, psi)):
-            assert abs(value - self.matrix_route(row, dims)) <= 2e-15
+        matrix_route = negativity(psi[:, :, None] * psi.conj()[:, None, :], dims)
+        for i, value in enumerate(values):
+            assert abs(value - matrix_route[i]) <= 2e-15
             # a one-row stack gives the same bits
             assert pure_negativities(psi[i : i + 1], dims)[0] == value
 
@@ -286,7 +286,8 @@ class TestPureNegativities:
         assert pure_negativities(np.zeros((0, 4)), (2, 2)).shape == (0,)
 
     @pytest.mark.parametrize(
-        "dims", [(4,), (2, 2, 1), (2.0, 2), (0, 4), (-2, -2), ("2", "2"), 4, (2, 3), (4, 2)]
+        "dims",
+        [(4,), (2, 2, 1), (2.0, 2), (0, 4), (-2, -2), ("2", "2"), 4, (2, 3), (4, 2), (True, 4), (4, True)],
     )
     def test_rejects_a_cut_that_is_not_two_dimensions_of_the_row(self, dims):
         with pytest.raises(DomainError):
@@ -301,18 +302,29 @@ class TestPurity:
     def test_pure_projector(self):
         rng = np.random.default_rng(7)
         psi = random_state_vector(rng, 6)
-        rho = DensityMatrix(np.outer(psi, np.conj(psi)), (6,))
-        assert purity(rho) == pytest.approx(1.0, rel=1e-12)
+        assert purity(projector(psi)) == pytest.approx(1.0, rel=1e-12)
 
     def test_maximally_mixed(self):
         for d in (2, 3, 5):
-            rho = DensityMatrix(np.eye(d) / d, (d,))
-            assert purity(rho) == pytest.approx(1.0 / d, rel=1e-12)
+            assert purity(np.eye(d) / d) == pytest.approx(1.0 / d, rel=1e-12)
 
     def test_equal_mixture_of_orthogonal_projectors(self):
         mat = np.zeros((4, 4), dtype=complex)
         mat[0, 0] = mat[1, 1] = 0.5
-        assert purity(DensityMatrix(mat, (4,))) == pytest.approx(0.5, rel=1e-12)
+        assert purity(mat) == pytest.approx(0.5, rel=1e-12)
+
+    def test_rejects_what_density_matrix_rejects(self):
+        mat = np.eye(2) / 2.0 + 0j
+        mat[0, 1] = 0.3
+        with pytest.raises(DomainError, match="not Hermitian"):
+            purity(mat)
+        with pytest.raises(DomainError, match="trace must equal 1"):
+            purity(np.eye(2))
+
+    @pytest.mark.parametrize("shape", [(3, 4), (1, 3, 3), (9,)])
+    def test_rejects_shape_other_than_one_square_matrix(self, shape):
+        with pytest.raises(DomainError, match=rf"shape \(n, n\), got shape {re.escape(str(shape))}"):
+            purity(np.zeros(shape))
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(parts=arrays(np.float64, (2, 9, 9), elements=st.floats(-1.0, 1.0)))
@@ -322,70 +334,105 @@ class TestPurity:
         mat = g @ g.conj().T
         trace = np.trace(mat).real
         assume(trace > 1e-3)
-        rho = DensityMatrix(mat / trace, (3, 3))
-        assert abs(purity(rho) - np.trace(rho.mat @ rho.mat).real) <= 1e-15
+        rho = mat / trace
+        assert abs(purity(rho) - np.trace(rho @ rho).real) <= 1e-15
 
 
 class TestNegativity:
     def test_bell_state(self):
-        rho = DensityMatrix(np.outer(BELL_PHI_PLUS, BELL_PHI_PLUS), (2, 2))
-        assert negativity(rho) == pytest.approx(0.5, abs=1e-12)
+        rho = projector(BELL_PHI_PLUS)
+        assert negativity(rho[None], (2, 2))[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_product_state(self):
         rng = np.random.default_rng(9)
-        a = random_density(rng, (2,))
-        b = random_density(rng, (3,))
-        rho = DensityMatrix(np.kron(a.mat, b.mat), (2, 3))
-        assert negativity(rho) == pytest.approx(0.0, abs=1e-12)
+        a = random_density(rng, 2)
+        b = random_density(rng, 3)
+        assert negativity(np.kron(a, b)[None], (2, 3))[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_no_negative_eigenvalue_gives_positive_zero(self):
-        value = negativity(DensityMatrix(np.eye(4) / 4.0, (2, 2)))
+        value = negativity((np.eye(4) / 4.0)[None], (2, 2))[0]
         assert value == 0.0
         assert math.copysign(1.0, value) == 1.0
 
     def test_half_bell_half_mixed(self):
-        bell = np.outer(BELL_PHI_PLUS, BELL_PHI_PLUS)
-        rho = DensityMatrix(0.5 * bell + 0.125 * np.eye(4), (2, 2))
-        pt = brute_force_partial_transpose(rho.mat, (2, 2), 0)
+        rho = 0.5 * projector(BELL_PHI_PLUS) + 0.125 * np.eye(4)
+        pt = brute_force_partial_transpose(rho, (2, 2), 0)
         expected = -np.linalg.eigvalsh(pt).clip(max=0.0).sum()
         assert expected == pytest.approx(0.125, abs=1e-12)
-        assert negativity(rho) == pytest.approx(expected, abs=1e-12)
+        assert negativity(rho[None], (2, 2))[0] == pytest.approx(expected, abs=1e-12)
 
     def test_matches_brute_force_on_random_states(self):
         rng = np.random.default_rng(11)
         for dims in [(2, 2), (2, 3), (3, 3)]:
-            rho = random_density(rng, dims)
-            value = negativity(rho)
+            rho = random_density(rng, dims[0] * dims[1])
+            value = negativity(rho[None], dims)[0]
             # both cuts of a bipartite state give the one value
             for sub in range(2):
-                pt = brute_force_partial_transpose(rho.mat, dims, sub)
+                pt = brute_force_partial_transpose(rho, dims, sub)
                 expected = -np.linalg.eigvalsh(pt).clip(max=0.0).sum()
                 assert value == pytest.approx(expected, abs=1e-11)
 
     def test_local_unitary_invariance(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
-            rho = random_density(rng, (2, 3))
+            rho = random_density(rng, 6)
             u = np.kron(random_unitary(rng, 2), random_unitary(rng, 3))
-            rotated = DensityMatrix(u @ rho.mat @ u.conj().T, (2, 3))
-            assert negativity(rotated) == pytest.approx(
-                negativity(rho), abs=1e-9
-            )
+            values = negativity(np.array([rho, u @ rho @ u.conj().T]), (2, 3))
+            assert values[1] == pytest.approx(values[0], abs=1e-9)
 
     def test_bad_subsystem_rejected(self):
-        with pytest.raises(DomainError):
-            negativity(DensityMatrix(np.eye(4) / 4.0, (4,)))
+        with pytest.raises(DomainError, match="two positive integer dimensions"):
+            negativity((np.eye(4) / 4.0)[None], (4,))
+
+    @pytest.mark.parametrize("dims", [(3, 3), (2, 3)])
+    def test_stack_gives_each_one_matrix_value_bit_for_bit(self, dims):
+        rng = np.random.default_rng(41 + dims[1])
+        n = dims[0] * dims[1]
+        mats = np.array([random_density(rng, n) for _ in range(20)])
+        # low-rank states, whose partial transposes have several negative eigenvalues
+        psi = np.array([random_state_vector(rng, n) for _ in range(20)])
+        mats = np.concatenate([mats, 0.9 * psi[:, :, None] * psi.conj()[:, None, :] + 0.1 * mats])
+        values = negativity(mats, dims)
+        assert values.shape == (40,) and values.dtype == np.float64
+        for mat, value in zip(mats, values):
+            assert negativity(mat[None], dims)[0] == value
+
+    def test_takes_real_arrays_and_nested_lists(self):
+        rho = 0.5 * projector(BELL_PHI_PLUS) + 0.125 * np.eye(4)
+        want = negativity(rho[None].astype(complex), (2, 2))
+        assert negativity(rho[None], (2, 2)).tolist() == want.tolist()
+        assert negativity(rho[None].tolist(), (2, 2)).tolist() == want.tolist()
+
+    def test_empty_stack(self):
+        assert negativity(np.zeros((0, 4, 4)), (2, 2)).shape == (0,)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 4, 4, 1), (2, 9, 9), (2, 4, 3)])
+    def test_rejects_a_stack_that_does_not_fit_the_cut(self, shape):
+        with pytest.raises(DomainError, match=rf"shape \(N, 4, 4\), got shape {re.escape(str(shape))}"):
+            negativity(np.zeros(shape), (2, 2))
+
+    @pytest.mark.parametrize("dims", [(True, 4), (4, True), (2.0, 2), (0, 4), [2, 2, 1]])
+    def test_rejects_a_cut_that_is_not_two_positive_integers(self, dims):
+        with pytest.raises(DomainError, match="two positive integer dimensions"):
+            negativity((np.eye(4) / 4.0)[None], dims)
+
+    def test_one_bad_matrix_fails_the_stack_with_its_check(self):
+        rng = np.random.default_rng(43)
+        mats = np.array([random_density(rng, 9) for _ in range(4)])
+        mats[2, 0, 1] += 1e-6
+        with pytest.raises(DomainError) as err:
+            negativity(mats, (3, 3))
+        assert str(err.value) == TestStackedValidation.per_item_message(mats[2])
 
 
 class TestFidelityToPure:
     def test_exact_match(self):
         rng = np.random.default_rng(21)
         psi = random_state_vector(rng, 4)
-        rho = DensityMatrix(np.outer(psi, np.conj(psi)), (4,))
-        assert fidelity_to_pure(rho, psi) == pytest.approx(1.0, rel=1e-12)
+        assert fidelity_to_pure(projector(psi), psi) == pytest.approx(1.0, rel=1e-12)
 
     def test_orthogonal(self):
-        rho = DensityMatrix(np.diag([1.0, 0.0]), (2,))
+        rho = np.diag([1.0, 0.0])
         assert fidelity_to_pure(rho, np.array([0.0, 1.0])) == pytest.approx(
             0.0, abs=1e-14
         )
@@ -393,24 +440,26 @@ class TestFidelityToPure:
     def test_even_mixture(self):
         psi = np.array([1.0, 0.0])
         perp = np.array([0.0, 1.0])
-        mat = 0.5 * np.outer(psi, psi) + 0.5 * np.outer(perp, perp)
-        rho = DensityMatrix(mat, (2,))
+        rho = 0.5 * np.outer(psi, psi) + 0.5 * np.outer(perp, perp)
         assert fidelity_to_pure(rho, psi) == pytest.approx(0.5, rel=1e-12)
 
     def test_rejects_unnormalized_target(self):
-        rho = DensityMatrix(np.eye(2) / 2.0, (2,))
         with pytest.raises(DomainError):
-            fidelity_to_pure(rho, np.array([1.0, 1.0]))
+            fidelity_to_pure(np.eye(2) / 2.0, np.array([1.0, 1.0]))
 
     def test_rejects_nan_target(self):
-        rho = DensityMatrix(np.eye(2) / 2.0, (2,))
         with pytest.raises(DomainError, match="normalized"):
-            fidelity_to_pure(rho, np.array([math.nan, 0.0]))
+            fidelity_to_pure(np.eye(2) / 2.0, np.array([math.nan, 0.0]))
 
     def test_rejects_dim_mismatch(self):
-        rho = DensityMatrix(np.eye(2) / 2.0, (2,))
         with pytest.raises(DomainError):
-            fidelity_to_pure(rho, np.array([1.0, 0.0, 0.0]))
+            fidelity_to_pure(np.eye(2) / 2.0, np.array([1.0, 0.0, 0.0]))
+
+    def test_rejects_what_density_matrix_rejects(self):
+        with pytest.raises(DomainError, match="negative eigenvalue"):
+            fidelity_to_pure(np.diag([1.5, -0.5]), np.array([1.0, 0.0]))
+        with pytest.raises(DomainError, match=r"shape \(n, n\), got shape \(1, 2, 2\)"):
+            fidelity_to_pure((np.eye(2) / 2.0)[None], np.array([1.0, 0.0]))
 
 
 class TestStackedValidation:
@@ -420,7 +469,7 @@ class TestStackedValidation:
     @staticmethod
     def stack():
         rng = np.random.default_rng(11)
-        return np.array([random_density(rng, (2, 2)).mat for _ in range(5)])
+        return np.array([random_density(rng, 4) for _ in range(5)])
 
     @staticmethod
     def per_item_message(mat):

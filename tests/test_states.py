@@ -6,7 +6,7 @@ import pytest
 from boostlink.errors import DomainError
 from boostlink.lorentz import aberrate, boost_z, polar_angles, unit_vectors, wigner_phases
 from boostlink.states import pair_amplitudes, type2_amplitudes, type3_amplitudes
-from boostlink.quantum import DensityMatrix, negativity, purity, trace_distance
+from boostlink.quantum import negativity, purity, trace_distances
 
 
 def direction(theta, phi):
@@ -32,19 +32,30 @@ def type1_matrix(dir_a, dir_b, beta=None):
     if beta is not None:
         dir_a, dir_b = aberrate(np.stack([dir_a, dir_b]), beta)
     psi = type1_amplitude(dir_a, dir_b)
-    return DensityMatrix(np.outer(psi, np.conj(psi)), (3, 3))
+    return np.outer(psi, np.conj(psi))
 
 
 def type2_reduced(phase_a, phase_b):
     """The type-II matrix on dims (2, 2) at one pair of branch phases."""
     psi = type2_amplitudes(phase_a, phase_b)
-    return DensityMatrix(np.outer(psi, np.conj(psi)), (2, 2))
+    return np.outer(psi, np.conj(psi))
 
 
 def type3_reduced(phase):
     """The type-III matrix on dims (2, 2) at one global phase."""
     psi = type3_amplitudes(phase)
-    return DensityMatrix(np.outer(psi, np.conj(psi)), (2, 2))
+    return np.outer(psi, np.conj(psi))
+
+
+def trace_distance(a, b):
+    """``trace_distances`` of the one pair of matrices (a, b)."""
+    return float(trace_distances(a[None], b[None])[0])
+
+
+def one_negativity(rho):
+    """``negativity`` of one two-qutrit (9x9) or two-qubit (4x4) matrix."""
+    dims = (3, 3) if len(rho) == 9 else (2, 2)
+    return float(negativity(rho[None], dims)[0])
 
 
 def random_direction(rng):
@@ -56,8 +67,8 @@ class TestMakeType1:
         rng = np.random.default_rng(3)
         for _ in range(10):
             rho = type1_matrix(random_direction(rng), random_direction(rng))
-            assert rho.dims == (3, 3)
-            assert negativity(rho) == pytest.approx(0.5, abs=1e-12)
+            assert rho.shape == (9, 9)
+            assert one_negativity(rho) == pytest.approx(0.5, abs=1e-12)
             assert purity(rho) == pytest.approx(1.0, rel=1e-12)
 
 
@@ -74,7 +85,7 @@ class TestBoostType1:
         for beta in (1e-5, 0.1, 0.5):
             for _ in range(5):
                 rho = type1_matrix(random_direction(rng), random_direction(rng), beta)
-                assert negativity(rho) == pytest.approx(0.5, abs=1e-10)
+                assert one_negativity(rho) == pytest.approx(0.5, abs=1e-10)
 
     def test_pair_error_law(self):
         # Opposite directions: trace distance ~ beta*sin(theta), within 1%
@@ -116,7 +127,7 @@ class TestBoostType2:
             )
             boosted = type2_reduced(theta_a, theta_b)
             relative = type2_reduced(0.0, theta_b - theta_a)
-            assert np.abs(boosted.mat - relative.mat).max() <= 1e-12
+            assert np.abs(boosted - relative).max() <= 1e-12
             assert trace_distance(boosted, type2_reduced(0.0, 0.0)) == pytest.approx(
                 abs(math.sin((theta_b - theta_a) / 2.0)), abs=1e-12
             )
@@ -138,7 +149,7 @@ class TestBoostType3:
         pair = opposite_pair(1.3, 0.2)
         for beta in (0.0, 1e-5, 0.4):
             rho = type3_reduced(-sum(arm_phases(*pair, beta)))
-            assert negativity(rho) == pytest.approx(0.5, abs=1e-12)
+            assert one_negativity(rho) == pytest.approx(0.5, abs=1e-12)
 
     def test_global_phase_never_enters_matrix(self):
         assert trace_distance(type3_reduced(1.234), type3_reduced(0.0)) <= 1e-14
@@ -165,8 +176,8 @@ class TestNumberBasisReduced:
 
     def test_source_frame_bell_form(self):
         for rho in (type2_reduced(0.0, 0.0), type3_reduced(0.0)):
-            assert rho.dims == (2, 2)
-            assert negativity(rho) == pytest.approx(0.5, abs=1e-12)
+            assert rho.shape == (4, 4)
+            assert one_negativity(rho) == pytest.approx(0.5, abs=1e-12)
             assert purity(rho) == pytest.approx(1.0, rel=1e-12)
 
     def test_phase_difference_closed_form(self):
@@ -185,8 +196,8 @@ class TestNumberBasisReduced:
             shift_a, shift_b = -known_a, -known_b
             type2 = type2_reduced(shift_a + known_a, shift_b + known_b)
             type3 = type3_reduced((shift_a + shift_b) + (known_a + known_b))
-            assert np.array_equal(type2.mat, type2_reduced(0.0, 0.0).mat)
-            assert np.array_equal(type3.mat, type3_reduced(0.0).mat)
+            assert np.array_equal(type2, type2_reduced(0.0, 0.0))
+            assert np.array_equal(type3, type3_reduced(0.0))
             assert trace_distance(type2, type2_reduced(0.0, 0.0)) <= 1e-14
 
     def test_type2_boost_round_trip_distance(self):
@@ -201,5 +212,5 @@ class TestNumberBasisReduced:
         # pair on |0 0> and |1 1>
         psi2 = np.array([0.0, -np.exp(0.5j), np.exp(0.3j), 0.0]) / math.sqrt(2.0)
         psi3 = np.exp(0.7j) * np.array([1.0, 0.0, 0.0, -1.0]) / math.sqrt(2.0)
-        assert np.abs(type2_reduced(0.3, 0.5).mat - np.outer(psi2, psi2.conj())).max() <= 1e-15
-        assert np.abs(type3_reduced(0.7).mat - np.outer(psi3, psi3.conj())).max() <= 1e-15
+        assert np.abs(type2_reduced(0.3, 0.5) - np.outer(psi2, psi2.conj())).max() <= 1e-15
+        assert np.abs(type3_reduced(0.7) - np.outer(psi3, psi3.conj())).max() <= 1e-15
