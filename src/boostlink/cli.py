@@ -243,15 +243,7 @@ def run_purification(scenario: Scenario) -> tuple[list[dict], bool]:
 
 def run_budget(scenario: Scenario) -> list[dict]:
     link = scenario.link if scenario.link is not None else PAPER_LINK
-    return [
-        {
-            "length": link.length,
-            "wavelength": link.wavelength,
-            "aperture_source": link.aperture_source,
-            "aperture_receiver": link.aperture_receiver,
-            "attenuation": attenuation(link),
-        }
-    ]
+    return [{**asdict(link), "attenuation": attenuation(link)}]
 
 
 def run_li_check(scenario: Scenario) -> list[dict]:
@@ -310,7 +302,7 @@ def run_li_check(scenario: Scenario) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 _SWEEPABLE = ("beta", "theta", "phi", "alpha")
-_LINK_FIELDS = ("length", "wavelength", "aperture_source", "aperture_receiver")
+_LINK_FIELDS = tuple(f.name for f in fields(LinkParams))
 
 
 def _config_number(name, value, kind=float):

@@ -17,15 +17,17 @@ eigenvalue above the tolerance, and only a stack it cannot certify is
 eigensolved, to name the first offender or to accept what the factorization
 missed at the boundary.
 
-Pure states need no matrix at all.  They enter as stacks of state-vector
-rows, each checked as a projector would be: its norm to 1e-10, then its
-norm squared, the projector's trace, to ``TRACE_TOL``.
-``pure_trace_distances`` takes two stacks and returns each pair's distance
-sqrt(1 - |<a|b>|^2) as the residual norm of a after projecting out b, and
+Pure states need no matrix at all.  Every state vector enters through one
+row rule: a C-ordered numeric (N, d) stack of the width its caller needs,
+each row checked as a projector would be: its norm to 1e-10, then its norm
+squared, the projector's trace, to ``TRACE_TOL``.  ``fidelity_to_pure``'s
+target meets it as a one-row stack.  ``pure_trace_distances`` takes two
+stacks of one shape, a checked first, and returns each pair's distance
+sqrt(1 - |<a|b>|^2) as the residual norm of a after projecting out b;
 ``pure_negativities`` takes one bipartite stack and returns each row's
 negativity from its Schmidt coefficients.  Neither builds a projector, runs
-a factorization or eigensolves, whatever the stack's size, and a distance
-near 0 keeps its relative accuracy.
+a factorization or eigensolves, and a distance near 0 keeps its relative
+accuracy.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ class DensityMatrix:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        mat = _checked(np.array(self.mat, dtype=complex), stack=False)
+        mat = np.array(_checked(self.mat, stack=False))
         if not all(_is_count(d) and d > 0 for d in self.dims):
             raise DomainError(f"subsystem dimensions must be positive integers, got {self.dims}")
         dims = tuple(map(int, self.dims))
@@ -81,7 +83,10 @@ def _checked(mats, n: int | None = None, stack: bool = True) -> np.ndarray:
     """``mats`` as a complex (N, n, n) stack, or one (n, n) matrix when not
     ``stack``, any n unless given, after one ``check_density_matrices``
     call.  Any other shape is a ``DomainError`` naming it."""
-    mats = np.asarray(mats, dtype=complex)
+    try:
+        mats = np.asarray(mats, dtype=complex)
+    except (TypeError, ValueError) as err:
+        raise DomainError(f"expected density matrices as numbers, got {type(mats).__name__}: {err}") from None
     if mats.ndim != 2 + stack or mats.shape[-1] != mats.shape[-2] or n not in (None, mats.shape[-1]):
         want = f"({'N, ' * stack}{n or 'n'}, {n or 'n'})"
         raise DomainError(f"expected density matrices of shape {want}, got shape {mats.shape}")
@@ -137,11 +142,19 @@ def _squared_norms(psi) -> np.ndarray:
     return (psi * psi).sum(axis=-1)
 
 
-def _check_rows(norm2) -> None:
-    """Reject a pure-state row by its squared norm ``norm2``: first a norm
-    sqrt(norm2) that is not within 1e-10 of 1 (NaN included), then a squared
-    norm, the trace of the row's projector, not within ``TRACE_TOL`` of 1.
-    The first offender is named."""
+def _rows(psi, d: int | None = None, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``psi`` as a C-ordered (N, d) stack of numeric pure-state rows, any N
+    and d unless given, and its squared norms.  Any other shape or dtype is a
+    ``DomainError`` naming the shape.  Each row is then checked as its
+    projector would be: first a norm not within 1e-10 of 1 (NaN included),
+    then a squared norm, the projector's trace, not within ``TRACE_TOL`` of
+    1; the first offender is named."""
+    psi = np.ascontiguousarray(psi)
+    fits = psi.ndim == 2 and d in (None, psi.shape[1]) and n in (None, len(psi))
+    if psi.dtype.kind not in "biufc" or not fits:
+        want = f"({'N' if n is None else n}, {'d' if d is None else d})"
+        raise DomainError(f"expected numeric pure-state rows of shape {want}, got {psi.dtype} shape {psi.shape}")
+    norm2 = _squared_norms(psi)
     off = ~(np.abs(norm2 - 1.0) <= TRACE_TOL)
     if off.any():
         # a norm off by more than 1e-10, or not finite, is named first
@@ -150,6 +163,7 @@ def _check_rows(norm2) -> None:
         if bad.any():
             raise DomainError(f"pure-state vector must be normalized, got norm {norm[bad][0]}")
         raise DomainError(f"trace must equal 1, got {complex(norm2[off][0])}")
+    return psi, norm2
 
 
 def pure_trace_distances(psi_a, psi_b) -> np.ndarray:
@@ -157,12 +171,12 @@ def pure_trace_distances(psi_a, psi_b) -> np.ndarray:
     normalized (N, d) stacks ``psi_a`` and ``psi_b``, real or complex:
     sqrt(1 - |<a|b>|^2), taken as the residual norm |a - (<b|a>/<b|b>) b|.
     The residual keeps its relative accuracy as the states meet, and
-    identical rows give exactly 0.  Rows are checked over both stacks, a
-    before b, as a projector's norm and trace would be.  Each row sums in C
-    order, so its distance is the one a one-row stack gives, bit for bit."""
-    psi_a, psi_b = np.ascontiguousarray(psi_a), np.ascontiguousarray(psi_b)
-    norm2_b = _squared_norms(psi_b)
-    _check_rows(np.concatenate([_squared_norms(psi_a), norm2_b]))
+    identical rows give exactly 0.  Each stack meets the row rule in full,
+    a first, and b must have a's shape: stacks of different widths or row
+    counts are a ``DomainError``, never broadcast.  Each row sums in C order,
+    so its distance is the one a one-row stack gives, bit for bit."""
+    psi_a, _ = _rows(psi_a)
+    psi_b, norm2_b = _rows(psi_b, psi_a.shape[1], len(psi_a))
     # <b|a> / <b|b> in real arithmetic, summed as <b|b> is, so that identical
     # rows scale by exactly 1: numpy's complex product can fuse a
     # multiply-add, which leaves <a|a> a nonzero imaginary part, and its
@@ -183,13 +197,10 @@ def pure_negativities(psi, dims) -> np.ndarray:
     (d_A, d_B), its Schmidt coefficients, the partial transpose's negative
     eigenvalues are -s_i s_j for i < j (Vidal and Werner, PRA 65, 032314),
     so the negativity is sum_{i<j} s_i s_j, summed pairwise so that a
-    product state gives 0 or more, never a negative round-off.  Rows are
-    checked as ``pure_trace_distances`` checks them; each row's value is the
-    one a one-row stack gives, bit for bit."""
-    psi, size = np.asarray(psi), _cut_size(dims)
-    if psi.ndim != 2 or psi.shape[1] != size:
-        raise DomainError(f"dimensions {tuple(dims)} need (N, {size}) rows, got shape {psi.shape}")
-    _check_rows(_squared_norms(psi))
+    product state gives 0 or more, never a negative round-off.  After the
+    cut, the rows meet the row rule with width d_A * d_B; each row's value
+    is the one a one-row stack gives, bit for bit."""
+    psi, _ = _rows(psi, _cut_size(dims))
     s = np.linalg.svd(psi.reshape(len(psi), *dims), compute_uv=False)
     return (s[:, 1:] * np.cumsum(s, axis=-1)[:, :-1]).sum(axis=-1)
 
@@ -226,24 +237,12 @@ def negativity(mats, dims) -> np.ndarray:
 
 
 def fidelity_to_pure(mat, psi) -> float:
-    """<psi| rho |psi> of the density matrix ``mat`` for a normalized target
-    vector."""
+    """<psi| rho |psi> of the density matrix ``mat`` for a target vector
+    ``psi`` of length n, which meets the row rule as a one-row stack."""
     mat = _checked(mat, stack=False)
-    return _fidelity(mat, _unit_target(psi, len(mat)))
-
-
-def _unit_target(psi, dim: int) -> np.ndarray:
-    """``psi`` as a complex vector, checked to be a normalized target for a
-    dim x dim matrix."""
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (dim,):
-        raise DomainError(f"target vector has dimension {psi.shape}, expected ({dim},)")
-    norm = math.sqrt(np.vdot(psi, psi).real)
-    if not abs(norm - 1.0) <= 1e-10:
-        raise DomainError(f"target vector must be normalized, got norm {norm}")
-    return psi
+    return _fidelity(mat, _rows(np.asarray(psi)[None], len(mat), 1)[0][0])
 
 
 def _fidelity(mat, psi) -> float:
-    """``fidelity_to_pure`` of ``mat`` to a target ``_unit_target`` checked."""
+    """``fidelity_to_pure`` of ``mat`` to a target the row rule accepted."""
     return float(np.vdot(psi, mat @ psi).real)

@@ -368,6 +368,11 @@ class TestPhotonsRequired:
         with pytest.raises(DomainError, match=message):
             photons_required(mat, 0.99, 100.0)
 
+    def test_rejects_a_density_matrix_object(self):
+        rho = DensityMatrix(diffracted_qutrit_pair(0.5, n=32), (3, 3))
+        with pytest.raises(DomainError, match="expected density matrices as numbers, got DensityMatrix: "):
+            photons_required(rho, 0.99, 100.0)
+
     @pytest.mark.parametrize("factor", [0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_rejects_attenuation_that_is_not_positive_and_finite(self, factor):
         with pytest.raises(DomainError, match="attenuation must be positive and finite"):

@@ -115,6 +115,11 @@ class TestDensityMatrix:
         with pytest.raises(DomainError, match="subsystem dimensions must be positive integers"):
             DensityMatrix(np.eye(4) / 4.0, dims)
 
+    def test_rejects_what_does_not_cast_to_numbers(self):
+        rho = DensityMatrix(np.eye(2) / 2.0, (2,))
+        with pytest.raises(DomainError, match="expected density matrices as numbers, got DensityMatrix: "):
+            DensityMatrix(rho, (2,))
+
     def test_accepts_numpy_integer_dims(self):
         rho = DensityMatrix(np.eye(4) / 4.0, (np.int64(2), np.int32(2)))
         assert rho.dims == (2, 2) and all(type(d) is int for d in rho.dims)
@@ -162,7 +167,8 @@ class TestTraceDistance:
 class TestPureTraceDistances:
     """The residual-norm distance against the eigensolve of the validated
     projectors, its exact values, and the rows it rejects, which
-    ``pure_negativities`` rejects with the same messages."""
+    ``pure_negativities`` and ``fidelity_to_pure``'s target reject with the
+    same messages."""
 
     @staticmethod
     def rows(rng, n, d, complex_rows):
@@ -206,12 +212,15 @@ class TestPureTraceDistances:
     @staticmethod
     def messages(bad, good):
         """What each pure-state function raises on the row stack ``bad``:
-        the distances with it on either side of ``good``, and the
-        negativities across a (1, d) cut."""
+        the distances with it on either side of ``good``, the negativities
+        across a (1, d) cut, and the fidelity to its one row that differs
+        from ``good``'s."""
+        row = bad[(bad != good).any(axis=-1)][0]
         calls = (
             lambda: pure_trace_distances(bad, good),
             lambda: pure_trace_distances(good, bad),
             lambda: pure_negativities(bad, (1, bad.shape[1])),
+            lambda: fidelity_to_pure(np.eye(len(row)) / len(row), row),
         )
         messages = []
         for call in calls:
@@ -226,14 +235,14 @@ class TestPureTraceDistances:
         bad = good.astype(complex)
         bad[1, 2] = complex(0.0, value)
         expected = f"pure-state vector must be normalized, got norm {value}"
-        assert self.messages(bad, good) == [expected] * 3
+        assert self.messages(bad, good) == [expected] * 4
 
     def test_rejects_norm_off_by_more_than_tolerance(self):
         good = np.eye(3)
         bad = good.copy()
         bad[2] *= 1.0 + 1e-6
         expected = "pure-state vector must be normalized, got norm 1.000001"
-        assert self.messages(bad, good) == [expected] * 3
+        assert self.messages(bad, good) == [expected] * 4
 
     def test_rejects_trace_off_by_more_than_tolerance(self):
         # the norm is within 1e-10 of 1; its square, the projector's trace, is not
@@ -241,10 +250,39 @@ class TestPureTraceDistances:
         bad = good.copy()
         bad[1] *= 1.0 + 7.5e-11
         expected = "trace must equal 1, got (1.00000000015+0j)"
-        assert self.messages(bad, good) == [expected] * 3
+        assert self.messages(bad, good) == [expected] * 4
         with pytest.raises(DomainError) as err:
             DensityMatrix(np.outer(bad[1], np.conj(bad[1])), (3,))
         assert str(err.value) == expected
+
+    @pytest.mark.parametrize("rows", [2, 1])
+    def test_rejects_stacks_of_different_row_counts(self, rows):
+        # a (1, d) stack once broadcast against a (2, d) one
+        a, b = np.eye(4)[:rows], np.eye(4)[: 3 - rows]
+        message = rf"rows of shape \({rows}, 4\), got float64 shape \({3 - rows}, 4\)"
+        with pytest.raises(DomainError, match=message):
+            pure_trace_distances(a, b)
+
+    def test_rejects_stacks_of_different_widths(self):
+        with pytest.raises(DomainError, match=r"rows of shape \(2, 4\), got float64 shape \(2, 3\)"):
+            pure_trace_distances(np.eye(4)[:2], np.eye(3)[:2])
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_rejects_one_dimensional_rows(self, side):
+        rows = [np.eye(4)[:1], np.eye(4)[:1]]
+        rows[side] = rows[side][0]
+        with pytest.raises(DomainError, match=r"rows of shape \(.*\), got float64 shape \(4,\)"):
+            pure_trace_distances(*rows)
+
+    def test_rejects_string_rows(self):
+        text = np.array([["1", "0"]])
+        for call in (
+            lambda: pure_trace_distances(text, np.eye(2)[:1]),
+            lambda: pure_trace_distances(np.eye(2)[:1], text),
+            lambda: pure_negativities(text, (1, 2)),
+        ):
+            with pytest.raises(DomainError, match=r"expected numeric pure-state rows .* got <U1 shape \(1, 2\)"):
+                call()
 
 
 class TestPureNegativities:
@@ -294,7 +332,7 @@ class TestPureNegativities:
             pure_negativities(np.tile(BELL_PHI_PLUS, (2, 1)), dims)
 
     def test_rejects_rows_that_are_not_a_stack(self):
-        with pytest.raises(DomainError, match="need"):
+        with pytest.raises(DomainError, match=r"rows of shape \(N, 4\), got float64 shape \(4,\)"):
             pure_negativities(BELL_PHI_PLUS, (2, 2))
 
 
@@ -320,6 +358,10 @@ class TestPurity:
             purity(mat)
         with pytest.raises(DomainError, match="trace must equal 1"):
             purity(np.eye(2))
+
+    def test_rejects_a_density_matrix_object(self):
+        with pytest.raises(DomainError, match="expected density matrices as numbers, got DensityMatrix: "):
+            purity(DensityMatrix(np.eye(2) / 2.0, (2,)))
 
     @pytest.mark.parametrize("shape", [(3, 4), (1, 3, 3), (9,)])
     def test_rejects_shape_other_than_one_square_matrix(self, shape):
@@ -416,6 +458,17 @@ class TestNegativity:
         with pytest.raises(DomainError, match="two positive integer dimensions"):
             negativity((np.eye(4) / 4.0)[None], dims)
 
+    @pytest.mark.parametrize(
+        "mats, kind",
+        [
+            ([DensityMatrix(np.eye(9) / 9.0, (3, 3))], "list"),
+            ("abc", "str"),
+        ],
+    )
+    def test_rejects_what_does_not_cast_to_numbers(self, mats, kind):
+        with pytest.raises(DomainError, match=f"expected density matrices as numbers, got {kind}: "):
+            negativity(mats, (3, 3))
+
     def test_one_bad_matrix_fails_the_stack_with_its_check(self):
         rng = np.random.default_rng(43)
         mats = np.array([random_density(rng, 9) for _ in range(4)])
@@ -454,6 +507,19 @@ class TestFidelityToPure:
     def test_rejects_dim_mismatch(self):
         with pytest.raises(DomainError):
             fidelity_to_pure(np.eye(2) / 2.0, np.array([1.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("target", [np.array([[1.0, 0.0]]), np.eye(2), "ab", 1.0])
+    def test_rejects_a_target_that_is_not_one_row(self, target):
+        shape = np.asarray(target)[None].shape
+        message = rf"rows of shape \(1, 2\), got \S+ shape {re.escape(str(shape))}"
+        with pytest.raises(DomainError, match=message):
+            fidelity_to_pure(np.eye(2) / 2.0, target)
+
+    def test_target_meets_the_trace_rule(self):
+        # the norm is within 1e-10 of 1; its square is not
+        target = np.array([1.0 + 7.5e-11, 0.0])
+        with pytest.raises(DomainError, match=re.escape("trace must equal 1, got (1.00000000015+0j)")):
+            fidelity_to_pure(np.eye(2) / 2.0, target)
 
     def test_rejects_what_density_matrix_rejects(self):
         with pytest.raises(DomainError, match="negative eigenvalue"):
