@@ -40,13 +40,13 @@ STABILIZER_TOL = 1e-8
 _TWO_PI = 2.0 * math.pi
 
 
-def null_mask(momenta, rel_tol: float = NULL_TOL) -> np.ndarray:
-    """Whether each (..., 4) momentum (t, x, y, z) is null to ``rel_tol``
+def null_mask(momenta) -> np.ndarray:
+    """Whether each (..., 4) momentum (t, x, y, z) is null to ``NULL_TOL``
     relative to t^2."""
     p = np.asarray(momenta, dtype=float)
     t = p[..., 0]
     sq = t * t - (p[..., 1:] ** 2).sum(axis=-1)
-    return np.abs(sq) <= rel_tol * np.maximum(t * t, 1e-300)
+    return np.abs(sq) <= NULL_TOL * np.maximum(t * t, 1e-300)
 
 
 def polar_angles(theta, phi) -> tuple[np.ndarray, np.ndarray]:
@@ -152,9 +152,8 @@ def aberrate(n, beta: float) -> np.ndarray:
 
 def approx_transform_theta(theta: float, beta: float) -> float:
     """Small-velocity power-law approximation to the polar-angle aberration:
-    theta' = pi * (theta/pi) ** (1 - 2*beta/(pi*ln 2))."""
-    if not 0.0 <= theta <= math.pi:
-        raise DomainError(f"polar angle must lie in [0, pi], got {theta}")
+    theta' = pi * (theta/pi) ** (1 - 2*beta/(pi*ln 2)), theta as ``polar_angles`` takes it."""
+    theta = float(polar_angles(theta, 0.0)[0])
     check_velocity(beta)
     exponent = 1.0 - 2.0 * beta / (math.pi * math.log(2.0))
     return math.pi * (theta / math.pi) ** exponent

@@ -48,12 +48,12 @@ kernel's 9x9 array is the round's input as it is.
 
 A round takes and returns the bare 9x9 array.  Its output is Hermitian by
 construction and positive semidefinite up to rounding (a sum of Schur
-products of positive matrices), so ``photons_required`` checks its input at
-entry and a run's outputs once, as one (k, 9, 9) stack, when the run
-returns or raises.  Each round's fidelity and purity are
-``fidelity_to_pure`` and ``purity``'s own expressions on the array, and its
-budget multiplies one more success into a running product, in
-``photon_budget``'s order.
+products of positive matrices), so ``photons_required`` checks, through
+``check_density_matrices``, its input at entry and a run's outputs once, as
+one (k, 9, 9) stack, when the run returns or raises.  Each round's fidelity
+and purity are ``fidelity_to_pure`` and ``purity``'s own expressions on the
+array, and its budget multiplies one more success into a running product,
+in ``photon_budget``'s order.
 
 Where broad beams must fail (rest frame, beta = 0, 64x64 grid):
 
@@ -91,7 +91,7 @@ import numpy as np
 
 from .errors import DegenerateProtocolError, DomainError
 # _fidelity and _purity: fidelity_to_pure and purity on a bare matrix
-from .quantum import _checked, _fidelity, _is_count, _purity, check_density_matrices
+from .quantum import _fidelity, _is_count, _purity, check_density_matrices
 
 QUTRIT_DIM = 3
 MIN_SUCCESS_PROBABILITY = 1e-12
@@ -266,7 +266,7 @@ def photons_required(
     _check_budget_inputs(attenuation_factor, max_rounds, "round cap")
     if not 0.0 < target_purity <= 1.0:
         raise DomainError(f"target purity must lie in (0, 1], got {target_purity}")
-    mat, target = _checked(rho0, QUTRIT_DIM * QUTRIT_DIM, stack=False), bell_target()
+    mat, target = check_density_matrices(rho0, QUTRIT_DIM * QUTRIT_DIM, stack=False), bell_target()
     success, product, outputs, rounds = 1.0, 1.0, [], []
     try:
         for k in range(max_rounds + 1):

@@ -7,13 +7,14 @@ is solved densely with the Hermitian solver.  ``purity`` is the inner product
 <rho, rho> = sum |rho_ij|^2, Tr(rho^2) for a Hermitian matrix, and
 ``fidelity_to_pure`` is <psi| rho |psi>: neither needs one.
 
-Density matrices move between modules as bare complex arrays, checked by
-``check_density_matrices`` once, where a public function takes them:
-``negativity`` takes an (N, n, n) stack and a two-part cut, and eigensolves
-the partial transposes in one batched call; ``purity`` and
-``fidelity_to_pure`` take one matrix.  Positivity needs no spectrum: a
-Cholesky factorization of rho - EIGENVALUE_TOL * I certifies every
-eigenvalue above the tolerance, and only a stack it cannot certify is
+Density matrices move between modules as bare complex arrays, checked once,
+where a public function takes them, by ``check_density_matrices``: the one
+entry that casts to complex, applies the one shape rule, certifies and
+returns the array it checked.  ``negativity`` takes an (N, n, n) stack and a
+two-part cut, and eigensolves the partial transposes in one batched call;
+``purity`` and ``fidelity_to_pure`` take one matrix.  Positivity needs no
+spectrum: a Cholesky factorization of rho - EIGENVALUE_TOL * I certifies
+every eigenvalue above the tolerance, and only a stack it cannot certify is
 eigensolved, to name the first offender or to accept what the factorization
 missed at the boundary.
 
@@ -56,7 +57,7 @@ class DensityMatrix:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        mat = np.array(_checked(self.mat, stack=False))
+        mat = np.array(check_density_matrices(self.mat, stack=False))
         if not all(_is_count(d) and d > 0 for d in self.dims):
             raise DomainError(f"subsystem dimensions must be positive integers, got {self.dims}")
         dims = tuple(map(int, self.dims))
@@ -79,10 +80,14 @@ def _cut_size(dims) -> int:
     return int(dims[0] * dims[1])
 
 
-def _checked(mats, n: int | None = None, stack: bool = True) -> np.ndarray:
+def check_density_matrices(mats, n: int | None = None, stack: bool = True) -> np.ndarray:
     """``mats`` as a complex (N, n, n) stack, or one (n, n) matrix when not
-    ``stack``, any n unless given, after one ``check_density_matrices``
-    call.  Any other shape is a ``DomainError`` naming it."""
+    ``stack``, any n unless given, once no matrix has non-finite entries,
+    is not Hermitian, lacks unit trace or has an eigenvalue below
+    ``EIGENVALUE_TOL``.  Anything that is not numbers, or of any other
+    shape, is a ``DomainError`` naming it.  Each check runs over the whole
+    stack, a single matrix as a one-matrix stack, and the first offender of
+    the first failing check is reported.  An empty stack passes."""
     try:
         mats = np.asarray(mats, dtype=complex)
     except (TypeError, ValueError) as err:
@@ -90,20 +95,8 @@ def _checked(mats, n: int | None = None, stack: bool = True) -> np.ndarray:
     if mats.ndim != 2 + stack or mats.shape[-1] != mats.shape[-2] or n not in (None, mats.shape[-1]):
         want = f"({'N, ' * stack}{n or 'n'}, {n or 'n'})"
         raise DomainError(f"expected density matrices of shape {want}, got shape {mats.shape}")
-    check_density_matrices(mats if stack else mats[None])
-    return mats
-
-
-def check_density_matrices(mats) -> None:
-    """Reject any matrix in the stack ``mats``, an (N, n, n) array-like, that
-    has non-finite entries, is not Hermitian, lacks unit trace or has an
-    eigenvalue below ``EIGENVALUE_TOL``; each check runs over the whole
-    stack, and the first offender of the first failing check is reported.
-    Any other shape is rejected.  An empty stack passes."""
-    mats = np.asarray(mats)
-    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
-        raise DomainError(f"density matrices must be an (N, n, n) stack, got shape {mats.shape}")
-    herm = np.abs(mats - mats.conj().swapaxes(-1, -2))
+    stacked = mats if stack else mats[None]
+    herm = np.abs(stacked - stacked.conj().swapaxes(-1, -2))
     worst = herm.max(initial=0.0)
     # the residual is non-finite exactly when some entry is
     if not math.isfinite(worst):
@@ -112,27 +105,28 @@ def check_density_matrices(mats) -> None:
         herm = herm.max(axis=(-2, -1))
         bad = herm[herm > HERMITIAN_TOL][0]
         raise DomainError(f"matrix is not Hermitian (deviation {bad:.3e})")
-    tr = mats.diagonal(0, -2, -1).sum(axis=-1)
+    tr = stacked.diagonal(0, -2, -1).sum(axis=-1)
     off = np.abs(tr - 1.0)
     if off.max(initial=0.0) > TRACE_TOL:
         raise DomainError(f"trace must equal 1, got {complex(tr[off > TRACE_TOL][0])}")
-    # rho - EIGENVALUE_TOL * I: the diagonal of a float copy, shifted in place
-    shifted = mats.astype(np.promote_types(mats.dtype, np.float64))
-    n = shifted.shape[-1]
-    shifted.reshape(len(shifted), n * n)[:, :: n + 1] -= EIGENVALUE_TOL
+    # rho - EIGENVALUE_TOL * I: the diagonal of a copy, shifted in place
+    shifted = stacked.copy()
+    size = shifted.shape[-1]
+    shifted.reshape(len(shifted), size * size)[:, :: size + 1] -= EIGENVALUE_TOL
     try:
         # factorizes exactly when every eigenvalue lies above EIGENVALUE_TOL,
         # up to a backward error of about n * 1e-16 * |rho|, far inside it
         np.linalg.cholesky(shifted)
-        return
+        return mats
     except np.linalg.LinAlgError:
         pass
     # not certified: name the first offender, if the spectrum shows one
-    eigs = np.linalg.eigvalsh(mats)
+    eigs = np.linalg.eigvalsh(stacked)
     if eigs.min() < EIGENVALUE_TOL:
         smallest = eigs.min(axis=-1)
         bad = smallest[smallest < EIGENVALUE_TOL][0]
         raise DomainError(f"matrix has a negative eigenvalue ({bad:.3e})")
+    return mats
 
 
 def _squared_norms(psi) -> np.ndarray:
@@ -214,7 +208,7 @@ def trace_distances(a, b) -> np.ndarray:
 def purity(mat) -> float:
     """Tr(rho^2), in (0, 1], of the density matrix ``mat``, taken as
     <rho, rho> = Tr(rho^dagger rho)."""
-    return _purity(_checked(mat, stack=False))
+    return _purity(check_density_matrices(mat, stack=False))
 
 
 def _purity(mat) -> float:
@@ -230,7 +224,7 @@ def negativity(mats, dims) -> np.ndarray:
     same spectrum, so either cut gives this value.  One check and one
     batched eigensolve; each value is the one a one-matrix stack gives."""
     size = _cut_size(dims)
-    mats = _checked(mats, size)
+    mats = check_density_matrices(mats, size)
     tensor = mats.reshape(len(mats), *dims, *dims).swapaxes(1, 3)
     eigs = np.linalg.eigvalsh(tensor.reshape(len(mats), size, size))
     return np.where(eigs < 0.0, -eigs, 0.0).sum(axis=-1)
@@ -239,7 +233,7 @@ def negativity(mats, dims) -> np.ndarray:
 def fidelity_to_pure(mat, psi) -> float:
     """<psi| rho |psi> of the density matrix ``mat`` for a target vector
     ``psi`` of length n, which meets the row rule as a one-row stack."""
-    mat = _checked(mat, stack=False)
+    mat = check_density_matrices(mat, stack=False)
     return _fidelity(mat, _rows(np.asarray(psi)[None], len(mat), 1)[0][0])
 
 

@@ -130,7 +130,7 @@ class TestRotations:
             phi = rng.uniform(0, 2 * math.pi)
             v = rotation_z(phi) @ rotation_y(theta) @ K
             assert np.allclose(v, photon(unit_vectors(theta, phi)), atol=1e-12)
-            assert null_mask(v, 1e-12)
+            assert abs(v[0] ** 2 - v[1:] @ v[1:]) <= 1e-12 * v[0] ** 2
 
     def test_metric_preserved(self):
         rng = np.random.default_rng(13)
@@ -156,7 +156,8 @@ class TestApply:
         rng = np.random.default_rng(17)
         for _ in range(40):
             p = photon(random_direction(rng), energy=rng.uniform(0.5, 2.0))
-            assert null_mask(random_transform(rng) @ p, 1e-12)
+            q = random_transform(rng) @ p
+            assert abs(q[0] ** 2 - q[1:] @ q[1:]) <= 1e-12 * q[0] ** 2
 
 
 class TestBoostZ:
@@ -401,6 +402,14 @@ class TestApproxTransformTheta:
             approx_transform_theta(-0.1, 1e-5)
         with pytest.raises(DomainError):
             approx_transform_theta(math.pi + 0.1, 1e-5)
+        with pytest.raises(DomainError, match="polar angle must lie in"):
+            approx_transform_theta(math.nan, 1e-5)
+
+    def test_within_rounding_of_range_clamped(self):
+        # the 1e-12 margin that polar_angles, and so li-check --theta, allows
+        for beta in (0.0, 0.1, -0.3):
+            assert approx_transform_theta(math.pi + 1e-13, beta) == approx_transform_theta(math.pi, beta)
+            assert approx_transform_theta(-1e-13, beta) == approx_transform_theta(0.0, beta)
 
 
 class TestStandardBoost:

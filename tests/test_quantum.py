@@ -578,12 +578,29 @@ class TestStackedValidation:
         check_density_matrices(psi[:, :, None] * psi.conj()[:, None, :])
 
     def test_single_matrix_rejected_by_shape(self):
-        with pytest.raises(DomainError, match=r"\(N, n, n\) stack, got shape \(3, 3\)"):
+        with pytest.raises(DomainError, match=r"of shape \(N, n, n\), got shape \(3, 3\)"):
             check_density_matrices(np.eye(3) / 3.0)
 
     def test_non_square_stack_rejected_by_shape(self):
-        with pytest.raises(DomainError, match=r"\(N, n, n\) stack, got shape \(2, 3, 4\)"):
+        with pytest.raises(DomainError, match=r"of shape \(N, n, n\), got shape \(2, 3, 4\)"):
             check_density_matrices(np.zeros((2, 3, 4)))
+
+    def test_non_numeric_entries_rejected(self):
+        with pytest.raises(DomainError, match="expected density matrices as numbers, got ndarray"):
+            check_density_matrices(np.full((1, 2, 2), "a"))
+
+    def test_missing_entry_is_non_finite(self):
+        with pytest.raises(DomainError, match="density matrix has non-finite entries"):
+            check_density_matrices([[[None]]])
+
+    def test_returns_the_checked_complex_stack(self):
+        real = np.array([np.diag([0.25, 0.75]), np.eye(2) / 2.0])
+        for mats in (real, self.stack().tolist()):
+            checked = check_density_matrices(mats)
+            assert checked.dtype == complex
+            assert np.array_equal(checked, np.array(mats))
+        one = check_density_matrices(real[0], 2, stack=False)
+        assert one.dtype == complex and np.array_equal(one, real[0])
 
     def test_nested_lists_checked_as_arrays(self):
         mats = self.stack()
