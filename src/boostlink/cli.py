@@ -8,12 +8,12 @@ that order of precedence.  A flag the subcommand does not read is an
 argparse error (exit 2).  Unknown config keys are errors; known keys a
 subcommand does not read are accepted, so one file can serve several
 subcommands.  The parser is built on the first ``main`` call and reused for
-the rest of the process.  Output is CSV (default) or JSON lines; floats are
-printed with 12 significant digits and rows are emitted in deterministic
-sweep order, so identical scenarios produce byte-identical output.  ``_cell``
-is the one definition of a cell; a CSV row whose cell types match the first
-row's floats, ints and strs is printed with one %-pattern built from them,
-which gives the same bytes, and any other row goes cell by cell.
+the rest of the process.  Each runner returns its table as columns (name ->
+one value per printed row).  Output is CSV (default) or JSON lines; numbers
+are printed with 12 significant digits and rows are emitted in deterministic
+sweep order, so identical scenarios produce byte-identical output.  CSV is
+one %-pattern built from the first row's cell types; a JSON-lines cell is
+``_cell``.
 
 Exit codes: 0 success, 2 configuration error (an unreadable config file or
 an unwritable ``--out`` included), 3 numerical-consistency error or a
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import re
@@ -144,20 +145,22 @@ def _scalar(scenario: Scenario, name: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# sweep implementations (pure library calls; the CLI only formats their rows)
+# sweep implementations (pure library calls; each returns its table as a dict
+# of column name -> list, one value per printed row, in print order)
 # ---------------------------------------------------------------------------
 
 
-def run_single_photon_sweep(scenario: Scenario) -> list[dict]:
+def run_single_photon_sweep(scenario: Scenario) -> dict[str, list]:
     """Trace distance of a horizontally polarized photon against its boosted
     self, over a (theta, phi) grid, versus beta*sin(theta)*|cos(phi)|.
 
     One array pass over the grid: the h vector at every direction and at its
     aberrated image, with the polarization and photon checks on every point."""
     beta = _scalar(scenario, "beta")
-    points = [(t, p) for t in _values(scenario, "theta") for p in _values(scenario, "phi")]
-    n = len(points)
-    rest = unit_vectors(*polar_angles(*np.array(points).T))
+    thetas, phis = _values(scenario, "theta"), _values(scenario, "phi")
+    theta, phi = np.repeat(thetas, len(phis)), np.tile(phis, len(thetas))
+    n = theta.size
+    rest = unit_vectors(*polar_angles(theta, phi))
     # rest directions first, then their aberrated images
     normals = np.concatenate([rest, aberrate(rest, beta)])
     eps = linear_basis(*normals.T)[:3].T
@@ -165,15 +168,12 @@ def run_single_photon_sweep(scenario: Scenario) -> list[dict]:
     momenta = np.hstack([np.ones((n, 1)), rest])
     check_photons(np.concatenate([momenta, momenta @ boost_z(beta).T]), normals)
     numeric = pure_trace_distances(eps[:n], eps[n:])
-    rows = []
-    for (t, p), eps_numeric in zip(points, numeric.tolist()):
-        approx = abs(beta * math.sin(t) * math.cos(p))
-        rows.append({"theta": t, "phi": p, "eps_numeric": eps_numeric, "eps_approx": approx,
-                     "residual": eps_numeric - approx})
-    return rows
+    approx = np.abs(beta * np.sin(theta) * np.cos(phi))
+    return {"theta": theta.tolist(), "phi": phi.tolist(), "eps_numeric": numeric.tolist(),
+            "eps_approx": approx.tolist(), "residual": (numeric - approx).tolist()}
 
 
-def run_pair_sweep(scenario: Scenario) -> list[dict]:
+def run_pair_sweep(scenario: Scenario) -> dict[str, list]:
     """Trace distance of the polarization pair across frames for back-to-back
     photons, versus beta*sin(theta).
 
@@ -183,12 +183,9 @@ def run_pair_sweep(scenario: Scenario) -> list[dict]:
     thetas = _values(scenario, "theta")
     arms = _back_to_back(thetas, [phi] * len(thetas))
     numeric = pure_trace_distances(*_type1_amplitudes(*arms, beta))
-    rows = []
-    for theta, eps_numeric in zip(thetas, numeric.tolist()):
-        approx = abs(beta * math.sin(theta))
-        rows.append({"theta": theta, "eps_numeric": eps_numeric, "eps_approx": approx,
-                     "residual": eps_numeric - approx})
-    return rows
+    approx = np.abs(beta * np.sin(thetas))
+    return {"theta": thetas, "eps_numeric": numeric.tolist(), "eps_approx": approx.tolist(),
+            "residual": (numeric - approx).tolist()}
 
 
 def _back_to_back(theta, phi) -> tuple[np.ndarray, np.ndarray]:
@@ -206,21 +203,21 @@ def _type1_amplitudes(n_a, n_b, beta) -> tuple[np.ndarray, np.ndarray]:
     return pair_amplitudes(n_a, n_b), pair_amplitudes(aberrate(n_a, beta), aberrate(n_b, beta))
 
 
-def run_negativity_sweep(scenario: Scenario) -> list[dict]:
+def run_negativity_sweep(scenario: Scenario) -> dict[str, list]:
     """Negativity of the diffracted pair per (alpha, beta), including the
     beta = 0 baseline."""
     betas = _values(scenario, "beta")
     if all(b != 0.0 for b in betas):
         betas = [0.0] + betas
+    alphas = _values(scenario, "alpha")
     grid = make_grid(scenario.grid_theta, scenario.grid_phi, scenario.sigma)
-    rows = []
-    for alpha in _values(scenario, "alpha"):
-        values = negativity(diffracted_reduced_type1(alpha, betas, grid), (3, 3)).tolist()
-        rows.extend({"alpha": alpha, "beta": beta, "negativity": v} for beta, v in zip(betas, values))
-    return rows
+    values = [negativity(diffracted_reduced_type1(alpha, betas, grid), (3, 3)) for alpha in alphas]
+    return {"alpha": np.repeat(alphas, len(betas)).tolist(),
+            "beta": np.tile(betas, len(alphas)).tolist(),
+            "negativity": np.concatenate(values).tolist()}
 
 
-def run_purification(scenario: Scenario) -> tuple[list[dict], bool]:
+def run_purification(scenario: Scenario) -> tuple[dict[str, list], bool]:
     """Round-by-round purification of the diffracted pair: fidelity, success
     probability, and the cumulative photon budget."""
     beta = _scalar(scenario, "beta")
@@ -229,24 +226,24 @@ def run_purification(scenario: Scenario) -> tuple[list[dict], bool]:
     (rho,) = diffracted_reduced_type1(alpha, [beta], grid)
     factor = attenuation(scenario.link) if scenario.link is not None else DEFAULT_ATTENUATION
     trace = photons_required(rho, scenario.target_purity, factor)
-    rows = [
-        {
-            "round": record.round_index,
-            "fidelity": record.fidelity,
-            "success_prob": record.success_probability,
-            "cumulative_photons": record.cumulative_photons,
-        }
-        for record in trace.rounds
-    ]
-    return rows, trace.succeeded
+    names = {"round": "round_index", "fidelity": "fidelity",
+             "success_prob": "success_probability", "cumulative_photons": "cumulative_photons"}
+    table = {column: [getattr(r, name) for r in trace.rounds] for column, name in names.items()}
+    return table, trace.succeeded
 
 
-def run_budget(scenario: Scenario) -> list[dict]:
+def run_budget(scenario: Scenario) -> dict[str, list]:
+    """The link's parameters and its attenuation, as a one-row table."""
     link = scenario.link if scenario.link is not None else PAPER_LINK
-    return [{**asdict(link), "attenuation": attenuation(link)}]
+    columns = {**asdict(link), "attenuation": attenuation(link)}
+    return {key: [value] for key, value in columns.items()}
 
 
-def run_li_check(scenario: Scenario) -> list[dict]:
+_LI_COLUMNS = ("protocol", "trace_distance_raw", "trace_distance_compensated",
+               "negativity_source", "negativity_boosted", "verdict")
+
+
+def run_li_check(scenario: Scenario) -> dict[str, list]:
     """Frame-invariance report for all three protocols at one geometry:
     trace distance across frames (raw and phase-compensated), negativity in
     both frames, and a verdict.
@@ -281,20 +278,10 @@ def run_li_check(scenario: Scenario) -> list[dict]:
         raw, distance = pure_trace_distances(
             np.stack([source, source]), np.stack([boosted, compensated])
         ).tolist()
-        negativity_source, negativity_boosted = pure_negativities(
-            np.stack([source, boosted]), dims
-        ).tolist()
-        rows.append(
-            {
-                "protocol": name,
-                "trace_distance_raw": raw,
-                "trace_distance_compensated": distance,
-                "negativity_source": negativity_source,
-                "negativity_boosted": negativity_boosted,
-                "verdict": "invariant" if distance <= LI_TOLERANCE else "frame_dependent",
-            }
-        )
-    return rows
+        negativities = pure_negativities(np.stack([source, boosted]), dims).tolist()
+        verdict = "invariant" if distance <= LI_TOLERANCE else "frame_dependent"
+        rows.append((name, raw, distance, *negativities, verdict))
+    return dict(zip(_LI_COLUMNS, map(list, zip(*rows))))
 
 
 # ---------------------------------------------------------------------------
@@ -407,46 +394,30 @@ def _parse_sweep_flag(name, text):
 # ---------------------------------------------------------------------------
 
 
-def _cell(value, fmt: str) -> str:
-    """One output cell: booleans as true/false, floats to 12 significant
-    digits; in JSON lines a non-finite float is a string and any other
-    non-number is JSON-encoded."""
-    if isinstance(value, float):  # the common case, tested first
-        if fmt == "csv" or math.isfinite(value):
-            return format(value, ".12g")
-        return json.dumps(str(value))
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value) if fmt == "csv" or isinstance(value, int) else json.dumps(value)
+def _cell(value) -> str:
+    """One JSON-lines cell: a str JSON-encoded, a number to 12 significant
+    digits, and a non-finite float as a JSON string."""
+    if isinstance(value, str):
+        return json.dumps(value)
+    if math.isfinite(value):
+        return format(value, ".12g")
+    return json.dumps(str(value))
 
 
-# exact cell types whose CSV cell one %-conversion prints as ``_cell`` does
-_CSV_SPECS = {float: "%.12g", int: "%s", str: "%s"}
-
-
-def render_rows(rows: list[dict], fmt: str) -> str:
-    if not rows:
-        return ""
+def render_rows(header: list[str], rows: list[tuple], fmt: str) -> str:
+    """The table's text: ``header`` and one line per row of ``rows``.  Every
+    CSV line is one %-pattern built from the first row's cell types: a number
+    to 12 significant digits and a str as it is."""
     if fmt == "csv":
-        lines = [",".join(rows[0])]
-        types = tuple(map(type, rows[0].values()))
-        pattern = None
-        if set(types) <= _CSV_SPECS.keys():
-            pattern = ",".join(map(_CSV_SPECS.get, types))
-        for row in rows:
-            values = tuple(row.values())
-            if pattern is not None and tuple(map(type, values)) == types:
-                lines.append(pattern % values)
-            else:
-                lines.append(",".join(_cell(v, fmt) for v in values))
-    elif fmt == "jsonl":
-        lines = [
-            "{" + ", ".join(f"{json.dumps(k)}: {_cell(v, fmt)}" for k, v in row.items()) + "}"
-            for row in rows
-        ]
-    else:
-        raise ConfigError(f"format must be one of {FORMATS}, got {fmt!r}")
-    return "\n".join(lines) + "\n"
+        pattern = ",".join("%s" if isinstance(v, str) else "%.12g" for v in rows[0]) + "\n"
+        cells = tuple(itertools.chain.from_iterable(rows))
+        return ",".join(header) + "\n" + pattern * len(rows) % cells
+    if fmt == "jsonl":
+        keys = [json.dumps(k) + ": " for k in header]
+        return "".join(
+            "{" + ", ".join(key + _cell(v) for key, v in zip(keys, row)) + "}\n" for row in rows
+        )
+    raise ConfigError(f"format must be one of {FORMATS}, got {fmt!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +455,7 @@ class _Command(NamedTuple):
     help: str
     flags: tuple[str, ...]  # read besides _COMMON
     defaults: dict  # Scenario keywords
-    run: Callable  # Scenario -> rows; purify's returns (rows, succeeded)
+    run: Callable  # Scenario -> table of columns; purify's returns (table, succeeded)
 
 
 _COMMANDS = {
@@ -593,8 +564,8 @@ def main(argv=None) -> int:
     try:
         result = _COMMANDS[args.command].run(_assemble_scenario(args))
         # purify's runner also says whether the rounds reached the target purity
-        rows, succeeded = result if args.command == "purify" else (result, True)
-        _emit(render_rows(rows, args.format), args.out)
+        table, succeeded = result if args.command == "purify" else (result, True)
+        _emit(render_rows(list(table), list(zip(*table.values())), args.format), args.out)
     except (ConfigError, DomainError) as err:
         print(f"boostlink: config error: {err}", file=sys.stderr)
         return 2

@@ -214,7 +214,7 @@ def test_criterion_5_purity_expansion():
 def _sigma1_negativities(alpha):
     """Negativity at beta = 0, 0.05, ..., 0.5 on the default 64x64 grid."""
     scenario = Scenario(beta=SweepSpec(0.0, 0.5, 11), alpha=alpha, sigma=1.0)
-    return [row["negativity"] for row in run_negativity_sweep(scenario)]
+    return run_negativity_sweep(scenario)["negativity"]
 
 
 def test_criterion_6_negativity_directionality():

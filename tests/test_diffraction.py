@@ -784,7 +784,7 @@ class TestBetaSweep:
 def _sigma1_negativities(alpha, beta=SweepSpec(0.0, 0.5, 11)):
     """Negativity per beta (0, 0.05, ..., 0.5 by default) on the default 64x64 grid."""
     scenario = Scenario(beta=beta, alpha=alpha, sigma=1.0)
-    return [row["negativity"] for row in run_negativity_sweep(scenario)]
+    return run_negativity_sweep(scenario)["negativity"]
 
 
 class TestNegativitySweep:

@@ -98,6 +98,51 @@ def test_li_check_phase_rows_match_golden_byte_for_byte(capsys):
     assert got == want
 
 
+# columns of the error-law sweeps held byte for byte: the inputs and the
+# closed-form approximation; eps_numeric and residual differ from these
+# goldens at the 12th digit and keep the tolerance check above
+EXACT_COLUMNS = {
+    "single_photon": ("theta", "phi", "eps_approx"),
+    "pair": ("theta", "eps_approx"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_COLUMNS))
+def test_exact_columns_match_golden_byte_for_byte(name, capsys):
+    assert main(SCENARIOS[name]) == 0
+
+    def held(text):
+        header, *rows = [line.split(",") for line in text.splitlines()]
+        keep = [header.index(column) for column in EXACT_COLUMNS[name]]
+        return [[row[i] for i in keep] for row in rows]
+
+    got = held(capsys.readouterr().out)
+    want = held((GOLDENS / f"{name}.csv").read_bytes().decode())
+    assert len(want) > 1
+    assert got == want
+
+
+def _jsonl_line(header, cells):
+    """The JSON line of one CSV row: number cells as printed, any other cell
+    (a non-finite number included) a JSON string."""
+    return "{" + ", ".join(
+        f"{json.dumps(key)}: "
+        + (cell if (n := _number(cell)) is not None and math.isfinite(n) else json.dumps(cell))
+        for key, cell in zip(header, cells)
+    ) + "}"
+
+
+@pytest.mark.parametrize("name", EXACT + ["li_check"])
+def test_jsonl_matches_golden_byte_for_byte(name, capsys):
+    # li-check's type1 row is not held exactly (see EXACT)
+    assert main([*SCENARIOS[name], "--format", "jsonl"]) == 0
+    got = [line for line in capsys.readouterr().out.split("\n") if '"type1"' not in line]
+    header, *rows = [line.split(",") for line in (GOLDENS / f"{name}.csv").read_text().splitlines()]
+    want = [_jsonl_line(header, row) for row in rows if row[0] != "type1"] + [""]
+    assert len(want) > 1
+    assert got == want
+
+
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_jsonl_matches_csv(name, capsys):
     # each JSON line carries the CSV header's keys, and each value is the
