@@ -87,56 +87,16 @@ def boost_z(beta: float) -> np.ndarray:
     return m
 
 
-def rotate_to_lab(nodes, axis_angle: float):
-    """Directions (x, y, z) given in a beam frame rotated about y by
-    ``axis_angle`` from the lab (0: the lab itself), expressed in the lab:
-    the boost-independent first step of an aberration."""
-    x, y, z = nodes
-    c, s = math.cos(axis_angle), math.sin(axis_angle)
-    return c * x + s * z, y, c * z - s * x
-
-
-def boost_to_beam_frame(lab, axis_angle: float, beta: float):
-    """Lab directions ``lab`` (as ``rotate_to_lab`` returns them) after
-    ``boost_z(beta)``, rotated back to the beam frame: the second step of an
-    aberration.  It writes only into its own temporaries, so one lab stack
-    serves every beta."""
-    check_velocity(beta)
-    x, y, z = lab
-    c, s = math.cos(axis_angle), math.sin(axis_angle)
-    gamma = 1.0 / math.sqrt((1.0 - beta) * (1.0 + beta))
-    # one rounding per operation, in the order of the formula
-    # n' = (n_x, n_y, gamma (n_z - beta)) / (gamma (1 - beta n_z))
-    # (1 - beta n_z is 1 + n_z (-beta) exactly), on as few temporaries as
-    # the formula needs.  gamma rounds apart from ``boost_z``'s
-    # 1/sqrt(1 - beta^2), and output bytes depend on both forms
-    scale = z * -beta
-    scale += 1.0
-    scale *= gamma
-    scale = 1.0 / scale
-    boosted_x = x * scale
-    boosted_z = z - beta
-    boosted_z *= gamma
-    boosted_z *= scale
-    beam_x = c * boosted_x
-    beam_x -= s * boosted_z
-    boosted_x *= s
-    boosted_z *= c
-    boosted_x += boosted_z
-    return beam_x, y * scale, boosted_x
-
-
 def aberrate(n, beta: float) -> np.ndarray:
     """The (N, 3) unit vectors ``n`` after ``boost_z(beta)``, renormalized:
 
         n' = (n_x, n_y, gamma (n_z - beta)) / (gamma (1 - beta n_z))
 
     (Weinberg, QFT I, sec. 2.5; Lindner, Peres & Terno, J. Phys. A 36, L449,
-    2003), the two steps ``rotate_to_lab`` and ``boost_to_beam_frame`` with
-    the beam along the lab z axis.  The formula divides the input's norm
-    defect |n|^2 - 1 by gamma^2 (1 - beta n_z)^2, which is 5e-5 at
-    beta n_z = |beta| = 0.9999; dividing each row by its norm returns rows
-    within 2.2e-16 of unit norm.
+    2003).  The formula divides the input's norm defect |n|^2 - 1 by
+    gamma^2 (1 - beta n_z)^2, which is 5e-5 at beta n_z = |beta| = 0.9999;
+    dividing each row by its norm returns rows within 2.2e-16 of unit
+    norm.
 
     In angles the polar angle maps by either of two exact closed forms,
 
@@ -146,7 +106,20 @@ def aberrate(n, beta: float) -> np.ndarray:
     with the quadrant of the first fixed by
     sign(cos(theta')) = sign(cos(theta) - beta), which makes the map
     continuous and bijective on [0, pi]; the azimuth is unchanged."""
-    moved = np.transpose(boost_to_beam_frame(rotate_to_lab(n.T, 0.0), 0.0, beta))
+    check_velocity(beta)
+    x, y, z = np.transpose(n)
+    gamma = 1.0 / math.sqrt((1.0 - beta) * (1.0 + beta))
+    # one rounding per operation, in the order of the formula (1 - beta n_z
+    # is 1 + n_z (-beta) exactly).  gamma rounds apart from ``boost_z``'s
+    # 1/sqrt(1 - beta^2), and output bytes depend on both forms
+    scale = z * -beta
+    scale += 1.0
+    scale *= gamma
+    scale = 1.0 / scale
+    boosted_z = z - beta
+    boosted_z *= gamma
+    boosted_z *= scale
+    moved = np.stack([x * scale, y * scale, boosted_z], axis=-1)
     return moved / np.linalg.norm(moved, axis=-1, keepdims=True)
 
 

@@ -17,8 +17,9 @@ basis there, with no phase.
 
 Every function works on stacks of directions: the ``single-photon`` sweep
 and the type-I pair amplitude (``states.pair_amplitudes``) call each once on
-all of their points, and the diffraction kernel calls ``linear_basis`` once
-per block of nodes and beta.
+all of their points.  The diffraction kernel writes the same h and v on the
+boosted momentum instead, with this function's below-equator rule, and its
+tests pin those rows to ``linear_basis``.
 """
 
 from __future__ import annotations

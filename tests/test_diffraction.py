@@ -12,19 +12,24 @@ from boostlink.cli import Scenario, SweepSpec, run_negativity_sweep
 from boostlink.diffraction import (
     _B_AXIS_FLIP,
     _BLOCK_NODES,
-    _MIRROR_EVEN,
     QuadratureGrid,
     _arm_moments,
     _bell_mixture,
     _gauss_legendre,
+    _lorentz_rows,
+    _weighted_rows,
     diffracted_reduced_type1,
     make_grid,
 )
 from boostlink.errors import DomainError
-from boostlink.lorentz import aberrate, boost_to_beam_frame, polar_angles, rotate_to_lab, unit_vectors
+from boostlink.lorentz import aberrate, boost_z, polar_angles, unit_vectors
 from boostlink.photon import linear_basis
 from boostlink.quantum import check_density_matrices, negativity, purity
 from boostlink.states import pair_amplitudes
+
+# Moments between components of (h, v) of equal parity under the mirror
+# y -> -y; the mirror fold cancels the rest.
+_MIRROR_EVEN = np.add.outer(np.arange(6), np.arange(6)) % 2 == 0
 
 # Regression constants computed with this package's quadrature oracle at the
 # default 64x64 grid; they pin the boost-free diffracted pair at sigma = 1.
@@ -38,6 +43,18 @@ def _reference_weights(grid):
     theta, _, weight = _full_grid_layout(grid.n_theta, grid.n_phi, grid.sigma)
     raw = weight * np.exp(-(theta**2) / (grid.sigma**2))
     return raw / raw.sum()
+
+
+def _one_block(blocks):
+    """The grid's blocks joined into one, in node order."""
+    return tuple(np.concatenate([block[i] for block in blocks], axis=-1) for i in range(2))
+
+
+def _half_grid(grid):
+    """The grid's half-grid unit vectors (x, y, z) and square-rooted beam
+    weights, read from its blocks in node order."""
+    lin, (y, _, root_w) = _one_block(grid._blocks)
+    return (lin[1], y, lin[2]), root_w
 
 
 def _one(alpha, beta, grid):
@@ -129,9 +146,8 @@ def _kernel(alpha, beta, grid, opposite):
     mirrored arm, so that arm B's axis lies back along ``alpha``."""
     if opposite:
         return _one(alpha, beta, grid)
-    nodes, weights = grid._nodes, grid._weights
-    [a] = _arm_moments(nodes, weights, alpha, [beta])
-    [b] = _arm_moments(nodes, weights, alpha - math.pi, [-beta])
+    [a] = _arm_moments(grid._blocks, alpha, [beta])
+    [b] = _arm_moments(grid._blocks, alpha - math.pi, [-beta])
     rho = _bell_mixture(a, b * _B_AXIS_FLIP)
     return 0.5 * (rho + rho.conj().T)
 
@@ -164,9 +180,8 @@ class TestBeamProfile:
         for sigma in (1, np.int64(1), np.float64(1.0)):
             grid = make_grid(8, 8, sigma)
             assert grid.sigma == 1.0
-            assert grid._weights.tobytes() == want._weights.tobytes()
-            for got, ref in zip(grid._nodes, want._nodes, strict=True):
-                assert got.tobytes() == ref.tobytes()
+            for got, ref in zip(grid._blocks, want._blocks, strict=True):
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
 
     @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
     def test_grid_checks_sigma_before_rows(self, sigma):
@@ -176,6 +191,13 @@ class TestBeamProfile:
 
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_alpha(self, alpha):
+        with pytest.raises(DomainError, match="beam axis angle must be finite"):
+            diffracted_reduced_type1(alpha, [0.0], make_grid(8, 8, 0.3))
+
+    @pytest.mark.parametrize("alpha", ["0.4", None, True, np.True_, 0.4 + 0j, [0.4]])
+    def test_rejects_non_real_alpha(self, alpha):
+        # the rule the grid applies to sigma: a bool is not an angle, and the
+        # rest are not real numbers
         with pytest.raises(DomainError, match="beam axis angle must be finite"):
             diffracted_reduced_type1(alpha, [0.0], make_grid(8, 8, 0.3))
 
@@ -222,7 +244,7 @@ class TestQuadratureGrid:
         for sigma in (0.01, 0.1, 1.0):
             for n_phi in (64, 63):
                 grid = make_grid(64, n_phi, sigma=sigma)
-                w = grid._weights
+                w = _half_grid(grid)[1] ** 2
                 assert w.sum() == pytest.approx(1.0, rel=1e-12)
                 assert np.all(w > 0.0)
                 assert _reference_weights(grid).sum() == pytest.approx(1.0, rel=1e-12)
@@ -246,7 +268,7 @@ class TestQuadratureGrid:
             flat = np.repeat(shell / (n_phi * shell.sum()), n_phi // 2 + 1)
             flat = flat.reshape(6, -1) * 2.0
             flat[:, [0, -1] if n_phi % 2 == 0 else [0]] *= 0.5
-            assert grid._weights.tobytes() == flat.ravel().tobytes()
+            assert _half_grid(grid)[1].tobytes() == np.sqrt(flat.ravel()).tobytes()
 
     BAD_COUNTS = [0, -3, 1, 2.5, 4.0, "8", None, True]
 
@@ -271,7 +293,7 @@ class TestQuadratureGrid:
         with pytest.raises(DomainError, match="all quadrature weights must be positive"):
             make_grid(64, 64, 1e-160)
         assert _full_grid_layout(8, 8, 1e-160)[2].min() > 0.0
-        assert make_grid(8, 8, 1e-160)._weights.sum() == pytest.approx(1.0, rel=1e-12)
+        assert (_half_grid(make_grid(8, 8, 1e-160))[1] ** 2).sum() == pytest.approx(1.0, rel=1e-12)
 
     def test_rejects_unnormalizable_beam(self):
         # every shell weight of the 2 x 4 grid at 1.5e-162 is positive, but
@@ -287,16 +309,16 @@ class TestQuadratureGrid:
 
     def test_rows_are_read_only(self):
         grid = make_grid(4, 4, sigma=0.4)
-        for array in (grid.row_theta, grid._weights, *grid._nodes):
+        for array in (grid.row_theta, *(a for block in grid._blocks for a in block)):
             with pytest.raises(ValueError):
                 array[0] = 0.0
         with pytest.raises(AttributeError):
             grid.theta = grid.theta
 
     def test_build_keeps_only_derived_arrays(self):
-        # the grid keeps its rows and the half grid's nodes and weights, 16 MiB
-        # at 1024^2 (the full node arrays would take 24 MiB); the build peaks
-        # under 64 KiB above what it keeps
+        # the grid keeps its rows and the half grid's blocks, six numbers per
+        # node, 24 MiB at 1024^2; the build peaks under 64 KiB above those
+        # arrays, the objects of its 2 x 114 block arrays included
         make_grid(1024, 1024, sigma=0.4)  # fills the Gauss-Legendre cache
         tracemalloc.start()
         try:
@@ -304,10 +326,10 @@ class TestQuadratureGrid:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        kept = [grid.row_theta, grid._weights, *grid._nodes]
+        kept = [grid.row_theta, *(a for block in grid._blocks for a in block)]
         assert peak < sum(a.nbytes for a in kept) + 64 * 1024
         assert grid.row_theta.size == 1024
-        assert [a.shape for a in kept[1:]] == [(1024 * 513,)] * 4
+        assert [a.shape for a in _one_block(grid._blocks)] == [(3, 1024 * 513)] * 2
 
 
 class TestGridLayout:
@@ -325,16 +347,19 @@ class TestGridLayout:
         assert grid.theta.shape == (n_theta * n_phi,)
         assert grid.theta.tobytes() == theta.tobytes()
         nodes, weights = _half_grid_reference(n_theta, n_phi, 0.4)
-        for got, want in zip((*grid._nodes, grid._weights), (*nodes, weights), strict=True):
+        lin, (y, y_sq, root_w) = _one_block(grid._blocks)
+        x, _, z = nodes
+        want = [np.ones_like(x), x, z, nodes[1], nodes[1] * nodes[1], np.sqrt(weights)]
+        for got, ref in zip((*lin, y, y_sq, root_w), want, strict=True):
             assert got.shape == (n_theta * (n_phi // 2 + 1),)
-            assert got.tobytes() == want.tobytes()
+            assert got.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("n_phi", [8, 7])
     def test_rows_are_the_reference_rows(self, n_phi):
         grid = QuadratureGrid(12, n_phi, 0.4)
         theta, _, _ = _full_grid_layout(12, n_phi, 0.4)
         assert grid.row_theta.tobytes() == theta[::n_phi].tobytes()
-        assert grid._weights.tobytes() == _half_grid_reference(12, n_phi, 0.4)[1].tobytes()
+        assert _half_grid(grid)[1].tobytes() == np.sqrt(_half_grid_reference(12, n_phi, 0.4)[1]).tobytes()
         assert grid.theta.size == 12 * n_phi
 
 
@@ -365,10 +390,10 @@ class TestGaussLegendreCache:
         uncached = [make_grid(24, 8, sigma=s) for s in (0.3, 2.0)]
         for got, want in zip(cached, uncached):
             assert got.sigma == want.sigma
-            for name in ("row_theta", "theta", "_weights"):
+            for name in ("row_theta", "theta"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-            for g, w in zip(got._nodes, want._nodes, strict=True):
-                assert g.tobytes() == w.tobytes()
+            for g, w in zip(got._blocks, want._blocks, strict=True):
+                assert [a.tobytes() for a in g] == [a.tobytes() for a in w]
 
 
 class TestDiffractedReducedType1:
@@ -492,43 +517,46 @@ class TestUnitVectorKernel:
 
     def test_work_per_call(self, monkeypatch):
         # the beam's profile is evaluated once per theta row when the grid is
-        # built and never by the kernel, and each block of its n_theta *
-        # (n_phi // 2 + 1) half-grid nodes is rotated to the lab once; each
-        # block is boosted once per distinct arm beta: arm A's betas, then the
-        # negated ones for arm B, 0.0 and -0.0 as one
-        rotations, boosts, exp_sizes = [], [], []
-        rotate, boost, exp = diffraction.rotate_to_lab, diffraction.boost_to_beam_frame, np.exp
+        # built and never by the kernel; a call builds one Lorentz map per
+        # distinct arm beta, arm A's betas and then the negated ones for arm
+        # B, 0.0 and -0.0 as one, and writes each block's rows once per map,
+        # blocks in the outer loop
+        maps, made, rows, exp_sizes = [], [], [], []
+        lorentz_rows, weighted_rows, exp = diffraction._lorentz_rows, diffraction._weighted_rows, np.exp
 
-        def counting_rotate(nodes, axis_angle):
-            rotations.append((nodes[0].size, axis_angle))
-            return rotate(nodes, axis_angle)
+        def counting_maps(axis_angle, beta):
+            maps.append((axis_angle, beta))
+            made.append(lorentz_rows(axis_angle, beta))
+            return made[-1]
 
-        def counting_boost(lab, axis_angle, beta):
-            boosts.append((lab[0].size, axis_angle, beta))
-            return boost(lab, axis_angle, beta)
+        def counting_rows(block, lorentz, work):
+            # (block size, index of the map it was given)
+            rows.append((block[0].shape[1], [m is lorentz for m in made].index(True)))
+            return weighted_rows(block, lorentz, work)
 
         def counting_exp(x):
             exp_sizes.append(np.size(x))
             return exp(x)
 
-        monkeypatch.setattr(diffraction, "rotate_to_lab", counting_rotate)
-        monkeypatch.setattr(diffraction, "boost_to_beam_frame", counting_boost)
+        monkeypatch.setattr(diffraction, "_lorentz_rows", counting_maps)
+        monkeypatch.setattr(diffraction, "_weighted_rows", counting_rows)
         monkeypatch.setattr(np, "exp", counting_exp)
         sweeps = [([0.4], [0.4, -0.4]), ([0.0, 0.4, -0.0, -0.4, 0.4], [0.0, 0.4, -0.4])]
-        for n_theta, n_phi in ((16, 32), (9, 31), (3, 2), _one_past_whole_blocks()):
+        for n_theta, n_phi in ((16, 32), (9, 31), (3, 2), _uneven_blocks(), (128, 128)):
             exp_sizes.clear()
             grid = make_grid(n_theta, n_phi, sigma=0.6)
             assert exp_sizes == [n_theta]
-            half = n_theta * (n_phi // 2 + 1)
-            blocks = [min(_BLOCK_NODES, half - start) for start in range(0, half, _BLOCK_NODES)]
+            blocks = [block[0].shape[1] for block in grid._blocks]
+            assert sum(blocks) == n_theta * (n_phi // 2 + 1)
             for betas, arm_betas in sweeps:
-                rotations.clear()
-                boosts.clear()
+                maps.clear()
+                made.clear()
+                rows.clear()
                 exp_sizes.clear()
                 diffracted_reduced_type1(0.3, betas, grid)
-                assert rotations == [(size, 0.3) for size in blocks]
-                assert boosts == [(size, 0.3, b) for size in blocks for b in arm_betas]
-                assert not any(math.copysign(1.0, b) < 0 for _, _, b in boosts if b == 0.0)
+                assert maps == [(0.3, b) for b in arm_betas]
+                assert not any(math.copysign(1.0, b) < 0 for _, b in maps if b == 0.0)
+                assert rows == [(size, i) for size in blocks for i in range(len(arm_betas))]
                 assert exp_sizes == []
 
     def test_node_identities(self):
@@ -537,10 +565,10 @@ class TestUnitVectorKernel:
         tol = 2e-14
         closest = 2.0
         for sigma in (0.2, 1.0, 3.0):
-            nodes = make_grid(32, 32, sigma=sigma)._nodes
+            nodes = _half_grid(make_grid(32, 32, sigma=sigma))[0]
             for axis_angle in (0.0, 1.1, math.pi / 2, math.pi, 4.0):
                 for beta in (-0.9, 0.0, 0.3, 0.9):
-                    n = np.array(_beam_frame_aberration(nodes, axis_angle, beta))
+                    n = _beam_frame_aberration(nodes, axis_angle, beta)
                     basis = linear_basis(*n)
                     h, v = basis[:3], basis[3:]
                     closest = min(closest, float(1.0 + n[2].min()))
@@ -549,6 +577,38 @@ class TestUnitVectorKernel:
                         residual = np.abs(np.einsum("an,an->n", a, b) - expected)
                         assert residual.max() <= tol
         assert closest < 1e-6  # 1 + n_z; about 1e-3 rad from the pole
+
+    def test_rows_are_linear_basis_times_weight(self, monkeypatch):
+        # the kernel's momentum form of h and v is linear_basis at the
+        # aberrated direction: its five rows, v_x = h_y read as a sixth, are
+        # -sqrt(W) times linear_basis's six, to 2e-15, also below the
+        # beam-frame equator, where both take 1 + n_z as (n_x^2 + n_y^2) /
+        # (1 - n_z)
+        greater = np.greater
+        branch = []
+
+        def counting_greater(*args, **kwargs):
+            branch.append(args[0].size)
+            return greater(*args, **kwargs)
+
+        worst, below = 0.0, 0
+        for sigma, alpha, beta in ((3.0, math.pi - 0.01, 0.9), (3.0, math.pi - 0.01, -0.9),
+                                   (0.2, 0.0, 0.5), (1.0, 1.1, -0.3), (1.0, 4.0, 0.0)):
+            grid = make_grid(32, 32, sigma=sigma)
+            nodes, root_w = _half_grid(grid)
+            n = _beam_frame_aberration(nodes, alpha, beta)
+            branch.clear()
+            with monkeypatch.context() as patched:
+                patched.setattr(np, "greater", counting_greater)
+                h_x, h_y, h_z, v_y, v_z = _kernel_rows(grid._blocks, alpha, beta)
+            if (n[2] < 0.0).any():
+                assert branch == [root_w.size]
+                below += 1
+            want = -linear_basis(*n) * root_w
+            got = np.array([h_x, h_y, h_z, h_y, v_y, v_z])
+            worst = max(worst, float(np.abs(got - want).max()))
+        assert worst <= 2e-15
+        assert below > 0  # the below-equator branch ran
 
     def test_exact_backward_pole_is_nan(self):
         # n = -z exactly: h and v have no limit there, and the closed form
@@ -578,64 +638,97 @@ class TestUnitVectorKernel:
         assert np.linalg.eigvalsh(rho).min() >= -1e-12
 
 
+def _rotation_y4(angle):
+    """The 4x4 rotation by ``angle`` about y on (t, x, y, z)."""
+    c, s = math.cos(angle), math.sin(angle)
+    m = np.eye(4)
+    m[1, 1] = m[3, 3] = c
+    m[1, 3], m[3, 1] = s, -s
+    return m
+
+
 def _beam_frame_aberration(nodes, axis_angle, beta):
-    """The kernel's two aberration steps on the whole node stack at once."""
-    return boost_to_beam_frame(rotate_to_lab(nodes, axis_angle), axis_angle, beta)
+    """Reference: the nodes' null momenta (1, n) through the 4x4 matrices
+    R_y(axis_angle), boost_z(beta) and R_y(axis_angle)^T, the spatial parts
+    normalized: the unit directions (x, y, z) in the beam frame."""
+    rotation = _rotation_y4(axis_angle)
+    p = rotation.T @ boost_z(beta) @ rotation @ np.vstack([np.ones_like(nodes[0]), *nodes])
+    return p[1:] / np.linalg.norm(p[1:], axis=0)
 
 
-def _unblocked_arm_moments(nodes, weights, axis_angle, beta):
-    """Reference: one product over every half-grid node, no blocks."""
-    basis = linear_basis(*_beam_frame_aberration(nodes, axis_angle, beta))
-    return (((basis * weights) @ basis.T) * _MIRROR_EVEN).reshape(2, 3, 2, 3)
+def _kernel_rows(blocks, axis_angle, beta):
+    """The kernel's five weighted rows over the whole half grid as one
+    block."""
+    block = _one_block(blocks)
+    size = block[0].shape[1]
+    work = np.empty((3, size)), np.empty((3, size)), np.empty(size, dtype=bool)
+    return _weighted_rows(block, _lorentz_rows(axis_angle, beta), work)
 
 
-def _exact_arm_moments(nodes, weights, axis_angle, beta):
-    """Reference: the same node terms as the kernel, each entry summed with
-    math.fsum, i.e. the correctly rounded sum."""
-    basis = linear_basis(*_beam_frame_aberration(nodes, axis_angle, beta))
-    weighted = basis * weights
-    moments = np.array([[math.fsum(weighted[i] * basis[j]) for j in range(6)] for i in range(6)])
+def _unblocked_arm_moments(blocks, axis_angle, beta):
+    """Reference: the kernel's sums over the whole half grid as one block,
+    one product per moment entry."""
+    return _arm_moments((_one_block(blocks),), axis_angle, [beta])[0]
+
+
+def _exact_arm_moments(blocks, axis_angle, beta):
+    """Reference: the same node terms as the kernel, each entry of the 6x6
+    moment of (h_x, h_y, h_z, v_x = h_y, v_y, v_z) summed with math.fsum,
+    i.e. the correctly rounded sum, and the mirror-odd entries 0."""
+    h_x, h_y, h_z, v_y, v_z = _kernel_rows(blocks, axis_angle, beta)
+    six = (h_x, h_y, h_z, h_y, v_y, v_z)
+    moments = np.array([[math.fsum(a * b) for b in six] for a in six])
     return (moments * _MIRROR_EVEN).reshape(2, 3, 2, 3)
 
 
-def _one_past_whole_blocks():
-    """(n_theta, n_phi) whose half grid holds k * _BLOCK_NODES + 1 nodes."""
-    for size in (k * _BLOCK_NODES + 1 for k in (1, 2, 3)):
-        for n_theta in range(2, 64):
-            if size % n_theta == 0 and size // n_theta >= 2:
-                return n_theta, 2 * (size // n_theta - 1)
-    raise AssertionError("no small grid is one node past whole blocks")
+def _uneven_blocks():
+    """(n_theta, n_phi) whose half grid is two blocks one theta row apart."""
+    half = 197
+    n_theta, n_phi = _BLOCK_NODES // half + 2, 2 * (half - 1)
+    sizes = [block[0].shape[1] for block in make_grid(n_theta, n_phi, 1.0)._blocks]
+    assert len(sizes) == 2 and abs(sizes[0] - sizes[1]) == half
+    return n_theta, n_phi
 
 
 class TestBlockedMoments:
-    """The moments are summed over blocks of _BLOCK_NODES half-grid nodes;
-    they must match one product over the whole half grid, bit for bit on a
-    single block and up to that product's rounding on several."""
+    """The moments are summed over blocks of whole theta rows, at most
+    _BLOCK_NODES half-grid nodes each; they must match one product over the
+    whole half grid, bit for bit on a single block and up to that product's
+    rounding on several."""
 
     BEAMS = [(0.2, 0.0), (1.0, 1.1), (3.0, math.pi - 0.01)]
     BETAS = (-0.9, 0.0, 0.5)
 
     def test_block_size_bounds(self):
-        # a 64^2 half grid is one block; one block's 6 x B stack is below 128 KiB
-        assert 64 * 33 <= _BLOCK_NODES <= 128 * 1024 // 48
+        # a 64^2 half grid is one block; one block's (3, B) float64 array is
+        # below 128 KiB; the blocks hold whole theta rows, as even as rows
+        # allow, on every grid the CLI takes (n_phi <= 1024)
+        assert 64 * 33 <= _BLOCK_NODES <= 128 * 1024 // 24
+        assert [block[0].shape[1] for block in make_grid(64, 64, 1.0)._blocks] == [64 * 33]
+        assert [block[0].shape[1] for block in make_grid(128, 128, 1.0)._blocks] == [4160, 4160]
+        for n_theta, n_phi in ((127, 129), (1024, 1024), (1000, 2), (3, 1024)):
+            half = n_phi // 2 + 1
+            rows = [block[0].shape[1] // half for block in make_grid(n_theta, n_phi, 1.0)._blocks]
+            assert sum(rows) == n_theta and max(rows) - min(rows) <= 1
+            assert max(rows) * half <= _BLOCK_NODES
 
     @staticmethod
     def _kernel_with(moments, monkeypatch, *args):
         """The kernel with each arm's moments from ``moments``, a per-beta
         reference."""
-        def per_beta(nodes, weights, axis_angle, betas):
-            return [moments(nodes, weights, axis_angle, beta) for beta in betas]
+        def per_beta(blocks, axis_angle, betas):
+            return [moments(blocks, axis_angle, beta) for beta in betas]
 
         with monkeypatch.context() as patched:
             patched.setattr(diffraction, "_arm_moments", per_beta)
             return _one(*args)
 
-    @pytest.mark.parametrize("n_theta, n_phi", [(128, 128), (127, 129), _one_past_whole_blocks()])
+    @pytest.mark.parametrize("n_theta, n_phi", [(128, 128), (127, 129), _uneven_blocks()])
     def test_multi_block_matches_unblocked(self, n_theta, n_phi, monkeypatch):
         # Against the correctly rounded sums, entries agree to 1e-15.  The
         # one-product reference carries its own rounding error of up to
         # 2.3e-15 on these grids (0.56e-15 blocked), hence its wider bound.
-        assert n_theta * (n_phi // 2 + 1) > _BLOCK_NODES
+        assert len(make_grid(n_theta, n_phi, 1.0)._blocks) > 1
         worst = dict.fromkeys(["moment exact", "moment one-product", "rho exact",
                                "rho one-product"], 0.0)
 
@@ -644,11 +737,10 @@ class TestBlockedMoments:
 
         for sigma, alpha in self.BEAMS:
             grid = make_grid(n_theta, n_phi, sigma=sigma)
-            nodes, weights = grid._nodes, grid._weights
             for axis_angle in (alpha, alpha + math.pi):
-                blocked = _arm_moments(nodes, weights, axis_angle, self.BETAS)
+                blocked = _arm_moments(grid._blocks, axis_angle, self.BETAS)
                 for beta, moments in zip(self.BETAS, blocked, strict=True):
-                    args = (nodes, weights, axis_angle, beta)
+                    args = (grid._blocks, axis_angle, beta)
                     record("moment exact", moments, _exact_arm_moments(*args))
                     record("moment one-product", moments, _unblocked_arm_moments(*args))
             for beta in self.BETAS:
@@ -664,23 +756,22 @@ class TestBlockedMoments:
     def test_single_block_bitwise_unblocked(self, n, monkeypatch):
         for sigma, alpha in self.BEAMS:
             grid = make_grid(n, n, sigma=sigma)
-            nodes, weights = grid._nodes, grid._weights
-            blocked = _arm_moments(nodes, weights, alpha, self.BETAS)
+            assert len(grid._blocks) == 1
+            blocked = _arm_moments(grid._blocks, alpha, self.BETAS)
             for beta, moments in zip(self.BETAS, blocked, strict=True):
-                ref = _unblocked_arm_moments(nodes, weights, alpha, beta)
+                ref = _unblocked_arm_moments(grid._blocks, alpha, beta)
                 assert moments.tobytes() == ref.tobytes()
                 args = (alpha, beta, grid)
                 ref = self._kernel_with(_unblocked_arm_moments, monkeypatch, *args)
                 assert _one(*args).tobytes() == ref.tobytes()
 
     def test_peak_memory_independent_of_grid(self):
-        # guards against the full 6 x N basis stack coming back: unblocked,
-        # one 256^2 call peaks near 4.8 MB; several betas share each block
+        # guards against full-grid row stacks coming back: unblocked, one
+        # 256^2 call peaks near 4.8 MB; several betas share each block
         grid = make_grid(256, 256, sigma=1.0)
-        nodes, weights = grid._nodes, grid._weights
         tracemalloc.start()
         try:
-            _arm_moments(nodes, weights, 0.3, [0.5, -0.5, 0.0, 0.2])
+            _arm_moments(grid._blocks, 0.3, [0.5, -0.5, 0.0, 0.2])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -694,7 +785,7 @@ class TestBetaSweep:
     BETAS = [0.3, -0.3, 0.0, 0.3, -0.0, 0.9, -0.9, 1e-12]
 
     @pytest.mark.parametrize("n_theta, n_phi", [(8, 7), (48, 48), (128, 128),
-                                                _one_past_whole_blocks()])
+                                                _uneven_blocks()])
     @pytest.mark.parametrize("sigmas, alphas", [((0.8, 0.8), (0.9, 0.9)),
                                                 ((0.8, 0.5), (0.9, 0.9)),
                                                 ((1.5, 1.5), (0.2, 2.0))])
@@ -709,20 +800,20 @@ class TestBetaSweep:
             for beta, rho in zip(self.BETAS, sweep):
                 assert rho.tobytes() == _one(alpha, beta, grid).tobytes()
 
-    @pytest.mark.parametrize("n_theta, n_phi", [(8, 7), (48, 48), _one_past_whole_blocks()])
+    @pytest.mark.parametrize("n_theta, n_phi", [(8, 7), (48, 48), _uneven_blocks()])
     def test_one_grid_serves_every_alpha(self, n_theta, n_phi, monkeypatch):
-        # the kernel reads the grid's own node and weight arrays, unchanged:
+        # the kernel reads the grid's own block arrays, unchanged:
         # one grid over an alpha sweep gives a fresh grid's matrices bit for
         # bit, and its derived arrays refuse writes
         grid = make_grid(n_theta, n_phi, sigma=0.8)
-        derived = [grid.row_theta, grid._weights, *grid._nodes]
+        derived = [grid.row_theta, *(a for block in grid._blocks for a in block)]
         before = [a.tobytes() for a in derived]
         passed = []
         arm_moments = diffraction._arm_moments
 
-        def recording(nodes, weights, axis_angle, betas):
-            passed.append((nodes, weights))
-            return arm_moments(nodes, weights, axis_angle, betas)
+        def recording(blocks, axis_angle, betas):
+            passed.append(blocks)
+            return arm_moments(blocks, axis_angle, betas)
 
         monkeypatch.setattr(diffraction, "_arm_moments", recording)
         for alpha in (0.0, 0.9, math.pi / 2, 2.5):
@@ -730,7 +821,7 @@ class TestBetaSweep:
             fresh = diffracted_reduced_type1(alpha, self.BETAS, make_grid(n_theta, n_phi, sigma=0.8))
             for got, want in zip(reused, fresh, strict=True):
                 assert got.tobytes() == want.tobytes()
-        assert all(nodes is grid._nodes and weights is grid._weights for nodes, weights in passed[::2])
+        assert all(blocks is grid._blocks for blocks in passed[::2])
         assert [a.tobytes() for a in derived] == before
         for array in derived:
             with pytest.raises(ValueError):
@@ -744,13 +835,28 @@ class TestBetaSweep:
         empty = diffracted_reduced_type1(0.4, [], grid)
         assert empty.shape == (0, 9, 9) and empty.dtype == complex
 
+    @pytest.mark.parametrize("betas", [["0.1"], [b"0.1"], np.array(["0.1"]), [0.1 + 0j],
+                                       np.array([0.1 + 0j]), [None], [True], [0.1, "0.2"]])
+    def test_rejects_non_real_betas(self, betas, monkeypatch):
+        # the rule the grid applies to sigma, before any node work
+        monkeypatch.setattr(diffraction, "_arm_moments", None)
+        with pytest.raises(DomainError, match=r"boost velocity must satisfy \|beta\| < 1, got"):
+            diffracted_reduced_type1(0.4, betas, make_grid(8, 8, 0.3))
+
+    def test_accepts_int_and_numpy_reals(self):
+        grid = make_grid(8, 8, 0.3)
+        want = diffracted_reduced_type1(0.0, [0.0, 0.25], grid)
+        for alpha, betas in ((0, [0, 0.25]), (np.int64(0), np.array([0.0, 0.25])),
+                             (np.float64(0.0), [np.int32(0), np.float32(0.25)])):
+            assert diffracted_reduced_type1(alpha, betas, grid).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("betas", [0.1, np.float64(0.1), np.array(0.1), [[0.1, 0.2]]])
     def test_rejects_betas_not_1d(self, betas):
         grid = make_grid(12, 12, sigma=0.5)
         with pytest.raises(DomainError, match="betas must be a 1-D sequence"):
             diffracted_reduced_type1(0.4, betas, grid)
 
-    @pytest.mark.parametrize("n_theta, n_phi", [(24, 24), (9, 31), _one_past_whole_blocks()])
+    @pytest.mark.parametrize("n_theta, n_phi", [(24, 24), (9, 31), _uneven_blocks()])
     def test_mirror_identity(self, n_theta, n_phi):
         # R_y(pi) conjugates B_z(beta) into B_z(-beta), and the rotations in
         # and back cancel it: the axis at alpha + pi under beta is the axis
@@ -758,11 +864,10 @@ class TestBetaSweep:
         worst = 0.0
         for sigma in (0.2, 1.0, 3.0):
             grid = make_grid(n_theta, n_phi, sigma=sigma)
-            nodes, weights = grid._nodes, grid._weights
             for alpha in (0.0, 0.9, math.pi / 2, math.pi - 0.01, 4.0):
                 betas = [-0.9, -0.3, 0.0, 0.5, 0.9]
-                explicit = _arm_moments(nodes, weights, alpha + math.pi, betas)
-                mirrored = _arm_moments(nodes, weights, alpha, [-b for b in betas])
+                explicit = _arm_moments(grid._blocks, alpha + math.pi, betas)
+                mirrored = _arm_moments(grid._blocks, alpha, [-b for b in betas])
                 for e, m in zip(explicit, mirrored, strict=True):
                     worst = max(worst, float(np.abs(e - m).max()))
         assert worst <= 1e-15
@@ -774,7 +879,7 @@ class TestBetaSweep:
             raise AssertionError("node work before the velocity check")
 
         # the grid holds its node directions; per-beta work is what must wait
-        for name in ("rotate_to_lab", "boost_to_beam_frame", "linear_basis"):
+        for name in ("_lorentz_rows", "_weighted_rows", "_arm_moments"):
             monkeypatch.setattr(diffraction, name, no_node_work)
         grid = make_grid(16, 16, sigma=0.5)
         with pytest.raises(DomainError, match="boost velocity"):
