@@ -36,8 +36,8 @@ import numpy as np
 
 from .diffraction import diffracted_reduced_type1, make_grid
 from .errors import ConfigError, DegenerateProtocolError, DomainError, NumericalConsistencyError
-from .lorentz import aberrate, boost_z, polar_angles, unit_vectors, wigner_phases
-from .photon import check_photons, check_polarizations, linear_basis
+from .lorentz import aberrate, boost_z, linear_basis, polar_angles, unit_vectors, wigner_phases
+from .photon import check_photons, check_polarizations
 from .purification import LinkParams, attenuation, photons_required
 # DensityMatrix is unused here; perfbench's tracer test reads cli.DensityMatrix
 from .quantum import DensityMatrix, negativity, pure_negativities, pure_trace_distances
@@ -248,18 +248,20 @@ def run_li_check(scenario: Scenario) -> dict[str, list]:
     trace distance across frames (raw and phase-compensated), negativity in
     both frames, and a verdict.
 
-    Each protocol is a table entry holding its amplitude rows at rest,
-    boosted and compensated; one ``pure_trace_distances`` call on the rows
-    gives its raw and compensated distances and one ``pure_negativities``
-    call its negativities at rest and boosted, with no matrix.  Type I
+    Each table entry holds one cut's amplitude rows at rest, boosted and
+    compensated: type I on (3, 3), types II and III stacked on (2, 2).  Per
+    cut, one ``pure_trace_distances`` call gives the raw and compensated
+    distances and one ``pure_negativities`` call the negativities at rest
+    and boosted, each row's value bit for bit a one-row stack's.  Type I
     aberrates both directions and has nothing to compensate.  Types II and
-    III take their boosted phases from one Wigner phase per arm (helicity
-    +1), both from one ``wigner_phases`` call, which checks the boost
+    III take one Wigner phase per arm (helicity +1), read in the linear
+    basis's frame by one ``wigner_phases`` call, which checks the boost
     matrix: the type II branch phases shift by -Theta_A and -Theta_B, the
     type III global phase by -(Theta_A + Theta_B), and the compensated rows
-    add the computed phases back.  Under this z-boost the Wigner phase is
-    identically 0, so the compensated column cannot fail yet; it tests
-    something only once li-check boosts along a tilted axis."""
+    add the computed phases back.  Under this z-boost the phase is 0 up to
+    rounding of order gamma^2 eps, so their raw distance is round-off and
+    the compensated column cannot fail yet; it tests something only once
+    li-check boosts along a tilted axis."""
     beta = _scalar(scenario, "beta")
     theta = _scalar(scenario, "theta")
     phi = _scalar(scenario, "phi")
@@ -268,19 +270,19 @@ def run_li_check(scenario: Scenario) -> dict[str, list]:
     wigner = wigner_phases(boost_z(beta), np.concatenate([n_a, n_b]))
     # branch phases at rest, boosted and compensated; x + -x is exactly 0.0
     phases = np.stack([np.zeros(2), -wigner, -wigner + wigner])
+    fock = (type2_amplitudes(*phases.T), type3_amplitudes(phases.sum(axis=1)))
     protocols = (
-        ("type1", (3, 3), (rest[0], moved[0], moved[0])),
-        ("type2", (2, 2), type2_amplitudes(*phases.T)),
-        ("type3", (2, 2), type3_amplitudes(phases.sum(axis=1))),
+        (("type1",), (3, 3), np.stack([rest, moved, moved])),
+        (("type2", "type3"), (2, 2), np.stack(fock, axis=1)),
     )
     rows = []
-    for name, dims, (source, boosted, compensated) in protocols:
+    for names, dims, (source, boosted, compensated) in protocols:
         raw, distance = pure_trace_distances(
-            np.stack([source, source]), np.stack([boosted, compensated])
-        ).tolist()
-        negativities = pure_negativities(np.stack([source, boosted]), dims).tolist()
-        verdict = "invariant" if distance <= LI_TOLERANCE else "frame_dependent"
-        rows.append((name, raw, distance, *negativities, verdict))
+            np.concatenate([source, source]), np.concatenate([boosted, compensated])
+        ).reshape(2, -1).tolist()
+        at_rest, after = pure_negativities(np.concatenate([source, boosted]), dims).reshape(2, -1).tolist()
+        for name, r, d, n0, n1 in zip(names, raw, distance, at_rest, after):
+            rows.append((name, r, d, n0, n1, "invariant" if d <= LI_TOLERANCE else "frame_dependent"))
     return dict(zip(_LI_COLUMNS, map(list, zip(*rows))))
 
 

@@ -26,7 +26,7 @@ p_y = n_y alone, so per arm beta it is a linear map of the rows
 and back cancel it.  So every arm is the one beam's geometry at an arm beta,
 arm A at beta and arm B at -beta.
 
-Basis: ``photon.linear_basis``'s h and v at the boosted direction
+Basis: ``lorentz.linear_basis``'s h and v at the boosted direction
 n' = p' / E', written on the momentum, with k = 1 / (E' (E' + p'_z)):
 
     h = (1 - p'_x^2 k, -p'_x p'_y k, -p'_x / E'),

@@ -1,5 +1,6 @@
-"""Boosts, photon aberration on unit vectors, and the Wigner phase of the
-massless-particle little group, as functions on numpy arrays.
+"""Boosts, photon aberration on unit vectors, the linear polarization basis
+and the Wigner phase of the massless-particle little group, as functions on
+numpy arrays.
 
 Conventions fixed here and relied on by every other module:
 
@@ -11,16 +12,31 @@ Conventions fixed here and relied on by every other module:
   away from the +z axis: ``sign(cos(theta')) = sign(cos(theta) - beta)``.
 * Spherical directions use the physics convention: ``theta`` measured from
   +z in ``[0, pi]``, ``phi`` measured from +x in ``[0, 2*pi)``.
-* The standard frame at a photon direction n is R_z(phi) R_y(theta), with
-  phi read as 0 on the z axis.  The canonical transform L(p) for a null
-  momentum p along n is that rotation after a z-boost taking the reference
-  vector k = (1, 0, 0, 1) to the energy of p.  The little-group element
-  W = L(m p)^-1 m L(p) stabilizes k, its x-y block is a rotation, and the
-  Wigner phase is its angle.  The z-boost in L(m p) leaves x and y alone, so
-  ``wigner_phases`` reads the angle in closed form from the frame axes
-  alone: with e_x the first frame axis at n, s the spatial part of m (0, e_x),
-  and x', y' the frame axes at the direction of m p,
-  Theta = atan2(s . y', s . x').
+* The standard frame at a unit direction n is Q = R_z(phi) R_y(theta)
+  R_z(-phi), the rotation taking +z to n about the axis perpendicular to
+  both.  The linear polarization basis at n is the images of x and y under Q:
+
+      h = x - n_x (n + z) / (1 + n_z),    v = y - n_y (n + z) / (1 + n_z).
+
+  Both are spatial 3-vectors (the radiation-gauge time component is zero),
+  unit norm and transverse to the momentum.  The only singular direction is
+  n = -z exactly (see ``linear_basis``); at theta = pi the unit vector keeps
+  a 1.2e-16 offset from it, and there Q is the half-turn about the axis at
+  azimuth phi + pi/2, so h and v are x and y reflected through it.  A
+  z-boost acts on a linearly polarized photon by aberrating its direction
+  (``aberrate``) and re-evaluating the same basis there, with no phase.
+  ``linear_basis`` is the one copy of the formula; the diffraction kernel
+  writes it on the boosted momentum, and its tests pin those rows to it.
+* The canonical transform L(p) for a null momentum p along n is Q after a
+  z-boost taking the reference vector k = (1, 0, 0, 1) to the energy of p.
+  The little-group element W = L(m p)^-1 m L(p) stabilizes k, its x-y block
+  is a rotation, and the Wigner phase is its angle.  The z-boost in L(m p)
+  leaves x and y alone, so ``wigner_phases`` reads the angle in closed form
+  from the basis alone: with s the spatial part of m (0, h(n)), and h', v'
+  the basis at the direction of m (1, n), Theta = atan2(s . v', s . h').
+  Projected transverse to m p, s is cos(Theta) h' + sin(Theta) v': the
+  phase is the angle by which m carries a linear polarization out of the
+  basis.
 """
 
 from __future__ import annotations
@@ -132,34 +148,52 @@ def approx_transform_theta(theta: float, beta: float) -> float:
     return math.pi * (theta / math.pi) ** exponent
 
 
-def _frame_axes(v) -> tuple[np.ndarray, np.ndarray]:
-    """First and second axes of the standard frame R_z(phi) R_y(theta) at the
-    direction of each row of the (N, 3) stack ``v``:
-    (cos(theta) cos(phi), cos(theta) sin(phi), -sin(theta)) and
-    (-sin(phi), cos(phi), 0).  The angles come from atan2, so both axes are
-    unit vectors also where x and y are subnormal; on the z axis phi is 0,
-    also where x is -0.0 (atan2(0, -0.0) would read pi)."""
-    x, y, z = v.T
-    rho = np.hypot(x, y)
-    theta = np.arctan2(rho, z)
-    phi = np.where(rho > 0.0, np.arctan2(y, x), 0.0)
-    cos_theta, cos_phi, sin_phi = np.cos(theta), np.cos(phi), np.sin(phi)
-    e_x = np.stack([cos_theta * cos_phi, cos_theta * sin_phi, -np.sin(theta)], axis=-1)
-    e_y = np.stack([-sin_phi, cos_phi, np.zeros_like(x)], axis=-1)
-    return e_x, e_y
+def linear_basis(nx, ny, nz) -> np.ndarray:
+    """Rows (h; v) of a 6 x N array at the unit directions (nx, ny, nz), each
+    an array of N components.  Below the equator 1 + n_z is evaluated as
+    (n_x^2 + n_y^2) / (1 - n_z), which keeps h and v orthonormal and
+    transverse to rounding right up to the pole.  At the pole itself, n = -z
+    exactly, h and v have no limit: 0 / 0 leaves NaN in rows h_x, h_y, v_x,
+    v_y.  ``unit_vectors`` never returns it: at theta = pi its n_x =
+    sin(pi) cos(phi) is nonzero (sin(pi) = 1.2e-16, and no float phi has
+    cos(phi) = 0).  Grid nodes avoid it too: sin(theta) > 0 at every
+    Gauss-Legendre node, so n_y != 0 off the columns phi = 0 and pi, and a
+    node there reaches the pole only if the boost aberrates it exactly onto
+    -z.  The rows are computed in place in the returned array."""
+    one_plus_nz = 1.0 + nz
+    np.divide(nx * nx + ny * ny, 1.0 - nz, out=one_plus_nz, where=nz < 0.0)
+    kx = nx / one_plus_nz
+    ky = ny / one_plus_nz
+    basis = np.empty((6,) + np.shape(nx))
+    h_x, h_y, h_z, v_x, v_y, v_z = basis
+    np.multiply(nx, kx, out=h_x)
+    np.subtract(1.0, h_x, out=h_x)
+    np.negative(ny, out=v_z)
+    np.multiply(v_z, kx, out=h_y)
+    np.negative(nx, out=h_z)
+    np.multiply(h_z, ky, out=v_x)
+    np.multiply(ny, ky, out=v_y)
+    np.subtract(1.0, v_y, out=v_y)
+    return basis
 
 
 def wigner_phases(m, n) -> np.ndarray:
     """Wigner phase, in (-pi, pi], of a photon along each row of the (N, 3)
-    unit vectors ``n`` under the 4x4 Lorentz matrix ``m``, in the closed form
-    of the module docstring.
+    unit vectors ``n`` under the 4x4 Lorentz matrix ``m``, read in the
+    linear basis's frame in the closed form of the module docstring.
 
     ``m`` must preserve the metric to ``METRIC_TOL`` relative to the square
     of its largest entry (the residual m^T eta m - eta grows as gamma^2 in
     rounding) and be proper orthochronous, and each direction must be a unit
-    vector; otherwise ``DomainError``.  The x-y block of W is a rotation, so
-    (s . x', s . y') has unit norm; a departure above ``STABILIZER_TOL``
-    raises ``NumericalConsistencyError``."""
+    vector other than -z exactly, and so must its image under ``m``, where
+    the basis has no limit; otherwise ``DomainError``.  The x-y block of W is
+    a rotation, so (s . h', s . v') has unit norm; a departure above
+    ``STABILIZER_TOL`` raises ``NumericalConsistencyError``.
+
+    The phase is as accurate as the rounded matrix defines it: under
+    ``boost_z(beta)``, 0 in exact arithmetic, it rounds to a few eps at
+    moderate beta and to below gamma^2 eps near the poles at |beta| >= 0.9
+    (eps = 2^-52), the order of the matrix's own metric defect."""
     m = np.asarray(m, dtype=float)
     if m.shape != (4, 4):
         raise DomainError(f"Lorentz matrix must be 4x4, got shape {m.shape}")
@@ -174,10 +208,15 @@ def wigner_phases(m, n) -> np.ndarray:
     p = np.hstack([np.ones((len(n), 1)), n])
     if not null_mask(p).all():
         raise DomainError("photon direction must be a unit vector")
-    s = _frame_axes(n)[0] @ m[1:, 1:].T
-    x_out, y_out = _frame_axes(p @ m[1:].T)
-    cos_w = np.einsum("ij,ij->i", s, x_out)
-    sin_w = np.einsum("ij,ij->i", s, y_out)
+    moved = p @ m[1:].T
+    ends = np.concatenate([n, moved / np.linalg.norm(moved, axis=-1, keepdims=True)])
+    if ((ends[:, :2] == 0.0).all(axis=1) & (ends[:, 2] < 0.0)).any():
+        raise DomainError("the linear basis is singular at the photon direction -z = (0, 0, -1)")
+    # one basis call: h at each direction, then h' and v' at its image
+    basis = linear_basis(*ends.T)
+    s = basis[:3, :len(n)].T @ m[1:, 1:].T
+    cos_w = np.einsum("ij,ji->i", s, basis[:3, len(n):])
+    sin_w = np.einsum("ij,ji->i", s, basis[3:, len(n):])
     residual = float(np.abs(np.hypot(cos_w, sin_w) - 1.0).max(initial=0.0))
     if not residual <= STABILIZER_TOL:
         raise NumericalConsistencyError(

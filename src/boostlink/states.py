@@ -32,7 +32,8 @@ import math
 
 import numpy as np
 
-from .photon import check_polarizations, linear_basis
+from .lorentz import linear_basis
+from .photon import check_polarizations
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 

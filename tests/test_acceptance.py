@@ -15,11 +15,11 @@ from boostlink.lorentz import (
     aberrate,
     approx_transform_theta,
     boost_z,
+    linear_basis,
     polar_angles,
     unit_vectors,
     wigner_phases,
 )
-from boostlink.photon import linear_basis
 from boostlink.purification import (
     LinkParams,
     attenuation,

@@ -23,8 +23,7 @@ from boostlink.cli import (
 )
 from boostlink.diffraction import diffracted_reduced_type1, make_grid
 from boostlink.errors import ConfigError, DomainError
-from boostlink.lorentz import aberrate, boost_z, polar_angles, unit_vectors, wigner_phases
-from boostlink.photon import linear_basis
+from boostlink.lorentz import aberrate, boost_z, linear_basis, polar_angles, unit_vectors, wigner_phases
 from boostlink.purification import photon_budget, photons_required
 from boostlink.quantum import DensityMatrix, pure_negativities, pure_trace_distances
 from boostlink.states import pair_amplitudes
@@ -1078,14 +1077,12 @@ class TestMainEntry:
         assert "numerical consistency" in capsys.readouterr().err
 
     def test_broken_stabilizer_identity_exits_3(self, capsys, monkeypatch):
-        # frame axes off unit norm break |(s . x', s . y')| = 1 inside the
+        # a basis off unit norm breaks |(s . h', s . v')| = 1 inside the
         # real Wigner-phase kernel
         from boostlink import lorentz
 
-        original = lorentz._frame_axes
-        monkeypatch.setattr(
-            lorentz, "_frame_axes", lambda v: tuple(1.001 * axis for axis in original(v))
-        )
+        original = lorentz.linear_basis
+        monkeypatch.setattr(lorentz, "linear_basis", lambda *n: 1.001 * original(*n))
         assert main(["li-check"]) == 3
         assert "fails to stabilize" in capsys.readouterr().err
 

@@ -22,8 +22,7 @@ from boostlink.diffraction import (
     make_grid,
 )
 from boostlink.errors import DomainError
-from boostlink.lorentz import aberrate, boost_z, polar_angles, unit_vectors
-from boostlink.photon import linear_basis
+from boostlink.lorentz import aberrate, boost_z, linear_basis, polar_angles, unit_vectors
 from boostlink.quantum import check_density_matrices, negativity, purity
 from boostlink.states import pair_amplitudes
 

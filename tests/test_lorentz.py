@@ -11,6 +11,7 @@ from boostlink.lorentz import (
     aberrate,
     approx_transform_theta,
     boost_z,
+    linear_basis,
     null_mask,
     polar_angles,
     unit_vectors,
@@ -48,14 +49,16 @@ def inverse(m):
 
 
 def standard_boost(p):
-    """Canonical transform L(p) = R_z(phi) R_y(theta) B_z taking the reference
-    null vector k = (1, 0, 0, 1) to the null momentum ``p``."""
+    """Canonical transform L(p) = Q B_z, with Q = R_z(phi) R_y(theta) R_z(-phi)
+    the frame of the linear basis, taking the reference null vector
+    k = (1, 0, 0, 1) to the null momentum ``p``."""
     t, x, y, z = p
     theta = math.atan2(math.hypot(x, y), z)
-    # on the z axis the azimuth is arbitrary: take 0, not atan2(0, -0.0) = pi
-    phi = math.atan2(y, x) if x or y else 0.0
+    # on the +z axis Q is the identity whatever phi atan2 reads there
+    phi = math.atan2(y, x)
+    frame = rotation_z(phi) @ rotation_y(theta) @ rotation_z(-phi)
     # gamma*(1 - beta) = E  solves to  beta = (1 - E^2) / (1 + E^2).
-    return rotation_z(phi) @ rotation_y(theta) @ boost_z((1.0 - t * t) / (1.0 + t * t))
+    return frame @ boost_z((1.0 - t * t) / (1.0 + t * t))
 
 
 def little_group(m, p):
@@ -90,6 +93,12 @@ def tilted_boost(rng, beta_max=0.99):
     """R B_z(beta) R^-1: a boost along a random axis."""
     r = rotation_z(rng.uniform(0, 2 * math.pi)) @ rotation_y(rng.uniform(0, math.pi))
     return r @ boost_z(rng.uniform(-beta_max, beta_max)) @ inverse(r)
+
+
+def z_boost_bound(beta):
+    """Bound on |Theta| under ``boost_z(beta)``, 0 in exact arithmetic:
+    8 gamma^2 eps, the order of the rounded matrix's own metric defect."""
+    return 8.0 * np.finfo(float).eps / (1.0 - beta * beta)
 
 
 def wrapped(angle):
@@ -466,7 +475,49 @@ class TestWignerPhase:
             for n, phase in zip(directions, phases):
                 assert abs(wrapped(phase - reference_phase(m, photon(n)))) <= 1e-12
                 assert abs(phase) <= 1e-12  # no Wigner rotation under a z-boost
-        assert wigner_phases(boost_z(0.5), on_axis).tolist() == [0.0] * 4
+        assert np.abs(wigner_phases(boost_z(0.5), on_axis)).max() <= z_boost_bound(0.5)
+
+    @pytest.mark.parametrize("beta", [-0.999999, -0.9999, -0.9, -0.5, 1e-5, 0.5, 0.9, 0.9999, 0.999999])
+    def test_z_boost_phase_is_round_off_near_both_poles(self, beta):
+        # h' and v' at a direction near a pole come from the rounded 4x4
+        # matrix, whose metric defect grows as gamma^2
+        rng = np.random.default_rng(71)
+        offsets = np.concatenate([[0.0], np.geomspace(1e-12, 1e-3, 200), rng.uniform(0.0, 1e-3, 300)])
+        theta = np.concatenate([offsets, math.pi - offsets])
+        directions = unit_vectors(theta, rng.uniform(0.0, 2 * math.pi, len(theta)))
+        assert np.abs(wigner_phases(boost_z(beta), directions)).max() <= z_boost_bound(beta)
+
+    def test_transported_polarization_is_the_phase_in_the_basis(self):
+        # the gauge-projected image of h, e - (e_0 / E') p' with (e_0, e) =
+        # m (0, h) and (E', p') = m (1, n), is h rotated by Theta in the
+        # basis at the direction of p'
+        rng = np.random.default_rng(73)
+        for _ in range(200):
+            m = tilted_boost(rng, beta_max=0.95)
+            n = np.array([random_direction(rng) for _ in range(50)])
+            h = linear_basis(*n.T)[:3].T
+            e = np.hstack([np.zeros((50, 1)), h]) @ m.T
+            p = np.hstack([np.ones((50, 1)), n]) @ m.T
+            transported = e[:, 1:] - (e[:, :1] / p[:, :1]) * p[:, 1:]
+            basis = linear_basis(*(p[:, 1:] / p[:, :1]).T)
+            theta = wigner_phases(m, n)[:, None]
+            rotated = np.cos(theta) * basis[:3].T + np.sin(theta) * basis[3:].T
+            assert np.abs(transported - rotated).max() <= 1e-12
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "m, n",
+        [
+            (np.eye(4), [[0.0, 0.0, -1.0]]),
+            (np.eye(4), [[0.6, 0.0, 0.8], [-0.0, 0.0, -1.0]]),
+            # the half-turn about y, proper orthochronous, maps +z onto -z
+            (np.diag([1.0, -1.0, 1.0, -1.0]), [[0.0, 0.0, 1.0]]),
+        ],
+    )
+    def test_minus_z_rejected(self, m, n):
+        # the basis has no limit at -z, in the input or in its image
+        with pytest.raises(DomainError, match=r"-z = \(0, 0, -1\)"):
+            wigner_phases(m, n)
 
     def test_subnormal_offsets_from_the_axis(self):
         # x and y of a few subnormal units: x / hypot(x, y) would not be a

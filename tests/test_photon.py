@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from boostlink.errors import DomainError
-from boostlink.lorentz import aberrate, boost_z, polar_angles, unit_vectors
-from boostlink.photon import check_photons, check_polarizations, linear_basis
+from boostlink.lorentz import aberrate, boost_z, linear_basis, polar_angles, unit_vectors
+from boostlink.photon import check_photons, check_polarizations
 from boostlink.quantum import trace_distances
 from boostlink.states import pair_amplitudes
 
