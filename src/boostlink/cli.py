@@ -11,9 +11,9 @@ subcommands.  The parser is built on the first ``main`` call and reused for
 the rest of the process.  Each runner returns its table as columns (name ->
 one value per printed row).  Output is CSV (default) or JSON lines; numbers
 are printed with 12 significant digits and rows are emitted in deterministic
-sweep order, so identical scenarios produce byte-identical output.  CSV is
-one %-pattern built from the first row's cell types; a JSON-lines cell is
-``_cell``.
+sweep order, so identical scenarios produce byte-identical output.  Both
+formats print through one %-pattern built from the first row's cell types
+(``render_rows``).
 
 Exit codes: 0 success, 2 configuration error (an unreadable config file or
 an unwritable ``--out`` included), 3 numerical-consistency error or a
@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .diffraction import diffracted_reduced_type1, make_grid
-from .errors import ConfigError, DegenerateProtocolError, DomainError, NumericalConsistencyError
+from .errors import ConfigError, DegenerateProtocolError, DomainError, NumericalConsistencyError, is_real
 from .lorentz import aberrate, boost_z, linear_basis, polar_angles, unit_vectors, wigner_phases
 from .photon import check_photons, check_polarizations
 from .purification import LinkParams, attenuation, photons_required
@@ -299,7 +299,7 @@ def _config_number(name, value, kind=float):
     which must be integral); anything but a JSON number, a boolean or a
     numeric string included, is a ConfigError."""
     try:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if not is_real(value):
             raise TypeError
         number = float(value)
         if kind is int:
@@ -328,7 +328,7 @@ def _link(values: dict) -> LinkParams:
 
 
 def _parse_sweepable(name, value):
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if is_real(value):
         return _config_number(name, value)
     if not isinstance(value, dict):
         raise ConfigError(f"{name}: expected a number or a sweep object, got {value!r}")
@@ -396,30 +396,26 @@ def _parse_sweep_flag(name, text):
 # ---------------------------------------------------------------------------
 
 
-def _cell(value) -> str:
-    """One JSON-lines cell: a str JSON-encoded, a number to 12 significant
-    digits, and a non-finite float as a JSON string."""
-    if isinstance(value, str):
-        return json.dumps(value)
-    if math.isfinite(value):
-        return format(value, ".12g")
-    return json.dumps(str(value))
-
-
 def render_rows(header: list[str], rows: list[tuple], fmt: str) -> str:
-    """The table's text: ``header`` and one line per row of ``rows``.  Every
-    CSV line is one %-pattern built from the first row's cell types: a number
-    to 12 significant digits and a str as it is."""
+    """The table's text: ``header`` and one line per row of ``rows`` (one at
+    least), all through one %-pattern built from the first row's cell
+    types: a number to 12 significant digits and a str as it is, in CSV
+    under the header, or JSON-encoded in a JSON-lines object whose keys are
+    encoded once.  No table ``main`` prints holds a non-finite number
+    (``Scenario.validate`` checks the inputs finite, distances,
+    negativities and fidelities are finite, and a non-finite budget or
+    attenuation raises), so every number is valid JSON."""
+    cells = ["%s" if isinstance(v, str) else "%.12g" for v in rows[0]]
     if fmt == "csv":
-        pattern = ",".join("%s" if isinstance(v, str) else "%.12g" for v in rows[0]) + "\n"
-        cells = tuple(itertools.chain.from_iterable(rows))
-        return ",".join(header) + "\n" + pattern * len(rows) % cells
-    if fmt == "jsonl":
-        keys = [json.dumps(k) + ": " for k in header]
-        return "".join(
-            "{" + ", ".join(key + _cell(v) for key, v in zip(keys, row)) + "}\n" for row in rows
-        )
-    raise ConfigError(f"format must be one of {FORMATS}, got {fmt!r}")
+        head, pattern = ",".join(header) + "\n", ",".join(cells) + "\n"
+    elif fmt == "jsonl":
+        keys = (json.dumps(k) + ": " for k in header)
+        head, pattern = "", "{" + ", ".join(map(str.__add__, keys, cells)) + "}\n"
+        if "%s" in cells:
+            rows = [[json.dumps(v) if isinstance(v, str) else v for v in row] for row in rows]
+    else:
+        raise ConfigError(f"format must be one of {FORMATS}, got {fmt!r}")
+    return head + pattern * len(rows) % tuple(itertools.chain.from_iterable(rows))
 
 
 # ---------------------------------------------------------------------------

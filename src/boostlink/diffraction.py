@@ -95,7 +95,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, is_count, is_real
 from .lorentz import check_velocity
 
 TRUNCATION_SIGMAS = 6.0
@@ -116,12 +116,6 @@ _SPREAD = np.array([
     [2, 9, 4, 9, 5, 9],
     [9, 7, 9, 7, 9, 8],
 ]).reshape(2, 3, 2, 3)
-
-
-def _is_real(value) -> bool:
-    """Whether ``value`` is a real number, numpy's included: an int or a
-    float, not a bool."""
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
 @functools.lru_cache(maxsize=8)
@@ -151,11 +145,12 @@ class QuadratureGrid:
     _blocks: tuple[tuple[np.ndarray, np.ndarray], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not (_is_real(self.sigma) and 0.0 < self.sigma < math.inf):
+        if not (is_real(self.sigma) and 0.0 < self.sigma < math.inf):
             raise DomainError(f"angular spread must be positive and finite, got {self.sigma}")
+        object.__setattr__(self, "sigma", float(self.sigma))
         for name in ("n_theta", "n_phi"):
             count = getattr(self, name)
-            if not (isinstance(count, (int, np.integer)) and count >= 2):
+            if not (is_count(count) and count >= 2):
                 raise DomainError(f"{name} must be an integer >= 2, got {count!r}")
         theta_max = min(TRUNCATION_SIGMAS * self.sigma, math.pi)
         gl_nodes, gl_weights = _gauss_legendre(self.n_theta)
@@ -309,16 +304,12 @@ def diffracted_reduced_type1(alpha: float, betas: Sequence[float], grid: Quadrat
     is evaluated as arm A's geometry under -beta, and each distinct arm beta
     once.
     """
-    if not (_is_real(alpha) and math.isfinite(alpha)):
+    if not (is_real(alpha) and math.isfinite(alpha)):
         raise DomainError(f"beam axis angle must be finite, got {alpha!r}")
     if np.ndim(betas) != 1:
         raise DomainError(f"betas must be a 1-D sequence, got shape {np.shape(betas)}")
-    for b in betas:
-        if not _is_real(b):
-            raise DomainError(f"boost velocity must satisfy |beta| < 1, got {b!r}")
-        check_velocity(float(b))
     # + 0.0 turns -0.0 into 0.0: a zero boost is one evaluation whatever its sign
-    betas = [float(b) + 0.0 for b in betas]
+    betas = [check_velocity(b) + 0.0 for b in betas]
     arm_betas = list(dict.fromkeys(betas + [-b + 0.0 for b in betas]))
     moments = dict(zip(arm_betas, _arm_moments(grid._blocks, alpha, arm_betas)))
     rhos = np.reshape([_bell_mixture(moments[b], moments[-b + 0.0] * _B_AXIS_FLIP) for b in betas], (-1, 9, 9))

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule for a
+number: each scalar a library entry takes is a real (``is_real``) or a
+count (``is_count``), tested with its range, and a bool is neither."""
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -16,3 +20,13 @@ class DegenerateProtocolError(RuntimeError):
 
 class ConfigError(ValueError):
     """A scenario/configuration file or CLI override is malformed."""
+
+
+def is_real(value) -> bool:
+    """Whether ``value`` is an int or a float, numpy's included, not a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def is_count(value) -> bool:
+    """Whether ``value`` is an int or a numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)

@@ -45,7 +45,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, NumericalConsistencyError
+from .errors import DomainError, NumericalConsistencyError, is_real
 
 MINKOWSKI_METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -85,16 +85,18 @@ def unit_vectors(theta, phi) -> np.ndarray:
     return np.array([st * np.cos(phi), st * np.sin(phi), np.cos(theta)]).T
 
 
-def check_velocity(beta: float) -> None:
-    """Reject a boost velocity outside |beta| < 1 (NaN included)."""
-    if not abs(beta) < 1.0:
+def check_velocity(beta: float) -> float:
+    """``beta`` as a float, once it is a real number (``is_real``; a bool is
+    not) with |beta| < 1; anything else, NaN included, is rejected."""
+    if not (is_real(beta) and abs(beta) < 1.0):
         raise DomainError(f"boost velocity must satisfy |beta| < 1, got {beta}")
+    return float(beta)
 
 
 def boost_z(beta: float) -> np.ndarray:
     """Pure boost along z with dimensionless velocity ``beta``: a read-only
     4x4 matrix."""
-    check_velocity(beta)
+    beta = check_velocity(beta)
     gamma = 1.0 / math.sqrt(1.0 - beta * beta)
     m = np.eye(4)
     m[0, 0] = m[3, 3] = gamma
@@ -122,7 +124,7 @@ def aberrate(n, beta: float) -> np.ndarray:
     with the quadrant of the first fixed by
     sign(cos(theta')) = sign(cos(theta) - beta), which makes the map
     continuous and bijective on [0, pi]; the azimuth is unchanged."""
-    check_velocity(beta)
+    beta = check_velocity(beta)
     x, y, z = np.transpose(n)
     gamma = 1.0 / math.sqrt((1.0 - beta) * (1.0 + beta))
     # one rounding per operation, in the order of the formula (1 - beta n_z
@@ -143,7 +145,7 @@ def approx_transform_theta(theta: float, beta: float) -> float:
     """Small-velocity power-law approximation to the polar-angle aberration:
     theta' = pi * (theta/pi) ** (1 - 2*beta/(pi*ln 2)), theta as ``polar_angles`` takes it."""
     theta = float(polar_angles(theta, 0.0)[0])
-    check_velocity(beta)
+    beta = check_velocity(beta)
     exponent = 1.0 - 2.0 * beta / (math.pi * math.log(2.0))
     return math.pi * (theta / math.pi) ** exponent
 

@@ -89,9 +89,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateProtocolError, DomainError
+from .errors import DegenerateProtocolError, DomainError, is_count, is_real
 # _fidelity and _purity: fidelity_to_pure and purity on a bare matrix
-from .quantum import _fidelity, _is_count, _purity, check_density_matrices
+from .quantum import _fidelity, _purity, check_density_matrices
 
 QUTRIT_DIM = 3
 MIN_SUCCESS_PROBABILITY = 1e-12
@@ -118,8 +118,9 @@ class LinkParams:
 
     def __post_init__(self):
         for name in ("length", "wavelength", "aperture_source", "aperture_receiver"):
-            if not 0.0 < getattr(self, name) < math.inf:
+            if not (is_real(value := getattr(self, name)) and 0.0 < value < math.inf):
                 raise DomainError(f"link parameter {name} must be positive and finite")
+            object.__setattr__(self, name, float(value))
         if not 0.0 < (value := attenuation(self)) < math.inf:  # 0: underflow
             raise DomainError(f"attenuation must be {'finite' if value else 'positive'}, got {value}")
 
@@ -170,26 +171,26 @@ def photon_budget(rounds: int, attenuation_factor: float, success_probabilities)
 
 
 def _check_budget_inputs(attenuation_factor: float, rounds, name: str) -> None:
-    """Reject an attenuation that is not positive and finite, then a round
-    count ``name`` that is not a non-negative int (a bool included)."""
-    if not 0.0 < attenuation_factor < math.inf:
+    """Reject an attenuation that is not a positive finite real, then a
+    round count ``name`` that is not a non-negative int (a bool included)."""
+    if not (is_real(attenuation_factor) and 0.0 < attenuation_factor < math.inf):
         raise DomainError(f"attenuation must be positive and finite, got {attenuation_factor}")
-    if not (_is_count(rounds) and rounds >= 0):
+    if not (is_count(rounds) and rounds >= 0):
         raise DomainError(f"{name} must be a non-negative integer, got {rounds!r}")
 
 
 def _times_success(product: float, s: float) -> float:
-    """The running product of success probabilities times ``s``, which must
-    lie in (0, 1]."""
-    if not 0.0 < s <= 1.0:
+    """The running product of success probabilities times ``s``, a real
+    that must lie in (0, 1]."""
+    if not (is_real(s) and 0.0 < s <= 1.0):
         raise DomainError(f"success probabilities must lie in (0, 1], got {s}")
-    return product * s
+    return product * float(s)
 
 
 def _budget(rounds: int, attenuation_factor: float, product: float) -> float:
     """``photon_budget`` from the product of the rounds' success
     probabilities."""
-    budget = (2.0**rounds) * attenuation_factor / product
+    budget = (2.0**rounds) * float(attenuation_factor) / product
     if not math.isfinite(budget):
         raise DomainError(f"photon budget after {rounds} rounds is not finite, got {budget}")
     return budget
@@ -264,7 +265,7 @@ def photons_required(
     replaces whatever a later round raises.
     """
     _check_budget_inputs(attenuation_factor, max_rounds, "round cap")
-    if not 0.0 < target_purity <= 1.0:
+    if not (is_real(target_purity) and 0.0 < target_purity <= 1.0):
         raise DomainError(f"target purity must lie in (0, 1], got {target_purity}")
     mat, target = check_density_matrices(rho0, QUTRIT_DIM * QUTRIT_DIM, stack=False), bell_target()
     success, product, outputs, rounds = 1.0, 1.0, [], []
@@ -276,7 +277,7 @@ def photons_required(
                 product = _times_success(product, success)
             budget = _budget(k, attenuation_factor, product)
             rounds.append(RoundResult(k, _fidelity(mat, target), success, budget))
-            if _purity(mat) >= target_purity:
+            if _purity(mat) >= float(target_purity):
                 return PurificationTrace(tuple(rounds), budget, True)
             if k > 0 and rounds[-1].fidelity < rounds[-2].fidelity:
                 break

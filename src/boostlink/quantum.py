@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, is_count
 
 HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -58,7 +58,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         mat = np.array(check_density_matrices(self.mat, stack=False))
-        if not all(_is_count(d) and d > 0 for d in self.dims):
+        if not all(is_count(d) and d > 0 for d in self.dims):
             raise DomainError(f"subsystem dimensions must be positive integers, got {self.dims}")
         dims = tuple(map(int, self.dims))
         if mat.shape[0] != math.prod(dims):
@@ -68,14 +68,9 @@ class DensityMatrix:
         object.__setattr__(self, "dims", dims)
 
 
-def _is_count(value) -> bool:
-    """Whether ``value`` is an int or a numpy integer, and not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def _cut_size(dims) -> int:
     """d_A * d_B of the two-part cut ``dims``, two positive integers."""
-    if not (isinstance(dims, (tuple, list)) and len(dims) == 2 and all(_is_count(d) and d > 0 for d in dims)):
+    if not (isinstance(dims, (tuple, list)) and len(dims) == 2 and all(is_count(d) and d > 0 for d in dims)):
         raise DomainError(f"a bipartite cut needs two positive integer dimensions, got {dims}")
     return int(dims[0] * dims[1])
 

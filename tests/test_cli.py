@@ -811,30 +811,56 @@ class TestRendering:
         """Rows printed through the first row's %-pattern read exactly as the
         join of their cells: a str as it is, a number to 12 significant
         digits."""
-        rng = np.random.default_rng(18)
         specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.5e-310, 1e16,
                     1.8e308, 0.1 + 0.2, 1.0 / 3.0]
-
-        def draw(kind):
-            if kind in ("float", "float64"):
-                x = float(rng.choice(specials)) if rng.random() < 0.3 else float(
-                    rng.normal() * 10.0 ** rng.uniform(-320.0, 300.0))
-                return np.float64(x) if kind == "float64" else x
-            if kind == "int":
-                return int(rng.choice([0, -7, 10**20, int(rng.integers(-10**9, 10**9))]))
-            return str(rng.choice(["type1", "invariant", "", "frame_dependent"]))
 
         def cell(value):
             return value if isinstance(value, str) else format(value, ".12g")
 
-        kinds = ["float", "float64", "int", "str"]
-        weights = [0.6, 0.15, 0.1, 0.15]
-        for _ in range(300):
-            schema = rng.choice(kinds, size=int(rng.integers(1, 7)), p=weights)
-            header = [f"c{i}" for i in range(len(schema))]
-            rows = [tuple(map(draw, schema)) for _ in range(int(rng.integers(1, 12)))]
+        for header, rows in _random_tables(18, specials, ["type1", "invariant", "", "frame_dependent"]):
             want = [",".join(header)] + [",".join(map(cell, row)) for row in rows]
             assert render_rows(header, rows, "csv") == "\n".join(want) + "\n"
+
+    def test_jsonl_lines_are_the_cell_by_cell_join(self):
+        """JSON lines read exactly as the join of their JSON-encoded keys and
+        cells, a str JSON-encoded and a number to 12 significant digits, and
+        parse back to those cells."""
+        finite = [0.0, -0.0, 5e-324, 2.5e-310, 1e16, 1.7e308, 0.1 + 0.2, 1.0 / 3.0]
+        words = ["invariant", 'say "hi"', "back\\slash", "négativité β", "%s %%", ""]
+
+        def cell(value):
+            return json.dumps(value) if isinstance(value, str) else format(value, ".12g")
+
+        for header, rows in _random_tables(19, finite, words):
+            want = ["{" + ", ".join(f"{json.dumps(k)}: {cell(v)}" for k, v in zip(header, row)) + "}"
+                    for row in rows]
+            text = render_rows(header, rows, "jsonl")
+            assert text == "\n".join(want) + "\n"
+            for line, row in zip(text.splitlines(), rows, strict=True):
+                assert json.loads(line) == {k: v if isinstance(v, str) else float(cell(v))
+                                            for k, v in zip(header, row)}
+
+
+def _random_tables(seed, specials, words):
+    """300 random (header, rows) tables of 1 to 6 columns and 1 to 11 rows,
+    each column of one kind: float, numpy float64 (one of ``specials`` 30%
+    of the time), int or one of ``words``."""
+    rng = np.random.default_rng(seed)
+
+    def draw(kind):
+        if kind in ("float", "float64"):
+            x = float(rng.choice(specials)) if rng.random() < 0.3 else float(
+                rng.normal() * 10.0 ** rng.uniform(-320.0, 300.0))
+            return np.float64(x) if kind == "float64" else x
+        if kind == "int":
+            return int(rng.choice([0, -7, 10**20, int(rng.integers(-10**9, 10**9))]))
+        return str(rng.choice(words))
+
+    for _ in range(300):
+        schema = rng.choice(["float", "float64", "int", "str"], size=int(rng.integers(1, 7)),
+                            p=[0.6, 0.15, 0.1, 0.15])
+        header = [f"c{i}" for i in range(len(schema))]
+        yield header, [tuple(map(draw, schema)) for _ in range(int(rng.integers(1, 12)))]
 
 
 class TestMainEntry:

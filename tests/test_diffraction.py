@@ -269,7 +269,7 @@ class TestQuadratureGrid:
             flat[:, [0, -1] if n_phi % 2 == 0 else [0]] *= 0.5
             assert _half_grid(grid)[1].tobytes() == np.sqrt(flat.ravel()).tobytes()
 
-    BAD_COUNTS = [0, -3, 1, 2.5, 4.0, "8", None, True]
+    BAD_COUNTS = [0, -3, 1, 2.5, 4.0, 8.0, np.float64(8), "8", None, True]
 
     @pytest.mark.parametrize("n_phi", BAD_COUNTS)
     def test_rejects_bad_n_phi(self, n_phi):
@@ -285,6 +285,9 @@ class TestQuadratureGrid:
         grid = QuadratureGrid(np.int64(2), np.int32(2), 1.0)
         assert grid.n_phi == 2 and grid.n_theta == 2
         assert grid.row_theta.size == 2
+        want = make_grid(8, 8, 1.0)
+        for got, ref in zip(make_grid(np.int64(8), np.int64(8), 1.0)._blocks, want._blocks, strict=True):
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
 
     def test_rejects_underflowed_weights(self):
         # a spread of 1e-160 gives rows near 1e-160, whose weights, products

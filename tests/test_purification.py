@@ -165,7 +165,8 @@ class TestPhotonBudget:
         with pytest.raises(DomainError, match="attenuation must be positive and finite"):
             photon_budget(0, factor, [])
 
-    @pytest.mark.parametrize("rounds, successes", [(2.5, [0.5, 0.5]), (True, [0.5]), (-1, [])])
+    @pytest.mark.parametrize("rounds, successes", [(2.5, [0.5, 0.5]), (True, [0.5]), (-1, []),
+                                                   (8.0, [0.5] * 8), (np.float64(8), [0.5] * 8)])
     def test_rejects_round_count_that_is_not_a_non_negative_int(self, rounds, successes):
         # 2.5 used to return 2262.7, and True to count as 1
         with pytest.raises(DomainError, match="round count must be a non-negative integer"):
@@ -179,6 +180,7 @@ class TestPhotonBudget:
 
     def test_accepts_numpy_round_count_and_any_iterable(self):
         assert photon_budget(np.int64(2), 100.0, iter([0.5, 0.25])) == 3200.0
+        assert photon_budget(np.int64(8), 100.0, [0.5] * 8) == photon_budget(8, 100.0, [0.5] * 8)
 
 
 class TestPurifyRound:
@@ -378,7 +380,7 @@ class TestPhotonsRequired:
         with pytest.raises(DomainError, match="attenuation must be positive and finite"):
             photons_required(BELL, 0.99, factor)
 
-    @pytest.mark.parametrize("max_rounds", [-1, 2.5, True, False, "3", None])
+    @pytest.mark.parametrize("max_rounds", [-1, 2.5, 8.0, np.float64(8), True, False, "3", None])
     def test_rejects_round_cap_that_is_not_a_non_negative_int(self, max_rounds):
         # the target is met at round 0, so only the check can stop the run
         with pytest.raises(DomainError, match="round cap must be a non-negative integer"):
@@ -389,6 +391,13 @@ class TestPhotonsRequired:
         trace = photons_required(diffracted_qutrit_pair(0.5, n=32), 0.99, 100.0, max_rounds)
         assert [r.round_index for r in trace.rounds] == [0]
         assert not trace.succeeded
+
+    def test_accepts_numpy_integer_round_cap(self):
+        # sigma = 2 stalls below the target, so the cap ends the run
+        rho = diffracted_qutrit_pair(2.0, n=32)
+        trace = photons_required(rho, 0.99, 100.0, max_rounds=np.int64(8))
+        assert trace == photons_required(rho, 0.99, 100.0, max_rounds=8)
+        assert len(trace.rounds) == 9 and not trace.succeeded
 
 
 class TestRoundCost:
